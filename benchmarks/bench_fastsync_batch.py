@@ -1,20 +1,15 @@
 """Batched multi-election sweeps — many seeds per engine run.
 
 The paper's headline curves (Thm 3.10 sync tradeoff, Thm 5.1 async
-tradeoff) are sweeps over many seeds per ``(n, algorithm)`` point;
-PR 2's vectorized engine still paid full per-seed setup, Python-loop and
-sampling overhead per run.  The batch axis
-(``FastSyncNetwork(n, seeds=[...])``) executes a whole seed-batch in one
-engine run on a faster int32 sampling/scatter pipeline, which this bench
-quantifies against the one-seed-per-run path.  Shape assertions:
+tradeoff) are sweeps over many seeds per ``(n, algorithm)`` point.  The
+batch axis (``FastSyncNetwork(n, seeds=[...])``) executes a whole
+seed-batch in one engine run; a single run is a batch of one lane, so
+this bench times the batched lanes against one-lane (``batch = 1``)
+runs of the same seeds.  Shape assertions:
 
-* **speedup** (full mode): a ``batch = 64`` run of ``improved_tradeoff``
-  at ``n = 10^5`` is at least **3x faster per seed** than sequential
-  one-seed runs of the same configuration (the PR 2 path, measured
-  interleaved in the same process);
 * **bit-exactness**: in exact mode the batched lanes reproduce the
-  sequential single runs field by field (messages, rounds, winners,
-  per-kind counts), and every lane elects the max ID;
+  one-lane runs field by field (messages, rounds, winners, per-kind
+  counts), and every lane elects the max ID;
 * scale-mode lanes are deterministic per ``(n, seed)`` and keep the
   Theorem 3.10 message bound.
 
@@ -27,7 +22,8 @@ Run standalone::
 
 The ``--json`` artifact carries the seed-deterministic per-point metrics
 that ``benchmarks/check_regression.py`` gates in CI against
-``benchmarks/baselines/BENCH_fastsync_batch.json``.
+``benchmarks/baselines/BENCH_fastsync_batch.json``; per-seed wall times
+and their ratio ride in its ungated ``info`` block.
 """
 
 from __future__ import annotations
@@ -43,21 +39,18 @@ from _harness import bench_once, emit, emit_json
 FULL_POINTS = [(100_000, 3, 64)]
 SMOKE_POINTS = [(512, 5, 8), (4096, 5, 8)]
 
-#: Full mode measures the legacy path on this many seeds (it is slow —
-#: that is the point); smoke measures the whole batch's worth.
-FULL_LEGACY_SEEDS = 2
-
-#: The acceptance floor for the headline full-mode point.
-MIN_SPEEDUP = 3.0
+#: Full mode times the one-lane reference on this many seeds (each is a
+#: whole n = 10^5 run); smoke times the whole batch's worth.
+FULL_REFERENCE_SEEDS = 2
 
 
-def run_sweep(points, legacy_seeds=None):
-    from repro.analysis import Table, run_fast_batch, run_fast_trial
+def run_sweep(points, reference_seeds=None):
+    from repro.analysis import Table, run_fast_batch
 
     table = Table(
         ["n", "ell", "batch", "mode", "mean messages", "rounds",
-         "legacy s/seed", "batched s/seed", "speedup"],
-        title="Batched fast engine vs the one-seed-per-run path",
+         "one-lane s/seed", "batched s/seed", "speedup"],
+        title="Batched fast engine vs one-lane runs of the same seeds",
     )
     rows = []
     for n, ell, batch in points:
@@ -66,14 +59,14 @@ def run_sweep(points, legacy_seeds=None):
         lanes = run_fast_batch(n, "improved_tradeoff", seeds=seeds,
                                params={"ell": ell})
         batched_per_seed = (time.perf_counter() - t0) / batch
-        probe = seeds if legacy_seeds is None else seeds[:legacy_seeds]
+        probe = seeds if reference_seeds is None else seeds[:reference_seeds]
         t0 = time.perf_counter()
         singles = [
-            run_fast_trial(n, "improved_tradeoff", seed=s, params={"ell": ell})
+            run_fast_batch(n, "improved_tradeoff", seeds=[s], params={"ell": ell})[0]
             for s in probe
         ]
-        legacy_per_seed = (time.perf_counter() - t0) / len(probe)
-        speedup = legacy_per_seed / batched_per_seed
+        single_per_seed = (time.perf_counter() - t0) / len(probe)
+        speedup = single_per_seed / batched_per_seed
         rows.append(
             {
                 "n": n,
@@ -84,20 +77,20 @@ def run_sweep(points, legacy_seeds=None):
                 "singles": singles,
                 "messages": sum(r.messages for r in lanes) / len(lanes),
                 "rounds": sum(r.time for r in lanes) / len(lanes),
-                "legacy_per_seed": legacy_per_seed,
+                "single_per_seed": single_per_seed,
                 "batched_per_seed": batched_per_seed,
                 "speedup": speedup,
             }
         )
         table.add_row(
             n, ell, batch, rows[-1]["mode"], round(rows[-1]["messages"]),
-            rows[-1]["rounds"], f"{legacy_per_seed:.3f}",
+            rows[-1]["rounds"], f"{single_per_seed:.3f}",
             f"{batched_per_seed:.3f}", f"{speedup:.2f}x",
         )
     return table, rows
 
 
-def check(rows, *, require_speedup: bool) -> None:
+def check(rows) -> None:
     from repro.lowerbound import bounds
 
     for row in rows:
@@ -110,20 +103,12 @@ def check(rows, *, require_speedup: bool) -> None:
             "message bound exceeded", row["n"], row["messages"], bound,
         )
         if row["mode"] == "exact":
-            # Bit-exactness: batched lanes replay the sequential runs.
+            # Bit-exactness: batched lanes replay the one-lane runs.
             for single, lane in zip(row["singles"], lanes):
                 assert single.messages == lane.messages, (single, lane)
                 assert single.time == lane.time
                 assert single.elected_id == lane.elected_id
                 assert single.extra["rounds_executed"] == lane.extra["rounds_executed"]
-    if require_speedup:
-        for row in rows:
-            assert row["speedup"] >= MIN_SPEEDUP, (
-                f"batched per-seed time must be >= {MIN_SPEEDUP}x faster than "
-                f"the one-seed-per-run path at n={row['n']}; measured "
-                f"{row['speedup']:.2f}x ({row['legacy_per_seed']:.3f}s vs "
-                f"{row['batched_per_seed']:.3f}s per seed)"
-            )
 
 
 def metrics_from(rows):
@@ -134,7 +119,7 @@ def metrics_from(rows):
         metrics[f"{key}/mean_messages"] = row["messages"]
         metrics[f"{key}/rounds"] = row["rounds"]
         info["per_seed_wall_s"][key] = {
-            "legacy": row["legacy_per_seed"],
+            "single": row["single_per_seed"],
             "batched": row["batched_per_seed"],
         }
         info["speedup"][key] = row["speedup"]
@@ -147,7 +132,7 @@ def test_bench_fastsync_batch(benchmark):
     pytest.importorskip("numpy")
     table, rows = bench_once(benchmark, lambda: run_sweep(SMOKE_POINTS))
     emit("fastsync_batch", table.render())
-    check(rows, require_speedup=False)
+    check(rows)
 
 
 def main(argv) -> int:
@@ -165,16 +150,14 @@ def main(argv) -> int:
     if args.smoke:
         table, rows = run_sweep(SMOKE_POINTS)
     else:
-        table, rows = run_sweep(FULL_POINTS, legacy_seeds=FULL_LEGACY_SEEDS)
+        table, rows = run_sweep(FULL_POINTS, reference_seeds=FULL_REFERENCE_SEEDS)
     print(table.render())
-    # The wall-clock speedup floor is asserted in full mode only — smoke
-    # points are too small for stable timing and CI machines too noisy.
-    check(rows, require_speedup=not args.smoke)
+    check(rows)
     if args.json:
         metrics, info = metrics_from(rows)
         emit_json(args.json, "fastsync_batch", metrics, smoke=args.smoke, info=info)
     best = max(rows, key=lambda r: r["speedup"])
-    print(f"OK: bit-exact lanes; best per-seed speedup {best['speedup']:.2f}x "
+    print(f"OK: bit-exact lanes; best per-seed speedup over one-lane runs {best['speedup']:.2f}x "
           f"at n={best['n']} (batch={best['batch']})")
     return 0
 

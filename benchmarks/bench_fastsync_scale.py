@@ -63,8 +63,8 @@ def run_sweep(ns=FULL_NS, seeds=FULL_SEEDS, batch=False):
         for n in ns:
             if batch:
                 # One batched engine run per (algorithm, n) point: the
-                # whole seed sweep shares setup and the faster batched
-                # sampler (see bench_fastsync_batch.py for the ratio).
+                # whole seed sweep shares one execution (see
+                # bench_fastsync_batch.py for the timing ratio).
                 records = run_fast_batch(n, name, seeds=list(seeds), params=params)
             else:
                 records = [
@@ -154,9 +154,7 @@ def main(argv) -> int:
                         help="write a BENCH_*.json trajectory artifact")
     parser.add_argument("--batch", action="store_true",
                         help="dispatch each (algorithm, n) point's seeds as one "
-                        "batched engine run (several times faster end-to-end at "
-                        "n = 10^5; scale-mode counts differ from the unbatched "
-                        "baseline, so the CI gate runs unbatched)")
+                        "batched engine run (its lanes equal the unbatched runs)")
     args = parser.parse_args(argv)
     try:
         import numpy  # noqa: F401

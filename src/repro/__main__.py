@@ -144,13 +144,6 @@ from repro.core import ALGORITHMS, get_algorithm
 from repro.ids import assign_random, small_universe, tradeoff_universe
 from repro.lowerbound import bounds
 
-try:
-    from repro.fastsync.xp import BackendUnavailable
-except ImportError:  # numpy missing: the seam never resolves, nothing to catch
-
-    class BackendUnavailable(ImportError):  # type: ignore[no-redef]
-        """Placeholder so ``main`` can catch the seam error unconditionally."""
-
 
 def _parse_param(text: str) -> Any:
     for cast in (int, float):
@@ -162,15 +155,8 @@ def _parse_param(text: str) -> Any:
 
 
 def cmd_list(_args: argparse.Namespace) -> int:
-    try:
-        from repro.fastsync.xp import available_backends
-
-        backends = ",".join(available_backends()) or "-"
-    except ImportError:
-        # numpy missing: the fast engine is unavailable, see repro.fastsync.
-        backends = "-"
     table = Table(
-        ["name", "engine", "fast", "backends", "wake-up", "paper", "messages", "time"],
+        ["name", "engine", "fast", "wake-up", "paper", "messages", "time"],
         title="Registered algorithms",
     )
     for spec in ALGORITHMS.values():
@@ -178,7 +164,6 @@ def cmd_list(_args: argparse.Namespace) -> int:
             spec.name,
             spec.engine,
             "yes" if spec.has_fast else "-",
-            backends if spec.has_fast else "-",
             "+".join(spec.wakeup),
             spec.paper_ref,
             spec.messages_formula,
@@ -2074,12 +2059,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except BackendUnavailable as exc:
-        # Backend selection (REPRO_ARRAY_BACKEND / --backend) names an
-        # uninstalled array library; the message carries the install hint.
-        raise SystemExit(f"error: {exc}") from None
+    return args.func(args)
 
 
 if __name__ == "__main__":

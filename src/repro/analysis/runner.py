@@ -291,8 +291,7 @@ def run_fast_batch(
     """Deprecated shim: one batched vectorized execution, one record per lane.
 
     All lanes share the ``(n, ids, algorithm, params)`` configuration;
-    lane ``b`` draws from RNG streams seeded exactly like a single run
-    with ``seeds[b]`` (bit-identical in exact mode).
+    lane ``b`` equals a single run with ``seeds[b]``.
     """
     _deprecated("run_fast_batch", "sweep")
     from repro.sweep.api import execute_spec

@@ -14,9 +14,10 @@ baseline of [16] and the Theorem 4.1 adversarial wake-up election);
 each is cross-validated against its object-model twin — same seed, same
 port map, identical winner and message/round counts — in
 ``tests/test_fastsync_equivalence.py`` and the per-port twin suites.
-One engine run can also execute a whole *batch* of seeds of the same
-configuration (``FastSyncNetwork(n, seeds=[...])``), bit-exact to the
-sequential single runs in exact mode.  See DESIGN.md ("Fast vectorized
+Every engine run is a *batch* of lanes, one per seed
+(``FastSyncNetwork(n, seeds=[...])``); a single run is a batch of one
+lane, so each port has one fault-free body and a lane's result never
+depends on the batch it ran in.  See DESIGN.md ("Fast vectorized
 engine" and "Batched fast engine") for the array layout and the
 equivalence guarantees.
 
@@ -31,10 +32,7 @@ except ImportError as exc:  # pragma: no cover - exercised via sys.modules stub
     raise ImportError(
         "repro.fastsync needs numpy, which is not installed. The vectorized "
         "engine is an optional extra: install it with `pip install numpy` "
-        "(or, from a checkout, `pip install -e '.[fast]'`). The kernels sit "
-        "behind the repro.fastsync.xp array-backend seam — numpy is the "
-        "default backend; cupy/torch are selectable via REPRO_ARRAY_BACKEND "
-        "or repro.fastsync.xp.set_backend once installed. Every other repro "
+        "(or, from a checkout, `pip install -e '.[fast]'`). Every other repro "
         "subpackage works without numpy — use repro.sync / repro.asyncnet "
         "instead."
     ) from exc
@@ -51,7 +49,6 @@ from repro.fastsync.algorithms import (
 from repro.fastsync.engine import ArrayPortMap, FastRunResult, FastSyncNetwork
 from repro.fastsync.faults import Delivered, FastFaultRuntime, delivered_total
 from repro.fastsync.registry import FAST_ALGORITHMS, get_fast_algorithm
-from repro.fastsync.xp import available_backends, backend_name, set_backend, xp
 
 __all__ = [
     "ArrayPortMap",
@@ -69,8 +66,4 @@ __all__ = [
     "VectorSmallIdElection",
     "FAST_ALGORITHMS",
     "get_fast_algorithm",
-    "available_backends",
-    "backend_name",
-    "set_backend",
-    "xp",
 ]

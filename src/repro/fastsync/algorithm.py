@@ -3,25 +3,31 @@
 A :class:`VectorAlgorithm` is a port of a *protocol*, not of one node:
 where a :class:`repro.sync.SyncAlgorithm` describes what a single node
 does with its inbox, a vector algorithm describes what the entire clique
-does per round, operating on index arrays.  The contract:
+does per round, operating on index arrays.  Each port has one
+fault-free body, :meth:`run`, written against the engine's lanes (a
+single run is a batch of one lane).  The contract:
 
+* keep state in *global* ``lane * n + node`` index arrays, sorted so
+  :meth:`FastSyncNetwork.lane_segments` can slice them per lane;
 * call :meth:`FastSyncNetwork.tick` exactly once per synchronous round
   of the original schedule — including silent decision rounds — so
   ``rounds_executed`` and ``last_send_round`` match the object engine;
-* account every message batch with :meth:`FastSyncNetwork.count_messages`
-  under the same payload kind the object algorithm uses;
+  ``tick(active)`` carries the mask of lanes still running;
+* account every message batch per lane with
+  :meth:`FastSyncNetwork.count_messages` under the same payload kind the
+  object algorithm uses;
 * draw all randomness through the engine's sampling primitives
   (:meth:`bernoulli`, :meth:`rank_draws`, :meth:`first_ports`,
   :meth:`sampled_targets`) so ``exact`` mode can replay the per-node
   ``random.Random`` streams of the object engine bit-for-bit;
-* finish by calling :meth:`FastSyncNetwork.decide` with the leader
-  node(s).
+* finish every lane by calling :meth:`FastSyncNetwork.decide` with its
+  leader node(s).
 
-Batched execution (:meth:`run_batch`) follows the same contract against
-the engine's lane-aware primitives (``*_lanes``): state lives in global
-``lane * n + node`` index arrays, every message batch is accounted per
-lane, ``tick(active)`` carries the mask of lanes still running, and each
-lane finishes with :meth:`FastSyncNetwork.decide_lane`.
+A port that declares :attr:`supports_faults` also has a
+``_run_faulted`` fold, which :meth:`run` hands over to when a FaultPlan
+is attached (:attr:`FastSyncNetwork.has_faults`).  Faulted runs are
+single-lane, so the fold calls the same primitives with one lane, where
+a global index is the node index.
 
 Ports assume the simultaneous wake-up regime (every node awake in round
 1) unless they declare :attr:`supports_roots` and honor the engine's
@@ -50,9 +56,6 @@ class VectorAlgorithm:
     #: refuses to run a crash schedule against a port that does not.
     supports_crashes: bool = False
 
-    #: Whether the port implements :meth:`run_batch` (the batch axis).
-    supports_batch: bool = False
-
     #: Whether the port honors an adversarial wake-up schedule
     #: (:attr:`FastSyncNetwork.roots`).  Ports without it assume every
     #: node wakes in round 1.
@@ -66,9 +69,5 @@ class VectorAlgorithm:
     supports_faults: bool = False
 
     def run(self, net: "FastSyncNetwork") -> None:
-        """Execute the full round schedule on ``net`` (see module docs)."""
+        """Execute the full round schedule on every lane of ``net`` (see module docs)."""
         raise NotImplementedError
-
-    def run_batch(self, net: "FastSyncNetwork") -> None:
-        """Execute every lane of a batched ``net`` (see module docs)."""
-        raise NotImplementedError(f"{type(self).__name__} has no batched port")

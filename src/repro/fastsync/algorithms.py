@@ -16,13 +16,15 @@ broadcast rounds O(1) memory at ``n = 10^5``.  The analytic branches are
 exercised by the small-``n`` cross-engine equivalence tests (``n = 2``
 hits them on every iteration).
 
-Every port implements both the single-run protocol (:meth:`run`) and
-the batched one (:meth:`run_batch`): batch state lives in *global*
-``lane * n + node`` index arrays, every survivor/candidate array is kept
-sorted so :meth:`FastSyncNetwork.lane_segments` can slice it per lane,
-and per-lane termination (``tick(active)``) lets decided lanes stop
-paying tick cost — the Las Vegas port is the one whose lanes genuinely
-finish in different rounds.
+Each port has one fault-free body, :meth:`run`, over the engine's
+lanes: state lives in *global* ``lane * n + node`` index arrays, every
+survivor/candidate array is kept sorted so
+:meth:`FastSyncNetwork.lane_segments` can slice it per lane, and
+per-lane termination (``tick(active)``) lets decided lanes stop paying
+tick cost — the Las Vegas port is the one whose lanes genuinely finish
+in different rounds.  A single run is a batch of one lane.  Under a
+FaultPlan, :meth:`run` hands over to the port's single-lane
+``_run_faulted`` fold.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import math
 from collections import Counter
 from typing import Callable, Optional, Tuple
 
-from repro.fastsync.xp import xp as np
+import numpy as np
 
 from repro.fastsync.algorithm import VectorAlgorithm
 from repro.fastsync.faults import delivered_total
@@ -50,9 +52,9 @@ __all__ = [
 #: memory for an n = 10^5, m ≈ 300 iteration in the tens of megabytes).
 _ROW_CHUNK = 8_000_000
 
-#: Edge budget per batched lane group: a compete iteration materializes
-#: at most this many destination entries at once (~128 MB of int32), so
-#: a 64-lane n = 10^5 batch never holds the whole batch's edge matrix.
+#: Edge budget per lane group: a compete iteration materializes at most
+#: this many destination entries at once (~128 MB of int32), so a
+#: 64-lane n = 10^5 batch never holds the whole batch's edge matrix.
 _GROUP_EDGES = 32_000_000
 
 
@@ -76,17 +78,22 @@ def _lane_groups(net, sorted_idx: np.ndarray, m: int):
         b0 = b1
 
 
-def _compete_iteration(
+def _referee_iteration(
     net, senders: np.ndarray, m: int, init: np.ndarray, compete_kind: str, response_kind: str
-) -> Tuple[np.ndarray, int]:
+) -> np.ndarray:
     """One materialized compete/response iteration (rounds ``2i-1``/``2i``).
 
-    Every node in ``senders`` contacts its first ``m`` ports; a referee
-    responds to the highest competing ID that beats its ``init`` floor
-    (``-1``, or its own ID for self-comparing referees à la Afek–Gafni);
-    a sender survives iff all ``m`` of its referees responded to it.
-    Returns ``(survivors, response_count)`` and accounts both message
-    batches; the referee round's :meth:`tick` happens inside.
+    Every sender (sorted global indices) contacts its first ``m`` ports;
+    a referee responds to the highest competing ID that beats its
+    ``init`` floor (``-1``, or its own ID for self-comparing referees à
+    la Afek–Gafni); a sender survives iff all ``m`` of its referees
+    responded to it.  Returns the survivors and accounts both message
+    batches per lane; the referee round's :meth:`tick` happens inside.
+
+    ``init`` is the ``(batch * n,)`` referee floor in *rank space*
+    (``net.ids_rank_flat`` values, or ``-1``): max-compete logic runs on
+    int32 ranks — order-isomorphic to the IDs — which halves the
+    scatter/gather traffic of the hot round.
 
     Crash masks: competes are *sent* (and counted) regardless of the
     destination's fate — exactly like the object engine, where the
@@ -94,48 +101,7 @@ def _compete_iteration(
     dead in the referee round neither receives nor responds, so its
     senders lose the iteration for want of a response.
     """
-    ids = net.ids
-    dst = net.first_ports(senders, m)
-    net.count_messages(dst.size, compete_kind)
-    net.tick()
-    crashy = net.has_crashes
-    sid = ids[senders]
-    best = init.copy()
-    rows = len(senders)
-    chunk = max(1, _ROW_CHUNK // max(m, 1))
-    with net.profile("scatter"):
-        for start in range(0, rows, chunk):
-            stop = min(rows, start + chunk)
-            flat = dst[start:stop].reshape(-1)
-            rep = np.repeat(sid[start:stop], m)
-            if crashy:
-                delivered = net.alive[flat]
-                flat = flat[delivered]
-                rep = rep[delivered]
-            np.maximum.at(best, flat, rep)
-    responses = int(np.count_nonzero(best > init))
-    net.count_messages(responses, response_kind)
-    with net.profile("compaction"):
-        ok = np.empty(rows, dtype=bool)
-        for start in range(0, rows, chunk):
-            stop = min(rows, start + chunk)
-            ok[start:stop] = (best[dst[start:stop]] == sid[start:stop, None]).all(axis=1)
-        return senders[ok], responses
-
-
-def _compete_iteration_lanes(
-    net, senders: np.ndarray, m: int, init: np.ndarray, compete_kind: str, response_kind: str
-) -> np.ndarray:
-    """Batched :func:`_compete_iteration` over sorted global sender indices.
-
-    ``init`` is the ``(batch * n,)`` referee floor in *rank space*
-    (``net.ids_rank_flat`` values, or ``-1``): max-compete logic runs on
-    int32 ranks — order-isomorphic to the IDs — which halves the
-    scatter/gather traffic of the hot round.  The survivor check prunes
-    through column 0 first: only ~``rows/m`` senders win their first
-    referee, so the full all-columns gather runs on a sliver of rows.
-    """
-    net.count_messages_lanes(net.rows_per_lane(senders) * m, compete_kind)
+    net.count_messages(net.rows_per_lane(senders) * m, compete_kind)
     net.tick()
     crashy = net.has_crashes
     sid_all = net.ids_rank_flat[senders]
@@ -148,7 +114,7 @@ def _compete_iteration_lanes(
     # check pipeline end to end and frees its edge matrix before the
     # next group starts — peak memory is one group, not the whole batch.
     for gs, ge in _lane_groups(net, senders, m):
-        dst = net.first_ports_lanes(senders[gs:ge], m)
+        dst = net.first_ports(senders[gs:ge], m)
         with net.profile("scatter"):
             for start in range(0, ge - gs, chunk):
                 stop = min(ge - gs, start + chunk)
@@ -171,7 +137,7 @@ def _compete_iteration_lanes(
                 group_ok[cand] = (best[dst[cand]] == sid[cand, None]).all(axis=1)
             ok[gs:ge] = group_ok
     responded = (best > init).reshape(net.batch, net.n)
-    net.count_messages_lanes(responded.sum(axis=1), response_kind)
+    net.count_messages(responded.sum(axis=1), response_kind)
     return senders[ok]
 
 
@@ -204,6 +170,15 @@ def _rank_referee_grants(
     return is_win, delivered
 
 
+def _rank_lane_counts(net, flat, is_win, delivered):
+    """Per-lane ``(wins, considered)`` counts of one rank-referee round."""
+    lanes_of = flat // net.n
+    wins = np.bincount(lanes_of[is_win], minlength=net.batch)
+    if delivered is not None:
+        lanes_of = lanes_of[delivered]
+    return wins, np.bincount(lanes_of, minlength=net.batch)
+
+
 # --------------------------------------------------------------------- #
 # FaultPlan fold helpers (single-lane, exact or scale mode)
 #
@@ -212,7 +187,8 @@ def _rank_referee_grants(
 # faulted round materializes its send batch and pushes it through the
 # engine's FastFaultRuntime — which burns the object engine's fault and
 # adversary RNG streams in the object engine's global send order (sender
-# ascending, port order within a sender).  The helpers below keep that
+# ascending, port order within a sender).  Faulted runs have one lane,
+# so a global index is the node index.  The helpers below keep that
 # ordering contract; everything delivered comes back as per-kind
 # :class:`~repro.fastsync.faults.Delivered` batches in arrival order.
 
@@ -223,7 +199,7 @@ def _send_batch(net, kind, src, dst, fields=()):
     dst = np.asarray(dst, dtype=np.int64).ravel()
     if src.size == 0:
         return {}
-    net.count_messages(src.size, kind)
+    net.count_messages([src.size], kind)
     runtime = net.fault_runtime
     runtime.observe_sends(net.round, src, kind)
     return runtime.deliver(net.round, kind, src, dst, fields)
@@ -242,7 +218,7 @@ def _send_mixed(net, kinds, src, dst, fields=()):
     if src.size == 0:
         return {}
     for kind, count in Counter(kinds).items():
-        net.count_messages(count, kind)
+        net.count_messages([count], kind)
     runtime = net.fault_runtime
     runtime.observe_sends(net.round, src, kinds)
     return runtime.deliver(net.round, kinds, src, dst, fields)
@@ -302,7 +278,6 @@ class VectorImprovedTradeoffElection(VectorAlgorithm):
 
     name = "improved_tradeoff"
     supports_crashes = True
-    supports_batch = True
     supports_faults = True
 
     COMPETE = "compete"
@@ -323,55 +298,68 @@ class VectorImprovedTradeoffElection(VectorAlgorithm):
         if net.has_faults:
             self._run_faulted(net)
             return
-        n, ids = net.n, net.ids
+        n, ids_flat = net.n, net.ids_flat
+        batch = net.batch
         crashy = net.has_crashes
-        survivors = np.arange(n, dtype=np.int64)
+        survivors = np.arange(batch * n, dtype=np.int64)
         for i in range(1, self.k - 1):
             m = self.referee_count(n, i)
             net.tick()  # round 2i-1: competes (prior tally already applied)
             if crashy:
-                survivors = survivors[net.alive[survivors]]
+                survivors = survivors[net.alive_flat[survivors]]
             if m == 0:  # n == 1: the lone node competes at nobody
                 net.tick()
                 continue
             if m == n - 1 and not crashy:
-                s_count = len(survivors)
-                net.count_messages(s_count * m, self.COMPETE)
+                net.count_messages(net.rows_per_lane(survivors) * m, self.COMPETE)
                 net.tick()
                 # Full fan-out, floor -1: every contacted referee responds.
                 # With >= 2 survivors every node gets a compete (n responses)
                 # and only the max-ID survivor keeps all its referees —
                 # except at n == 2, where each node referees only for the
                 # other, so both survive (the final broadcast disambiguates).
-                if s_count == 1:
-                    net.count_messages(n - 1, self.RESPONSE)
-                elif s_count >= 2:
-                    net.count_messages(n, self.RESPONSE)
-                    if n > 2:
-                        survivors = survivors[[int(np.argmax(ids[survivors]))]]
+                starts, stops = net.lane_segments(survivors)
+                responses = np.zeros(batch, dtype=np.int64)
+                keep = []
+                for b in range(batch):
+                    seg = survivors[starts[b] : stops[b]]
+                    if len(seg) == 1:
+                        responses[b] = n - 1
+                        keep.append(seg)
+                    elif len(seg) >= 2:
+                        responses[b] = n
+                        if n > 2:
+                            keep.append(seg[[int(np.argmax(ids_flat[seg]))]])
+                        else:
+                            keep.append(seg)
+                net.count_messages(responses, self.RESPONSE)
+                survivors = np.concatenate(keep) if keep else survivors[:0]
                 continue
-            init = np.full(n, -1, dtype=np.int64)
-            survivors, _ = _compete_iteration(
+            init = np.full(batch * n, -1, dtype=np.int32)
+            survivors = _referee_iteration(
                 net, survivors, m, init, self.COMPETE, self.RESPONSE
             )
         net.tick()  # round 2k-3: surviving IDs are broadcast
         if crashy:
-            survivors = survivors[net.alive[survivors]]
-        net.count_messages(len(survivors) * (n - 1), self.FINAL)
+            survivors = survivors[net.alive_flat[survivors]]
+        net.count_messages(net.rows_per_lane(survivors) * (n - 1), self.FINAL)
         net.tick()  # round 2k-2: silent decision round
-        if crashy:
-            # Only nodes alive in the decision round decide; the winner
-            # must both have broadcast and still be alive to lead.
-            decided = int(net.alive.sum())
-            if len(survivors):
-                winner = int(survivors[int(np.argmax(ids[survivors]))])
-                leaders = [winner] if net.alive[winner] else []
+        starts, stops = net.lane_segments(survivors)
+        for b in range(batch):
+            seg = survivors[starts[b] : stops[b]] - b * n
+            if crashy:
+                # Only nodes alive in the decision round decide; the winner
+                # must both have broadcast and still be alive to lead.
+                decided = int(net.alive[b].sum())
+                if len(seg):
+                    winner = int(seg[int(np.argmax(net.ids[seg]))])
+                    leaders = [winner] if net.alive[b, winner] else []
+                else:
+                    leaders = []
+                net.decide(b, leaders, decided_count=decided)
             else:
-                leaders = []
-            net.decide(leaders, decided_count=decided)
-            return
-        winner = int(survivors[int(np.argmax(ids[survivors]))])
-        net.decide([winner])
+                winner = int(seg[int(np.argmax(net.ids[seg]))])
+                net.decide(b, [winner])
 
     def _run_faulted(self, net) -> None:
         """The per-receiver fold under a FaultPlan (exact twin semantics).
@@ -391,7 +379,7 @@ class VectorImprovedTradeoffElection(VectorAlgorithm):
         for i in range(1, self.k - 1):
             m = self.referee_count(n, i)
             net.tick()  # round 2i-1: tally iteration i-1, then compete
-            alive = net.alive
+            alive = net.alive_flat
             count = np.zeros(n, dtype=np.int64)
             if resp is not None:
                 ok = alive[resp.dst]
@@ -413,7 +401,7 @@ class VectorImprovedTradeoffElection(VectorAlgorithm):
                 )
                 awaiting[senders] = m
             net.tick()  # round 2i: referees answer their first-arrival max
-            alive = net.alive
+            alive = net.alive_flat
             resp = None
             comp = batch.get(self.COMPETE)
             if comp is not None:
@@ -426,7 +414,7 @@ class VectorImprovedTradeoffElection(VectorAlgorithm):
                     self.RESPONSE
                 )
         net.tick()  # round 2k-3: tally the last iteration, broadcast final
-        alive = net.alive
+        alive = net.alive_flat
         count = np.zeros(n, dtype=np.int64)
         if resp is not None:
             ok = alive[resp.dst]
@@ -444,7 +432,7 @@ class VectorImprovedTradeoffElection(VectorAlgorithm):
                 (np.repeat(ids[senders], n - 1),),
             )
         net.tick()  # round 2k-2: silent decision round
-        alive = net.alive
+        alive = net.alive_flat
         best = np.where(survivor, ids, np.int64(-1))
         fin = batch.get(self.FINAL)
         if fin is not None:
@@ -456,67 +444,11 @@ class VectorImprovedTradeoffElection(VectorAlgorithm):
             b = int(best[u])
             outputs[int(u)] = b if b >= 0 else None
         net.decide(
+            0,
             np.nonzero(leader_mask)[0].tolist(),
             decided_count=int(alive.sum()),
             outputs=outputs,
         )
-
-    def run_batch(self, net) -> None:
-        n, ids_flat = net.n, net.ids_flat
-        batch = net.batch
-        crashy = net.has_crashes
-        survivors = np.arange(batch * n, dtype=np.int64)
-        for i in range(1, self.k - 1):
-            m = self.referee_count(n, i)
-            net.tick()
-            if crashy:
-                survivors = survivors[net.alive_flat[survivors]]
-            if m == 0:
-                net.tick()
-                continue
-            if m == n - 1 and not crashy:
-                net.count_messages_lanes(net.rows_per_lane(survivors) * m, self.COMPETE)
-                net.tick()
-                starts, stops = net.lane_segments(survivors)
-                responses = np.zeros(batch, dtype=np.int64)
-                keep = []
-                for b in range(batch):
-                    seg = survivors[starts[b] : stops[b]]
-                    if len(seg) == 1:
-                        responses[b] = n - 1
-                        keep.append(seg)
-                    elif len(seg) >= 2:
-                        responses[b] = n
-                        if n > 2:
-                            keep.append(seg[[int(np.argmax(ids_flat[seg]))]])
-                        else:
-                            keep.append(seg)
-                net.count_messages_lanes(responses, self.RESPONSE)
-                survivors = np.concatenate(keep) if keep else survivors[:0]
-                continue
-            init = np.full(batch * n, -1, dtype=np.int32)
-            survivors = _compete_iteration_lanes(
-                net, survivors, m, init, self.COMPETE, self.RESPONSE
-            )
-        net.tick()  # round 2k-3: surviving IDs are broadcast
-        if crashy:
-            survivors = survivors[net.alive_flat[survivors]]
-        net.count_messages_lanes(net.rows_per_lane(survivors) * (n - 1), self.FINAL)
-        net.tick()  # round 2k-2: silent decision round
-        starts, stops = net.lane_segments(survivors)
-        for b in range(batch):
-            seg = survivors[starts[b] : stops[b]] - b * n
-            if crashy:
-                decided = int(net.alive[b].sum())
-                if len(seg):
-                    winner = int(seg[int(np.argmax(net.ids[seg]))])
-                    leaders = [winner] if net.alive[b, winner] else []
-                else:
-                    leaders = []
-                net.decide_lane(b, leaders, decided_count=decided)
-            else:
-                winner = int(seg[int(np.argmax(net.ids[seg]))])
-                net.decide_lane(b, [winner])
 
 
 class VectorAfekGafniElection(VectorAlgorithm):
@@ -536,7 +468,6 @@ class VectorAfekGafniElection(VectorAlgorithm):
 
     name = "afek_gafni"
     supports_crashes = True
-    supports_batch = True
     supports_faults = True
 
     COMPETE = "compete"
@@ -556,57 +487,69 @@ class VectorAfekGafniElection(VectorAlgorithm):
         if net.has_faults:
             self._run_faulted(net)
             return
-        n, ids = net.n, net.ids
+        n, ids_flat = net.n, net.ids_flat
+        batch = net.batch
         crashy = net.has_crashes
-        candidates = np.arange(n, dtype=np.int64)
+        candidates = np.arange(batch * n, dtype=np.int64)
         for i in range(1, self.iterations + 1):
             m = self.referee_count(n, i)
             net.tick()  # round 2i-1: competes
             if crashy:
-                candidates = candidates[net.alive[candidates]]
+                candidates = candidates[net.alive_flat[candidates]]
             if m == 0:  # n == 1
                 net.tick()
                 continue
             if m == n - 1 and not crashy:
-                s_count = len(candidates)
-                net.count_messages(s_count * m, self.COMPETE)
+                net.count_messages(net.rows_per_lane(candidates) * m, self.COMPETE)
                 net.tick()
                 # Full fan-out with self-comparing referees: the max-ID
                 # candidate beats every referee's floor and is the only
                 # referee that never responds, so it alone survives and
                 # exactly n - 1 responses flow.
-                if s_count:
-                    net.count_messages(n - 1, self.RESPONSE)
-                    candidates = candidates[[int(np.argmax(ids[candidates]))]]
+                starts, stops = net.lane_segments(candidates)
+                responses = np.zeros(batch, dtype=np.int64)
+                keep = []
+                for b in range(batch):
+                    seg = candidates[starts[b] : stops[b]]
+                    if len(seg):
+                        responses[b] = n - 1
+                        keep.append(seg[[int(np.argmax(ids_flat[seg]))]])
+                net.count_messages(responses, self.RESPONSE)
+                candidates = np.concatenate(keep) if keep else candidates[:0]
                 continue
-            init = np.full(n, -1, dtype=np.int64)
-            init[candidates] = ids[candidates]
-            candidates, _ = _compete_iteration(
+            init = np.full(batch * n, -1, dtype=np.int32)
+            init[candidates] = net.ids_rank_flat[candidates]
+            candidates = _referee_iteration(
                 net, candidates, m, init, self.COMPETE, self.RESPONSE
             )
-        net.tick()  # round 2K+1: the surviving candidate announces
+        net.tick()  # round 2K+1: the surviving candidates announce
         if crashy:
-            candidates = candidates[net.alive[candidates]]
-        if len(candidates) == 0:
+            candidates = candidates[net.alive_flat[candidates]]
+        counts = net.rows_per_lane(candidates)
+        if (counts == 0).any():
             if not crashy:  # pragma: no cover - the max ID always survives
                 raise RuntimeError("afek_gafni lost every candidate")
-            # Every candidate crashed (or lost to a dead referee): nobody
-            # announces and the object engine's referees idle until the
-            # round limit — replicate the stall.
+            # Every candidate of a lane crashed (or lost to a dead
+            # referee): nobody announces and the object engine's referees
+            # idle until the round limit — replicate the stall.
             while True:
                 net.tick()
-        net.count_messages(len(candidates) * (n - 1), self.ELECTED)
+        net.count_messages(counts * (n - 1), self.ELECTED)
         if n >= 2:
             net.tick()  # round 2K+2: followers receive the announcement
-        if crashy:
-            # The winner decided LEADER at the announcement round — that
-            # decision is permanent even if it crashes afterwards; the
-            # followers decide only if alive when the broadcast lands.
-            winner = int(candidates[int(np.argmax(ids[candidates]))])
-            decided = int(net.alive.sum()) + (0 if net.alive[winner] else 1)
-            net.decide([winner], decided_count=decided)
-            return
-        net.decide(candidates.tolist())
+        starts, stops = net.lane_segments(candidates)
+        for b in range(batch):
+            seg = candidates[starts[b] : stops[b]] - b * n
+            if crashy:
+                # The winner decided LEADER at the announcement round —
+                # that decision is permanent even if it crashes afterwards;
+                # the followers decide only if alive when the broadcast
+                # lands.
+                winner = int(seg[int(np.argmax(net.ids[seg]))])
+                decided = int(net.alive[b].sum()) + (0 if net.alive[b, winner] else 1)
+                net.decide(b, [winner], decided_count=decided)
+            else:
+                net.decide(b, seg.tolist())
 
     def _run_faulted(self, net) -> None:
         """The FaultPlan fold: drops can leave several (or zero) winners.
@@ -626,7 +569,7 @@ class VectorAfekGafniElection(VectorAlgorithm):
         for i in range(1, self.iterations + 1):
             m = self.referee_count(n, i)
             net.tick()  # round 2i-1: tally iteration i-1, then compete
-            alive = net.alive
+            alive = net.alive_flat
             count = np.zeros(n, dtype=np.int64)
             if resp is not None:
                 ok = alive[resp.dst]
@@ -648,7 +591,7 @@ class VectorAfekGafniElection(VectorAlgorithm):
                 )
                 awaiting[senders] = m
             net.tick()  # round 2i: self-comparing referees answer
-            alive = net.alive
+            alive = net.alive_flat
             resp = None
             comp = batch.get(self.COMPETE)
             if comp is not None:
@@ -663,7 +606,7 @@ class VectorAfekGafniElection(VectorAlgorithm):
                     self.RESPONSE
                 )
         net.tick()  # round 2K+1: surviving candidates announce
-        alive = net.alive
+        alive = net.alive_flat
         count = np.zeros(n, dtype=np.int64)
         if resp is not None:
             ok = alive[resp.dst]
@@ -693,9 +636,9 @@ class VectorAfekGafniElection(VectorAlgorithm):
         # Followers halt on their first elected payload; stragglers that
         # never get one keep the run alive until the round limit (the
         # twin's referees idle the same way).
-        while bool((net.alive & ~halted).any()) or inflight:
+        while bool((net.alive_flat & ~halted).any()) or inflight:
             net.tick()
-            alive = net.alive
+            alive = net.alive_flat
             el = batch.get(self.ELECTED)
             if el is not None:
                 ok = alive[el.dst] & ~halted[el.dst]
@@ -710,63 +653,7 @@ class VectorAfekGafniElection(VectorAlgorithm):
                 halted[edst[first]] = True
             batch = {}
             inflight = 0
-        net.decide(leaders, decided_count=int(decided.sum()), outputs=outputs)
-
-    def run_batch(self, net) -> None:
-        n, ids_flat = net.n, net.ids_flat
-        batch = net.batch
-        crashy = net.has_crashes
-        candidates = np.arange(batch * n, dtype=np.int64)
-        for i in range(1, self.iterations + 1):
-            m = self.referee_count(n, i)
-            net.tick()
-            if crashy:
-                candidates = candidates[net.alive_flat[candidates]]
-            if m == 0:
-                net.tick()
-                continue
-            if m == n - 1 and not crashy:
-                net.count_messages_lanes(net.rows_per_lane(candidates) * m, self.COMPETE)
-                net.tick()
-                starts, stops = net.lane_segments(candidates)
-                responses = np.zeros(batch, dtype=np.int64)
-                keep = []
-                for b in range(batch):
-                    seg = candidates[starts[b] : stops[b]]
-                    if len(seg):
-                        responses[b] = n - 1
-                        keep.append(seg[[int(np.argmax(ids_flat[seg]))]])
-                net.count_messages_lanes(responses, self.RESPONSE)
-                candidates = np.concatenate(keep) if keep else candidates[:0]
-                continue
-            init = np.full(batch * n, -1, dtype=np.int32)
-            init[candidates] = net.ids_rank_flat[candidates]
-            candidates = _compete_iteration_lanes(
-                net, candidates, m, init, self.COMPETE, self.RESPONSE
-            )
-        net.tick()  # round 2K+1: the surviving candidates announce
-        if crashy:
-            candidates = candidates[net.alive_flat[candidates]]
-        counts = net.rows_per_lane(candidates)
-        if (counts == 0).any():
-            if not crashy:  # pragma: no cover - the max ID always survives
-                raise RuntimeError("afek_gafni lost every candidate")
-            # A lane with no announcer stalls; sequential runs of its
-            # seed raise the same SimulationLimitExceeded.
-            while True:
-                net.tick()
-        net.count_messages_lanes(counts * (n - 1), self.ELECTED)
-        if n >= 2:
-            net.tick()  # round 2K+2: followers receive the announcement
-        starts, stops = net.lane_segments(candidates)
-        for b in range(batch):
-            seg = candidates[starts[b] : stops[b]] - b * n
-            if crashy:
-                winner = int(seg[int(np.argmax(net.ids[seg]))])
-                decided = int(net.alive[b].sum()) + (0 if net.alive[b, winner] else 1)
-                net.decide_lane(b, [winner], decided_count=decided)
-            else:
-                net.decide_lane(b, seg.tolist())
+        net.decide(0, leaders, decided_count=int(decided.sum()), outputs=outputs)
 
 
 class VectorSmallIdElection(VectorAlgorithm):
@@ -791,7 +678,6 @@ class VectorSmallIdElection(VectorAlgorithm):
 
     name = "small_id"
     supports_crashes = True
-    supports_batch = True
     supports_faults = True
 
     BALLOT = "ballot"
@@ -836,7 +722,7 @@ class VectorSmallIdElection(VectorAlgorithm):
         batch = {}
         while True:
             r = net.tick()
-            alive = net.alive
+            alive = net.alive_flat
             act = alive & ~halted
             bal = batch.get(self.BALLOT)
             min_bal = np.full(n, big, dtype=np.int64)
@@ -874,69 +760,49 @@ class VectorSmallIdElection(VectorAlgorithm):
                         (np.repeat(ids[idxs], n - 1),),
                     )
                 sent_round[bc] = r
-            if not (net.alive & ~halted).any() and delivered_total(batch) == 0:
+            if not (net.alive_flat & ~halted).any() and delivered_total(batch) == 0:
                 break
-        net.decide(leaders, decided_count=int(decided.sum()), outputs=outputs)
+        net.decide(0, leaders, decided_count=int(decided.sum()), outputs=outputs)
 
     def run(self, net) -> None:
         if net.has_faults:
             self._run_faulted(net)
             return
         n, ids = net.n, net.ids
-        windows = self._windows(net)
-        if net.has_crashes:
-            # The opening round is the first window with a live member;
-            # every round ticks (crashes land inside tick()).
-            while True:
-                r = net.tick()
-                broadcasters = np.nonzero((windows == r) & net.alive)[0]
-                if len(broadcasters):
-                    break
-            net.count_messages(len(broadcasters) * (n - 1), self.BALLOT)
-            net.tick()
-            winner = int(broadcasters[int(np.argmin(ids[broadcasters]))])
-            leaders = [winner] if net.alive[winner] else []
-            net.decide(leaders, decided_count=int(net.alive.sum()))
-            return
-        opening = int(windows.min())
-        # Rounds 1 .. opening-1 are silent; the window's members
-        # broadcast in round ``opening`` and everyone decides in the
-        # round after, exactly like the per-node twin.
-        for _ in range(opening):
-            net.tick()
-        broadcasters = np.nonzero(windows == opening)[0]
-        net.count_messages(len(broadcasters) * (n - 1), self.BALLOT)
-        net.tick()
-        winner = int(broadcasters[int(np.argmin(ids[broadcasters]))])
-        net.decide([winner])
-
-    def run_batch(self, net) -> None:
-        n, ids = net.n, net.ids
         batch = net.batch
         windows = self._windows(net)
+        # Rounds before a lane's opening window are silent; the opening
+        # round is the first window with a live member (a window whose
+        # members all crashed stays silent), whose members broadcast
+        # their ballots, and everyone decides in the round after, exactly
+        # like the per-node twin.  Nodes sorted by window make each
+        # round's window one slice, so a silent round costs O(log n).
+        order = np.argsort(windows, kind="stable")
+        sorted_windows = windows[order]
         # stage 0: scanning for the opening window; 1: broadcast sent,
         # deciding next round; 2: done.
         stage = np.zeros(batch, dtype=np.int64)
         broadcasters: list = [None] * batch
         while (stage < 2).any():
             active = stage < 2
-            net.tick(active)
+            r = net.tick(active)  # every running lane is at round r
+            lo, hi = np.searchsorted(sorted_windows, [r, r + 1])
+            window = order[lo:hi]
             counts = np.zeros(batch, dtype=np.int64)
             for b in np.nonzero(active)[0]:
                 if stage[b] == 1:
                     seg = broadcasters[b]
                     winner = int(seg[int(np.argmin(ids[seg]))])
                     leaders = [winner] if net.alive[b, winner] else []
-                    net.decide_lane(b, leaders, decided_count=int(net.alive[b].sum()))
+                    net.decide(b, leaders, decided_count=int(net.alive[b].sum()))
                     stage[b] = 2
                     continue
-                r = int(net.lane_round[b])
-                seg = np.nonzero((windows == r) & net.alive[b])[0]
+                seg = window[net.alive[b, window]]
                 if len(seg):
                     broadcasters[b] = seg
                     counts[b] = len(seg) * (n - 1)
                     stage[b] = 1
-            net.count_messages_lanes(counts, self.BALLOT)
+            net.count_messages(counts, self.BALLOT)
 
 
 class VectorLasVegasElection(VectorAlgorithm):
@@ -946,13 +812,12 @@ class VectorLasVegasElection(VectorAlgorithm):
     nothing (so their candidates can never collect a full win set), a
     candidate must be alive in the broadcast round to announce, and the
     unique announcer leads only if it survives into the decision round.
-    In batch mode lanes finish in different phases — decided lanes stop
-    ticking and drawing while the stragglers keep restarting.
+    Lanes finish in different phases — decided lanes stop ticking and
+    drawing while the stragglers keep restarting.
     """
 
     name = "las_vegas"
     supports_crashes = True
-    supports_batch = True
     supports_faults = True
 
     COMPETE = "compete"
@@ -998,7 +863,7 @@ class VectorLasVegasElection(VectorAlgorithm):
         n, ids = net.n, net.ids
         if n == 1:
             net.tick()
-            net.decide([0], outputs=[int(ids[0])])
+            net.decide(0, [0], outputs=[int(ids[0])])
             return
         m = self.referee_count(n)
         halted = np.zeros(n, dtype=bool)
@@ -1012,7 +877,7 @@ class VectorLasVegasElection(VectorAlgorithm):
         phase = 0
         while True:
             net.tick()  # round 3p+1: verify announcements / restart
-            alive = net.alive
+            alive = net.alive_flat
             act = alive & ~halted
             ann = ann_batch.get(self.ANNOUNCE)
             ann_count = np.zeros(n, dtype=np.int64)
@@ -1036,7 +901,7 @@ class VectorLasVegasElection(VectorAlgorithm):
             self.phases_run = phase + 1
             announced &= ~undecided
             prob = self.candidate_probability(n, phase)
-            coin = net.bernoulli(prob)
+            coin = net.bernoulli(prob)[0]
             cand_mask = undecided & coin
             cand = np.nonzero(cand_mask)[0]
             comp_batch = {}
@@ -1052,7 +917,7 @@ class VectorLasVegasElection(VectorAlgorithm):
                 )
                 awaiting[cand] = m
             net.tick()  # round 3p+2: referees grant win/lose per copy
-            alive = net.alive
+            alive = net.alive_flat
             act = alive & ~halted
             comp = comp_batch.get(self.COMPETE)
             wl_batch = {}
@@ -1068,7 +933,7 @@ class VectorLasVegasElection(VectorAlgorithm):
             if not (alive & ~halted).any() and delivered_total(wl_batch) == 0:
                 break
             net.tick()  # round 3p+3: full-win candidates announce
-            alive = net.alive
+            alive = net.alive_flat
             act = alive & ~halted
             win = wl_batch.get(self.WIN)
             win_count = np.zeros(n, dtype=np.int64)
@@ -1092,64 +957,18 @@ class VectorLasVegasElection(VectorAlgorithm):
             if not (alive & ~halted).any() and delivered_total(ann_batch) == 0:
                 break
             phase += 1
-        net.decide(leaders, decided_count=int(decided.sum()), outputs=outputs)
+        net.decide(0, leaders, decided_count=int(decided.sum()), outputs=outputs)
 
     def run(self, net) -> None:
         if net.has_faults:
             self._run_faulted(net)
             return
-        n, ids = net.n, net.ids
-        if n == 1:
-            net.tick()
-            net.decide([0])
-            return
-        crashy = net.has_crashes
-        m = self.referee_count(n)
-        announcers = np.empty(0, dtype=np.int64)
-        phase = 0
-        while True:
-            net.tick()  # round 3p+1: verify previous announcements / compete
-            if len(announcers) == 1:
-                winner = int(announcers[0])
-                if crashy:
-                    leaders = [winner] if net.alive[winner] else []
-                    net.decide(leaders, decided_count=int(net.alive.sum()))
-                else:
-                    net.decide([winner])
-                return
-            # Zero or several announcers: every node restarts the phase.
-            self.phases_run = phase + 1
-            prob = self.candidate_probability(n, phase)
-            coin = net.bernoulli(prob)
-            if crashy:
-                coin &= net.alive
-            cand = np.nonzero(coin)[0]
-            ranks = net.rank_draws(cand, n**4)
-            dst = net.sampled_targets(cand, m)
-            net.count_messages(dst.size, self.COMPETE)
-            net.tick()  # round 3p+2: referees grant win/lose per compete
-            flat = dst.reshape(-1)
-            rep = np.repeat(ranks, m)
-            is_win, delivered = _rank_referee_grants(net.alive, n, flat, rep, crashy)
-            wins = int(np.count_nonzero(is_win))
-            considered = int(np.count_nonzero(delivered)) if crashy else flat.size
-            net.count_messages(wins, self.WIN)
-            net.count_messages(considered - wins, self.LOSE)
-            net.tick()  # round 3p+3: all-win candidates broadcast
-            ok = is_win.reshape(len(cand), m).all(axis=1) if len(cand) else np.empty(0, bool)
-            announcers = cand[ok]
-            if crashy:
-                announcers = announcers[net.alive[announcers]]
-            net.count_messages(len(announcers) * (n - 1), self.ANNOUNCE)
-            phase += 1
-
-    def run_batch(self, net) -> None:
         n = net.n
         batch = net.batch
         if n == 1:
             net.tick()
             for b in range(batch):
-                net.decide_lane(b, [0])
+                net.decide(b, [0])
             return
         crashy = net.has_crashes
         m = self.referee_count(n)
@@ -1163,42 +982,38 @@ class VectorLasVegasElection(VectorAlgorithm):
                     winner = int(announcers[b][0])
                     if crashy:
                         leaders = [winner] if net.alive[b, winner] else []
-                        net.decide_lane(b, leaders, decided_count=int(net.alive[b].sum()))
+                        net.decide(b, leaders, decided_count=int(net.alive[b].sum()))
                     else:
-                        net.decide_lane(b, [winner])
+                        net.decide(b, [winner])
                     active[b] = False
             if not active.any():
                 return
+            # Zero or several announcers: the lane restarts the phase.
             act_idx = np.nonzero(active)[0]
             self.phases_run = phase + 1
             prob = self.candidate_probability(n, phase)
-            coin = net.bernoulli_lanes(prob, lanes=act_idx)
+            coin = net.bernoulli(prob, lanes=act_idx)
             if crashy:
                 coin &= net.alive
             cand = np.nonzero(coin.reshape(-1))[0]
-            ranks = net.rank_draws_lanes(cand, n**4)
-            dst = net.sampled_targets_lanes(cand, m)
-            net.count_messages_lanes(net.rows_per_lane(cand) * m, self.COMPETE)
-            net.tick(active)  # round 3p+2: referees grant win/lose
+            ranks = net.rank_draws(cand, n**4)
+            dst = net.sampled_targets(cand, m)
+            net.count_messages(net.rows_per_lane(cand) * m, self.COMPETE)
+            net.tick(active)  # round 3p+2: referees grant win/lose per compete
             flat = dst.reshape(-1)
             rep = np.repeat(ranks, m)
             is_win, delivered = _rank_referee_grants(
                 net.alive_flat, batch * n, flat, rep, crashy
             )
-            lanes_of = flat // n
-            wins_lanes = np.bincount(lanes_of[is_win], minlength=batch)
-            if crashy:
-                considered = np.bincount(lanes_of[delivered], minlength=batch)
-            else:
-                considered = np.bincount(lanes_of, minlength=batch)
-            net.count_messages_lanes(wins_lanes, self.WIN)
-            net.count_messages_lanes(considered - wins_lanes, self.LOSE)
+            wins, considered = _rank_lane_counts(net, flat, is_win, delivered)
+            net.count_messages(wins, self.WIN)
+            net.count_messages(considered - wins, self.LOSE)
             net.tick(active)  # round 3p+3: all-win candidates broadcast
             ok = is_win.reshape(len(cand), m).all(axis=1) if len(cand) else np.empty(0, bool)
             ann = cand[ok]
             if crashy:
                 ann = ann[net.alive_flat[ann]]
-            net.count_messages_lanes(net.rows_per_lane(ann) * (n - 1), self.ANNOUNCE)
+            net.count_messages(net.rows_per_lane(ann) * (n - 1), self.ANNOUNCE)
             starts, stops = net.lane_segments(ann)
             for b in act_idx:
                 announcers[b] = ann[starts[b] : stops[b]] - b * n
@@ -1222,7 +1037,6 @@ class VectorKutten16Election(VectorAlgorithm):
 
     name = "kutten16"
     supports_crashes = True
-    supports_batch = True
     supports_faults = True
 
     COMPETE = "compete"
@@ -1256,11 +1070,11 @@ class VectorKutten16Election(VectorAlgorithm):
         """
         n, ids = net.n, net.ids
         net.tick()  # round 1: candidacy coins + competes
-        alive = net.alive
+        alive = net.alive_flat
         if n == 1:
-            net.decide([0], outputs=[int(ids[0])])
+            net.decide(0, [0], outputs=[int(ids[0])])
             return
-        coin = net.bernoulli(self.candidate_probability(n))
+        coin = net.bernoulli(self.candidate_probability(n))[0]
         cand_mask = alive & coin
         alive1 = alive.copy()
         cand = np.nonzero(cand_mask)[0]
@@ -1277,7 +1091,7 @@ class VectorKutten16Election(VectorAlgorithm):
                 (np.repeat(ranks, m),),
             )
         net.tick()  # round 2: referees grant win/lose; non-candidates halt
-        alive = net.alive
+        alive = net.alive_flat
         comp = comp_batch.get(self.COMPETE)
         wl_batch = {}
         if comp is not None:
@@ -1293,13 +1107,14 @@ class VectorKutten16Election(VectorAlgorithm):
             # No live candidate and nothing in flight: the run ends with
             # the silent referee round, like the twin.
             net.decide(
+                0,
                 [],
                 decided_count=int((alive1 & ~coin).sum()),
                 outputs=[None] * n,
             )
             return
         net.tick()  # round 3 (silent): candidates tally their verdicts
-        alive = net.alive
+        alive = net.alive_flat
         win = wl_batch.get(self.WIN)
         win_count = np.zeros(n, dtype=np.int64)
         if win is not None:
@@ -1312,6 +1127,7 @@ class VectorKutten16Election(VectorAlgorithm):
         for u in leaders:
             outputs[int(u)] = int(ids[u])
         net.decide(
+            0,
             leaders.tolist(),
             decided_count=int((alive1 & ~coin).sum()) + int(act3.sum()),
             outputs=outputs,
@@ -1322,70 +1138,30 @@ class VectorKutten16Election(VectorAlgorithm):
             self._run_faulted(net)
             return
         n = net.n
+        batch = net.batch
         crashy = net.has_crashes
         net.tick()  # round 1: candidacy coins + competes
         if n == 1:
-            net.decide([0])
+            for b in range(batch):
+                net.decide(b, [0])
             return
         coin = net.bernoulli(self.candidate_probability(n))
         if crashy:
             coin &= net.alive
         alive1 = net.alive.copy() if crashy else None
-        cand = np.nonzero(coin)[0]
+        cand = np.nonzero(coin.reshape(-1))[0]
         m = self.referee_count(n)
         ranks = net.rank_draws(cand, n**4)
         dst = net.sampled_targets(cand, m)
-        net.count_messages(dst.size, self.COMPETE)
-        net.tick()  # round 2: referees grant win/lose; non-candidates halt
-        if len(cand) == 0:
-            # Nobody competed: every live node decided NON_LEADER in
-            # round 1 and the run ends after the silent referee round.
-            decided = int(alive1.sum()) if crashy else n
-            net.decide([], decided_count=decided)
-            return
-        flat = dst.reshape(-1)
-        rep = np.repeat(ranks, m)
-        is_win, delivered = _rank_referee_grants(net.alive, n, flat, rep, crashy)
-        wins = int(np.count_nonzero(is_win))
-        considered = int(np.count_nonzero(delivered)) if crashy else flat.size
-        net.count_messages(wins, self.WIN)
-        net.count_messages(considered - wins, self.LOSE)
-        net.tick()  # round 3 (silent): candidates tally their verdicts
-        ok = is_win.reshape(len(cand), m).all(axis=1)
-        winners = cand[ok]
-        if crashy:
-            winners = winners[net.alive[winners]]
-            # Non-candidates decided (permanently) in round 1 while
-            # alive; candidates decide in round 3 only if still alive.
-            decided = int((alive1 & ~coin).sum()) + int(net.alive[cand].sum())
-            net.decide(winners.tolist(), decided_count=decided)
-            return
-        net.decide(winners.tolist())
-
-    def run_batch(self, net) -> None:
-        n = net.n
-        batch = net.batch
-        crashy = net.has_crashes
-        net.tick()  # round 1
-        if n == 1:
-            for b in range(batch):
-                net.decide_lane(b, [0])
-            return
-        coin = net.bernoulli_lanes(self.candidate_probability(n))
-        if crashy:
-            coin &= net.alive
-        alive1 = net.alive.copy() if crashy else None
-        cand = np.nonzero(coin.reshape(-1))[0]
-        m = self.referee_count(n)
-        ranks = net.rank_draws_lanes(cand, n**4)
-        dst = net.sampled_targets_lanes(cand, m)
         cand_lanes = net.rows_per_lane(cand)
-        net.count_messages_lanes(cand_lanes * m, self.COMPETE)
+        net.count_messages(cand_lanes * m, self.COMPETE)
         active = cand_lanes > 0
-        net.tick()  # round 2: every lane runs its referee round
+        net.tick()  # round 2: referees grant win/lose; non-candidates halt
         for b in np.nonzero(~active)[0]:
+            # Nobody competed: every live node decided NON_LEADER in
+            # round 1 and the lane ends after the silent referee round.
             decided = int(alive1[b].sum()) if crashy else n
-            net.decide_lane(b, [], decided_count=decided)
+            net.decide(b, [], decided_count=decided)
         if not active.any():
             return
         flat = dst.reshape(-1)
@@ -1393,15 +1169,10 @@ class VectorKutten16Election(VectorAlgorithm):
         is_win, delivered = _rank_referee_grants(
             net.alive_flat, batch * n, flat, rep, crashy
         )
-        lanes_of = flat // n
-        wins_lanes = np.bincount(lanes_of[is_win], minlength=batch)
-        if crashy:
-            considered = np.bincount(lanes_of[delivered], minlength=batch)
-        else:
-            considered = np.bincount(lanes_of, minlength=batch)
-        net.count_messages_lanes(wins_lanes, self.WIN)
-        net.count_messages_lanes(considered - wins_lanes, self.LOSE)
-        net.tick(active)  # round 3 (silent) for lanes with candidates
+        wins, considered = _rank_lane_counts(net, flat, is_win, delivered)
+        net.count_messages(wins, self.WIN)
+        net.count_messages(considered - wins, self.LOSE)
+        net.tick(active)  # round 3 (silent): candidates tally their verdicts
         ok = is_win.reshape(len(cand), m).all(axis=1)
         winners = cand[ok]
         if crashy:
@@ -1411,13 +1182,15 @@ class VectorKutten16Election(VectorAlgorithm):
         for b in np.nonzero(active)[0]:
             seg = winners[starts[b] : stops[b]] - b * n
             if crashy:
+                # Non-candidates decided (permanently) in round 1 while
+                # alive; candidates decide in round 3 only if still alive.
                 lane_cand = cand[c_starts[b] : c_stops[b]] - b * n
                 decided = int((alive1[b] & ~coin[b]).sum()) + int(
                     net.alive[b][lane_cand].sum()
                 )
-                net.decide_lane(b, seg.tolist(), decided_count=decided)
+                net.decide(b, seg.tolist(), decided_count=decided)
             else:
-                net.decide_lane(b, seg.tolist())
+                net.decide(b, seg.tolist())
 
 
 class VectorAdversarial2RoundElection(VectorAlgorithm):
@@ -1435,7 +1208,6 @@ class VectorAdversarial2RoundElection(VectorAlgorithm):
     """
 
     name = "adversarial_2round"
-    supports_batch = True
     supports_roots = True
     supports_faults = True
 
@@ -1455,32 +1227,41 @@ class VectorAdversarial2RoundElection(VectorAlgorithm):
             self._run_faulted(net)
             return
         n = net.n
+        batch = net.batch
         roots = net.roots if net.roots is not None else np.arange(n, dtype=np.int64)
         net.tick()  # round 1: roots send wake-ups
         if n == 1:
-            net.decide([0])
+            for b in range(batch):
+                net.decide(b, [0])
             return
         m = min(ceil_sqrt(n), n - 1)
-        dst = net.sampled_targets(roots, m)
-        net.count_messages(dst.size, self.WAKE)
+        roots_g = (np.arange(batch, dtype=np.int64)[:, None] * n + roots[None, :]).reshape(-1)
+        eligible = np.zeros(batch * n, dtype=bool)
+        for gs, ge in _lane_groups(net, roots_g, m):
+            dst = net.sampled_targets(roots_g[gs:ge], m)
+            eligible[dst.reshape(-1)] = True
+        net.count_messages(np.full(batch, len(roots) * m, dtype=np.int64), self.WAKE)
         net.tick()  # round 2: wake-up receivers flip candidacy coins
-        eligible = np.zeros(n, dtype=bool)
-        eligible[np.unique(dst.reshape(-1))] = True
         coin = net.bernoulli(self.candidate_probability(n))
-        cand = np.nonzero(eligible & coin)[0]
+        cand = np.nonzero(eligible & coin.reshape(-1))[0]
         ranks = net.rank_draws(cand, n**4)
-        net.count_messages(len(cand) * (n - 1), self.RANK)
+        net.count_messages(net.rows_per_lane(cand) * (n - 1), self.RANK)
         net.tick()  # round 3: every rank receiver decides
-        if len(cand) == 0:
-            is_root = np.zeros(n, dtype=bool)
-            is_root[roots] = True
-            awake = int((is_root | eligible).sum())
-            net.decide([], decided_count=awake, awake_count=awake)
-            return
-        top = int(ranks.max())
-        holders = cand[ranks == top]
-        leaders = [int(holders[0])] if len(holders) == 1 else []
-        net.decide(leaders, decided_count=n, awake_count=n)
+        is_root = np.zeros(n, dtype=bool)
+        is_root[roots] = True
+        eligible2 = eligible.reshape(batch, n)
+        starts, stops = net.lane_segments(cand)
+        for b in range(batch):
+            seg = cand[starts[b] : stops[b]]
+            if len(seg) == 0:
+                awake = int((is_root | eligible2[b]).sum())
+                net.decide(b, [], decided_count=awake, awake_count=awake)
+                continue
+            r = ranks[starts[b] : stops[b]]
+            top = int(r.max())
+            holders = seg[r == top]
+            leaders = [int(holders[0] - b * n)] if len(holders) == 1 else []
+            net.decide(b, leaders, decided_count=n, awake_count=n)
 
     def _run_faulted(self, net) -> None:
         """Fault fold: the twin's wake-round state machine, per receiver.
@@ -1494,9 +1275,9 @@ class VectorAdversarial2RoundElection(VectorAlgorithm):
         roots = net.roots if net.roots is not None else np.arange(n, dtype=np.int64)
         net.tick()  # round 1: alive roots wake and send wake-ups
         if n == 1:
-            net.decide([0], outputs=[int(ids[0])])
+            net.decide(0, [0], outputs=[int(ids[0])])
             return
-        alive = net.alive
+        alive = net.alive_flat
         root_mask = np.zeros(n, dtype=bool)
         root_mask[roots] = True
         wake_round = np.zeros(n, dtype=np.int64)
@@ -1512,6 +1293,7 @@ class VectorAdversarial2RoundElection(VectorAlgorithm):
         if not (alive & (wake_round > 0)).any() and delivered_total(wake_batch) == 0:
             # Every root crashed before waking: round 1 ran empty.
             net.decide(
+                0,
                 [],
                 decided_count=0,
                 awake_count=int((wake_round > 0).sum()),
@@ -1519,13 +1301,13 @@ class VectorAdversarial2RoundElection(VectorAlgorithm):
             )
             return
         net.tick()  # round 2: wake-up receivers flip candidacy coins
-        alive = net.alive
+        alive = net.alive_flat
         got = np.zeros(n, dtype=bool)
         for b in wake_batch.values():
             ok = alive[b.dst]
             got[b.dst[ok]] = True
         wake_round[got & (wake_round == 0)] = 2
-        coin = net.bernoulli(self.candidate_probability(n))
+        coin = net.bernoulli(self.candidate_probability(n))[0]
         cand_mask = got & coin
         cand = np.nonzero(cand_mask)[0]
         rank = np.zeros(n, dtype=np.int64)
@@ -1545,6 +1327,7 @@ class VectorAdversarial2RoundElection(VectorAlgorithm):
         decided = got & ~coin & ~root_mask
         if not (alive & (wake_round > 0)).any() and delivered_total(rank_batch) == 0:
             net.decide(
+                0,
                 [],
                 decided_count=int(decided.sum()),
                 awake_count=int((wake_round > 0).sum()),
@@ -1552,7 +1335,7 @@ class VectorAdversarial2RoundElection(VectorAlgorithm):
             )
             return
         net.tick()  # round 3: every awake node decides
-        alive = net.alive
+        alive = net.alive_flat
         got3 = np.zeros(n, dtype=bool)
         for b in rank_batch.values():  # any kind wakes, stale replays included
             ok = alive[b.dst]
@@ -1588,46 +1371,9 @@ class VectorAdversarial2RoundElection(VectorAlgorithm):
         decided |= newly
         outputs = [int(out_val[u]) if has_out[u] else None for u in range(n)]
         net.decide(
+            0,
             np.nonzero(lead_mask)[0].tolist(),
             decided_count=int(decided.sum()),
             awake_count=int((wake_round > 0).sum()),
             outputs=outputs,
         )
-
-    def run_batch(self, net) -> None:
-        n = net.n
-        batch = net.batch
-        roots = net.roots if net.roots is not None else np.arange(n, dtype=np.int64)
-        net.tick()  # round 1
-        if n == 1:
-            for b in range(batch):
-                net.decide_lane(b, [0])
-            return
-        m = min(ceil_sqrt(n), n - 1)
-        roots_g = (np.arange(batch, dtype=np.int64)[:, None] * n + roots[None, :]).reshape(-1)
-        eligible = np.zeros(batch * n, dtype=bool)
-        for gs, ge in _lane_groups(net, roots_g, m):
-            dst = net.sampled_targets_lanes(roots_g[gs:ge], m)
-            eligible[dst.reshape(-1)] = True
-        net.count_messages_lanes(np.full(batch, len(roots) * m, dtype=np.int64), self.WAKE)
-        net.tick()  # round 2
-        coin = net.bernoulli_lanes(self.candidate_probability(n))
-        cand = np.nonzero(eligible & coin.reshape(-1))[0]
-        ranks = net.rank_draws_lanes(cand, n**4)
-        net.count_messages_lanes(net.rows_per_lane(cand) * (n - 1), self.RANK)
-        net.tick()  # round 3
-        is_root = np.zeros(n, dtype=bool)
-        is_root[roots] = True
-        eligible2 = eligible.reshape(batch, n)
-        starts, stops = net.lane_segments(cand)
-        for b in range(batch):
-            seg = cand[starts[b] : stops[b]]
-            if len(seg) == 0:
-                awake = int((is_root | eligible2[b]).sum())
-                net.decide_lane(b, [], decided_count=awake, awake_count=awake)
-                continue
-            r = ranks[starts[b] : stops[b]]
-            top = int(r.max())
-            holders = seg[r == top]
-            leaders = [int(holders[0] - b * n)] if len(holders) == 1 else []
-            net.decide_lane(b, leaders, decided_count=n, awake_count=n)

@@ -37,8 +37,8 @@ Two port-model modes
     No materialized port map.  "Send over ports ``0..m-1``" and "send
     over ``m`` sampled ports" both become "send to ``m`` distinct
     uniformly random peers", which is the same *distribution* a random
-    port mapping induces, drawn from one ``numpy`` PCG64 generator.
-    Memory is ``O(messages per round)``, which is what unlocks
+    port mapping induces, drawn from one ``numpy`` PCG64 generator per
+    lane.  Memory is ``O(messages per round)``, which is what unlocks
     ``n ≥ 10^5`` (sub-quadratic algorithms never materialize ``n^2``
     anything).  Runs are deterministic per ``(n, seed, mode)`` but do
     not replay the object engine bit-for-bit; see DESIGN.md for the
@@ -50,20 +50,19 @@ and ``scale`` above.
 The batch axis
 --------------
 
-``FastSyncNetwork(n, seeds=[s0, s1, ...])`` (or ``batch=k``, which
-expands to ``seeds=[seed, seed+1, ..., seed+k-1]``) runs *many
-independent elections of the same (n, algorithm) configuration in one
-engine execution*: state arrays grow a leading lane dimension
-(``alive`` is ``(batch, n)``), every lane draws from its **own** RNG
-streams seeded exactly like a single run with that lane's seed, crash
-masks apply per lane, and per-lane termination lets finished lanes stop
-paying tick cost.  ``run()`` then returns one :class:`FastRunResult`
-per lane.  In ``exact`` mode lane ``b`` replays a single run with seed
-``seeds[b]`` bit for bit (``tests/test_fastsync_batch.py``); in
-``scale`` mode lanes are deterministic per ``(n, seed, mode)`` and
-distribution-equivalent, but the batched path uses a faster int32
-collision-resampling sampler, so its draws differ from the legacy
-single-run scale stream (see DESIGN.md "Batched fast engine").
+Every execution is a batch of independent elections (*lanes*) of one
+``(n, algorithm)`` configuration.  ``FastSyncNetwork(n, seeds=[s0, s1,
+...])`` (or ``batch=k``, which expands to ``seeds=[seed, seed+1, ...,
+seed+k-1]``) runs one lane per seed and ``run()`` returns one
+:class:`FastRunResult` per lane; a plain ``FastSyncNetwork(n, seed=s)``
+is a batch of one lane whose ``run()`` returns that lane's result.
+State arrays carry a leading lane dimension (``alive`` is ``(batch,
+n)``) and index arrays hold *global* indices ``lane * n + node`` — in a
+one-lane run, the node index itself.  Every lane draws from its **own**
+RNG streams seeded by its seed alone, crash masks apply per lane, and
+per-lane termination lets finished lanes stop paying tick cost, so a
+lane's result depends only on ``(n, seed, mode)``, never on the batch
+it ran in (``tests/test_fastsync_batch.py``).
 """
 
 from __future__ import annotations
@@ -73,7 +72,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.fastsync.xp import xp as np
+import numpy as np
 
 from repro.common import SimulationLimitExceeded, SurvivorAccounting
 from repro.net.ports import PortMap
@@ -81,14 +80,8 @@ from repro.telemetry.profile import NULL_PROFILE
 
 __all__ = ["ArrayPortMap", "DEFAULT_EXACT_LIMIT", "FastRunResult", "FastSyncNetwork"]
 
-#: ``mode="auto"``'s exact/scale crossover; also the ceiling below which
-#: the scenario batch coordinator may group acts into multi-lane runs
-#: (exact-mode lanes replay single runs bit for bit).
+#: ``mode="auto"``'s exact/scale crossover.
 DEFAULT_EXACT_LIMIT = 2048
-
-#: Above this many row elements, distinct-target generation falls back to
-#: chunked argpartition instead of whole-matrix rejection sampling.
-_KEY_CHUNK_ELEMS = 30_000_000
 
 #: Safety valve for the collision-resampling loops: statistically the
 #: loops converge geometrically, so this is never reached.
@@ -201,28 +194,26 @@ def _validated_schedule(
 def _sample_distinct(
     rng: np.random.Generator, src_local: np.ndarray, m: int, n: int
 ) -> np.ndarray:
-    """``m`` distinct uniform peers (≠ self) per row — the batched sampler.
+    """``m`` distinct uniform peers (≠ self) per row — the scale sampler.
 
-    The batched scale path treats a target row as a *set* (every port's
-    referee logic is symmetric over columns), which unlocks the two
-    tricks the legacy single-run sampler cannot use:
+    A target row is treated as a *set* (every port's referee logic is
+    symmetric over columns), which unlocks two tricks:
 
     * rows are kept **sorted in place** — duplicate detection costs one
-      copy-free int32 sort per pass instead of the legacy fancy-index
-      copy plus int64 ``np.sort`` copy;
+      copy-free int32 sort per pass;
     * the self-peer is excluded by remapping draws from ``[0, n-1)``
       that hit ``src`` onto the reserved value ``n-1`` (exactly uniform
-      over the peers), instead of the branchy shift-add.
+      over the peers), instead of a branchy shift-add.
 
     Only the colliding *positions* are redrawn (in a sorted row they are
     the adjacent-equal slots; one copy of each value survives, the rest
     get fresh uniform draws, and the affected rows re-sort and recheck).
     By exchangeability of the iid redraws this converges to the uniform
-    distinct-set distribution — same as the legacy whole-row rejection,
-    but with redraw volume proportional to the collisions, which is what
-    keeps the mid-range ``m² >> n`` iterations cheap (see DESIGN.md
-    "Batched fast engine").  For ``m`` above half the peer count the
-    *excluded* set is sampled instead.
+    distinct-set distribution — same as whole-row rejection, but with
+    redraw volume proportional to the collisions, which is what keeps
+    the mid-range ``m² >> n`` iterations cheap (see DESIGN.md "Batched
+    fast engine").  For ``m`` above half the peer count the *excluded*
+    set is sampled instead.
     """
     rows = len(src_local)
     if m == 0 or rows == 0:
@@ -269,9 +260,10 @@ def _sample_distinct(
 class FastSyncNetwork:
     """An ``n``-clique executing one :class:`VectorAlgorithm` end to end.
 
-    With ``seeds=[...]`` (or ``batch=k``) the network runs in *batch
-    mode*: one execution simulates ``len(seeds)`` independent elections
-    (lanes) of the same configuration — see the module docstring.
+    With ``seeds=[...]`` (or ``batch=k``) one execution simulates
+    ``len(seeds)`` independent elections (lanes) of the same
+    configuration; without them it is a single run, a batch of one
+    lane — see the module docstring.
     """
 
     def __init__(
@@ -302,6 +294,9 @@ class FastSyncNetwork:
         self.mode = ("exact" if n <= exact_limit else "scale") if mode == "auto" else mode
 
         # ---- batch-axis resolution -------------------------------------
+        # A single run is a batch of one lane; run() then returns the
+        # lane's result instead of a one-element list.
+        self._single = False
         if seeds is not None:
             lane_seeds = [int(s) for s in seeds]
             if not lane_seeds:
@@ -310,16 +305,20 @@ class FastSyncNetwork:
                 raise ValueError(
                     f"batch={batch} disagrees with len(seeds)={len(lane_seeds)}"
                 )
-            self.batch: Optional[int] = len(lane_seeds)
-            self.lane_seeds: Optional[Tuple[int, ...]] = tuple(lane_seeds)
         elif batch is not None:
             if batch < 1:
                 raise ValueError("need batch >= 1")
-            self.batch = int(batch)
-            self.lane_seeds = tuple(seed + b for b in range(self.batch))
+            lane_seeds = [seed + b for b in range(int(batch))]
         else:
-            self.batch = None
-            self.lane_seeds = None
+            lane_seeds = [seed]
+            self._single = True
+        self.batch = len(lane_seeds)
+        self.lane_seeds: Tuple[int, ...] = tuple(lane_seeds)
+        if self.batch * n > 2**31 - 1:
+            raise ValueError(
+                f"batch * n = {self.batch * n} exceeds the int32 index "
+                "space; split the sweep into smaller batches"
+            )
 
         if ids is None:
             id_array = np.arange(1, n + 1, dtype=np.int64)
@@ -330,6 +329,8 @@ class FastSyncNetwork:
             if np.unique(id_array).size != n:
                 raise ValueError("IDs must be distinct")
         self.ids = id_array
+        self.ids_flat = np.tile(self.ids, self.batch)
+        self._ids_rank_flat: Optional[np.ndarray] = None
         self.max_rounds = max_rounds if max_rounds is not None else max(4096, 32 * n)
 
         # ---- adversarial wake-up roots ---------------------------------
@@ -344,88 +345,66 @@ class FastSyncNetwork:
             self.roots = None
 
         # ---- randomness ------------------------------------------------
-        if self.batch is None:
-            if self.mode == "exact":
-                # Mirror SyncNetwork's seeding schedule: one master stream,
-                # one 64-bit draw per node, in node order.  (SyncNetwork only
-                # skips its port-policy draw when a port map is supplied —
-                # which is exactly how the twin run is constructed.)
-                master = random.Random(seed)
-                self._node_rngs = [random.Random(master.getrandbits(64)) for _ in range(n)]
-                self._rng = np.random.default_rng(np.random.PCG64(seed))
-                self._ports = _random_port_matrix(self._rng, n)
-            else:
-                self._node_rngs = None
-                self._rng = np.random.default_rng(np.random.PCG64(seed))
-                self._ports = None
+        # Each lane is seeded by its own seed alone.  Exact mode mirrors
+        # SyncNetwork's seeding schedule per lane: one master stream, one
+        # 64-bit draw per node, in node order (SyncNetwork only skips its
+        # port-policy draw when a port map is supplied — which is exactly
+        # how the twin run is constructed); the port matrix comes from a
+        # PCG64 stream of the same seed.
+        if self.mode == "exact":
+            self._lane_node_rngs: Optional[List[List[random.Random]]] = []
+            self._lane_ports: Optional[np.ndarray] = None
+            if self.batch > 1:
+                self._lane_ports = np.empty(
+                    (self.batch, n, max(0, n - 1)), dtype=np.int64
+                )
+            for b, s in enumerate(self.lane_seeds):
+                master = random.Random(s)
+                self._lane_node_rngs.append(
+                    [random.Random(master.getrandbits(64)) for _ in range(n)]
+                )
+                rng_b = np.random.default_rng(np.random.PCG64(s))
+                ports = _random_port_matrix(rng_b, n)
+                if self.batch == 1:
+                    # Keep the matrix itself: copying it into a lane
+                    # buffer would hold two (n, n-1) arrays at the peak.
+                    self._lane_ports = ports[None]
+                else:
+                    self._lane_ports[b] = ports
+            self._lane_rngs: Optional[List[np.random.Generator]] = None
+        else:
             self._lane_node_rngs = None
             self._lane_ports = None
-            self._lane_rngs = None
-        else:
-            if self.batch * n > 2**31 - 1:
-                raise ValueError(
-                    f"batch * n = {self.batch * n} exceeds the int32 index "
-                    "space; split the sweep into smaller batches"
-                )
-            self._node_rngs = None
-            self._rng = None
-            self._ports = None
-            if self.mode == "exact":
-                # Lane b is seeded exactly like a single run with seed
-                # seeds[b]: same master schedule, same port matrix.
-                self._lane_node_rngs = []
-                self._lane_ports = np.empty((self.batch, n, max(0, n - 1)), dtype=np.int64)
-                for b, s in enumerate(self.lane_seeds):
-                    master = random.Random(s)
-                    self._lane_node_rngs.append(
-                        [random.Random(master.getrandbits(64)) for _ in range(n)]
-                    )
-                    rng_b = np.random.default_rng(np.random.PCG64(s))
-                    self._lane_ports[b] = _random_port_matrix(rng_b, n)
-                self._lane_rngs = None
-            else:
-                self._lane_node_rngs = None
-                self._lane_ports = None
-                self._lane_rngs = [
-                    np.random.default_rng(np.random.PCG64(s)) for s in self.lane_seeds
-                ]
-            self.ids_flat = np.tile(self.ids, self.batch)
-            self._ids_rank_flat: Optional[np.ndarray] = None
+            self._lane_rngs = [
+                np.random.default_rng(np.random.PCG64(s)) for s in self.lane_seeds
+            ]
 
         # ---- crash masks -----------------------------------------------
         # (the ROADMAP "array extension"): a deterministic crash-stop
         # schedule of (node, at-round) pairs, applied at the start of
         # round ``at`` exactly like the object engine's CrashFault
-        # handling.  ``alive`` is the shared ground-truth mask
-        # crash-aware algorithms filter senders/referees through.  In
-        # batch mode ``crashes`` is shared by every lane; ``lane_crashes``
-        # gives each lane its own schedule.
-        if self.batch is None:
-            if lane_crashes is not None:
+        # handling.  ``alive`` is the ground-truth mask crash-aware
+        # algorithms filter senders/referees through.  ``crashes`` is
+        # shared by every lane; ``lane_crashes`` gives each lane its own
+        # schedule.
+        if lane_crashes is not None:
+            if self._single:
                 raise ValueError("lane_crashes needs batch mode (pass seeds= or batch=)")
-            self._crash_schedule = _validated_schedule(crashes or (), n)
-            self._crash_idx = 0
-            self.alive = np.ones(n, dtype=bool)
-            self.crashed_at: Dict[int, float] = {}
-        else:
-            if crashes is not None and lane_crashes is not None:
+            if crashes is not None:
                 raise ValueError("pass either crashes (shared) or lane_crashes, not both")
-            if lane_crashes is not None:
-                if len(lane_crashes) != self.batch:
-                    raise ValueError(
-                        f"need {self.batch} lane crash schedules, got {len(lane_crashes)}"
-                    )
-                self._lane_crash_schedules = [
-                    _validated_schedule(sched or (), n) for sched in lane_crashes
-                ]
-            else:
-                shared = _validated_schedule(crashes or (), n)
-                self._lane_crash_schedules = [list(shared) for _ in range(self.batch)]
-            self._lane_crash_idx = [0] * self.batch
-            self.alive = np.ones((self.batch, n), dtype=bool)
-            self.lane_crashed_at: List[Dict[int, float]] = [
-                {} for _ in range(self.batch)
+            if len(lane_crashes) != self.batch:
+                raise ValueError(
+                    f"need {self.batch} lane crash schedules, got {len(lane_crashes)}"
+                )
+            self._lane_crash_schedules = [
+                _validated_schedule(sched or (), n) for sched in lane_crashes
             ]
+        else:
+            shared = _validated_schedule(crashes or (), n)
+            self._lane_crash_schedules = [list(shared) for _ in range(self.batch)]
+        self._lane_crash_idx = [0] * self.batch
+        self.alive = np.ones((self.batch, n), dtype=bool)
+        self.lane_crashed_at: List[Dict[int, float]] = [{} for _ in range(self.batch)]
 
         # ---- fault runtime (FaultPlan-driven path) -----------------------
         # ``faults=`` attaches a full FaultPlan — partitions, link rules,
@@ -433,44 +412,34 @@ class FastSyncNetwork:
         # the lightweight ``crashes=`` mask path stays separate (and the
         # two are mutually exclusive: a plan carries its own schedule).
         self.quorum = bool(quorum)
+        self.fault_runtime = None
         if faults is not None:
-            if self.batch is not None:
+            if self.batch > 1:
                 raise ValueError(
                     "faulted runs are single-lane; the sweep executor runs "
                     "batched faulted specs one seed at a time"
                 )
-            if self._crash_schedule:
+            if self.has_crashes:
                 raise ValueError(
                     "pass the crash schedule inside the FaultPlan when faults= is set"
                 )
             from repro.fastsync.faults import FastFaultRuntime
 
-            self.fault_runtime: Optional[FastFaultRuntime] = FastFaultRuntime(
-                faults, n, [int(i) for i in self.ids], seed
+            self.fault_runtime = FastFaultRuntime(
+                faults, n, [int(i) for i in self.ids], self.lane_seeds[0]
             )
-        else:
-            self.fault_runtime = None
 
         # ---- accounting ------------------------------------------------
         self.round = 0
-        if self.batch is None:
-            self.messages_total = 0
-            self.last_send_round = 0
-            self.messages_by_kind: Dict[str, int] = {}
-            self.sends_by_round: Dict[int, int] = {}
-            self._leaders: Optional[List[int]] = None
-            self._decided_count = 0
-            self._awake_override: Optional[int] = None
-            self._outputs: Optional[List[Optional[int]]] = None
-        else:
-            self.lane_round = np.zeros(self.batch, dtype=np.int64)
-            self._messages_lanes = np.zeros(self.batch, dtype=np.int64)
-            self._last_send_lanes = np.zeros(self.batch, dtype=np.int64)
-            self._kind_lanes: Dict[str, np.ndarray] = {}
-            self._round_lanes: Dict[int, np.ndarray] = {}
-            self._lane_leaders: List[Optional[List[int]]] = [None] * self.batch
-            self._lane_decided = np.zeros(self.batch, dtype=np.int64)
-            self._lane_awake: List[Optional[int]] = [None] * self.batch
+        self.lane_round = np.zeros(self.batch, dtype=np.int64)
+        self._messages_lanes = np.zeros(self.batch, dtype=np.int64)
+        self._last_send_lanes = np.zeros(self.batch, dtype=np.int64)
+        self._kind_lanes: Dict[str, np.ndarray] = {}
+        self._round_lanes: Dict[int, np.ndarray] = {}
+        self._lane_leaders: List[Optional[List[int]]] = [None] * self.batch
+        self._lane_decided = np.zeros(self.batch, dtype=np.int64)
+        self._lane_awake: List[Optional[int]] = [None] * self.batch
+        self._lane_outputs: List[Optional[List[Optional[int]]]] = [None] * self.batch
         self._ran = False
 
         # ---- observability ---------------------------------------------
@@ -490,15 +459,13 @@ class FastSyncNetwork:
 
     @property
     def has_crashes(self) -> bool:
-        """Whether this run carries a crash schedule (mask path active)."""
-        if self.batch is None:
-            return bool(self._crash_schedule)
+        """Whether any lane carries a crash schedule (mask path active)."""
         return any(self._lane_crash_schedules)
 
     @property
     def has_faults(self) -> bool:
         """Whether a FaultPlan runtime is attached (faulted fold path)."""
-        return self.batch is None and self.fault_runtime is not None
+        return self.fault_runtime is not None
 
     @property
     def alive_flat(self) -> np.ndarray:
@@ -523,39 +490,29 @@ class FastSyncNetwork:
     # ------------------------------------------------------------------ #
     # port model
 
-    def port_map(self, lane: Optional[int] = None) -> ArrayPortMap:
-        """The materialized mapping, for running an object-model twin.
+    def port_map(self, lane: int = 0) -> ArrayPortMap:
+        """``lane``'s materialized mapping, for running an object-model twin.
 
         Only available in ``exact`` mode — ``scale`` mode never holds the
-        ``O(n^2)`` matrix, by design.  In batch mode pass the ``lane``
-        whose wiring you want (each lane has its own matrix).
+        ``O(n^2)`` matrix, by design.
         """
-        if self.batch is not None:
-            if self._lane_ports is None:
-                raise RuntimeError(
-                    "port_map() needs mode='exact'; scale mode does not materialize "
-                    "the O(n^2) port matrix"
-                )
-            if lane is None:
-                raise RuntimeError("batch mode: pass port_map(lane=b)")
-            return ArrayPortMap(self._lane_ports[lane])
-        if self._ports is None:
+        if self._lane_ports is None:
             raise RuntimeError(
                 "port_map() needs mode='exact'; scale mode does not materialize "
                 "the O(n^2) port matrix"
             )
-        return ArrayPortMap(self._ports)
+        return ArrayPortMap(self._lane_ports[lane])
 
     # ------------------------------------------------------------------ #
     # round/message accounting (called by algorithms)
 
-    def _apply_crash(self, node: int, at: float) -> None:
+    def _apply_crash(self, lane: int, node: int, at: float) -> None:
         """Crash-stop ``node`` (skipped if it would leave nobody alive)."""
-        if self.alive[node] and int(self.alive.sum()) > 1:
-            self.alive[node] = False
-            self.crashed_at[node] = at
+        if self.alive[lane, node] and int(self.alive[lane].sum()) > 1:
+            self.alive[lane, node] = False
+            self.lane_crashed_at[lane][node] = at
 
-    def _quorum_veto(self, leaders, outputs):
+    def _quorum_veto(self, lane: int, leaders, outputs):
         """Strip leaders that cannot reach a majority of the clique.
 
         The fast-engine port of the ``quorum_reelect`` gate: a claimed
@@ -564,13 +521,14 @@ class FastSyncNetwork:
         partitions) form a strict majority of ``n``.  Vetoed leaders
         also lose their entry in every adopter's output.
         """
+        alive = self.alive[lane]
         kept = []
         vetoed_ids = set()
         for u in leaders:
             if self.fault_runtime is not None:
-                reach = self.fault_runtime.reachable_alive(int(u), self.round, self.alive)
+                reach = self.fault_runtime.reachable_alive(int(u), self.round, alive)
             else:
-                reach = int(self.alive.sum())
+                reach = int(alive.sum())
             if reach > self.n // 2:
                 kept.append(u)
             else:
@@ -579,41 +537,22 @@ class FastSyncNetwork:
             outputs = [None if o in vetoed_ids else o for o in outputs]
         return kept, outputs
 
-    def _apply_crash_lane(self, lane: int, node: int, at: float) -> None:
-        if self.alive[lane, node] and int(self.alive[lane].sum()) > 1:
-            self.alive[lane, node] = False
-            self.lane_crashed_at[lane][node] = at
-
     def tick(self, active: Optional[np.ndarray] = None) -> int:
         """Advance the global round counter by one synchronous round.
 
         Scheduled crashes with ``at <= round`` take effect here — at the
         *start* of the round, before that round's deliveries and sends —
         matching the object engine's ``_apply_due_crashes`` semantics.
-        In batch mode ``active`` is a ``(batch,)`` bool mask of lanes
-        still running: finished lanes stop ticking (their round counters
-        freeze and their pending crashes wait for the post-run drain).
+        ``active`` is a ``(batch,)`` bool mask of lanes still running:
+        finished lanes stop ticking (their round counters freeze and
+        their pending crashes wait for the post-run drain).
         """
         self.round += 1
         if self.round > self.max_rounds:
             raise SimulationLimitExceeded(
                 f"no termination after {self.max_rounds} rounds (n={self.n})"
             )
-        if self.batch is None:
-            while (
-                self._crash_idx < len(self._crash_schedule)
-                and self._crash_schedule[self._crash_idx][0] <= self.round
-            ):
-                at, node = self._crash_schedule[self._crash_idx]
-                self._crash_idx += 1
-                self._apply_crash(node, at)
-            if self.fault_runtime is not None:
-                self.fault_runtime.apply_due_crashes(self.alive, self.round)
-            if self._telemetry is not None:
-                faulty = bool(self._crash_schedule) or self.fault_runtime is not None
-                survivors = int(self.alive.sum()) if faulty else self.n
-                self._telemetry.on_tick(0, self.round, survivors)
-            return self.round
+        runtime = self.fault_runtime
         lanes = range(self.batch) if active is None else np.nonzero(active)[0]
         for b in lanes:
             self.lane_round[b] += 1
@@ -623,40 +562,29 @@ class FastSyncNetwork:
             while i < len(sched) and sched[i][0] <= r:
                 at, node = sched[i]
                 i += 1
-                self._apply_crash_lane(b, node, at)
+                self._apply_crash(b, node, at)
             self._lane_crash_idx[b] = i
+            if runtime is not None:
+                runtime.apply_due_crashes(self.alive[b], self.round)
             if self._telemetry is not None:
-                survivors = int(self.alive[b].sum()) if sched else self.n
+                faulty = bool(sched) or runtime is not None
+                survivors = int(self.alive[b].sum()) if faulty else self.n
                 self._telemetry.on_tick(int(b), int(self.lane_round[b]), survivors)
         return self.round
 
-    def count_messages(self, count: int, kind: str) -> None:
-        """Record ``count`` messages of ``kind`` sent in the current round."""
-        if count <= 0:
-            return
-        count = int(count)
-        self.messages_total += count
-        self.last_send_round = self.round
-        self.messages_by_kind[kind] = self.messages_by_kind.get(kind, 0) + count
-        self.sends_by_round[self.round] = self.sends_by_round.get(self.round, 0) + count
-        if self._telemetry is not None:
-            self._telemetry.on_send(0, self.round, kind, count)
-
-    def count_messages_lanes(self, counts: np.ndarray, kind: str) -> None:
-        """Per-lane :meth:`count_messages`: ``counts`` is ``(batch,)``."""
+    def count_messages(self, counts: Sequence[int], kind: str) -> None:
+        """Record ``counts[b]`` messages of ``kind`` sent by lane ``b`` this round."""
         counts = np.asarray(counts, dtype=np.int64)
         mask = counts > 0
         if not mask.any():
             return
-        sent = np.where(mask, counts, 0)
-        self._messages_lanes += sent
-        self._last_send_lanes[mask] = self.lane_round[mask]
-        kind_arr = self._kind_lanes.setdefault(kind, np.zeros(self.batch, dtype=np.int64))
-        kind_arr += sent
-        round_arr = self._round_lanes.setdefault(
-            self.round, np.zeros(self.batch, dtype=np.int64)
-        )
-        round_arr += sent
+        self._messages_lanes += counts
+        np.copyto(self._last_send_lanes, self.lane_round, where=mask)
+        for table, key in ((self._kind_lanes, kind), (self._round_lanes, self.round)):
+            per_lane = table.get(key)
+            if per_lane is None:
+                per_lane = table[key] = np.zeros(self.batch, dtype=np.int64)
+            per_lane += counts
         if self._telemetry is not None:
             for b in np.nonzero(mask)[0]:
                 self._telemetry.on_send(
@@ -665,144 +593,35 @@ class FastSyncNetwork:
 
     def decide(
         self,
+        lane: int,
         leader_nodes: Sequence[int],
         decided_count: Optional[int] = None,
         awake_count: Optional[int] = None,
         outputs: Optional[Sequence[Optional[int]]] = None,
     ) -> None:
-        """Record the election outcome (every node has decided and halted).
+        """Record ``lane``'s election outcome (a decided lane stops ticking).
 
+        ``leader_nodes`` are node indices within the lane.
         ``awake_count`` overrides the default all-awake accounting for
         ports running under an adversarial wake-up schedule.  The
         faulted folds additionally pass the per-node ``outputs`` vector
         (who each node thinks won), which under partitions genuinely
         differs between receivers.
         """
-        self._leaders = [int(u) for u in leader_nodes]
-        self._decided_count = self.n if decided_count is None else int(decided_count)
-        self._awake_override = awake_count
-        if outputs is not None:
-            if len(outputs) != self.n:
-                raise ValueError(f"need {self.n} outputs, got {len(outputs)}")
-            self._outputs = [None if o is None else int(o) for o in outputs]
-        if self._telemetry is not None:
-            self._telemetry.on_decide(0, self.round, self._leaders)
-
-    def decide_lane(
-        self,
-        lane: int,
-        leader_nodes: Sequence[int],
-        decided_count: Optional[int] = None,
-        awake_count: Optional[int] = None,
-    ) -> None:
-        """Per-lane :meth:`decide` (a finished lane stops ticking)."""
         self._lane_leaders[lane] = [int(u) for u in leader_nodes]
         self._lane_decided[lane] = self.n if decided_count is None else int(decided_count)
         self._lane_awake[lane] = awake_count
+        if outputs is not None:
+            if len(outputs) != self.n:
+                raise ValueError(f"need {self.n} outputs, got {len(outputs)}")
+            self._lane_outputs[lane] = [None if o is None else int(o) for o in outputs]
         if self._telemetry is not None:
             self._telemetry.on_decide(
                 int(lane), int(self.lane_round[lane]), self._lane_leaders[lane]
             )
 
     # ------------------------------------------------------------------ #
-    # sampling primitives (mode-dependent)
-
-    def first_ports(self, src: np.ndarray, m: int) -> np.ndarray:
-        """Destinations of "send over ports ``0..m-1``" for each node in ``src``.
-
-        Exact mode reads the materialized matrix (so repeated calls see
-        the *same* ports, like the object engine); scale mode draws
-        fresh distinct peers, the distribution a random port mapping
-        induces on first use.
-        """
-        if m > self.n - 1:
-            raise ValueError(f"cannot use {m} of {self.n - 1} ports")
-        with self.profile("sampling"):
-            if self._ports is not None:
-                return self._ports[src, :m]
-            return self._distinct_targets(src, m)
-
-    def sampled_targets(self, src: np.ndarray, m: int) -> np.ndarray:
-        """Destinations of "send over ``m`` sampled ports" (``ctx.sample_ports``)."""
-        if m > self.n - 1:
-            raise ValueError(f"cannot sample {m} of {self.n - 1} ports")
-        with self.profile("sampling"):
-            if self._node_rngs is not None:
-                out = np.empty((len(src), m), dtype=np.int64)
-                port_range = range(self.n - 1)
-                for row, u in enumerate(src):
-                    ports = self._node_rngs[u].sample(port_range, m)
-                    out[row] = self._ports[u, ports]
-                return out
-            return self._distinct_targets(src, m)
-
-    def bernoulli(self, p: float) -> np.ndarray:
-        """One biased coin per node (all ``n`` nodes draw, in node order)."""
-        if self._node_rngs is not None:
-            return np.fromiter(
-                (rng.random() < p for rng in self._node_rngs), dtype=bool, count=self.n
-            )
-        return self._rng.random(self.n) < p
-
-    def rank_draws(self, src: np.ndarray, high: int) -> np.ndarray:
-        """One uniform draw from ``[1, high]`` per node in ``src``.
-
-        Scale mode caps ``high`` at ``2^62`` so draws stay in int64 —
-        ranks only need to be near-collision-free, not exactly
-        ``[n^4]``-distributed (exact mode keeps the true range).
-        """
-        if self._node_rngs is not None:
-            return np.fromiter(
-                (self._node_rngs[u].randrange(1, high + 1) for u in src),
-                dtype=np.int64,
-                count=len(src),
-            )
-        return self._rng.integers(1, min(high, 2**62) + 1, size=len(src), dtype=np.int64)
-
-    def _distinct_targets(self, src: np.ndarray, m: int) -> np.ndarray:
-        """``m`` distinct uniform peers (≠ self) per row, vectorized.
-
-        Small ``m`` uses whole-matrix rejection (draw, detect duplicate
-        rows, redraw those rows); large ``m`` switches to argpartition
-        over per-row random keys, chunked so the key matrix never
-        exceeds ~``_KEY_CHUNK_ELEMS`` floats.
-        """
-        n = self.n
-        rows = len(src)
-        if m == 0 or rows == 0:
-            return np.empty((rows, m), dtype=np.int64)
-        src_col = np.asarray(src, dtype=np.int64)[:, None]
-        if m == n - 1:
-            full = np.arange(n - 1, dtype=np.int64)[None, :]
-            return full + (full >= src_col)
-        if m * m <= 4 * n:
-            draw = self._rng.integers(0, n - 1, size=(rows, m), dtype=np.int64)
-            dst = draw + (draw >= src_col)
-            if m > 1:
-                pending = np.arange(rows)
-                for _ in range(_RESAMPLE_LIMIT):
-                    chk = np.sort(dst[pending], axis=1)
-                    bad = (chk[:, 1:] == chk[:, :-1]).any(axis=1)
-                    if not bad.any():
-                        break
-                    pending = pending[bad]
-                    draw = self._rng.integers(0, n - 1, size=(len(pending), m), dtype=np.int64)
-                    dst[pending] = draw + (draw >= src_col[pending])
-                else:  # pragma: no cover - statistically unreachable
-                    raise RuntimeError("distinct-target rejection failed to converge")
-            return dst
-        out = np.empty((rows, m), dtype=np.int64)
-        chunk = max(1, _KEY_CHUNK_ELEMS // n)
-        src_flat = np.asarray(src, dtype=np.int64)
-        for start in range(0, rows, chunk):
-            stop = min(rows, start + chunk)
-            keys = self._rng.random((stop - start, n))
-            keys[np.arange(stop - start), src_flat[start:stop]] = np.inf
-            out[start:stop] = np.argpartition(keys, m, axis=1)[:, :m]
-        return out
-
-    # ------------------------------------------------------------------ #
-    # batched sampling primitives (operate on *global* indices lane*n+u)
+    # sampling primitives (rows keyed by *global* index lane * n + node)
 
     def lane_segments(self, src_global: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """``(starts, stops)`` slicing a sorted global index array per lane."""
@@ -816,8 +635,14 @@ class FastSyncNetwork:
         starts, stops = self.lane_segments(src_global)
         return stops - starts
 
-    def first_ports_lanes(self, src_global: np.ndarray, m: int) -> np.ndarray:
-        """Batched :meth:`first_ports`; rows keyed by global index."""
+    def first_ports(self, src_global: np.ndarray, m: int) -> np.ndarray:
+        """Global destinations of "send over ports ``0..m-1``", one row per source.
+
+        Exact mode reads the lane's materialized matrix (so repeated
+        calls see the *same* ports, like the object engine); scale mode
+        draws fresh distinct peers, the distribution a random port
+        mapping induces on first use.
+        """
         if m > self.n - 1:
             raise ValueError(f"cannot use {m} of {self.n - 1} ports")
         n = self.n
@@ -826,10 +651,10 @@ class FastSyncNetwork:
                 lane = src_global // n
                 node = src_global - lane * n
                 return self._lane_ports[lane, node, :m] + (lane * n)[:, None]
-            return self._distinct_targets_lanes(src_global, m)
+            return self._scale_targets(src_global, m)
 
-    def sampled_targets_lanes(self, src_global: np.ndarray, m: int) -> np.ndarray:
-        """Batched :meth:`sampled_targets`; rows keyed by global index."""
+    def sampled_targets(self, src_global: np.ndarray, m: int) -> np.ndarray:
+        """Global destinations of "send over ``m`` sampled ports" (``ctx.sample_ports``)."""
         if m > self.n - 1:
             raise ValueError(f"cannot sample {m} of {self.n - 1} ports")
         n = self.n
@@ -842,15 +667,19 @@ class FastSyncNetwork:
                     ports = self._lane_node_rngs[b][u].sample(port_range, m)
                     out[row] = self._lane_ports[b, u, ports] + b * n
                 return out
-            return self._distinct_targets_lanes(src_global, m)
+            return self._scale_targets(src_global, m)
 
-    def bernoulli_lanes(
-        self, p: float, lanes: Optional[np.ndarray] = None
-    ) -> np.ndarray:
-        """One coin per node per lane — ``(batch, n)`` bool.
+    # Earlier names of the two samplers, still patched by name by the
+    # benchmark's tracer.
+    first_ports_lanes = first_ports
+    sampled_targets_lanes = sampled_targets
 
-        ``lanes`` restricts the draw to those lane indices (finished
-        lanes stop consuming randomness); other rows come back False.
+    def bernoulli(self, p: float, lanes: Optional[np.ndarray] = None) -> np.ndarray:
+        """One biased coin per node per lane — ``(batch, n)`` bool.
+
+        Every node of a lane draws, in node order.  ``lanes`` restricts
+        the draw to those lane indices (finished lanes stop consuming
+        randomness); other rows come back False.
         """
         out = np.zeros((self.batch, self.n), dtype=bool)
         lane_list = range(self.batch) if lanes is None else [int(b) for b in lanes]
@@ -866,8 +695,13 @@ class FastSyncNetwork:
                 out[b] = self._lane_rngs[b].random(self.n) < p
         return out
 
-    def rank_draws_lanes(self, src_global: np.ndarray, high: int) -> np.ndarray:
-        """Batched :meth:`rank_draws`; rows keyed by global index."""
+    def rank_draws(self, src_global: np.ndarray, high: int) -> np.ndarray:
+        """One uniform draw from ``[1, high]`` per row.
+
+        Scale mode caps ``high`` at ``2^62`` so draws stay in int64 —
+        ranks only need to be near-collision-free, not exactly
+        ``[n^4]``-distributed (exact mode keeps the true range).
+        """
         n = self.n
         if self._lane_node_rngs is not None:
             return np.fromiter(
@@ -890,8 +724,8 @@ class FastSyncNetwork:
             )
         return out
 
-    def _distinct_targets_lanes(self, src_global: np.ndarray, m: int) -> np.ndarray:
-        """Per-lane distinct sampling through the optimized int32 path.
+    def _scale_targets(self, src_global: np.ndarray, m: int) -> np.ndarray:
+        """Per-lane distinct sampling through the int32 scale sampler.
 
         Returns global int32 targets (the constructor guarantees
         ``batch * n`` fits int32).
@@ -915,10 +749,10 @@ class FastSyncNetwork:
     # execution
 
     def run(self, algorithm):
-        """Execute ``algorithm`` once and summarize the run.
+        """Execute ``algorithm`` once and summarize every lane.
 
-        Single mode returns one :class:`FastRunResult`; batch mode
-        returns a list with one result per lane, in lane order.
+        Returns one :class:`FastRunResult` per lane, in lane order — or
+        the bare result for a single run (no ``seeds=``/``batch=``).
         """
         if self._ran:
             raise RuntimeError("a FastSyncNetwork is single-use, like SyncNetwork")
@@ -943,68 +777,10 @@ class FastSyncNetwork:
                 "object engine for plans against this algorithm"
             )
         self._ran = True
-        if self.batch is None:
-            start = time.perf_counter()
-            algorithm.run(self)
-            wall = time.perf_counter() - start
-            if self._leaders is None:
-                raise RuntimeError(
-                    f"{type(algorithm).__name__}.run() returned without calling decide()"
-                )
-            # Post-quiescence crashes still happen (to the machines, not
-            # the protocol), mirroring SyncNetwork's drain of pending
-            # crashes.
-            while self._crash_idx < len(self._crash_schedule):
-                at, node = self._crash_schedule[self._crash_idx]
-                self._crash_idx += 1
-                self._apply_crash(node, at)
-            fault_metrics = None
-            if self.fault_runtime is not None:
-                self.fault_runtime.drain_pending(self.alive)
-                crashed_at = self.fault_runtime.crashed_at
-                fault_metrics = self.fault_runtime.metrics
-            else:
-                crashed_at = self.crashed_at
-            never_woke = sum(1 for at in crashed_at.values() if at <= 1)
-            if self._awake_override is not None:
-                awake = self._awake_override
-                halted = self._decided_count
-            else:
-                awake = self.n - never_woke
-                faulty = self.has_crashes or self.fault_runtime is not None
-                halted = self._decided_count if faulty else self.n
-            leaders = list(self._leaders)
-            outputs = self._outputs
-            if self.quorum and leaders:
-                leaders, outputs = self._quorum_veto(leaders, outputs)
-            return FastRunResult(
-                n=self.n,
-                mode=self.mode,
-                ids=[int(i) for i in self.ids],
-                rounds_executed=self.round,
-                messages=self.messages_total,
-                last_send_round=self.last_send_round,
-                leaders=leaders,
-                leader_ids=[int(self.ids[u]) for u in leaders],
-                decided_count=self._decided_count,
-                awake_count=awake,
-                halted_count=halted,
-                messages_by_kind=dict(self.messages_by_kind),
-                sends_by_round=dict(self.sends_by_round),
-                wall_time_s=wall,
-                crashed=sorted(crashed_at),
-                fault_metrics=fault_metrics,
-                seed=self.seed,
-                outputs=outputs,
-            )
-        if not getattr(algorithm, "supports_batch", False):
-            raise ValueError(
-                f"{type(algorithm).__name__} has no batched implementation; "
-                "run it one seed at a time (omit seeds=/batch=)"
-            )
         start = time.perf_counter()
-        algorithm.run_batch(self)
+        algorithm.run(self)
         wall = time.perf_counter() - start
+        runtime = self.fault_runtime
         results: List[FastRunResult] = []
         # Box the shared IDs once; each lane gets its own shallow copy so
         # mutating one record's ids cannot leak into its siblings.
@@ -1012,27 +788,37 @@ class FastSyncNetwork:
         for b in range(self.batch):
             if self._lane_leaders[b] is None:
                 raise RuntimeError(
-                    f"{type(algorithm).__name__}.run_batch() finished without "
-                    f"deciding lane {b}"
+                    f"{type(algorithm).__name__}.run() returned without calling "
+                    f"decide() for lane {b}"
                 )
+            # Post-quiescence crashes still happen (to the machines, not
+            # the protocol), mirroring SyncNetwork's drain of pending
+            # crashes.
             sched = self._lane_crash_schedules[b]
             i = self._lane_crash_idx[b]
             while i < len(sched):
                 at, node = sched[i]
                 i += 1
-                self._apply_crash_lane(b, node, at)
+                self._apply_crash(b, node, at)
             self._lane_crash_idx[b] = i
-            crashed_at = self.lane_crashed_at[b]
+            if runtime is not None:  # faulted runs are single-lane
+                runtime.drain_pending(self.alive[b])
+                crashed_at = runtime.crashed_at
+            else:
+                crashed_at = self.lane_crashed_at[b]
             never_woke = sum(1 for at in crashed_at.values() if at <= 1)
-            lane_has_crashes = bool(sched)
             decided = int(self._lane_decided[b])
             if self._lane_awake[b] is not None:
                 awake = int(self._lane_awake[b])
                 halted = decided
             else:
                 awake = self.n - never_woke
-                halted = decided if lane_has_crashes else self.n
-            leaders = self._lane_leaders[b]
+                faulty = bool(sched) or runtime is not None
+                halted = decided if faulty else self.n
+            leaders = list(self._lane_leaders[b])
+            outputs = self._lane_outputs[b]
+            if self.quorum and leaders:
+                leaders, outputs = self._quorum_veto(b, leaders, outputs)
             results.append(
                 FastRunResult(
                     n=self.n,
@@ -1041,7 +827,7 @@ class FastSyncNetwork:
                     rounds_executed=int(self.lane_round[b]),
                     messages=int(self._messages_lanes[b]),
                     last_send_round=int(self._last_send_lanes[b]),
-                    leaders=list(leaders),
+                    leaders=leaders,
                     leader_ids=[int(self.ids[u]) for u in leaders],
                     decided_count=decided,
                     awake_count=awake,
@@ -1054,7 +840,9 @@ class FastSyncNetwork:
                     },
                     wall_time_s=wall / self.batch,
                     crashed=sorted(crashed_at),
+                    fault_metrics=None if runtime is None else runtime.metrics,
                     seed=self.lane_seeds[b],
+                    outputs=outputs,
                 )
             )
-        return results
+        return results[0] if self._single else results

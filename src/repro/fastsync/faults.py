@@ -44,7 +44,7 @@ from __future__ import annotations
 
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
-from repro.fastsync.xp import xp as np
+import numpy as np
 
 from repro.faults.plan import FaultPlan, PartitionMask
 from repro.faults.runtime import FaultRuntime

@@ -947,15 +947,12 @@ def run_scenario_batch(
     event timelines are mostly seed-independent), their acts run as
     **one** batched :class:`~repro.fastsync.FastSyncNetwork` execution
     with one lane per replica.  Results are always exactly the
-    sequential ones: batched lanes are bit-identical to single runs in
-    exact mode, so acts are only grouped while the membership fits the
-    engine's exact limit (``n ≤ 2048``) and the group carries no fault
-    plan; larger acts — where scale mode's batched sampler draws a
-    different stream — faulted act groups (the vectorized fault
-    runtime's RNG replay is single-lane, so the executor serializes
-    them seed by seed), and replicas whose memberships diverged
-    (e.g. after ``crash(LEADER)`` under a randomized inner election)
-    fall back to single-lane runs.
+    sequential ones: a lane's result depends only on its seed, and a
+    sequential act is a batch of one lane.  Faulted act groups run one
+    lane per seed (the vectorized fault runtime's RNG replay is
+    single-lane, so the executor serializes them), and replicas whose
+    memberships diverged (e.g. after ``crash(LEADER)`` under a
+    randomized inner election) run their acts alone.
 
     Only the ``fast`` engine has a batched path; other engines (or a
     single seed) run sequentially.
@@ -968,7 +965,6 @@ def run_scenario_batch(
 
     import threading
 
-    from repro.fastsync.engine import DEFAULT_EXACT_LIMIT
     from repro.sweep.api import execute_spec, run
     from repro.sweep.spec import RunSpec
 
@@ -1017,11 +1013,6 @@ def run_scenario_batch(
     ]
     for t in threads:
         t.start()
-    # Acts are grouped into batched runs only below the engine's exact
-    # limit, where lanes replay single runs bit for bit; scale-mode
-    # batched sampling draws a different stream, so bigger acts run
-    # single-lane to keep the results == sequential-sweep contract.
-    exact_limit = DEFAULT_EXACT_LIMIT
     while True:
         with lock:
             while len(pending) + len(done) < total and not errors:
@@ -1047,7 +1038,7 @@ def run_scenario_batch(
             quorum = runners[0].quorum
             try:
                 for (m, ids, act_plan), members in groups.items():
-                    if len(members) == 1 or m > exact_limit:
+                    if len(members) == 1:
                         for idx in members:
                             replies[idx] = run(
                                 RunSpec(

@@ -3,10 +3,8 @@
 One declarative :class:`RunSpec` describes an election run on any
 engine; :func:`run` executes one, :func:`sweep` shards a grid of them
 across worker processes with bit-identical results for every worker
-count.  See DESIGN.md ("Sweep scheduler & backend seam") for the
-scheduling model and the equivalence contract, and
-:mod:`repro.fastsync.xp` for the array-backend seam underneath the fast
-engine's kernels.
+count.  See DESIGN.md ("Sweep scheduler") for the scheduling model and
+the equivalence contract.
 """
 
 from repro.sweep.api import execute_spec, run, sweep

@@ -166,11 +166,6 @@ def _execute_fast(
     spec: RunSpec, *, telemetry: Optional[Any], keep_result: bool
 ) -> List["RunRecord"]:
     from repro.analysis.runner import _fast_algorithm, _fast_record
-
-    if spec.backend is not None:
-        from repro.fastsync.xp import set_backend
-
-        set_backend(spec.backend)
     from repro.fastsync import FastSyncNetwork
 
     faults = spec.effective_faults()
@@ -179,74 +174,48 @@ def _execute_fast(
         from repro.telemetry import FastTelemetry
 
         fast_trace = FastTelemetry()
+    # Every engine run executes one chunk of seeds as lanes; an unbatched
+    # spec runs one lane per seed.  The fault runtime (and the quorum
+    # veto it feeds) is single-lane — per-edge RNG streams replay the
+    # object engine's draw order, which has no lane axis — so batched
+    # faulted and quorum specs run one lane per seed too, with the same
+    # records and shard boundaries.
+    batched = spec.batch is not None and faults is None and not spec.quorum
+    size = spec.batch if batched else 1
+    seeds = list(spec.seeds)
     records: List[RunRecord] = []
-
-    def _run_single(seed: int, crashes: Optional[Any]) -> "RunRecord":
+    for start in range(0, len(seeds), size):
+        chunk = seeds[start : start + size]
+        lane_crashes = None
+        if spec.batch is not None and spec.lane_crashes is not None:
+            lane_crashes = spec.lane_crashes[start : start + size]
         profiler = _fast_profiler(spec)
-        net = FastSyncNetwork(
+        # Unnamed, so each network (and its port matrices) is freed
+        # before the next chunk builds its own.
+        results = FastSyncNetwork(
             spec.n,
             ids=spec.ids,
-            seed=seed,
+            seeds=chunk,
             mode=spec.mode,
             max_rounds=spec.max_rounds,
-            crashes=crashes,
+            crashes=spec.crashes,
+            lane_crashes=lane_crashes,
             roots=spec.roots,
             faults=faults,
             quorum=spec.quorum,
             telemetry=fast_trace,
             profiler=profiler,
-        )
-        result = net.run(_fast_algorithm(spec.algorithm, spec.params))
-        record = _fast_record(spec.n, seed, result, spec.params)
-        if profiler is not None:
-            record.extra["profile"] = profiler.as_dict()
-        if keep_result:
-            record.extra["result"] = result
-        return record
-
-    if spec.batch is not None and (faults is not None or spec.quorum):
-        # The fault runtime (and the quorum veto it feeds) is
-        # single-lane: per-edge RNG streams replay the object engine's
-        # draw order, which has no lane axis.  A batched faulted spec
-        # therefore serializes — one engine run per seed, same records,
-        # same shard boundaries.
-        for index, seed in enumerate(spec.seeds):
-            crashes = spec.crashes
-            if spec.lane_crashes is not None:
-                crashes = spec.lane_crashes[index]
-            records.append(_run_single(seed, crashes))
-    elif spec.batch is not None:
-        seeds = list(spec.seeds)
-        for start in range(0, len(seeds), spec.batch):
-            chunk = seeds[start : start + spec.batch]
-            lane_crashes = None
-            if spec.lane_crashes is not None:
-                lane_crashes = spec.lane_crashes[start : start + spec.batch]
-            profiler = _fast_profiler(spec)
-            net = FastSyncNetwork(
-                spec.n,
-                ids=spec.ids,
-                seeds=chunk,
-                mode=spec.mode,
-                max_rounds=spec.max_rounds,
-                crashes=spec.crashes,
-                lane_crashes=lane_crashes,
-                roots=spec.roots,
-                telemetry=fast_trace,
-                profiler=profiler,
-            )
-            for seed, result in zip(chunk, net.run(_fast_algorithm(spec.algorithm, spec.params))):
-                record = _fast_record(spec.n, seed, result, spec.params)
+        ).run(_fast_algorithm(spec.algorithm, spec.params))
+        for seed, result in zip(chunk, results):
+            record = _fast_record(spec.n, seed, result, spec.params)
+            if batched:
                 record.extra["batch"] = len(chunk)
-                if profiler is not None:
-                    # One execution, one timer set: lanes share it.
-                    record.extra["profile"] = profiler.as_dict()
-                if keep_result:
-                    record.extra["result"] = result
-                records.append(record)
-    else:
-        for seed in spec.seeds:
-            records.append(_run_single(seed, spec.crashes))
+            if profiler is not None:
+                # One execution, one timer set: lanes share it.
+                record.extra["profile"] = profiler.as_dict()
+            if keep_result:
+                record.extra["result"] = result
+            records.append(record)
     if spec.trace is not None and telemetry is None:
         from repro.telemetry import JsonlRecorder, RunContext
 

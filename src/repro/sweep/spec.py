@@ -29,9 +29,6 @@ __all__ = ["RunSpec", "canonical_record"]
 
 _ENGINES = ("auto", "sync", "async", "fast")
 _MODES = ("auto", "exact", "scale")
-# Mirrors repro.fastsync.xp.SUPPORTED_BACKENDS without importing the
-# numpy-guarded fastsync package (specs must build numpy-free).
-_BACKENDS = ("numpy", "cupy", "torch")
 
 #: ``extra`` keys that vary run-to-run on identical configurations
 #: (wall clocks, profiler timings, raw engine results).  Everything
@@ -57,10 +54,9 @@ class RunSpec:
     ``batch`` groups fast-engine seeds into multi-lane engine runs of
     that many lanes.  ``faults``/``adversary``/``quorum`` configure the
     object engines' fault layer; ``crashes``/``lane_crashes``/``roots``
-    are the fast engine's deterministic schedules; ``backend`` selects
-    the :mod:`repro.fastsync.xp` array namespace inside the executing
-    process; ``trace`` records the (single-seed) run to a JSONL path and
-    ``profile`` attaches kernel phase timers (fast engine).
+    are the fast engine's deterministic schedules; ``trace`` records the
+    (single-seed) run to a JSONL path and ``profile`` attaches kernel
+    phase timers (fast engine).
     """
 
     algorithm: Any
@@ -81,7 +77,6 @@ class RunSpec:
     quorum: bool = False
     crashes: Optional[Tuple[Tuple[int, float], ...]] = None
     lane_crashes: Optional[Tuple[Any, ...]] = None
-    backend: Optional[str] = None
     trace: Optional[str] = None
     profile: bool = False
 
@@ -128,11 +123,6 @@ class RunSpec:
                     )
                     for lane in self.lane_crashes
                 ),
-            )
-        if self.backend is not None and self.backend not in _BACKENDS:
-            raise ValueError(
-                f"unknown array backend {self.backend!r}; "
-                f"expected one of {_BACKENDS}"
             )
         if self.faults is not None:
             from repro.faults.plan import FaultPlan

@@ -3,10 +3,7 @@
 Everything here is a module-level function: ``ProcessPoolExecutor``
 ships callables to workers by qualified name, so the cell functions (and
 the :func:`invoke_cell` wrapper that times them) must be importable —
-no lambdas, no closures.  Workers inherit the parent's environment, so
-``REPRO_ARRAY_BACKEND`` selects the fastsync array backend per process;
-a :class:`~repro.analysis.RunSpec` ``backend=`` field does the same from
-inside :func:`run_spec_cell`.
+no lambdas, no closures.
 """
 
 from __future__ import annotations

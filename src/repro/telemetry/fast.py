@@ -202,11 +202,12 @@ def trace_fast_lane(
 
     ``algorithm`` is a registry name with both a fast port and an
     object-model implementation (simultaneous wake-up only).  The fast
-    engine runs first — single run, or batched with ``seeds`` — then the
-    sampled ``lane`` is replayed on :class:`~repro.sync.SyncNetwork`
-    over :meth:`~repro.fastsync.FastSyncNetwork.port_map` with the same
-    seed, which by the exact-mode contract consumes identical
-    randomness.  The object side records full per-message events
+    engine runs first — one lane per seed of ``seeds`` (default
+    ``[seed]``) — then the sampled ``lane`` is replayed on
+    :class:`~repro.sync.SyncNetwork` over
+    :meth:`~repro.fastsync.FastSyncNetwork.port_map` with the same seed,
+    which by the exact-mode contract consumes identical randomness.  The
+    object side records full per-message events
     (``recorder`` is fanned in as well, e.g. a
     :class:`~repro.telemetry.JsonlRecorder`), and ``mismatches`` lists
     any aggregate divergence between the two executions.
@@ -216,29 +217,20 @@ def trace_fast_lane(
     from repro.sync.engine import SyncNetwork
 
     params = dict(params or {})
+    seeds = [int(seed)] if seeds is None else [int(s) for s in seeds]
+    if not 0 <= lane < len(seeds):
+        raise ValueError(
+            f"lane {lane} out of range: the run has exactly one lane per "
+            f"seed ({len(seeds)})"
+        )
     telemetry = FastTelemetry()
-    if seeds is not None:
-        seeds = [int(s) for s in seeds]
-        if not 0 <= lane < len(seeds):
-            raise ValueError(f"lane {lane} out of range for {len(seeds)} seeds")
-        net = FastSyncNetwork(
-            n, ids=ids, seeds=seeds, mode="exact", max_rounds=max_rounds,
-            telemetry=telemetry,
-        )
-        fast_results = net.run(get_fast_algorithm(algorithm)(**params))
-        fast_result = fast_results[lane]
-        lane_seed = seeds[lane]
-        port_map = net.port_map(lane)
-    else:
-        if lane != 0:
-            raise ValueError("single runs have exactly one lane (lane=0)")
-        net = FastSyncNetwork(
-            n, ids=ids, seed=seed, mode="exact", max_rounds=max_rounds,
-            telemetry=telemetry,
-        )
-        fast_result = net.run(get_fast_algorithm(algorithm)(**params))
-        lane_seed = seed
-        port_map = net.port_map()
+    net = FastSyncNetwork(
+        n, ids=ids, seeds=seeds, mode="exact", max_rounds=max_rounds,
+        telemetry=telemetry,
+    )
+    fast_result = net.run(get_fast_algorithm(algorithm)(**params))[lane]
+    lane_seed = seeds[lane]
+    port_map = net.port_map(lane)
 
     memory = MemoryRecorder()
     twin_recorder: Any = memory

@@ -185,7 +185,7 @@ class TestApiDoc:
     def test_capability_flags_exist(self):
         from repro.fastsync import VectorAlgorithm
 
-        for flag in ("supports_crashes", "supports_batch", "supports_roots"):
+        for flag in ("supports_crashes", "supports_roots", "supports_faults"):
             assert flag in self.doc()
             assert hasattr(VectorAlgorithm, flag), flag
 

@@ -1,12 +1,12 @@
 """The batch axis: one engine run executing many independent seeds.
 
-The contract under test (see DESIGN.md "Batched fast engine"): in exact
-mode, lane ``b`` of ``FastSyncNetwork(n, seeds=[...])`` is **bit-exact**
-to a single run with seed ``seeds[b]`` — same winners, same message
-totals, per-kind and per-round counts, round counters, survivor
-accounting — with and without crash masks, for every ported algorithm.
-Scale-mode lanes are deterministic per ``(n, seed, mode)`` and
-independent of the batch composition.
+The contract under test (see DESIGN.md "Batched fast engine"): lane
+``b`` of ``FastSyncNetwork(n, seeds=[...])`` is **bit-exact** to a
+single run with seed ``seeds[b]`` — same winners, same message totals,
+per-kind and per-round counts, round counters, survivor accounting —
+with and without crash masks, for every ported algorithm.  Lanes are
+deterministic per ``(n, seed, mode)`` and independent of the batch
+composition in both port-model modes.
 """
 
 import pytest
@@ -178,14 +178,18 @@ def test_batch_property_exact_bit_equality(data):
 
 class TestScaleModeLanes:
     def test_lane_results_do_not_depend_on_batch_composition(self):
-        solo = FastSyncNetwork(4096, seeds=[7], mode="scale").run(
-            VectorImprovedTradeoffElection(ell=5)
-        )[0]
-        packed = FastSyncNetwork(4096, seeds=[5, 7, 9], mode="scale").run(
-            VectorImprovedTradeoffElection(ell=5)
-        )[1]
-        for field in LANE_FIELDS:
-            assert getattr(solo, field) == getattr(packed, field), field
+        # A single run is a batch of one lane, so every port's seed-7
+        # result is the same run alone, as a one-lane batch, or packed
+        # between other seeds.
+        for name, maker in sorted(MAKERS.items()):
+            single = FastSyncNetwork(4096, seed=7, mode="scale").run(maker())
+            solo = FastSyncNetwork(4096, seeds=[7], mode="scale").run(maker())[0]
+            packed = FastSyncNetwork(4096, seeds=[5, 7, 9], mode="scale").run(
+                maker()
+            )[1]
+            for field in LANE_FIELDS:
+                assert getattr(single, field) == getattr(packed, field), (name, field)
+                assert getattr(solo, field) == getattr(packed, field), (name, field)
 
     def test_scale_lanes_are_deterministic(self):
         runs = [
@@ -237,13 +241,6 @@ class TestEngineValidation:
         with pytest.raises(ValueError, match="lane crash schedules"):
             FastSyncNetwork(8, seeds=[0, 1], lane_crashes=[[(0, 1)]])
 
-    def test_unbatchable_algorithm_refused(self):
-        class NoBatch(VectorImprovedTradeoffElection):
-            supports_batch = False
-
-        with pytest.raises(ValueError, match="batched"):
-            FastSyncNetwork(8, seeds=[0, 1]).run(NoBatch())
-
     def test_roots_require_wakeup_aware_port(self):
         with pytest.raises(ValueError, match="wake-up"):
             FastSyncNetwork(8, seeds=[0, 1], roots=[0]).run(
@@ -252,8 +249,8 @@ class TestEngineValidation:
 
     def test_undecided_lane_is_an_error(self):
         class Lazy(VectorImprovedTradeoffElection):
-            def run_batch(self, net):
-                super().run_batch(net)
+            def run(self, net):
+                super().run(net)
                 net._lane_leaders[1] = None  # simulate a port bug
 
         with pytest.raises(RuntimeError, match="lane 1"):

@@ -67,15 +67,15 @@ class TestEngineMask:
         net.tick()
         assert net.alive.all()
         net.tick()
-        assert not net.alive[2] and net.alive.sum() == 3
-        assert net.crashed_at == {2: 2.0}
+        assert not net.alive[0, 2] and net.alive.sum() == 3
+        assert net.lane_crashed_at[0] == {2: 2.0}
 
     def test_last_survivor_guard(self):
         # The guard mirrors FaultRuntime.approve_crash: a crash that
         # would leave nobody alive is suppressed.
         net = FastSyncNetwork(2, seed=0, crashes=[(0, 1)])
         net.tick()
-        assert net.alive[1]
+        assert net.alive[0, 1]
         with pytest.raises(ValueError):
             FastSyncNetwork(2, seed=0, crashes=[(0, 1), (1, 2)])
 

@@ -45,10 +45,10 @@ class TestConstruction:
 
 class TestPortModel:
     def test_port_matrix_rows_are_peer_permutations(self):
-        net = FastSyncNetwork(17, mode="exact", seed=3)
-        ports = net._ports
+        pm = FastSyncNetwork(17, mode="exact", seed=3).port_map()
         for u in range(17):
-            assert sorted(ports[u]) == [v for v in range(17) if v != u]
+            peers = [pm.resolve(u, i)[0] for i in range(16)]
+            assert sorted(peers) == [v for v in range(17) if v != u]
 
     def test_port_map_adapter_is_involutive(self):
         net = FastSyncNetwork(9, mode="exact", seed=1)
@@ -82,7 +82,8 @@ class TestSamplingPrimitives:
             assert all(0 <= v < 32 for v in targets)
 
     def test_scale_argpartition_path(self):
-        # m*m > 4n forces the chunked argpartition branch.
+        # m = 40 exceeds half of the 63 peers, so the scale sampler draws
+        # the 23 excluded peers and keeps the rest (its complement branch).
         net = FastSyncNetwork(64, mode="scale", seed=5)
         dst = net.sampled_targets(np.arange(64), 40)
         for row in range(64):

@@ -2,10 +2,9 @@
 
 ``run_scenario_batch`` drives one replica :class:`ScenarioRunner` per
 seed and collects concurrent fast-engine acts with identical memberships
-into single multi-lane engine executions.  Scenario acts run at
-``n ≤ exact_limit``, where batched lanes are bit-identical to single
-runs — so the batched sweep must reproduce the sequential results
-exactly, including when replicas diverge and fall back to single-lane
+into single multi-lane engine executions.  A lane's result depends
+only on its seed — so the batched sweep must reproduce the sequential
+results exactly, including when replicas diverge and run single-lane
 acts.
 """
 
@@ -122,11 +121,9 @@ def test_faulted_scenarios_batch_equals_sequential():
         assert_results_equal(sequential, batched, name)
 
 
-def test_acts_above_the_exact_limit_fall_back_to_single_lanes():
-    # Above n = 2048 acts would run in scale mode, where the batched
-    # sampler draws a different stream than single runs — so the
-    # coordinator must fall back to single-lane acts and still equal
-    # the sequential sweep exactly.
+def test_acts_above_the_exact_limit_batch_like_sequential_runs():
+    # Above n = 2048 acts run in scale mode; scale lanes equal single
+    # runs too, so batched acts still reproduce the sequential sweep.
     scenario = get_scenario("election_storm", 2100)
     seeds = [0, 1]
     sequential = [

@@ -32,10 +32,6 @@ class TestValidation:
         with pytest.raises(ValueError, match="batch >= 1"):
             RunSpec(algorithm="improved_tradeoff", n=8, batch=0)
 
-    def test_rejects_unknown_backend(self):
-        with pytest.raises(ValueError, match="array backend"):
-            RunSpec(algorithm="improved_tradeoff", n=8, backend="fortran")
-
     def test_rejects_untyped_fault_plan(self):
         with pytest.raises(ValueError, match="FaultPlan"):
             RunSpec(algorithm="monarchical", n=8, faults={"crashes": []})
