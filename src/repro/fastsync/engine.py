@@ -33,6 +33,22 @@ Two port-model modes
     exactly (``tests/test_fastsync_equivalence.py``).  Memory is
     ``O(n^2)`` — intended for ``n ≤ exact_limit``.
 
+    Row ``u`` of the matrix is the stable argsort of the PCG64 keys
+    ``random((n, n))[u]`` with self sorting last.  It is built without
+    float keys: a PCG64 ``random()`` is the raw draw's top 53 bits, so
+    each entry is packed into one ``uint64`` as ``key53 << bits |
+    column`` (``bits = (n-1).bit_length()``), the diagonal is set to the
+    ``UINT64_MAX`` sentinel, one in-place row sort orders keys with ties
+    by column, and masking the low ``bits`` leaves the permutation.  Up
+    to ``n = 2048`` the whole key fits; above, the packed key keeps its
+    top ``64 - bits`` bits, and any row where two kept prefixes tie is
+    regenerated from the stream and stable-sorted on full keys.
+
+    The per-node seeds are drawn up front, but a node's ``Random`` is
+    built only when ``bernoulli``, ``rank_draws`` or ``sampled_targets``
+    first draws for it, so deterministic ports (``first_ports`` only)
+    never build one.
+
 ``mode="scale"``
     No materialized port map.  "Send over ports ``0..m-1``" and "send
     over ``m`` sampled ports" both become "send to ``m`` distinct
@@ -162,12 +178,86 @@ class FastRunResult(SurvivorAccounting):
 
 
 def _random_port_matrix(rng: np.random.Generator, n: int) -> np.ndarray:
-    """An ``(n, n-1)`` matrix whose rows are random orderings of peers."""
-    if n == 1:
-        return np.empty((1, 0), dtype=np.int64)
-    keys = rng.random((n, n))
-    np.fill_diagonal(keys, np.inf)  # self is never a peer: sorts last
-    return np.argsort(keys, axis=1, kind="stable")[:, : n - 1]
+    """An ``(n, n-1)`` matrix whose rows are random orderings of peers.
+
+    Row ``u`` is the stable argsort of ``rng.random((n, n))[u]`` with self
+    sorting last, computed as one packed in-place ``uint64`` sort (see the
+    module docstring); ``rng`` must be PCG64-backed.
+    """
+    bits = (n - 1).bit_length()
+    drop = max(0, 53 + bits - 64)  # key bits that do not fit beside the column
+    start = rng.bit_generator.state
+    buf = rng.bit_generator.random_raw((n, n))
+    buf >>= np.uint64(11 + drop)  # random() keeps the top 53 bits
+    buf <<= np.uint64(bits)
+    buf |= np.arange(n, dtype=np.uint64)
+    np.fill_diagonal(buf, np.iinfo(np.uint64).max)  # self is never a peer: sorts last
+    buf.sort(axis=1)
+    if drop:
+        _repair_truncated_ties(buf, start, bits)
+    buf &= np.uint64((1 << bits) - 1)
+    return buf.view(np.int64)[:, : n - 1]
+
+
+def _repair_truncated_ties(buf: np.ndarray, start: dict, bits: int) -> None:
+    """Re-order, from full keys, the sorted rows whose kept prefixes tie.
+
+    Two packed entries tie on their prefix exactly when their XOR is below
+    ``2**bits``.  Such a row is regenerated from the PCG64 ``start`` state
+    (row ``u`` is draws ``u*n .. u*n+n-1``) and stable-sorted; its bare
+    columns, which the caller's column mask leaves unchanged, replace the
+    packed entries.
+    """
+    n = buf.shape[0]
+    low = np.uint64(1 << bits)
+    # Chunked, so the check never holds a second (n, n) array.
+    step = max(1, (1 << 22) // n)
+    for lo in range(0, n, step):
+        rows = buf[lo : lo + step, : n - 1]
+        tied = ((rows[:, 1:] ^ rows[:, :-1]) < low).any(axis=1)
+        for u in (lo + np.nonzero(tied)[0]).tolist():
+            gen = np.random.PCG64(0)
+            gen.state = start
+            gen.advance(u * n)
+            keys = gen.random_raw(n) >> np.uint64(11)
+            keys[u] = np.uint64(1 << 53)  # above every 53-bit key
+            buf[u] = np.argsort(keys, kind="stable").astype(np.uint64)
+
+
+class _NodeStreams:
+    """One lane's per-node ``random.Random`` streams, each built on first use.
+
+    The seeds are drawn up front (the ``SyncNetwork`` schedule); a
+    ``Random`` is only constructed when a primitive first draws from that
+    node, so deterministic ports never pay for ``n`` of them.
+    """
+
+    __slots__ = ("_seeds", "_streams")
+
+    def __init__(self, seeds: List[int]) -> None:
+        self._seeds = seeds
+        self._streams: List[Optional[random.Random]] = [None] * len(seeds)
+
+    def __getitem__(self, u: int) -> random.Random:
+        rng = self._streams[u]
+        if rng is None:
+            rng = self._streams[u] = random.Random(self._seeds[u])
+        return rng
+
+    def all(self) -> List[random.Random]:
+        """Every node's stream, in node order."""
+        streams = self._streams
+        if None in streams:
+            streams[:] = [
+                random.Random(s) if rng is None else rng
+                for rng, s in zip(streams, self._seeds)
+            ]
+        return streams
+
+    @property
+    def built(self) -> int:
+        """How many of the lane's streams exist so far."""
+        return sum(rng is not None for rng in self._streams)
 
 
 def _validated_schedule(
@@ -349,10 +439,11 @@ class FastSyncNetwork:
         # SyncNetwork's seeding schedule per lane: one master stream, one
         # 64-bit draw per node, in node order (SyncNetwork only skips its
         # port-policy draw when a port map is supplied — which is exactly
-        # how the twin run is constructed); the port matrix comes from a
+        # how the twin run is constructed); the per-node streams are built
+        # from those seeds on first use.  The port matrix comes from a
         # PCG64 stream of the same seed.
         if self.mode == "exact":
-            self._lane_node_rngs: Optional[List[List[random.Random]]] = []
+            self._node_streams: Optional[List[_NodeStreams]] = []
             self._lane_ports: Optional[np.ndarray] = None
             if self.batch > 1:
                 self._lane_ports = np.empty(
@@ -360,8 +451,8 @@ class FastSyncNetwork:
                 )
             for b, s in enumerate(self.lane_seeds):
                 master = random.Random(s)
-                self._lane_node_rngs.append(
-                    [random.Random(master.getrandbits(64)) for _ in range(n)]
+                self._node_streams.append(
+                    _NodeStreams([master.getrandbits(64) for _ in range(n)])
                 )
                 rng_b = np.random.default_rng(np.random.PCG64(s))
                 ports = _random_port_matrix(rng_b, n)
@@ -373,7 +464,7 @@ class FastSyncNetwork:
                     self._lane_ports[b] = ports
             self._lane_rngs: Optional[List[np.random.Generator]] = None
         else:
-            self._lane_node_rngs = None
+            self._node_streams = None
             self._lane_ports = None
             self._lane_rngs = [
                 np.random.default_rng(np.random.PCG64(s)) for s in self.lane_seeds
@@ -659,12 +750,12 @@ class FastSyncNetwork:
             raise ValueError(f"cannot sample {m} of {self.n - 1} ports")
         n = self.n
         with self.profile("sampling"):
-            if self._lane_node_rngs is not None:
+            if self._node_streams is not None:
                 out = np.empty((len(src_global), m), dtype=np.int64)
                 port_range = range(n - 1)
                 for row, g in enumerate(src_global):
                     b, u = divmod(int(g), n)
-                    ports = self._lane_node_rngs[b][u].sample(port_range, m)
+                    ports = self._node_streams[b][u].sample(port_range, m)
                     out[row] = self._lane_ports[b, u, ports] + b * n
                 return out
             return self._scale_targets(src_global, m)
@@ -683,10 +774,10 @@ class FastSyncNetwork:
         """
         out = np.zeros((self.batch, self.n), dtype=bool)
         lane_list = range(self.batch) if lanes is None else [int(b) for b in lanes]
-        if self._lane_node_rngs is not None:
+        if self._node_streams is not None:
             for b in lane_list:
                 out[b] = np.fromiter(
-                    (rng.random() < p for rng in self._lane_node_rngs[b]),
+                    (rng.random() < p for rng in self._node_streams[b].all()),
                     dtype=bool,
                     count=self.n,
                 )
@@ -703,10 +794,10 @@ class FastSyncNetwork:
         ``[n^4]``-distributed (exact mode keeps the true range).
         """
         n = self.n
-        if self._lane_node_rngs is not None:
+        if self._node_streams is not None:
             return np.fromiter(
                 (
-                    self._lane_node_rngs[int(g) // n][int(g) % n].randrange(1, high + 1)
+                    self._node_streams[int(g) // n][int(g) % n].randrange(1, high + 1)
                     for g in src_global
                 ),
                 dtype=np.int64,

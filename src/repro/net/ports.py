@@ -253,7 +253,9 @@ class LazyPortMap(PortMap):
             j = self.first_free_port(v)
         elif j in self._bound_ports[v]:
             raise PortMapExhausted(f"policy returned bound port {j} at node {v}")
-        self.force_link(u, port, v, j)
+        else:
+            self.check_port(v, j)
+        self._bind(u, port, v, j)
         return (v, j)
 
     def force_link(self, u: int, i: int, v: int, j: int) -> None:
@@ -270,6 +272,10 @@ class LazyPortMap(PortMap):
             raise PortMapExhausted("port already bound")
         if self.linked(u, v):
             raise PortMapExhausted(f"nodes {u} and {v} already share a link")
+        self._bind(u, i, v, j)
+
+    def _bind(self, u: int, i: int, v: int, j: int) -> None:
+        """Record the link ``(u, i) <-> (v, j)``; the caller has validated it."""
         self._endpoint[(u, i)] = (v, j)
         self._endpoint[(v, j)] = (u, i)
         self._peer_to_port[u][v] = i

@@ -118,6 +118,11 @@ class TestCIConsistency:
                 f"CI emits {name} but benchmarks/baselines/ has no baseline for it"
             )
 
+    def test_ci_checks_campaign_pins(self):
+        text = self.workflow()
+        for workload in ("table1_campaign", "fault_fleet"):
+            assert f"perfbench/run.py --workload {workload}" in text, workload
+
     def test_ci_matrix_covers_supported_pythons(self):
         text = self.workflow()
         assert '"3.10"' in text and '"3.11"' in text and '"3.12"' in text

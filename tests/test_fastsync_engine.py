@@ -1,6 +1,7 @@
 """The vectorized engine: modes, determinism, primitives, guard rails."""
 
 import importlib
+import random
 import sys
 
 import pytest
@@ -11,10 +12,47 @@ from repro.common import SimulationLimitExceeded  # noqa: E402
 from repro.fastsync import (  # noqa: E402
     ArrayPortMap,
     FastSyncNetwork,
+    VectorAfekGafniElection,
     VectorImprovedTradeoffElection,
     VectorLasVegasElection,
+    VectorSmallIdElection,
     get_fast_algorithm,
 )
+from repro.fastsync.engine import _random_port_matrix  # noqa: E402
+
+
+def _argsort_reference(keys):
+    """The port matrix as a stable argsort of float keys, self sorting last."""
+    n = keys.shape[0]
+    keys = keys.copy()
+    np.fill_diagonal(keys, np.inf)
+    return np.argsort(keys, axis=1, kind="stable")[:, : n - 1]
+
+
+class _PlantedTie:
+    """A PCG64 generator whose next ``(n, n)`` raw block carries a planted tie.
+
+    ``raw[row, col]`` is overwritten with ``raw[row, like] ^ flip``; the
+    stream state itself is left alone, so regenerating a row from it
+    yields the original draws.  ``raw`` keeps the planted block.
+    """
+
+    def __init__(self, seed, row, col, like, flip):
+        self.bit_generator = self
+        self._real = np.random.PCG64(seed)
+        self._plant = (row, col, like, np.uint64(flip))
+        self.raw = None
+
+    @property
+    def state(self):
+        return self._real.state
+
+    def random_raw(self, size):
+        raw = self._real.random_raw(size)
+        row, col, like, flip = self._plant
+        raw[row, col] = raw[row, like] ^ flip
+        self.raw = raw.copy()
+        return raw
 
 
 class TestConstruction:
@@ -66,6 +104,31 @@ class TestPortModel:
         with pytest.raises(ValueError):
             ArrayPortMap(np.zeros((4, 2), dtype=np.int64))
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 17, 128, 1024, 2048, 2049])
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_packed_sort_matches_stable_float_argsort(self, n, seed):
+        got = _random_port_matrix(np.random.default_rng(np.random.PCG64(seed)), n)
+        keys = np.random.default_rng(np.random.PCG64(seed)).random((n, n))
+        np.testing.assert_array_equal(got, _argsort_reference(keys))
+
+    def test_equal_keys_order_by_column(self):
+        # Two identical raw draws in row 7: a stable sort keeps column 3
+        # ahead of column 100, and so must the packed sort.
+        planted = _PlantedTie(seed=5, row=7, col=100, like=3, flip=0)
+        got = _random_port_matrix(planted, 128)
+        keys = (planted.raw >> np.uint64(11)) * 2.0**-53
+        np.testing.assert_array_equal(got, _argsort_reference(keys))
+
+    def test_truncated_key_tie_is_repaired_above_2048(self):
+        # At n = 2049 the packed key drops the lowest key bit.  Two draws
+        # differing only there tie after packing; the row must come back
+        # ordered by the full keys, which are regenerated from the stream.
+        n = 2049
+        planted = _PlantedTie(seed=5, row=7, col=900, like=3, flip=1 << 11)
+        got = _random_port_matrix(planted, n)
+        keys = np.random.default_rng(np.random.PCG64(5)).random((n, n))
+        np.testing.assert_array_equal(got, _argsort_reference(keys))
+
 
 class TestSamplingPrimitives:
     @pytest.mark.parametrize("mode", ["exact", "scale"])
@@ -107,6 +170,63 @@ class TestSamplingPrimitives:
         net = FastSyncNetwork(16, mode="scale", seed=0)
         assert not net.bernoulli(0.0).any()
         assert net.bernoulli(1.0).all()
+
+
+def _eager_streams(seed, n):
+    """Every node's stream, built up front with SyncNetwork's schedule."""
+    master = random.Random(seed)
+    return [random.Random(master.getrandbits(64)) for _ in range(n)]
+
+
+class TestLazyNodeStreams:
+    @pytest.mark.parametrize(
+        "algorithm",
+        [
+            VectorImprovedTradeoffElection(ell=3),
+            VectorAfekGafniElection(ell=4),
+            VectorSmallIdElection(d=4),
+        ],
+        ids=["improved_tradeoff", "afek_gafni", "small_id"],
+    )
+    def test_deterministic_ports_build_no_stream(self, algorithm):
+        net = FastSyncNetwork(64, mode="exact", seeds=[3, 4])
+        net.run(algorithm)
+        assert [lane.built for lane in net._node_streams] == [0, 0]
+
+    @pytest.mark.parametrize("seeds", [[11], [11, 12, 40]])
+    def test_draws_match_eager_streams(self, seeds):
+        n = 24
+        net = FastSyncNetwork(n, mode="exact", seeds=seeds)
+        eager = [_eager_streams(s, n) for s in seeds]
+        lanes = len(seeds)
+        rows = n * lanes
+        full = net.first_ports(np.arange(rows), n - 1)
+
+        # Touch a few nodes first, so later calls mix built and unbuilt
+        # streams, then every node, then a subset of lanes.
+        some = np.arange(0, rows, 5)
+        expected = [eager[g // n][g % n].randrange(1, 10**9 + 1) for g in some]
+        assert net.rank_draws(some, 10**9).tolist() == expected
+
+        src = np.arange(1, rows, 3)
+        got = net.sampled_targets(src, 4)
+        for row, g in enumerate(src.tolist()):
+            ports = eager[g // n][g % n].sample(range(n - 1), 4)
+            assert got[row].tolist() == full[g, ports].tolist()
+
+        coins = net.bernoulli(0.4)
+        for b in range(lanes):
+            assert coins[b].tolist() == [rng.random() < 0.4 for rng in eager[b]]
+
+        chosen = np.arange(lanes)[::2]
+        coins = net.bernoulli(0.7, lanes=chosen)
+        for b in range(lanes):
+            want = [rng.random() < 0.7 for rng in eager[b]] if b in chosen else [False] * n
+            assert coins[b].tolist() == want
+
+        everyone = np.arange(rows)
+        expected = [eager[g // n][g % n].randrange(1, 50 + 1) for g in everyone]
+        assert net.rank_draws(everyone, 50).tolist() == expected
 
 
 class TestExecution:

@@ -157,6 +157,26 @@ class TestCallbackPolicy:
         pm = LazyPortMap(4, policy)
         assert pm.resolve(0, 0) == (2, 1)
 
+    @pytest.mark.parametrize("j", [-1, 3, 7])
+    def test_out_of_range_callback_peer_port_rejected(self, j):
+        policy = CallbackPortPolicy(lambda pm_, u, p: 2, lambda pm_, u, p, v: j)
+        pm = LazyPortMap(4, policy)
+        with pytest.raises(ValueError, match="out of range"):
+            pm.resolve(0, 0)
+        assert pm.link_count() == 0
+
+    def test_bound_callback_peer_port_rejected(self):
+        policy = CallbackPortPolicy(lambda pm_, u, p: 2, lambda pm_, u, p, v: 1)
+        pm = LazyPortMap(4, policy)
+        pm.force_link(2, 1, 3, 0)
+        with pytest.raises(PortMapExhausted, match="bound port"):
+            pm.resolve(0, 0)
+
+    def test_out_of_range_callback_peer_rejected(self):
+        pm = LazyPortMap(4, CallbackPortPolicy(lambda pm_, u, p: 4))
+        with pytest.raises(PortMapExhausted, match="invalid peer"):
+            pm.resolve(0, 0)
+
 
 class TestHelpers:
     def test_first_free_port_skips_bound(self):
