@@ -4,10 +4,8 @@
 :class:`repro.faults.runtime.FaultRuntime`.  It does **not** reimplement
 the fault semantics — it *wraps* a real object-model runtime (same
 ``faults:{seed}`` / ``adversary:{seed}`` RNG streams, same drop budgets,
-kill heap, tamper rules and metrics object) and drives it edge-by-edge
-in the object engine's global send order whenever a per-edge decision
-consumes randomness or mutates budget state.  Everything that is
-RNG-free is vectorized:
+kill heap, tamper rules and metrics object) and consumes those streams
+in the object engine's global send order:
 
 * **partition masks** — component labels are materialized once per mask
   and whole edge batches are blocked with two gathers and a compare; the
@@ -15,16 +13,21 @@ RNG-free is vectorized:
   and consumes no randomness for blocked edges, so the vectorized check
   is not just faster but exactly stream-preserving;
 * **honest, rule-free edges** — delivered via one ``np.repeat``;
-* **link-rule matching** — which edges a rule *could* claim is computed
-  in array form; only the matched, unblocked edges enter the Python loop
-  that consumes the drop/duplication RNG stream (one
-  ``FaultRuntime.deliveries`` call per edge, in send order);
-* **Byzantine senders** — edges whose sender is adversarial go through
-  ``AdversaryRuntime.deliver`` with the payload reconstructed as the
-  object engine's tuple, so tamper budgets, replay memory and the
+* **link rules, per batch** — each unblocked edge is claimed by the
+  first rule that matches it, in array form.  The drop/duplication
+  coins come from a :class:`MersenneStream`, a numpy copy of the
+  ``faults:{seed}`` Mersenne Twister that continues it bit for bit.  A
+  rule that spends exactly one double per message decides all its
+  edges at once; edges whose draw count depends on an earlier draw
+  (drop *and* duplicate, or a drop budget) loop over the pre-drawn
+  doubles through :meth:`FaultRuntime.link_copies`, the method the
+  object engine calls too;
+* **Byzantine senders, per edge** — edges whose sender is adversarial
+  go through ``AdversaryRuntime.deliver`` with the payload reconstructed
+  as the object engine's tuple, so tamper budgets, replay memory and the
   adversary RNG stream advance identically.
 
-Because the wrapped runtime sees the same decisions in the same order,
+Because the fault streams are consumed in the same order,
 an exact-mode fast run under a plan is **bit-identical** to the object
 engine's run of the same plan (``tests/test_twin_differential.py``), and
 a scale-mode run consumes the identical fault/adversary streams on top
@@ -42,14 +45,16 @@ as the per-node handlers do.
 
 from __future__ import annotations
 
+import random
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
-from repro.faults.plan import FaultPlan, PartitionMask
+from repro.faults.plan import FaultPlan, LinkFaults, PartitionMask
 from repro.faults.runtime import FaultRuntime
 
-__all__ = ["Delivered", "FastFaultRuntime", "delivered_total"]
+__all__ = ["Delivered", "FastFaultRuntime", "MersenneStream", "delivered_total"]
 
 
 class Delivered(NamedTuple):
@@ -79,6 +84,66 @@ def delivered_total(batches: Optional[Dict[str, Delivered]]) -> int:
     return int(sum(b.src.size for b in batches.values()))
 
 
+def _draws_once(rule: LinkFaults) -> bool:
+    """Whether ``rule`` spends exactly one double on every message it claims."""
+    return rule.drop_prob == 0.0 or (
+        rule.duplicate_prob == 0.0 and rule.max_drops is None
+    )
+
+
+class _ZeroSeed(ISeedSequence):
+    """A constant all-zero seed for a bit generator whose state is set next.
+
+    Unlike ``MT19937(0)`` it skips ``SeedSequence`` hashing (the bulk of
+    building a generator), and unlike ``MT19937()`` it reads no OS entropy.
+    """
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return [0] * n_words
+
+
+_ZERO_SEED = _ZeroSeed()
+
+
+class MersenneStream:
+    """A numpy copy of one ``random.Random`` stream, drawn a block at a time.
+
+    ``random.Random`` is MT19937 and its ``random()`` is genrand_res53;
+    numpy's ``Generator(MT19937).random()`` builds the same double from
+    the same two 32-bit words.  Loading the 624-word key and position of
+    ``rng.getstate()`` into a numpy ``MT19937`` therefore continues
+    ``rng``'s stream bit for bit.  Doubles drawn but not consumed
+    (:meth:`peek` without :meth:`skip`) stay buffered for the next call.
+    """
+
+    def __init__(self, rng: random.Random) -> None:
+        version, internal, _gauss = rng.getstate()
+        if version != 3 or len(internal) != 625:
+            raise ValueError(
+                f"unexpected random.Random state layout (version {version}, "
+                f"{len(internal)} ints); cannot mirror it in numpy"
+            )
+        bits = np.random.MT19937(_ZERO_SEED)
+        # A tuple key, not an array: the setter copies it word by word.
+        bits.state = {
+            "bit_generator": "MT19937",
+            "state": {"key": internal[:624], "pos": internal[624]},
+        }
+        self._gen = np.random.Generator(bits)
+        self._buf = np.empty(0)
+
+    def peek(self, k: int) -> np.ndarray:
+        """The next ``k`` doubles, left in the stream until :meth:`skip`."""
+        short = k - self._buf.size
+        if short > 0:
+            self._buf = np.concatenate([self._buf, self._gen.random(short)])
+        return self._buf[:k]
+
+    def skip(self, k: int) -> None:
+        """Consume the next ``k`` doubles (at most what was peeked)."""
+        self._buf = self._buf[k:]
+
+
 class FastFaultRuntime:
     """Array-facing adapter around one object-model :class:`FaultRuntime`.
 
@@ -97,10 +162,15 @@ class FastFaultRuntime:
         ids: Sequence[int],
         seed: int,
     ) -> None:
-        plan.validate_for(n)
         self.plan = plan
         self.n = n
         self.inner = FaultRuntime(plan, n, [int(i) for i in ids], seed)
+        # Built on the first link-rule draw; from then on it, not
+        # ``inner.rng``, carries the ``faults:{seed}`` stream.
+        self._stream: Optional[MersenneStream] = None
+        self._draws_once = np.array([_draws_once(rule) for rule in plan.links], dtype=bool)
+        self._drop_prob = np.array([rule.drop_prob for rule in plan.links])
+        self._duplicate_prob = np.array([rule.duplicate_prob for rule in plan.links])
         self._labels: Dict[int, np.ndarray] = {}
         self._policy_kinds = frozenset(
             kind for policy in plan.policies for kind in policy.kinds
@@ -222,6 +292,89 @@ class FastFaultRuntime:
         return int(ok.sum())
 
     # ------------------------------------------------------------------ #
+    # link rules
+
+    def _claim(
+        self,
+        kinds: Union[str, Sequence[str]],
+        src: np.ndarray,
+        dst: np.ndarray,
+        blocked: np.ndarray,
+    ) -> np.ndarray:
+        """Per edge, the index of the first link rule matching it (-1: none).
+
+        Partition-blocked edges stay unclaimed: the object runtime checks
+        partitions first and draws nothing for them.
+        """
+        rule_of = np.full(src.size, -1, dtype=np.int64)
+        free = ~blocked
+        uniform = isinstance(kinds, str)
+        names = codes = None
+        for r, rule in enumerate(self.plan.links):
+            hit = free.copy()
+            if rule.kinds is not None:
+                if uniform:
+                    if kinds not in rule.kinds:
+                        continue
+                else:
+                    if codes is None:
+                        names, codes = np.unique(np.asarray(kinds), return_inverse=True)
+                    hit &= np.isin(names, rule.kinds)[codes]
+            if rule.src is not None:
+                hit &= src == rule.src
+            if rule.dst is not None:
+                hit &= dst == rule.dst
+            rule_of[hit] = r
+            free &= ~hit
+        return rule_of
+
+    def _link_copies(self, rule_of: np.ndarray) -> np.ndarray:
+        """Copies per claimed edge (send order), drawn like the object runtime.
+
+        A *one-draw* rule (``drop_prob == 0``, or ``duplicate_prob == 0``
+        with no drop budget) spends exactly one double per message, so its
+        edges are decided in array form.  The remaining *variable-draw*
+        edges run :meth:`FaultRuntime.link_copies` in a loop over the
+        pre-drawn doubles, skipping the one double each one-draw edge
+        between them owns; doubles left over go back to the stream.
+        """
+        if self._stream is None:
+            self._stream = MersenneStream(self.inner.rng)
+        k = rule_of.size
+        once = self._draws_once[rule_of]
+        var_edges = np.flatnonzero(~once).tolist()
+        buf = self._stream.peek(k + len(var_edges))
+        copies = np.ones(k, dtype=np.int64)
+        draws = np.ones(k, dtype=np.int64)
+        if var_edges:
+            vals = buf.tolist()
+            cursor = 0
+
+            def draw() -> float:
+                nonlocal cursor
+                cursor += 1
+                return vals[cursor - 1]
+
+            prev = -1
+            link_copies = self.inner.link_copies
+            for j in var_edges:
+                cursor += j - prev - 1
+                start = cursor
+                copies[j] = link_copies(int(rule_of[j]), draw)
+                draws[j] = cursor - start
+                prev = j
+        u = buf[(np.cumsum(draws) - draws)[once]]
+        self._stream.skip(int(draws.sum()))
+        rules = rule_of[once]
+        dropped = u < self._drop_prob[rules]
+        duplicated = ~dropped & (u < self._duplicate_prob[rules])
+        copies[once] = np.where(dropped, 0, np.where(duplicated, 2, 1))
+        metrics = self.inner.metrics
+        metrics.dropped_messages += int(dropped.sum())
+        metrics.duplicated_messages += int(duplicated.sum())
+        return copies
+
+    # ------------------------------------------------------------------ #
     # delivery
 
     def deliver(
@@ -259,25 +412,10 @@ class FastFaultRuntime:
             copies[blocked] = 0
 
         if plan.links:
-            matched = np.zeros(m, dtype=bool)
-            for rule in plan.links:
-                hit = np.ones(m, dtype=bool)
-                if rule.kinds is not None:
-                    if uniform:
-                        if kinds not in rule.kinds:
-                            continue
-                    else:
-                        hit &= np.fromiter(
-                            (k in rule.kinds for k in kinds), dtype=bool, count=m
-                        )
-                if rule.src is not None:
-                    hit &= src == rule.src
-                if rule.dst is not None:
-                    hit &= dst == rule.dst
-                matched |= hit
-            for i in np.nonzero(matched & ~blocked)[0]:
-                kind = kinds if uniform else kinds[i]
-                copies[i] = inner.deliveries(int(src[i]), int(dst[i]), kind, now)
+            rule_of = self._claim(kinds, src, dst, blocked)
+            claimed = np.flatnonzero(rule_of >= 0)
+            if claimed.size:
+                copies[claimed] = self._link_copies(rule_of[claimed])
 
         # Per-kind output buffers: (positions, src, dst, field columns).
         out: Dict[str, List[Tuple[int, int, int, Tuple[int, ...]]]] = {}

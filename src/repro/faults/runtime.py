@@ -23,7 +23,7 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.faults.plan import FaultPlan
 
@@ -205,19 +205,30 @@ class FaultRuntime:
                 self.metrics.partition_blocked += 1
                 return 0
         for i, rule in enumerate(self.plan.links):
-            if not rule.matches(src, dst, kind):
-                continue
-            drops_left = self._drops_left[i]
-            may_drop = rule.drop_prob and (drops_left is None or drops_left > 0)
-            if may_drop and self.rng.random() < rule.drop_prob:
-                if drops_left is not None:
-                    self._drops_left[i] = drops_left - 1
-                self.metrics.dropped_messages += 1
-                return 0
-            if rule.duplicate_prob and self.rng.random() < rule.duplicate_prob:
-                self.metrics.duplicated_messages += 1
-                return 2
-            return 1
+            if rule.matches(src, dst, kind):
+                return self.link_copies(i, self.rng.random)
+        return 1
+
+    def link_copies(self, i: int, draw: Callable[[], float]) -> int:
+        """Copies (0, 1 or 2) of one message claimed by link rule ``i``.
+
+        ``draw`` yields the next double of the ``faults:{seed}`` stream:
+        :meth:`deliveries` passes ``self.rng.random``, the vectorized
+        adapter a buffered numpy copy of the same stream.  Draws once
+        for the drop (while the rule's budget lasts) and once more for
+        the duplicate unless the message was dropped.
+        """
+        rule = self.plan.links[i]
+        drops_left = self._drops_left[i]
+        may_drop = rule.drop_prob and (drops_left is None or drops_left > 0)
+        if may_drop and draw() < rule.drop_prob:
+            if drops_left is not None:
+                self._drops_left[i] = drops_left - 1
+            self.metrics.dropped_messages += 1
+            return 0
+        if rule.duplicate_prob and draw() < rule.duplicate_prob:
+            self.metrics.duplicated_messages += 1
+            return 2
         return 1
 
     def delivered_payloads(

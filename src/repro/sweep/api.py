@@ -176,8 +176,9 @@ def _execute_fast(
         fast_trace = FastTelemetry()
     # Every engine run executes one chunk of seeds as lanes; an unbatched
     # spec runs one lane per seed.  The fault runtime (and the quorum
-    # veto it feeds) is single-lane — per-edge RNG streams replay the
-    # object engine's draw order, which has no lane axis — so batched
+    # veto it feeds) is single-lane — it replays one run's sequential
+    # fault streams in the object engine's draw order, which has no lane
+    # axis — so batched
     # faulted and quorum specs run one lane per seed too, with the same
     # records and shard boundaries.
     batched = spec.batch is not None and faults is None and not spec.quorum

@@ -43,6 +43,10 @@ ALGOS = {
 #: Announcement vocabulary across the six ports (kill-policy triggers).
 KILL_KINDS = ("final", "elected", "announce", "ballot", "rank")
 
+#: Kind scopes for random link rules: a single kind, and the interleaved
+#: win/lose grants that reach the runtime as per-edge kind sequences.
+LINK_KINDS = (("compete",), ("response",), ("win",), ("win", "lose"), KILL_KINDS)
+
 
 def fault_features(n):
     """The per-feature plan matrix for an ``n``-clique."""
@@ -174,6 +178,46 @@ def test_twin_stalls_match():
     assert fast is None and obj is None  # stalled on both engines
 
 
+@pytest.mark.parametrize(
+    "algorithm,scope",
+    [
+        ("improved_tradeoff", "compete"),
+        ("afek_gafni", "compete"),
+        ("kutten16", "compete"),
+        ("kutten16", "win"),
+    ],
+)
+def test_twin_variable_and_one_draw_rules_share_rounds(algorithm, scope):
+    # A scoped, budgeted drop+duplicate rule draws once or twice per
+    # message it claims; the wildcard rule behind it draws exactly once.
+    # Both kinds of edge then share rounds (and, for the interleaved
+    # win/lose grants, one send batch), so the fast runtime must walk the
+    # variable-draw edges over the doubles the one-draw edges between
+    # them leave, and carry unused doubles into the next batch.
+    plan = FaultPlan(
+        links=(
+            LinkFaults(
+                drop_prob=0.5, duplicate_prob=0.3, max_drops=2, kinds=(scope,)
+            ),
+            LinkFaults(duplicate_prob=0.05),
+        )
+    )
+    for n, seed in [(16, 0), (24, 5)]:
+        spec = RunSpec(
+            algorithm=algorithm,
+            n=n,
+            seeds=(seed,),
+            params=ALGOS[algorithm],
+            faults=plan,
+            max_rounds=150,
+        )
+        fast, obj = assert_twin_run(spec)
+        assert fast.rounds_executed >= 3
+        # The budget ran out, so later claimed messages draw only once.
+        assert obj.fault_metrics.dropped_messages == 2
+        assert obj.fault_metrics.duplicated_messages > 0
+
+
 @st.composite
 def random_plans(draw):
     """A random FaultPlan over ``n`` nodes: the shrink-friendly generator."""
@@ -184,7 +228,7 @@ def random_plans(draw):
     ):  # node 0 is protected below, so it never crashes
         crashes.append(CrashFault(node=node, at=draw(st.integers(1, 6))))
     links = []
-    if draw(st.booleans()):
+    for _ in range(draw(st.integers(0, 2))):
         drop = draw(st.sampled_from([0.0, 0.3, 1.0]))
         dup = draw(st.sampled_from([0.4] if drop == 0.0 else [0.0, 0.4]))
         max_drops = None
@@ -194,7 +238,9 @@ def random_plans(draw):
             LinkFaults(
                 drop_prob=drop,
                 duplicate_prob=dup,
+                src=draw(st.one_of(st.none(), st.integers(0, n - 1))),
                 dst=draw(st.one_of(st.none(), st.integers(0, n - 1))),
+                kinds=draw(st.one_of(st.none(), st.sampled_from(LINK_KINDS))),
                 max_drops=max_drops,
             )
         )
