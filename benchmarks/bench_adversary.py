@@ -51,21 +51,11 @@ MAX_OVERHEAD = 3.0
 
 
 def _factory(engine, quorum=True):
-    if engine == "sync":
-        if quorum:
-            from repro.adversary import QuorumReElectionElection
+    from repro.core import get_algorithm
 
-            return lambda: QuorumReElectionElection()
-        from repro.faults import ReElectionElection
-
-        return lambda: ReElectionElection()
-    if quorum:
-        from repro.adversary import AsyncQuorumReElectionElection
-
-        return lambda: AsyncQuorumReElectionElection()
-    from repro.faults import AsyncReElectionElection
-
-    return lambda: AsyncReElectionElection()
+    return get_algorithm("quorum_reelect" if quorum else "reelect").make(
+        engine=engine
+    )
 
 
 def _trial(engine, n, plan, seed, quorum=True):

@@ -10,8 +10,9 @@ Reproduced shape:
   power of n (the paper's §3.3 comparison).
 """
 
-from repro.analysis import Table, fit_power_law, sweep_sync
-from repro.core import AfekGafniElection, ImprovedTradeoffElection
+import random
+
+from repro.analysis import RunSpec, Table, fit_power_law, sweep
 from repro.ids import assign_random, tradeoff_universe
 from repro.lowerbound import bounds
 
@@ -21,8 +22,19 @@ NS = [256, 512, 1024, 2048]
 ELLS = [4, 6, 8]
 
 
-def ids_for_n(n, rng):
-    return assign_random(tradeoff_universe(n), n, rng)
+def grid(name, ell):
+    return [
+        RunSpec(
+            algorithm=name,
+            n=n,
+            engine="sync",
+            params={"ell": ell},
+            ids=assign_random(
+                tradeoff_universe(n), n, random.Random(f"{n}:0:workload")
+            ),
+        )
+        for n in NS
+    ]
 
 
 def run_sweep():
@@ -32,18 +44,8 @@ def run_sweep():
     )
     fits = {}
     for ell in ELLS:
-        records = sweep_sync(
-            NS,
-            lambda n: (lambda: AfekGafniElection(ell=ell)),
-            seeds=[0],
-            ids_for_n=ids_for_n,
-        )
-        improved = sweep_sync(
-            NS,
-            lambda n: (lambda: ImprovedTradeoffElection(ell=ell + 1)),
-            seeds=[0],
-            ids_for_n=ids_for_n,
-        )
+        records = sweep(grid("afek_gafni", ell))
+        improved = sweep(grid("improved_tradeoff", ell + 1))
         for r, imp in zip(records, improved):
             assert r.unique_leader and imp.unique_leader
             assert r.messages <= 3 * bounds.ag_messages(r.n, ell)

@@ -13,10 +13,10 @@ Reproduced shape:
 """
 
 import math
+import random
 
-from repro.analysis import Table, fit_power_law, sweep_async
+from repro.analysis import RunSpec, Table, fit_power_law, run, sweep
 from repro.asyncnet import PerLinkDelayScheduler, RushScheduler, UnitDelayScheduler
-from repro.core import AsyncAfekGafniElection
 from repro.lowerbound import bounds
 
 from _harness import bench_once, emit
@@ -24,7 +24,7 @@ from _harness import bench_once, emit
 NS = [256, 1024, 4096]
 
 
-def simultaneous(n, rng):
+def simultaneous(n):
     return {u: 0.0 for u in range(n)}
 
 
@@ -35,13 +35,15 @@ def run_sweep():
     )
     rows = []
     for n in NS:
-        records = sweep_async(
-            [n],
-            lambda n_: AsyncAfekGafniElection,
-            seeds=[0, 1],
-            scheduler_for_n=lambda n_, rng: UnitDelayScheduler(),
-            wake_times_for_n=simultaneous,
-            max_events=8_000_000,
+        records = sweep(
+            RunSpec(
+                algorithm="async_afek_gafni",
+                n=n,
+                engine="async",
+                seeds=(0, 1),
+                wake_times=simultaneous(n),
+                max_events=8_000_000,
+            )
         )
         for r in records:
             assert r.unique_leader
@@ -74,14 +76,20 @@ def run_adversary_grid():
         ("rush", lambda rng: RushScheduler()),
         ("per-link", lambda rng: PerLinkDelayScheduler(rng)),
     ):
-        records = sweep_async(
-            [n],
-            lambda n_: AsyncAfekGafniElection,
-            seeds=[0, 1, 2],
-            scheduler_for_n=lambda n_, rng, mk=make: mk(rng),
-            wake_times_for_n=simultaneous,
-            max_events=8_000_000,
-        )
+        records = [
+            run(
+                RunSpec(
+                    algorithm="async_afek_gafni",
+                    n=n,
+                    engine="async",
+                    seeds=(seed,),
+                    wake_times=simultaneous(n),
+                    max_events=8_000_000,
+                ),
+                scheduler=make(random.Random(f"{n}:{seed}:workload")),
+            )
+            for seed in (0, 1, 2)
+        ]
         ok = all(r.unique_leader for r in records)
         outcomes.append(ok)
         worst = max(records, key=lambda r: r.messages)
@@ -98,13 +106,16 @@ def run_tradeoff_schedule():
     )
     curve = []
     for K in (2, 3, 5, 8):
-        records = sweep_async(
-            [n],
-            lambda n_: (lambda: AsyncAfekGafniElection(iterations=K)),
-            seeds=[0, 1],
-            scheduler_for_n=lambda n_, rng: UnitDelayScheduler(),
-            wake_times_for_n=simultaneous,
-            max_events=12_000_000,
+        records = sweep(
+            RunSpec(
+                algorithm="async_afek_gafni",
+                n=n,
+                engine="async",
+                seeds=(0, 1),
+                params={"iterations": K},
+                wake_times=simultaneous(n),
+                max_events=12_000_000,
+            )
         )
         for r in records:
             assert r.unique_leader
@@ -125,8 +136,6 @@ def test_bench_thm514(benchmark):
 
 
 def test_bench_thm514_tradeoff_schedule(benchmark):
-    from repro.core import AsyncAfekGafniElection  # noqa: F811 (bench-local)
-
     table, curve = bench_once(benchmark, run_tradeoff_schedule)
     emit("thm514_tradeoff_schedule", table.render())
     msgs = [m for _K, m, _t, _th in curve]

@@ -45,7 +45,7 @@ FULL_REFERENCE_SEEDS = 2
 
 
 def run_sweep(points, reference_seeds=None):
-    from repro.analysis import Table, run_fast_batch
+    from repro.analysis import RunSpec, Table, execute_spec
 
     table = Table(
         ["n", "ell", "batch", "mode", "mean messages", "rounds",
@@ -56,13 +56,18 @@ def run_sweep(points, reference_seeds=None):
     for n, ell, batch in points:
         seeds = list(range(batch))
         t0 = time.perf_counter()
-        lanes = run_fast_batch(n, "improved_tradeoff", seeds=seeds,
-                               params={"ell": ell})
+        lanes = execute_spec(
+            RunSpec(algorithm="improved_tradeoff", n=n, engine="fast",
+                    seeds=seeds, batch=batch, params={"ell": ell})
+        )
         batched_per_seed = (time.perf_counter() - t0) / batch
         probe = seeds if reference_seeds is None else seeds[:reference_seeds]
         t0 = time.perf_counter()
         singles = [
-            run_fast_batch(n, "improved_tradeoff", seeds=[s], params={"ell": ell})[0]
+            execute_spec(
+                RunSpec(algorithm="improved_tradeoff", n=n, engine="fast",
+                        seeds=(s,), batch=1, params={"ell": ell})
+            )[0]
             for s in probe
         ]
         single_per_seed = (time.perf_counter() - t0) / len(probe)

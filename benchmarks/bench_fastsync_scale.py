@@ -52,7 +52,7 @@ SMOKE_SEEDS = [0, 1]
 
 
 def run_sweep(ns=FULL_NS, seeds=FULL_SEEDS, batch=False):
-    from repro.analysis import Table, run_fast_batch, run_fast_trial
+    from repro.analysis import RunSpec, Table, execute_spec, run
 
     table = Table(
         ["algorithm", "n", "mode", "messages", "rounds", "unique", "wall s/run"],
@@ -65,10 +65,15 @@ def run_sweep(ns=FULL_NS, seeds=FULL_SEEDS, batch=False):
                 # One batched engine run per (algorithm, n) point: the
                 # whole seed sweep shares one execution (see
                 # bench_fastsync_batch.py for the timing ratio).
-                records = run_fast_batch(n, name, seeds=list(seeds), params=params)
+                records = execute_spec(
+                    RunSpec(algorithm=name, n=n, engine="fast", seeds=seeds,
+                            batch=len(seeds), params=params)
+                )
             else:
                 records = [
-                    run_fast_trial(n, name, seed=seed, params=params) for seed in seeds
+                    run(RunSpec(algorithm=name, n=n, engine="fast", seeds=(seed,),
+                                params=params))
+                    for seed in seeds
                 ]
             messages = sum(r.messages for r in records) / len(records)
             rounds = sum(r.time for r in records) / len(records)

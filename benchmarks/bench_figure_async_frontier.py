@@ -12,9 +12,7 @@ highlights:
 The frontier must be monotone: more time, fewer messages.
 """
 
-from repro.analysis import Table, sweep_async
-from repro.asyncnet import UnitDelayScheduler
-from repro.core import AsyncTradeoffElection
+from repro.analysis import RunSpec, Table, sweep
 from repro.lowerbound import bounds
 
 from _harness import bench_once, emit
@@ -31,12 +29,15 @@ def run_frontier():
     )
     curve = []
     for k in KS:
-        records = sweep_async(
-            [N],
-            lambda n_: (lambda: AsyncTradeoffElection(k=k)),
-            seeds=SEEDS,
-            scheduler_for_n=lambda n_, rng: UnitDelayScheduler(),
-            max_events=8_000_000,
+        records = sweep(
+            RunSpec(
+                algorithm="async_tradeoff",
+                n=N,
+                engine="async",
+                seeds=SEEDS,
+                params={"k": k},
+                max_events=8_000_000,
+            )
         )
         assert all(r.leaders <= 1 for r in records)
         ok = [r for r in records if r.unique_leader]

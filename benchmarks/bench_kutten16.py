@@ -13,8 +13,7 @@ Reproduced shape:
   Vegas floor is n.
 """
 
-from repro.analysis import Table, fit_polylog, sweep_sync
-from repro.core import Kutten16Election
+from repro.analysis import RunSpec, Table, fit_polylog, sweep
 from repro.lowerbound import bounds
 
 from _harness import bench_once, emit
@@ -30,8 +29,8 @@ def run_sweep():
     )
     means = []
     for n in NS:
-        records = sweep_sync(
-            [n], lambda n_: (lambda: Kutten16Election()), seeds=SEEDS
+        records = sweep(
+            RunSpec(algorithm="kutten16", n=n, engine="sync", seeds=SEEDS)
         )
         ok = sum(r.unique_leader for r in records) / len(records)
         mean = sum(r.messages for r in records) / len(records)

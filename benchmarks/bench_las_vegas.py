@@ -12,8 +12,7 @@ Reproduced shape:
   fewer restarts for more compete messages (DESIGN.md ablation #3).
 """
 
-from repro.analysis import Table, sweep_sync
-from repro.core import LasVegasElection
+from repro.analysis import RunSpec, Table, sweep
 from repro.lowerbound import bounds
 
 from _harness import bench_once, emit
@@ -29,7 +28,9 @@ def run_sweep():
     )
     stats = []
     for n in NS:
-        records = sweep_sync([n], lambda n_: (lambda: LasVegasElection()), seeds=SEEDS)
+        records = sweep(
+            RunSpec(algorithm="las_vegas", n=n, engine="sync", seeds=SEEDS)
+        )
         assert all(r.unique_leader for r in records)
         three_round = sum(r.time == 3 for r in records) / len(records)
         mean = sum(r.messages for r in records) / len(records)
@@ -52,10 +53,14 @@ def run_ablation():
         title="Ablation: candidate probability constant (c * ln n / n)",
     )
     for coeff in (0.5, 2.0, 8.0):
-        records = sweep_sync(
-            [n],
-            lambda n_: (lambda: LasVegasElection(candidate_coeff=coeff)),
-            seeds=list(range(8)),
+        records = sweep(
+            RunSpec(
+                algorithm="las_vegas",
+                n=n,
+                engine="sync",
+                seeds=range(8),
+                params={"candidate_coeff": coeff},
+            )
         )
         assert all(r.unique_leader for r in records)
         mean = sum(r.messages for r in records) / len(records)

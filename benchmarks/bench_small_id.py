@@ -13,8 +13,9 @@ Reproduced shape:
   curve that binds large-universe algorithms.
 """
 
+import random
 
-from repro.analysis import Table, sweep_sync
+from repro.analysis import RunSpec, Table, sweep
 from repro.core import SmallIdElection
 from repro.ids import assign_random, small_universe
 from repro.lowerbound import bounds
@@ -34,11 +35,18 @@ def run_sweep():
     rows = []
     for n in NS:
         for d in DS:
-            records = sweep_sync(
-                [n],
-                lambda n_: (lambda: SmallIdElection(d=d, g=G)),
-                seeds=[0, 1, 2],
-                ids_for_n=lambda n_, rng: assign_random(small_universe(n_, G), n_, rng),
+            records = sweep(
+                RunSpec(
+                    algorithm="small_id",
+                    n=n,
+                    engine="sync",
+                    seeds=(seed,),
+                    params={"d": d, "g": G},
+                    ids=assign_random(
+                        small_universe(n, G), n, random.Random(f"{n}:{seed}:workload")
+                    ),
+                )
+                for seed in (0, 1, 2)
             )
             for r in records:
                 assert r.unique_leader

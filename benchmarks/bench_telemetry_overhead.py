@@ -8,7 +8,7 @@ workload (batched ``improved_tradeoff`` sweeps):
 
 * **off-arm parity** (full mode): the telemetry-disabled batched run
   stays within **5%** of an interleaved reference measurement of the
-  identical PR 5 batch path (same ``run_fast_batch`` call — the disabled
+  identical batch path (same batched ``execute_spec`` call — the disabled
   hooks are just ``None`` tests);
 * **on-arm budget** (full mode): enabling :class:`FastTelemetry`
   aggregate counters costs at most **15%** per-seed wall time over the
@@ -57,7 +57,7 @@ def _median(values):
 
 
 def run_sweep(points, reps):
-    from repro.analysis import Table, run_fast_batch
+    from repro.analysis import RunSpec, Table, execute_spec
     from repro.telemetry import FastTelemetry
 
     table = Table(
@@ -68,11 +68,12 @@ def run_sweep(points, reps):
     rows = []
     for n, ell, batch in points:
         seeds = list(range(batch))
-        kwargs = dict(seeds=seeds, params={"ell": ell})
+        spec = RunSpec(algorithm="improved_tradeoff", n=n, engine="fast",
+                       seeds=seeds, batch=batch, params={"ell": ell})
 
         def _timed(**extra):
             t0 = time.perf_counter()
-            records = run_fast_batch(n, "improved_tradeoff", **kwargs, **extra)
+            records = execute_spec(spec, **extra)
             return (time.perf_counter() - t0) / batch, records
 
         # Interleave the arms so drift in machine load hits all three.

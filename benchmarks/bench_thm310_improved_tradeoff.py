@@ -9,9 +9,9 @@ Reproduced shape:
 * the fitted message exponent over an n-sweep matches ``1 + 2/(ℓ+1)``.
 """
 
+import random
 
-from repro.analysis import Table, fit_power_law, sweep_sync
-from repro.core import ImprovedTradeoffElection
+from repro.analysis import RunSpec, Table, fit_power_law, sweep
 from repro.ids import assign_random, tradeoff_universe
 from repro.lowerbound import bounds
 
@@ -21,10 +21,6 @@ NS = [256, 512, 1024, 2048, 4096]
 ELLS = [3, 5, 7, 9]
 
 
-def ids_for_n(n, rng):
-    return assign_random(tradeoff_universe(n), n, rng)
-
-
 def run_sweep():
     table = Table(
         ["ell", "n", "rounds", "messages", "paper bound", "used/bound"],
@@ -32,11 +28,17 @@ def run_sweep():
     )
     fits = {}
     for ell in ELLS:
-        records = sweep_sync(
-            NS,
-            lambda n: (lambda: ImprovedTradeoffElection(ell=ell)),
-            seeds=[0],
-            ids_for_n=ids_for_n,
+        records = sweep(
+            RunSpec(
+                algorithm="improved_tradeoff",
+                n=n,
+                engine="sync",
+                params={"ell": ell},
+                ids=assign_random(
+                    tradeoff_universe(n), n, random.Random(f"{n}:0:workload")
+                ),
+            )
+            for n in NS
         )
         for r in records:
             assert r.unique_leader

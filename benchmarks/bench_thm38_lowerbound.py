@@ -19,8 +19,10 @@ A lower bound is reproduced three ways:
    broadcast round.
 """
 
-from repro.analysis import Table, sweep_sync
-from repro.core import AfekGafniElection, ImprovedTradeoffElection
+import random
+
+from repro.analysis import RunSpec, Table, sweep
+from repro.core import ImprovedTradeoffElection
 from repro.ids import assign_random, tradeoff_universe
 from repro.lowerbound import bounds, run_under_capacity_adversary
 
@@ -46,27 +48,25 @@ def run_formula_table():
 
 def run_dominance_check():
     rows = []
-    def ids_for_n(n, rng):
-        return assign_random(tradeoff_universe(n), n, rng)
-
-    for ell in (3, 5, 7):
-        for rec in sweep_sync(
-            [1024, 4096],
-            lambda n: (lambda: ImprovedTradeoffElection(ell=ell)),
-            seeds=[0],
-            ids_for_n=ids_for_n,
-        ):
-            lb = bounds.thm38_message_lb(rec.n, int(rec.time))
-            rows.append(("thm310", ell, rec.n, rec.messages, lb))
-    for ell in (4, 6):
-        for rec in sweep_sync(
-            [1024, 4096],
-            lambda n: (lambda: AfekGafniElection(ell=ell)),
-            seeds=[0],
-            ids_for_n=ids_for_n,
-        ):
-            lb = bounds.thm38_message_lb(rec.n, int(rec.time))
-            rows.append(("afek_gafni", ell, rec.n, rec.messages, lb))
+    for label, name, ells in (
+        ("thm310", "improved_tradeoff", (3, 5, 7)),
+        ("afek_gafni", "afek_gafni", (4, 6)),
+    ):
+        for ell in ells:
+            for rec in sweep(
+                RunSpec(
+                    algorithm=name,
+                    n=n,
+                    engine="sync",
+                    params={"ell": ell},
+                    ids=assign_random(
+                        tradeoff_universe(n), n, random.Random(f"{n}:0:workload")
+                    ),
+                )
+                for n in (1024, 4096)
+            ):
+                lb = bounds.thm38_message_lb(rec.n, int(rec.time))
+                rows.append((label, ell, rec.n, rec.messages, lb))
     table = Table(
         ["algorithm", "ell", "n", "measured msgs", "Thm 3.8 LB at its round count"],
         title="No deterministic algorithm beats the Theorem 3.8 floor",

@@ -11,9 +11,9 @@ Reproduced shape:
   all-roots adversary (the algorithm is tight).
 """
 
+import random
 
-from repro.analysis import Table, fit_power_law, sweep_sync
-from repro.core import AdversarialTwoRoundElection
+from repro.analysis import RunSpec, Table, fit_power_law, sweep
 from repro.lowerbound import bounds
 from repro.mathutil import ceil_sqrt
 
@@ -38,11 +38,18 @@ def run_sweep():
             ("n/2", n // 2),
             ("n", n),
         ):
-            records = sweep_sync(
-                [n],
-                lambda n_: (lambda: AdversarialTwoRoundElection(epsilon=EPS)),
-                seeds=SEEDS,
-                awake_for_n=lambda n_, rng, rc=root_count: rng.sample(range(n_), rc),
+            records = sweep(
+                RunSpec(
+                    algorithm="adversarial_2round",
+                    n=n,
+                    engine="sync",
+                    seeds=(seed,),
+                    params={"epsilon": EPS},
+                    awake=random.Random(f"{n}:{seed}:workload").sample(
+                        range(n), root_count
+                    ),
+                )
+                for seed in SEEDS
             )
             rate = sum(r.unique_leader for r in records) / len(records)
             mean = sum(r.messages for r in records) / len(records)

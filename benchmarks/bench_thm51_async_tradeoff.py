@@ -16,9 +16,7 @@ Also prints the γ (wake fan-out constant) ablation: DESIGN.md ablation #2.
 """
 
 
-from repro.analysis import Table, fit_power_law, sweep_async
-from repro.asyncnet import UnitDelayScheduler
-from repro.core import AsyncTradeoffElection
+from repro.analysis import RunSpec, Table, fit_power_law, sweep
 from repro.lowerbound import bounds
 
 from _harness import bench_once, emit
@@ -37,12 +35,15 @@ def run_sweep():
     for k in KS:
         wake_counts = []
         for n in NS:
-            records = sweep_async(
-                [n],
-                lambda n_: (lambda: AsyncTradeoffElection(k=k)),
-                seeds=SEEDS,
-                scheduler_for_n=lambda n_, rng: UnitDelayScheduler(),
-                max_events=8_000_000,
+            records = sweep(
+                RunSpec(
+                    algorithm="async_tradeoff",
+                    n=n,
+                    engine="async",
+                    seeds=SEEDS,
+                    params={"k": k},
+                    max_events=8_000_000,
+                )
             )
             rate = sum(r.unique_leader for r in records) / len(records)
             mean = sum(r.messages for r in records) / len(records)
@@ -59,12 +60,15 @@ def run_sweep():
 def run_reference_row():
     n = 4096
     kmax = bounds.thm51_max_k(n)
-    records = sweep_async(
-        [n],
-        lambda n_: (lambda: AsyncTradeoffElection(k=kmax)),
-        seeds=SEEDS,
-        scheduler_for_n=lambda n_, rng: UnitDelayScheduler(),
-        max_events=8_000_000,
+    records = sweep(
+        RunSpec(
+            algorithm="async_tradeoff",
+            n=n,
+            engine="async",
+            seeds=SEEDS,
+            params={"k": kmax},
+            max_events=8_000_000,
+        )
     )
     mean = sum(r.messages for r in records) / len(records)
     worst_time = max(r.time for r in records)
@@ -85,11 +89,15 @@ def run_gamma_ablation():
         title=f"Ablation: wake-up fan-out constant gamma (n={n}, k={k})",
     )
     for gamma in (0.5, 1.5, 3.0, 6.0):
-        records = sweep_async(
-            [n],
-            lambda n_: (lambda: AsyncTradeoffElection(k=k, gamma=gamma)),
-            seeds=list(range(6)),
-            max_events=8_000_000,
+        records = sweep(
+            RunSpec(
+                algorithm="async_tradeoff",
+                n=n,
+                engine="async",
+                seeds=range(6),
+                params={"k": k, "gamma": gamma},
+                max_events=8_000_000,
+            )
         )
         rate = sum(r.unique_leader for r in records) / len(records)
         awake = sum(r.awake for r in records) / (len(records) * n)
@@ -111,12 +119,15 @@ def test_bench_thm51_time_bound(benchmark):
     def run():
         bad = []
         for k in (2, 4):
-            records = sweep_async(
-                [1024],
-                lambda n_: (lambda: AsyncTradeoffElection(k=k)),
-                seeds=list(range(5)),
-                scheduler_for_n=lambda n_, rng: UnitDelayScheduler(),
-                max_events=8_000_000,
+            records = sweep(
+                RunSpec(
+                    algorithm="async_tradeoff",
+                    n=1024,
+                    engine="async",
+                    seeds=range(5),
+                    params={"k": k},
+                    max_events=8_000_000,
+                )
             )
             for r in records:
                 if r.unique_leader and r.time > bounds.thm51_time(k) + 1:

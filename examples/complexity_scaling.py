@@ -13,19 +13,28 @@ the fitted power laws:
 Run:  python examples/complexity_scaling.py
 """
 
-from repro.analysis import fit_power_law, scatter, sweep_sync
-from repro.core import ImprovedTradeoffElection, Kutten16Election, LasVegasElection
+import random
+
+from repro.analysis import RunSpec, fit_power_law, scatter, sweep
 from repro.ids import assign_random, tradeoff_universe
 
 NS = [128, 256, 512, 1024, 2048, 4096]
 
 
-def measure(factory_for_n, seeds=(0, 1)):
-    records = sweep_sync(
-        NS,
-        factory_for_n,
-        seeds=list(seeds),
-        ids_for_n=lambda n, rng: assign_random(tradeoff_universe(n), n, rng),
+def measure(algorithm, params, seeds=(0, 1)):
+    records = sweep(
+        RunSpec(
+            algorithm=algorithm,
+            n=n,
+            engine="sync",
+            seeds=(seed,),
+            params=params,
+            ids=assign_random(
+                tradeoff_universe(n), n, random.Random(f"{n}:{seed}:workload")
+            ),
+        )
+        for n in NS
+        for seed in seeds
     )
     by_n = {}
     for r in records:
@@ -37,13 +46,13 @@ def main() -> None:
     print("Sweeping n =", NS, "(two seeds per point)\n")
     series = {}
     fits = {}
-    for name, factory in (
-        ("thm3.10 ell=3", lambda n: (lambda: ImprovedTradeoffElection(ell=3))),
-        ("thm3.10 ell=9", lambda n: (lambda: ImprovedTradeoffElection(ell=9))),
-        ("las vegas", lambda n: (lambda: LasVegasElection())),
-        ("monte carlo [16]", lambda n: (lambda: Kutten16Election())),
+    for name, algorithm, params in (
+        ("thm3.10 ell=3", "improved_tradeoff", {"ell": 3}),
+        ("thm3.10 ell=9", "improved_tradeoff", {"ell": 9}),
+        ("las vegas", "las_vegas", {}),
+        ("monte carlo [16]", "kutten16", {}),
     ):
-        points = measure(factory)
+        points = measure(algorithm, params)
         series[name] = points
         fits[name] = fit_power_law([p[0] for p in points], [p[1] for p in points])
 

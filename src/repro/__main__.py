@@ -162,7 +162,7 @@ def cmd_list(_args: argparse.Namespace) -> int:
     for spec in ALGORITHMS.values():
         table.add_row(
             spec.name,
-            spec.engine,
+            "+".join(spec.engines),
             "yes" if spec.has_fast else "-",
             "+".join(spec.wakeup),
             spec.paper_ref,
@@ -186,9 +186,10 @@ def _ids_for(name: str, n: int, params: Dict[str, Any], rng: random.Random) -> O
 def cmd_run(args: argparse.Namespace) -> int:
     spec = get_algorithm(args.name)
     engine = spec.engine if args.engine == "auto" else args.engine
-    if engine in ("sync", "async") and engine != spec.engine:
+    if engine in ("sync", "async") and engine not in spec.engines:
         raise SystemExit(
-            f"error: {spec.name} runs on the {spec.engine} engine (got --engine {engine})"
+            f"error: {spec.name} runs on the {'+'.join(spec.engines)} engine "
+            f"(got --engine {engine})"
         )
     if engine == "fast":
         if spec.engine != "sync":
@@ -307,7 +308,7 @@ def cmd_run(args: argparse.Namespace) -> int:
                     ),
                     telemetry=telemetry,
                 )
-            elif spec.engine == "sync":
+            elif engine == "sync":
                 ids = _ids_for(args.name, args.n, params, rng)
                 awake = None
                 if args.roots is not None:
@@ -330,7 +331,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             else:
                 ids = _ids_for(args.name, args.n, params, rng)
                 wake_times = None
-                if args.name == "async_afek_gafni":
+                if spec.wakeup == ("simultaneous",):
                     wake_times = {u: 0.0 for u in range(args.n)}
                 elif args.roots is not None:
                     wake_times = {u: 0.0 for u in rng.sample(range(args.n), args.roots)}
@@ -514,54 +515,26 @@ def _build_fault_plan(args: argparse.Namespace):
     )
 
 
-def _fault_factory(name: str, engine: str, params: Dict[str, Any]):
-    """Factory for a faults run; the two fault algorithms are dual-engine."""
-    from repro.faults import (
-        AsyncMonarchicalElection,
-        AsyncReElectionElection,
-        MonarchicalElection,
-        ReElectionElection,
-    )
-
-    from repro.adversary import (
-        AsyncQuorumReElectionElection,
-        QuorumReElectionElection,
-    )
-
-    dual = {
-        "monarchical": (MonarchicalElection, AsyncMonarchicalElection),
-        "reelect": (ReElectionElection, AsyncReElectionElection),
-        "quorum_reelect": (QuorumReElectionElection, AsyncQuorumReElectionElection),
-    }
-    if name in dual:
-        cls = dual[name][0] if engine == "sync" else dual[name][1]
-        return lambda: cls(**params)
-    spec = get_algorithm(name)
-    if spec.engine != engine:
-        raise SystemExit(
-            f"error: {name} runs on the {spec.engine} engine (got --engine {engine})"
-        )
-    return spec.make(**params)
-
-
 def cmd_faults(args: argparse.Namespace) -> int:
     from repro.faults import run_failover_trial
 
-    engine = args.engine
-    if engine is None:
-        engine = get_algorithm(args.name).engine if args.name not in (
-            "monarchical",
-            "reelect",
-        ) else "sync"
+    spec = get_algorithm(args.name)
+    engine = args.engine or spec.engine
+    params = dict(kv.split("=", 1) for kv in args.param)
+    params = {k: _parse_param(v) for k, v in params.items()}
     try:
         plan = _build_fault_plan(args)
         plan.validate_for(args.n)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    params = dict(kv.split("=", 1) for kv in args.param)
-    params = {k: _parse_param(v) for k, v in params.items()}
-    factory = _fault_factory(args.name, engine, params)
+    try:
+        factory = spec.make(engine=engine, **params)
+        factory()  # eager validation: parameters, inner algorithm engine
+    except (KeyError, ValueError) as exc:
+        # A usage error, reported the way argparse reports one.
+        print(f"error: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
     table = Table(
         [
             "seed",
@@ -943,23 +916,13 @@ def _adversary_fault_plan(args: argparse.Namespace, adversary):
 
 
 def _adversary_factory(args: argparse.Namespace, engine: str):
-    from repro.adversary import (
-        AsyncQuorumReElectionElection,
-        QuorumReElectionElection,
-    )
-    from repro.faults import AsyncReElectionElection, ReElectionElection
-
-    inner = args.inner
+    params: Dict[str, Any] = {}
+    if args.inner:
+        params["inner"] = args.inner
     if args.no_quorum:
-        if engine == "sync":
-            return lambda: ReElectionElection(inner=inner or "afek_gafni")
-        return lambda: AsyncReElectionElection(inner=inner or "async_tradeoff")
-    if engine == "sync":
-        return lambda: QuorumReElectionElection(
-            inner=inner or "afek_gafni", threshold=args.threshold
-        )
-    return lambda: AsyncQuorumReElectionElection(
-        inner=inner or "async_tradeoff", threshold=args.threshold
+        return get_algorithm("reelect").make(engine=engine, **params)
+    return get_algorithm("quorum_reelect").make(
+        engine=engine, threshold=args.threshold, **params
     )
 
 

@@ -8,16 +8,7 @@ paper-bound columns next to measured columns.
 
 from repro.analysis.fit import PowerLawFit, fit_power_law, fit_polylog
 from repro.analysis.plot import bar_chart, scatter
-from repro.analysis.runner import (
-    RunRecord,
-    run_async_trial,
-    run_fast_batch,
-    run_fast_trial,
-    run_sync_trial,
-    sweep_async,
-    sweep_fast,
-    sweep_sync,
-)
+from repro.analysis.runner import RunRecord
 from repro.analysis.stats import Summary, success_rate, summarize
 from repro.sweep.api import execute_spec, run, sweep
 from repro.sweep.spec import RunSpec, canonical_record
@@ -38,13 +29,6 @@ __all__ = [
     "sweep",
     "execute_spec",
     "canonical_record",
-    "run_sync_trial",
-    "run_async_trial",
-    "run_fast_trial",
-    "run_fast_batch",
-    "sweep_sync",
-    "sweep_async",
-    "sweep_fast",
     "Summary",
     "summarize",
     "success_rate",

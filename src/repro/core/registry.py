@@ -3,7 +3,10 @@
 Used by the experiment runner, the benchmark harness and the examples to
 construct algorithms uniformly.  Each entry records which engine the
 algorithm runs under and which wake-up regimes it supports, so harness
-code can refuse meaningless combinations early.
+code can refuse meaningless combinations early.  The fault-layer
+entries (``monarchical``, ``reelect``, ``quorum_reelect``) also carry
+their asynchronous twin: this module is the one place that maps an
+algorithm name to the class each object engine runs.
 """
 
 from __future__ import annotations
@@ -19,9 +22,12 @@ from repro.core.improved_tradeoff import ImprovedTradeoffElection
 from repro.core.kutten16 import Kutten16Election
 from repro.core.las_vegas import LasVegasElection
 from repro.core.small_id import SmallIdElection
-from repro.adversary.quorum import QuorumReElectionElection
-from repro.faults.monarchical import MonarchicalElection
-from repro.faults.reelect import ReElectionElection
+from repro.adversary.quorum import (
+    AsyncQuorumReElectionElection,
+    QuorumReElectionElection,
+)
+from repro.faults.monarchical import AsyncMonarchicalElection, MonarchicalElection
+from repro.faults.reelect import AsyncReElectionElection, ReElectionElection
 
 __all__ = ["AlgorithmSpec", "ALGORITHMS", "get_algorithm"]
 
@@ -38,10 +44,30 @@ class AlgorithmSpec:
     paper_ref: str
     messages_formula: str
     time_formula: str
+    #: The asynchronous twin of a sync entry (fault-layer wrappers only).
+    async_factory: Optional[Callable[..., Any]] = None
 
-    def make(self, **params: Any) -> Callable[[], Any]:
-        """A zero-argument factory suitable for the engines."""
-        return lambda: self.factory(**params)
+    @property
+    def engines(self) -> Tuple[str, ...]:
+        """The object engines this algorithm has a class for."""
+        if self.async_factory is None:
+            return (self.engine,)
+        return (self.engine, "async")
+
+    def make(self, *, engine: Optional[str] = None, **params: Any) -> Callable[[], Any]:
+        """A zero-argument factory for ``engine`` (default: the home engine).
+
+        Raises ``ValueError`` when the algorithm has no class for that
+        engine.
+        """
+        engine = engine or self.engine
+        if engine not in self.engines:
+            raise ValueError(
+                f"{self.name} runs on the {'+'.join(self.engines)} engine, "
+                f"not {engine}"
+            )
+        cls = self.async_factory if engine != self.engine else self.factory
+        return lambda: cls(**params)
 
     @property
     def has_fast(self) -> bool:
@@ -181,6 +207,7 @@ ALGORITHMS: Dict[str, AlgorithmSpec] = {
         AlgorithmSpec(
             name="monarchical",
             factory=MonarchicalElection,
+            async_factory=AsyncMonarchicalElection,
             engine="sync",
             deterministic=True,
             wakeup=("simultaneous",),
@@ -191,6 +218,7 @@ ALGORITHMS: Dict[str, AlgorithmSpec] = {
         AlgorithmSpec(
             name="reelect",
             factory=ReElectionElection,
+            async_factory=AsyncReElectionElection,
             engine="sync",
             deterministic=False,  # depends on the wrapped inner algorithm
             wakeup=("simultaneous", "adversarial"),
@@ -201,6 +229,7 @@ ALGORITHMS: Dict[str, AlgorithmSpec] = {
         AlgorithmSpec(
             name="quorum_reelect",
             factory=QuorumReElectionElection,
+            async_factory=AsyncQuorumReElectionElection,
             engine="sync",
             deterministic=False,  # depends on the wrapped inner algorithm
             wakeup=("simultaneous", "adversarial"),

@@ -86,9 +86,15 @@ COORD = "ree_coord"
 
 
 def _resolve_factory(
-    inner: Union[str, Callable[[], Any]], inner_params: Optional[Dict[str, Any]]
+    inner: Union[str, Callable[[], Any]],
+    inner_params: Optional[Dict[str, Any]],
+    engine: str,
 ) -> Callable[[], Any]:
-    """Accept a registry name or a zero-argument factory."""
+    """Accept a registry name or a zero-argument factory.
+
+    A name resolves to its ``engine`` class, so an inner election that
+    cannot run on the wrapper's engine fails here, at construction.
+    """
     if callable(inner):
         if inner_params:
             raise ValueError("inner_params only apply to registry names")
@@ -96,7 +102,7 @@ def _resolve_factory(
     from repro.core import get_algorithm  # deferred: registry imports us
 
     spec = get_algorithm(inner)
-    return spec.make(**(inner_params or {}))
+    return spec.make(engine=engine, **(inner_params or {}))
 
 
 # --------------------------------------------------------------------- #
@@ -181,7 +187,7 @@ class ReElectionElection(SyncAlgorithm):
             raise ValueError("restart_rounds must be >= 0 (0 disables the timeout)")
         params = dict(inner_params or {})
         params.update(extra_inner_params)
-        self.factory = _resolve_factory(inner, params if params else None)
+        self.factory = _resolve_factory(inner, params if params else None, "sync")
         self.commit_rounds = commit_rounds
         self.restart_rounds = restart_rounds
         self.epoch = -1
@@ -495,7 +501,7 @@ class AsyncReElectionElection(AsyncAlgorithm):
             raise ValueError("restart_delay must be >= 0 (0 disables the timeout)")
         params = dict(inner_params or {})
         params.update(extra_inner_params)
-        self.factory = _resolve_factory(inner, params if params else None)
+        self.factory = _resolve_factory(inner, params if params else None, "async")
         self.commit_delay = commit_delay
         self.poll_interval = poll_interval
         if restart_delay is None:

@@ -302,27 +302,22 @@ class ScenarioRunner:
         return None
 
     def _reelect_factory(self):
-        if self.engine == "sync":
-            if self.quorum:
-                from repro.adversary import QuorumReElectionElection as cls
-            else:
-                from repro.faults import ReElectionElection as cls
+        from repro.core.registry import get_algorithm
 
-            return lambda: cls(
-                inner=self.inner,
+        if self.engine == "sync":
+            timing = dict(
                 commit_rounds=self.commit_rounds,
                 restart_rounds=self.restart_rounds,
             )
-        if self.quorum:
-            from repro.adversary import AsyncQuorumReElectionElection as acls
         else:
-            from repro.faults import AsyncReElectionElection as acls
-
-        return lambda: acls(
-            inner=self.inner,
-            commit_delay=self.commit_delay,
-            poll_interval=self.poll_interval,
-            restart_delay=self.restart_delay,
+            timing = dict(
+                commit_delay=self.commit_delay,
+                poll_interval=self.poll_interval,
+                restart_delay=self.restart_delay,
+            )
+        name = "quorum_reelect" if self.quorum else "reelect"
+        return get_algorithm(name).make(
+            engine=self.engine, inner=self.inner, **timing
         )
 
     @staticmethod

@@ -1,12 +1,13 @@
 """``run(spec)`` / ``sweep(grid)``: the unified execution entrypoints.
 
 :func:`execute_spec` is the one place a :class:`RunSpec` turns into
-engine runs — sync, async and fast specs all dispatch here, and the
-legacy ``run_*_trial`` / ``sweep_*`` shims, the CLI and the sweep
-scheduler's worker processes are all thin layers over it.  :func:`run`
-executes a single-seed spec; :func:`sweep` fans a spec grid out over the
-sharded scheduler (``workers=1`` degrades to a plain in-process loop and
-stays bit-identical to any worker count).
+engine runs — sync, async and fast specs all dispatch here, and it
+flattens each engine result into a :class:`~repro.analysis.RunRecord`.
+The CLI, benches, examples and the sweep scheduler's worker processes
+are all thin layers over it.  :func:`run` executes a single-seed spec;
+:func:`sweep` fans a spec grid out over the sharded scheduler
+(``workers=1`` degrades to a plain in-process loop and stays
+bit-identical to any worker count).
 """
 
 from __future__ import annotations
@@ -17,15 +18,12 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Union
 
 from repro.sweep.scheduler import SweepCell, run_cells
 from repro.sweep.spec import RunSpec
+from repro.telemetry.metrics import run_metrics
 
 if False:  # import cycle guard: repro.analysis re-exports this module
     from repro.analysis.runner import RunRecord  # noqa: F401
 
 __all__ = ["run", "sweep", "execute_spec"]
-
-#: Dual-engine fault-layer algorithms: the registry lists the sync class,
-#: the async twin is resolved here (mirrors the ``repro faults`` CLI).
-_DUAL_ENGINE = ("monarchical", "reelect", "quorum_reelect")
 
 
 def _object_factory(spec: RunSpec, engine: str) -> Callable[[], Any]:
@@ -38,40 +36,110 @@ def _object_factory(spec: RunSpec, engine: str) -> Callable[[], Any]:
             f"RunSpec.algorithm must be a registry name or a zero-argument "
             f"factory for the {engine} engine, got {type(algorithm).__name__}"
         )
-    name, params = algorithm, spec.params
-    if spec.quorum and name != "quorum_reelect":
+    from repro.core.registry import get_algorithm
+
+    if spec.quorum and algorithm != "quorum_reelect":
         # Quorum-safe wrapping: the named algorithm becomes the inner
         # election of the quorum_reelect wrapper; params configure the
         # wrapper (e.g. threshold=).
-        from repro.adversary import (
-            AsyncQuorumReElectionElection,
-            QuorumReElectionElection,
+        return get_algorithm("quorum_reelect").make(
+            engine=engine, inner=algorithm, **spec.params
         )
+    return get_algorithm(algorithm).make(engine=engine, **spec.params)
 
-        cls = (
-            QuorumReElectionElection if engine == "sync"
-            else AsyncQuorumReElectionElection
-        )
-        return lambda: cls(inner=name, **params)
-    if engine == "async" and name in _DUAL_ENGINE:
-        from repro.adversary import AsyncQuorumReElectionElection
-        from repro.faults import AsyncMonarchicalElection, AsyncReElectionElection
 
-        cls = {
-            "monarchical": AsyncMonarchicalElection,
-            "reelect": AsyncReElectionElection,
-            "quorum_reelect": AsyncQuorumReElectionElection,
-        }[name]
-        return lambda: cls(**params)
-    from repro.core.registry import get_algorithm
+def _fault_extra(result: Any, extra: Dict[str, Any]) -> Dict[str, Any]:
+    """Merge failure accounting into a record's ``extra`` when present."""
+    if result.crashed or result.fault_metrics is not None:
+        extra["crashed"] = list(result.crashed)
+        extra["unique_surviving_leader"] = result.unique_surviving_leader
+        extra["surviving_leader_id"] = result.surviving_leader_id
+        extra["fault_metrics"] = result.fault_metrics
+    extra["metrics"] = run_metrics(result).as_dict()
+    return extra
 
-    registry_spec = get_algorithm(name)
-    if registry_spec.engine != engine and name not in _DUAL_ENGINE:
-        raise ValueError(
-            f"{name} runs on the {registry_spec.engine} engine "
-            f"(spec resolved to {engine!r})"
-        )
-    return registry_spec.make(**params)
+
+def _sync_record(n: int, seed: int, result: Any, params: Dict[str, Any]) -> "RunRecord":
+    from repro.analysis.runner import RunRecord
+
+    return RunRecord(
+        n=n,
+        seed=seed,
+        messages=result.messages,
+        time=float(result.last_send_round),
+        unique_leader=result.unique_leader,
+        elected_id=result.elected_id,
+        leaders=len(result.leaders),
+        decided=result.decided_count,
+        awake=result.awake_count,
+        params=dict(params),
+        extra=_fault_extra(result, {"rounds_executed": result.rounds_executed}),
+    )
+
+
+def _async_record(n: int, seed: int, result: Any, params: Dict[str, Any]) -> "RunRecord":
+    from repro.analysis.runner import RunRecord
+
+    return RunRecord(
+        n=n,
+        seed=seed,
+        messages=result.messages,
+        time=result.time,
+        unique_leader=result.unique_leader,
+        elected_id=result.elected_id,
+        leaders=len(result.leaders),
+        decided=result.decided_count,
+        awake=result.awake_count,
+        params=dict(params),
+        extra=_fault_extra(result, {"events": result.events}),
+    )
+
+
+def _fast_algorithm(algorithm: Any, params: Optional[Dict[str, Any]]) -> Any:
+    """The vector algorithm a fast spec names, builds or carries."""
+    from repro.fastsync import get_fast_algorithm
+
+    if isinstance(algorithm, str):
+        return get_fast_algorithm(algorithm)(**(params or {}))
+    if callable(algorithm):
+        return algorithm()
+    return algorithm
+
+
+def _fast_record(
+    n: int, seed: int, result: Any, params: Optional[Dict[str, Any]]
+) -> "RunRecord":
+    from repro.analysis.runner import RunRecord
+
+    record = RunRecord(
+        n=n,
+        seed=seed,
+        messages=result.messages,
+        time=float(result.last_send_round),
+        unique_leader=result.unique_leader,
+        elected_id=result.elected_id,
+        leaders=len(result.leaders),
+        decided=result.decided_count,
+        awake=result.awake_count,
+        params=dict(params or {}),
+        extra={
+            "rounds_executed": result.rounds_executed,
+            "engine": "fast",
+            "mode": result.mode,
+            "wall_time_s": result.wall_time_s,
+        },
+    )
+    if result.crashed or result.fault_metrics is not None:
+        record.extra["crashed"] = list(result.crashed)
+        record.extra["unique_surviving_leader"] = result.unique_surviving_leader
+        record.extra["surviving_leader_id"] = result.surviving_leader_id
+        record.extra["fault_metrics"] = result.fault_metrics
+        record.extra["leader_nodes"] = list(result.leaders)
+        record.extra["leader_ids"] = list(result.leader_ids)
+    if result.outputs is not None:
+        record.extra["outputs"] = list(result.outputs)
+    record.extra["metrics"] = run_metrics(result).as_dict()
+    return record
 
 
 def _trace_recorder(spec: RunSpec, engine: str, recorder: Optional[Any]):
@@ -103,7 +171,6 @@ def _execute_object(
     scheduler: Optional[Any],
     keep_result: bool,
 ) -> List["RunRecord"]:
-    from repro.analysis.runner import _async_record, _sync_record
     from repro.asyncnet.engine import AsyncNetwork
     from repro.sync.engine import SyncNetwork
 
@@ -165,7 +232,6 @@ def _fast_profiler(spec: RunSpec) -> Optional[Any]:
 def _execute_fast(
     spec: RunSpec, *, telemetry: Optional[Any], keep_result: bool
 ) -> List["RunRecord"]:
-    from repro.analysis.runner import _fast_algorithm, _fast_record
     from repro.fastsync import FastSyncNetwork
 
     faults = spec.effective_faults()

@@ -1,20 +1,18 @@
 """RunSpec: one declarative, picklable description of an election run.
 
-The seven legacy runner entrypoints (``run_sync_trial`` …
-``sweep_async``) each encoded one engine's keyword soup.  A
-:class:`RunSpec` is the union of that configuration space as plain
-data — algorithm, clique size, engine, seeds, parameters, fault and
-adversary plans, trace/profile flags — with two properties the legacy
-functions never had:
+A :class:`RunSpec` is the whole configuration space of the three
+engines as plain data — algorithm, clique size, engine, seeds,
+parameters, fault and adversary plans, trace/profile flags — with two
+properties:
 
 * **picklable**: a spec (and the :class:`~repro.analysis.RunRecord` rows
   it produces) crosses process boundaries, which is what lets the sweep
   scheduler shard a grid across workers (``algorithm`` is normally a
   registry *name*; zero-argument factories are accepted for in-process
   runs but pin their cells to the parent process);
-* **uniform**: ``run(spec)`` and ``sweep(grid)`` replace the per-engine
-  entrypoints, so every bench, table and CLI path schedules through one
-  executor.
+* **uniform**: ``run(spec)`` and ``sweep(grid)`` are the one front door
+  for every engine, so every bench, table and CLI path schedules
+  through one executor.
 
 Specs are frozen; derive variants with :func:`dataclasses.replace`.
 """

@@ -7,7 +7,7 @@ The pieces:
   recorder goes today.
 * :mod:`repro.telemetry.metrics` — counters/gauges/histograms and
   :func:`run_metrics`, merged into ``RunRecord.extra["metrics"]`` by
-  ``analysis.runner``.
+  ``sweep.api``.
 * :mod:`repro.telemetry.fast` — lane-aware aggregate counters for the
   vectorized engine (:class:`FastTelemetry`) and the sampled-lane tracer
   (:func:`trace_fast_lane`) that replays one lane on the object engine

@@ -35,7 +35,8 @@ class FastTelemetry:
     """Lane-aware aggregate counters for one fast-engine execution.
 
     Attach via ``FastSyncNetwork(..., telemetry=FastTelemetry())`` (or
-    ``run_fast_trial(..., telemetry=...)``).  Single runs record under
+    ``run(spec, telemetry=...)`` on a fast :class:`~repro.sweep.RunSpec`).
+    Single runs record under
     lane ``0``; batch runs record one stream per lane.  All values are
     plain Python ints, so the object is JSON-safe after the run.
     """

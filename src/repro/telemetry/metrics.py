@@ -6,7 +6,7 @@ gauges (last value wins) and histograms (summary statistics over
 observations).  :func:`run_metrics` derives the standard election
 metrics from any engine result — messages per round, rounds to decide,
 per-phase message breakdown, tampered/dropped deliveries — and
-``analysis.runner`` merges them into ``RunRecord.extra["metrics"]``, so
+``sweep.api`` merges them into ``RunRecord.extra["metrics"]``, so
 every sweep, bench and scenario gets them for free.
 """
 

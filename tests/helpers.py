@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 from repro.common import SimulationLimitExceeded
 from repro.sync.engine import SyncNetwork
@@ -12,6 +16,17 @@ def make_ids(n: int, seed: int = 0, spread: int = 8) -> list:
     """A scrambled ID assignment from a Θ(n·spread) universe."""
     rng = random.Random(f"ids:{n}:{seed}")
     return rng.sample(range(1, spread * n + 1), n)
+
+
+def run_cli(*argv: str) -> subprocess.CompletedProcess:
+    """``python -m repro ARGV`` in a fresh interpreter (exit code, streams)."""
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "repro", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
 
 
 def run_sync(n, factory, *, seed=0, ids=None, awake=None, port_map=None, max_rounds=None):
@@ -73,9 +88,8 @@ def assert_twin_run(spec):
     it too, and the helper returns ``(None, None)``.  Otherwise it
     returns ``(fast_result, obj_result)`` for extra assertions.
     """
-    from repro.analysis.runner import _fast_algorithm
     from repro.fastsync import FastSyncNetwork
-    from repro.sweep.api import _object_factory
+    from repro.sweep.api import _fast_algorithm, _object_factory
 
     if len(spec.seeds) != 1 or spec.batch is not None:
         raise ValueError("assert_twin_run compares one seed at a time")

@@ -1,22 +1,23 @@
 """Stats, tables, runner and validation helpers (repro.analysis)."""
 
+import random
+
 import pytest
 
 from repro.analysis import (
     RunRecord,
+    RunSpec,
     Table,
     agreement_ok,
     assert_unique_leader,
     election_valid,
     format_quantity,
-    run_async_trial,
-    run_sync_trial,
+    run,
     success_rate,
     summarize,
-    sweep_async,
-    sweep_sync,
+    sweep,
 )
-from repro.core import AsyncTradeoffElection, ImprovedTradeoffElection
+from repro.core import ImprovedTradeoffElection
 
 
 class TestSummarize:
@@ -87,8 +88,11 @@ class TestTable:
 
 class TestRunner:
     def test_sync_trial_record(self):
-        rec = run_sync_trial(
-            64, lambda: ImprovedTradeoffElection(ell=3), seed=1, params={"ell": 3}
+        rec = run(
+            RunSpec(
+                algorithm="improved_tradeoff", n=64, engine="sync", seeds=(1,),
+                params={"ell": 3},
+            )
         )
         assert isinstance(rec, RunRecord)
         assert rec.n == 64
@@ -98,51 +102,62 @@ class TestRunner:
         assert rec.extra["rounds_executed"] == 4
 
     def test_async_trial_record(self):
-        rec = run_async_trial(64, lambda: AsyncTradeoffElection(k=2), seed=1)
+        rec = run(
+            RunSpec(
+                algorithm="async_tradeoff", n=64, engine="async", seeds=(1,),
+                params={"k": 2},
+            )
+        )
         assert rec.n == 64
         assert rec.messages > 0
         assert rec.extra["events"] > 0
 
-    def test_sweep_sync_grid(self):
-        records = sweep_sync(
-            [16, 32], lambda n: (lambda: ImprovedTradeoffElection(ell=3)), seeds=[0, 1]
+    def test_sync_grid_sweep(self):
+        records = sweep(
+            RunSpec(
+                algorithm="improved_tradeoff", n=n, engine="sync", seeds=(0, 1),
+                params={"ell": 3},
+            )
+            for n in (16, 32)
         )
         assert len(records) == 4
         assert [r.n for r in records] == [16, 16, 32, 32]
 
-    def test_sweep_sync_deterministic(self):
+    def test_sync_sweep_deterministic(self):
         def go():
-            return sweep_sync(
-                [32],
-                lambda n: (lambda: ImprovedTradeoffElection(ell=3)),
-                seeds=[5],
-                ids_for_n=lambda n, rng: rng.sample(range(1, 10 * n), n),
+            rng = random.Random("32:5:workload")
+            return sweep(
+                RunSpec(
+                    algorithm="improved_tradeoff", n=32, engine="sync", seeds=(5,),
+                    params={"ell": 3}, ids=rng.sample(range(1, 10 * 32), 32),
+                )
             )
 
         a, b = go(), go()
         assert a[0].messages == b[0].messages
         assert a[0].elected_id == b[0].elected_id
 
-    def test_sweep_sync_awake_hook(self):
-        from repro.core import AdversarialTwoRoundElection
-
-        records = sweep_sync(
-            [64],
-            lambda n: (lambda: AdversarialTwoRoundElection(epsilon=0.1)),
-            seeds=[0],
-            awake_for_n=lambda n, rng: [0, 1],
+    def test_sync_sweep_awake_subset(self):
+        records = sweep(
+            RunSpec(
+                algorithm="adversarial_2round", n=64, engine="sync",
+                params={"epsilon": 0.1}, awake=[0, 1],
+            )
         )
         assert records[0].awake >= 2
 
-    def test_sweep_async_scheduler_hook(self):
+    def test_async_run_scheduler(self):
         from repro.asyncnet import RushScheduler
 
-        records = sweep_async(
-            [32],
-            lambda n: (lambda: AsyncTradeoffElection(k=2)),
-            seeds=[0],
-            scheduler_for_n=lambda n, rng: RushScheduler(),
-        )
+        records = [
+            run(
+                RunSpec(
+                    algorithm="async_tradeoff", n=32, engine="async",
+                    params={"k": 2},
+                ),
+                scheduler=RushScheduler(),
+            )
+        ]
         assert records[0].time < 0.01
 
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.__main__ import main
+from repro.core import ALGORITHMS
 
 
 class TestList:
@@ -20,6 +21,19 @@ class TestList:
             "async_afek_gafni",
         ):
             assert name in out
+
+    def test_engine_column_lists_the_async_twins(self, capsys):
+        assert main(["list"]) == 0
+        rows = {
+            line.split()[0]: line.split()[1]
+            for line in capsys.readouterr().out.splitlines()[3:]
+        }
+        assert set(rows) == set(ALGORITHMS)
+        for name, engine in rows.items():
+            if name in ("monarchical", "reelect", "quorum_reelect"):
+                assert engine == "sync+async"
+            else:
+                assert engine == ALGORITHMS[name].engine
 
 
 class TestRun:
@@ -64,6 +78,15 @@ class TestRun:
         assert main(["run", "async_afek_gafni", "--n", "32"]) == 0
         out = capsys.readouterr().out
         assert "yes" in out
+
+    def test_run_monarchical_on_its_async_twin(self, capsys):
+        # Simultaneous wake-up per the registry: every node polls, and
+        # the detector-driven election settles on one leader.
+        assert main(["run", "monarchical", "--n", "16", "--engine", "async"]) == 0
+        out = capsys.readouterr().out
+        assert "engine=async" in out
+        seed, unique, _elected, _msgs, _time, decided = out.splitlines()[-1].split()
+        assert (seed, unique, decided) == ("0", "yes", "16")
 
     def test_run_small_id_gets_small_universe(self, capsys):
         assert main(["run", "small_id", "--n", "64", "--param", "d=8"]) == 0

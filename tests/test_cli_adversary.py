@@ -6,6 +6,8 @@ import pytest
 
 from repro.__main__ import build_parser, main
 
+from tests.helpers import run_cli
+
 
 class TestParsing:
     def test_run_flags_parse(self):
@@ -130,3 +132,19 @@ class TestSweep:
         metrics = payload["metrics"]
         assert metrics["n=8/byzantine_messages"] > metrics["n=8/honest_messages"]
         assert metrics["n=8/overhead"] > 1.0
+
+
+class TestInnerEngineMismatch:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--engine", "async", "--inner", "afek_gafni"],
+            ["--inner", "async_tradeoff"],
+        ],
+    )
+    def test_one_line_error_without_traceback(self, argv):
+        proc = run_cli("adversary", "run", "--n", "16", *argv)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ")
+        assert proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr

@@ -4,6 +4,8 @@ import pytest
 
 from repro.__main__ import build_parser, main
 
+from tests.helpers import run_cli
+
 
 class TestParsing:
     def test_crash_spec(self):
@@ -79,6 +81,14 @@ class TestRuns:
     def test_engine_mismatch_errors(self):
         with pytest.raises(SystemExit):
             main(["faults", "las_vegas", "--engine", "async"])
+
+    def test_inner_engine_mismatch_is_a_one_line_error(self):
+        proc = run_cli(
+            "faults", "reelect", "--n", "16", "--engine", "async",
+            "--param", "inner=afek_gafni",
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == "error: afek_gafni runs on the sync engine, not async\n"
 
     def test_eventually_perfect_flags(self, capsys):
         assert (

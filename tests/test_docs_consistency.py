@@ -167,7 +167,7 @@ class TestApiDoc:
         """Keyword arguments named in the signature blocks must exist."""
         import inspect
 
-        from repro.analysis import run_fast_batch, run_fast_trial, sweep_fast
+        from repro.analysis import RunSpec, run
         from repro.fastsync import FastSyncNetwork
         from repro.scenarios import ScenarioRunner, run_scenario_batch
 
@@ -175,10 +175,9 @@ class TestApiDoc:
             (FastSyncNetwork.__init__,
              {"ids", "seed", "seeds", "batch", "mode", "exact_limit",
               "max_rounds", "crashes", "lane_crashes", "roots"}),
-            (run_fast_trial, {"seed", "ids", "mode", "crashes", "roots"}),
-            (run_fast_batch, {"seeds", "ids", "mode", "crashes",
-                              "lane_crashes", "roots"}),
-            (sweep_fast, {"seeds", "batch"}),
+            (RunSpec, {"seeds", "batch", "ids", "mode", "crashes",
+                       "lane_crashes", "roots", "profile"}),
+            (run, {"recorder", "telemetry", "scheduler", "keep_result"}),
             (ScenarioRunner.__init__,
              {"engine", "seed", "inner", "lag", "quorum"}),
             (run_scenario_batch, {"engine"}),

@@ -8,17 +8,22 @@ from repro.analysis.export import (
     records_to_csv,
     records_to_jsonl,
 )
-from repro.analysis.runner import RunRecord, sweep_sync
+from repro.analysis import RunSpec, sweep
+from repro.analysis.runner import RunRecord
 from repro.core import ImprovedTradeoffElection
 
 
 @pytest.fixture(scope="module")
 def sample_records():
-    return sweep_sync(
-        [16, 32],
-        lambda n: (lambda: ImprovedTradeoffElection(ell=3)),
-        seeds=[0, 1],
-        params={"ell": 3, "label": "demo"},
+    return sweep(
+        RunSpec(
+            algorithm=lambda: ImprovedTradeoffElection(ell=3),
+            n=n,
+            engine="sync",
+            seeds=(0, 1),
+            params={"ell": 3, "label": "demo"},
+        )
+        for n in (16, 32)
     )
 
 

@@ -9,6 +9,8 @@ deterministic per ``(n, seed, mode)`` and independent of the batch
 composition in both port-model modes.
 """
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -258,16 +260,16 @@ class TestEngineValidation:
 
 
 class TestRunnerIntegration:
-    def test_run_fast_batch_matches_run_fast_trial(self):
-        from repro.analysis import run_fast_batch, run_fast_trial
+    def test_batched_spec_matches_single_seed_runs(self):
+        from repro.analysis import RunSpec, execute_spec, run
 
         seeds = [3, 4, 5]
-        singles = [
-            run_fast_trial(32, "improved_tradeoff", seed=s, params={"ell": 3})
-            for s in seeds
-        ]
-        batched = run_fast_batch(
-            32, "improved_tradeoff", seeds=seeds, params={"ell": 3}
+        spec = RunSpec(
+            algorithm="improved_tradeoff", n=32, engine="fast", params={"ell": 3}
+        )
+        singles = [run(dataclasses.replace(spec, seeds=(s,))) for s in seeds]
+        batched = execute_spec(
+            dataclasses.replace(spec, seeds=tuple(seeds), batch=len(seeds))
         )
         for single, lane in zip(singles, batched):
             assert lane.extra["batch"] == 3
@@ -275,29 +277,32 @@ class TestRunnerIntegration:
                 lane.seed, lane.messages, lane.elected_id, lane.time
             )
 
-    def test_sweep_fast_batched_equals_unbatched_in_exact_mode(self):
-        from repro.analysis import sweep_fast
+    def test_batched_sweep_equals_unbatched_in_exact_mode(self):
+        from repro.analysis import RunSpec, sweep
 
-        plain = sweep_fast([16, 32], "afek_gafni", seeds=[0, 1, 2], params={"ell": 4})
-        batched = sweep_fast(
-            [16, 32], "afek_gafni", seeds=[0, 1, 2], params={"ell": 4}, batch=2
-        )
+        def grid(batch):
+            return [
+                RunSpec(
+                    algorithm="afek_gafni", n=n, engine="fast", seeds=(0, 1, 2),
+                    params={"ell": 4}, batch=batch,
+                )
+                for n in (16, 32)
+            ]
+
+        plain = sweep(grid(None))
+        batched = sweep(grid(2))
         assert [(r.n, r.seed, r.messages, r.elected_id) for r in plain] == [
             (r.n, r.seed, r.messages, r.elected_id) for r in batched
         ]
 
-    def test_sweep_fast_batch_rejects_per_seed_ids(self):
-        from repro.analysis import sweep_fast
+    def test_batched_spec_with_roots(self):
+        from repro.analysis import RunSpec, execute_spec
 
-        with pytest.raises(ValueError, match="ids_for_n"):
-            sweep_fast([16], "afek_gafni", seeds=[0, 1], batch=2,
-                       ids_for_n=lambda n, rng: list(range(1, n + 1)))
-
-    def test_run_fast_batch_with_roots(self):
-        from repro.analysis import run_fast_batch
-
-        records = run_fast_batch(
-            64, "adversarial_2round", seeds=[0, 1], roots=[0, 1, 2]
+        records = execute_spec(
+            RunSpec(
+                algorithm="adversarial_2round", n=64, engine="fast", seeds=(0, 1),
+                batch=2, roots=[0, 1, 2],
+            )
         )
         assert len(records) == 2
         for record in records:

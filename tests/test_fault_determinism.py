@@ -11,7 +11,7 @@ import dataclasses
 
 import pytest
 
-from repro.analysis import run_async_trial, run_sync_trial
+from repro.analysis import RunSpec, run
 from repro.faults import (
     AsyncReElectionElection,
     CrashFault,
@@ -62,11 +62,14 @@ def strip_record(record):
 
 def sync_execution(seed, plan):
     recorder = MemoryRecorder()
-    record = run_sync_trial(
-        24,
-        lambda: MonarchicalElection(stable_rounds=4),
-        seed=seed,
-        faults=plan,
+    record = run(
+        RunSpec(
+            algorithm=lambda: MonarchicalElection(stable_rounds=4),
+            n=24,
+            engine="sync",
+            seeds=(seed,),
+            faults=plan,
+        ),
         recorder=recorder,
     )
     return freeze(recorder.events), strip_record(record)
@@ -74,11 +77,14 @@ def sync_execution(seed, plan):
 
 def sync_reelect_execution(seed, plan):
     recorder = MemoryRecorder()
-    record = run_sync_trial(
-        24,
-        lambda: ReElectionElection(inner="afek_gafni", commit_rounds=4),
-        seed=seed,
-        faults=plan,
+    record = run(
+        RunSpec(
+            algorithm=lambda: ReElectionElection(inner="afek_gafni", commit_rounds=4),
+            n=24,
+            engine="sync",
+            seeds=(seed,),
+            faults=plan,
+        ),
         recorder=recorder,
     )
     return freeze(recorder.events), strip_record(record)
@@ -86,12 +92,17 @@ def sync_reelect_execution(seed, plan):
 
 def async_execution(seed, plan):
     recorder = MemoryRecorder()
-    record = run_async_trial(
-        24,
-        lambda: AsyncMonarchicalElection(poll_interval=0.5, stable_polls=5),
-        seed=seed,
-        wake_times={u: 0.0 for u in range(24)},
-        faults=plan,
+    record = run(
+        RunSpec(
+            algorithm=lambda: AsyncMonarchicalElection(
+                poll_interval=0.5, stable_polls=5
+            ),
+            n=24,
+            engine="async",
+            seeds=(seed,),
+            wake_times={u: 0.0 for u in range(24)},
+            faults=plan,
+        ),
         recorder=recorder,
     )
     return freeze(recorder.events), strip_record(record)
@@ -99,15 +110,18 @@ def async_execution(seed, plan):
 
 def async_reelect_execution(seed, plan):
     recorder = MemoryRecorder()
-    record = run_async_trial(
-        24,
-        lambda: AsyncReElectionElection(
-            inner="async_tradeoff", commit_delay=4.0, poll_interval=0.5
+    record = run(
+        RunSpec(
+            algorithm=lambda: AsyncReElectionElection(
+                inner="async_tradeoff", commit_delay=4.0, poll_interval=0.5
+            ),
+            n=24,
+            engine="async",
+            seeds=(seed,),
+            wake_times={0: 0.0},
+            max_events=2_000_000,
+            faults=plan,
         ),
-        seed=seed,
-        wake_times={0: 0.0},
-        max_events=2_000_000,
-        faults=plan,
         recorder=recorder,
     )
     return freeze(recorder.events), strip_record(record)

@@ -11,13 +11,10 @@ import random
 
 import pytest
 
-from repro.analysis import fit_power_law, sweep_async, sweep_sync, success_rate
-from repro.asyncnet import UnitDelayScheduler
+from repro.analysis import RunSpec, fit_power_law, success_rate, sweep
 from repro.core import (
     AdversarialTwoRoundElection,
     AfekGafniElection,
-    AsyncAfekGafniElection,
-    AsyncTradeoffElection,
     ImprovedTradeoffElection,
     Kutten16Election,
     LasVegasElection,
@@ -100,10 +97,11 @@ class TestHeadToHead:
     def test_async_tradeoff_extreme_matches_lower_bound_point(self):
         """Theorem 5.1 at k=2 lands on the Theorem 4.2 Ω(n^(3/2)) point."""
         n = 1024
-        rec = sweep_async(
-            [n],
-            lambda n_: (lambda: AsyncTradeoffElection(k=2)),
-            seeds=[0, 1, 2],
+        rec = sweep(
+            RunSpec(
+                algorithm="async_tradeoff", n=n, engine="async", seeds=(0, 1, 2),
+                params={"k": 2},
+            )
         )
         mean = sum(r.messages for r in rec) / len(rec)
         assert mean >= bounds.thm42_message_lb(n)
@@ -114,8 +112,12 @@ class TestSweepsAndFits:
     def test_improved_tradeoff_exponent_by_ell(self):
         ns = [128, 256, 512, 1024, 2048]
         for ell, theory in ((3, 1.5), (5, 4 / 3)):
-            records = sweep_sync(
-                ns, lambda n: (lambda: ImprovedTradeoffElection(ell=ell)), seeds=[0]
+            records = sweep(
+                RunSpec(
+                    algorithm="improved_tradeoff", n=n, engine="sync",
+                    params={"ell": ell},
+                )
+                for n in ns
             )
             fit = fit_power_law([r.n for r in records], [r.messages for r in records])
             assert abs(fit.exponent - theory) < 0.15, (ell, fit)
@@ -127,7 +129,10 @@ class TestSweepsAndFits:
         # term makes it land *below* 1 at these sizes, which is fine —
         # the bound is an upper bound).
         ns = [256, 512, 1024, 2048, 4096]
-        records = sweep_sync(ns, lambda n: (lambda: LasVegasElection()), seeds=[0, 1])
+        records = sweep(
+            RunSpec(algorithm="las_vegas", n=n, engine="sync", seeds=(0, 1))
+            for n in ns
+        )
         by_n = {}
         for r in records:
             assert r.unique_leader
@@ -142,13 +147,12 @@ class TestSweepsAndFits:
         times = []
         ns = [64, 256, 1024]
         for n in ns:
-            rec = sweep_async(
-                [n],
-                lambda n_: AsyncAfekGafniElection,
-                seeds=[0],
-                scheduler_for_n=lambda n_, rng: UnitDelayScheduler(),
-                wake_times_for_n=lambda n_, rng: {u: 0.0 for u in range(n_)},
-                max_events=3_000_000,
+            rec = sweep(
+                RunSpec(
+                    algorithm="async_afek_gafni", n=n, engine="async",
+                    wake_times={u: 0.0 for u in range(n)},
+                    max_events=3_000_000,
+                )
             )
             times.append(rec[0].time)
         # time grows ~ logarithmically: doubling n 4x adds a constant.

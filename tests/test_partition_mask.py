@@ -12,7 +12,7 @@ from repro.faults import (
     ReElectionElection,
     make_detector,
 )
-from repro.analysis.runner import run_async_trial, run_sync_trial
+from repro.analysis import RunSpec, run
 
 
 class TestMaskValidation:
@@ -110,9 +110,12 @@ class TestPartitionedElections:
             partitions=(PartitionMask(components=((0, 1, 2), (3, 4, 5)), start=0.0),),
             detector=DetectorSpec(kind="perfect", lag=1.0),
         )
-        record = run_sync_trial(
-            6, lambda: MonarchicalElection(stable_rounds=3), seed=1,
-            faults=plan, keep_result=True,
+        record = run(
+            RunSpec(
+                algorithm=lambda: MonarchicalElection(stable_rounds=3), n=6,
+                engine="sync", seeds=(1,), faults=plan,
+            ),
+            keep_result=True,
         )
         result = record.extra["result"]
         assert sorted(result.leader_ids) == [3, 6]
@@ -123,11 +126,16 @@ class TestPartitionedElections:
             partitions=(PartitionMask(components=((0, 1, 2), (3, 4, 5)), start=0.0),),
             detector=DetectorSpec(kind="perfect", lag=1.0),
         )
-        record = run_sync_trial(
-            6,
-            lambda: ReElectionElection(inner="afek_gafni", commit_rounds=3),
-            seed=1,
-            faults=plan,
+        record = run(
+            RunSpec(
+                algorithm=lambda: ReElectionElection(
+                    inner="afek_gafni", commit_rounds=3
+                ),
+                n=6,
+                engine="sync",
+                seeds=(1,),
+                faults=plan,
+            ),
             keep_result=True,
         )
         result = record.extra["result"]
@@ -140,13 +148,18 @@ class TestPartitionedElections:
             partitions=(PartitionMask(components=((0, 1, 2), (3, 4, 5)), start=0.0),),
             detector=DetectorSpec(kind="perfect", lag=1.0),
         )
-        record = run_async_trial(
-            6,
-            lambda: AsyncReElectionElection(inner="async_tradeoff", commit_delay=3.0),
-            seed=1,
-            faults=plan,
-            wake_times={u: 0.0 for u in range(6)},
-            max_events=500_000,
+        record = run(
+            RunSpec(
+                algorithm=lambda: AsyncReElectionElection(
+                    inner="async_tradeoff", commit_delay=3.0
+                ),
+                n=6,
+                engine="async",
+                seeds=(1,),
+                faults=plan,
+                wake_times={u: 0.0 for u in range(6)},
+                max_events=500_000,
+            ),
             keep_result=True,
         )
         result = record.extra["result"]
@@ -166,9 +179,12 @@ class TestPartitionedElections:
             ),
             detector=DetectorSpec(kind="perfect", lag=1.0),
         )
-        record = run_sync_trial(
-            4, lambda: MonarchicalElection(stable_rounds=6), seed=1,
-            faults=plan, keep_result=True,
+        record = run(
+            RunSpec(
+                algorithm=lambda: MonarchicalElection(stable_rounds=6), n=4,
+                engine="sync", seeds=(1,), faults=plan,
+            ),
+            keep_result=True,
         )
         result = record.extra["result"]
         # After heal + stability window everyone converges on the max.

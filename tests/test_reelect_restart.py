@@ -10,7 +10,7 @@ the inner election in bounded attempts and commit.
 
 import pytest
 
-from repro.analysis.runner import run_async_trial, run_sync_trial
+from repro.analysis import RunSpec, run
 from repro.common import SimulationLimitExceeded
 from repro.faults import (
     AsyncReElectionElection,
@@ -32,25 +32,31 @@ class TestSyncRestart:
     def test_stalls_with_restart_disabled(self):
         """The pre-fix behavior, pinned: restart_rounds=0 wedges."""
         with pytest.raises(SimulationLimitExceeded):
-            run_sync_trial(
-                6,
-                lambda: ReElectionElection(
-                    inner="afek_gafni", commit_rounds=3, restart_rounds=0
-                ),
-                seed=2,
-                faults=INNER_LOSS,
-                max_rounds=300,
+            run(
+                RunSpec(
+                    algorithm=lambda: ReElectionElection(
+                        inner="afek_gafni", commit_rounds=3, restart_rounds=0
+                    ),
+                    n=6,
+                    engine="sync",
+                    seeds=(2,),
+                    faults=INNER_LOSS,
+                    max_rounds=300,
+                )
             )
 
     def test_bounded_restart_recovers(self):
-        record = run_sync_trial(
-            6,
-            lambda: ReElectionElection(
-                inner="afek_gafni", commit_rounds=3, restart_rounds=16
-            ),
-            seed=2,
-            faults=INNER_LOSS,
-            max_rounds=300,
+        record = run(
+            RunSpec(
+                algorithm=lambda: ReElectionElection(
+                    inner="afek_gafni", commit_rounds=3, restart_rounds=16
+                ),
+                n=6,
+                engine="sync",
+                seeds=(2,),
+                faults=INNER_LOSS,
+                max_rounds=300,
+            )
         )
         assert record.unique_leader
         assert record.elected_id == 6  # afek_gafni still elects the max ID
@@ -58,24 +64,30 @@ class TestSyncRestart:
         assert record.extra["rounds_executed"] > 16
 
     def test_adaptive_default_recovers_too(self):
-        record = run_sync_trial(
-            6,
-            lambda: ReElectionElection(inner="afek_gafni", commit_rounds=3),
-            seed=2,
-            faults=INNER_LOSS,
+        record = run(
+            RunSpec(
+                algorithm=lambda: ReElectionElection(inner="afek_gafni", commit_rounds=3),
+                n=6,
+                engine="sync",
+                seeds=(2,),
+                faults=INNER_LOSS,
+            )
         )
         assert record.unique_leader
 
     def test_restart_is_deterministic(self):
         records = [
-            run_sync_trial(
-                6,
-                lambda: ReElectionElection(
-                    inner="afek_gafni", commit_rounds=3, restart_rounds=16
-                ),
-                seed=2,
-                faults=INNER_LOSS,
-                max_rounds=300,
+            run(
+                RunSpec(
+                    algorithm=lambda: ReElectionElection(
+                        inner="afek_gafni", commit_rounds=3, restart_rounds=16
+                    ),
+                    n=6,
+                    engine="sync",
+                    seeds=(2,),
+                    faults=INNER_LOSS,
+                    max_rounds=300,
+                )
             )
             for _ in range(2)
         ]
@@ -93,7 +105,9 @@ class TestSyncRestart:
             algorithms.append(algorithm)
             return algorithm
 
-        record = run_sync_trial(8, factory, seed=1, faults=plan)
+        record = run(
+            RunSpec(algorithm=factory, n=8, engine="sync", seeds=(1,), faults=plan)
+        )
         assert record.unique_leader
         assert all(a.attempt == 0 for a in algorithms)
 
@@ -105,42 +119,51 @@ class TestSyncRestart:
 class TestAsyncRestart:
     def test_stalls_with_restart_disabled(self):
         with pytest.raises(SimulationLimitExceeded):
-            run_async_trial(
-                6,
-                lambda: AsyncReElectionElection(
-                    inner="async_tradeoff", commit_delay=3.0, restart_delay=0
-                ),
-                seed=2,
-                faults=INNER_LOSS,
-                wake_times={u: 0.0 for u in range(6)},
-                max_events=40_000,
+            run(
+                RunSpec(
+                    algorithm=lambda: AsyncReElectionElection(
+                        inner="async_tradeoff", commit_delay=3.0, restart_delay=0
+                    ),
+                    n=6,
+                    engine="async",
+                    seeds=(2,),
+                    faults=INNER_LOSS,
+                    wake_times={u: 0.0 for u in range(6)},
+                    max_events=40_000,
+                )
             )
 
     def test_bounded_restart_recovers(self):
-        record = run_async_trial(
-            6,
-            lambda: AsyncReElectionElection(
-                inner="async_tradeoff", commit_delay=3.0, restart_delay=12.0
-            ),
-            seed=2,
-            faults=INNER_LOSS,
-            wake_times={u: 0.0 for u in range(6)},
-            max_events=1_000_000,
+        record = run(
+            RunSpec(
+                algorithm=lambda: AsyncReElectionElection(
+                    inner="async_tradeoff", commit_delay=3.0, restart_delay=12.0
+                ),
+                n=6,
+                engine="async",
+                seeds=(2,),
+                faults=INNER_LOSS,
+                wake_times={u: 0.0 for u in range(6)},
+                max_events=1_000_000,
+            )
         )
         assert record.unique_leader
         assert record.decided == 6
 
     def test_restart_is_deterministic(self):
         records = [
-            run_async_trial(
-                6,
-                lambda: AsyncReElectionElection(
-                    inner="async_tradeoff", commit_delay=3.0, restart_delay=12.0
-                ),
-                seed=2,
-                faults=INNER_LOSS,
-                wake_times={u: 0.0 for u in range(6)},
-                max_events=1_000_000,
+            run(
+                RunSpec(
+                    algorithm=lambda: AsyncReElectionElection(
+                        inner="async_tradeoff", commit_delay=3.0, restart_delay=12.0
+                    ),
+                    n=6,
+                    engine="async",
+                    seeds=(2,),
+                    faults=INNER_LOSS,
+                    wake_times={u: 0.0 for u in range(6)},
+                    max_events=1_000_000,
+                )
             )
             for _ in range(2)
         ]

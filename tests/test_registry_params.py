@@ -1,10 +1,36 @@
 """Registry factories accept their documented parameters end to end."""
 
+import dataclasses
+
 import pytest
 
+from repro.adversary import AsyncQuorumReElectionElection, QuorumReElectionElection
+from repro.analysis import RunSpec, run
+from repro.asyncnet.algorithm import AsyncAlgorithm
 from repro.asyncnet.engine import AsyncNetwork
-from repro.core import get_algorithm
+from repro.core import ALGORITHMS, get_algorithm
+from repro.faults import (
+    AsyncMonarchicalElection,
+    AsyncReElectionElection,
+    MonarchicalElection,
+    ReElectionElection,
+)
+from repro.sweep.api import _object_factory
+from repro.sync.algorithm import SyncAlgorithm
 from repro.sync.engine import SyncNetwork
+
+#: The dual-engine entries and the class each object engine runs.
+TWINS = {
+    "monarchical": {"sync": MonarchicalElection, "async": AsyncMonarchicalElection},
+    "reelect": {"sync": ReElectionElection, "async": AsyncReElectionElection},
+    "quorum_reelect": {
+        "sync": QuorumReElectionElection,
+        "async": AsyncQuorumReElectionElection,
+    },
+}
+BASE = {"sync": SyncAlgorithm, "async": AsyncAlgorithm}
+#: Constructor arguments without a default.
+REQUIRED = {"small_id": {"d": 4}}
 
 
 class TestParameterizedFactories:
@@ -94,3 +120,61 @@ class TestParameterizedFactories:
             == 0
         )
         assert "yes" in capsys.readouterr().out
+
+
+class TestEngineTwins:
+    @pytest.mark.parametrize("name", sorted(ALGORITHMS))
+    def test_make_builds_each_listed_engine_and_refuses_the_rest(self, name):
+        spec = get_algorithm(name)
+        expected = TWINS.get(name, {spec.engine: spec.factory})
+        params = REQUIRED.get(name, {})
+        assert spec.engines == tuple(expected)
+        assert type(spec.make(**params)()) is expected[spec.engine]
+        for engine in ("sync", "async"):
+            if engine in expected:
+                algorithm = spec.make(engine=engine, **params)()
+                assert type(algorithm) is expected[engine]
+                assert isinstance(algorithm, BASE[engine])
+            else:
+                with pytest.raises(ValueError) as exc:
+                    spec.make(engine=engine)
+                message = str(exc.value)
+                assert "\n" not in message
+                assert name in message and engine in message
+
+    @pytest.mark.parametrize("engine", ["sync", "async"])
+    def test_quorum_specs_resolve_through_the_registry(self, engine, monkeypatch):
+        class Sync:
+            def __init__(self, **params):
+                self.params = params
+
+        class Async(Sync):
+            pass
+
+        entry = get_algorithm("quorum_reelect")
+        monkeypatch.setitem(
+            ALGORITHMS,
+            "quorum_reelect",
+            dataclasses.replace(entry, factory=Sync, async_factory=Async),
+        )
+        inner = {"sync": "afek_gafni", "async": "async_tradeoff"}[engine]
+        spec = RunSpec(
+            algorithm=inner, n=8, engine=engine, quorum=True,
+            params={"threshold": 0.75},
+        )
+        built = _object_factory(spec, engine)()
+        assert type(built) is {"sync": Sync, "async": Async}[engine]
+        assert built.params == {"inner": inner, "threshold": 0.75}
+
+    def test_inner_on_the_wrong_engine_fails_at_construction(self):
+        spec = RunSpec(
+            algorithm="reelect", n=8, engine="async", params={"inner": "afek_gafni"}
+        )
+        with pytest.raises(ValueError, match="afek_gafni runs on the sync engine"):
+            run(spec)
+        with pytest.raises(ValueError, match="async_tradeoff"):
+            ReElectionElection(inner="async_tradeoff")
+
+    def test_async_inner_twin_is_picked_by_name(self):
+        wrapper = AsyncReElectionElection(inner="monarchical")
+        assert type(wrapper.factory()) is AsyncMonarchicalElection

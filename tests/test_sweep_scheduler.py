@@ -4,7 +4,7 @@ import pickle
 
 import pytest
 
-from repro.analysis import RunSpec, canonical_record, execute_spec, sweep
+from repro.analysis import RunSpec, canonical_record, execute_spec, run, sweep
 from repro.core import ImprovedTradeoffElection
 from repro.faults import CrashFault, DetectorSpec, FaultPlan
 from repro.sweep import SweepCell, run_cells
@@ -61,20 +61,23 @@ class TestBitIdentity:
         assert canon(sequential) == canon(direct)
 
     def test_sharded_sweep_matches_the_legacy_entrypoints(self):
-        import warnings
-
-        from repro.analysis import run_sync_trial, sweep_fast
-
         grid = [
             RunSpec(algorithm="improved_tradeoff", n=64, engine="sync", seeds=(0, 1)),
             RunSpec(algorithm="improved_tradeoff", n=256, engine="fast", seeds=(0, 1)),
         ]
         sharded = sweep(grid, workers=4)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = [
-                run_sync_trial(64, ImprovedTradeoffElection, seed=s) for s in (0, 1)
-            ] + sweep_fast([256], "improved_tradeoff", seeds=[0, 1])
+        legacy = [
+            run(
+                RunSpec(
+                    algorithm=ImprovedTradeoffElection, n=64, engine="sync",
+                    seeds=(s,),
+                )
+            )
+            for s in (0, 1)
+        ] + [
+            run(RunSpec(algorithm="improved_tradeoff", n=256, engine="fast", seeds=(s,)))
+            for s in (0, 1)
+        ]
         assert canon(sharded) == canon(legacy)
 
     def test_merged_metrics_are_identical_across_worker_counts(self):

@@ -6,7 +6,7 @@ import pickle
 import pytest
 
 from repro.adversary import AdversaryPlan, TamperRule
-from repro.analysis import RunSpec, canonical_record, execute_spec, run, sweep
+from repro.analysis import RunSpec, canonical_record, run, sweep
 from repro.core import ImprovedTradeoffElection
 from repro.faults import CrashFault, DetectorSpec, FaultPlan
 
@@ -191,119 +191,3 @@ class TestCanonicalRecord:
         assert canon["messages"] == record.messages
         assert canon["extra"].get("mode") == record.extra["mode"]
 
-
-class TestLegacyShims:
-    """The seven deprecated entrypoints still work, and say so."""
-
-    def test_run_sync_trial_warns_and_matches_runspec(self):
-        from repro.analysis import run_sync_trial
-
-        with pytest.warns(DeprecationWarning, match="run_sync_trial"):
-            legacy = run_sync_trial(64, ImprovedTradeoffElection, seed=1)
-        modern = run(
-            RunSpec(algorithm="improved_tradeoff", n=64, engine="sync", seeds=(1,))
-        )
-        assert canonical_record(legacy) == canonical_record(modern)
-
-    def test_run_async_trial_warns_and_matches_runspec(self):
-        from repro.analysis import run_async_trial
-        from repro.core import AsyncTradeoffElection
-
-        with pytest.warns(DeprecationWarning, match="run_async_trial"):
-            legacy = run_async_trial(
-                32, lambda: AsyncTradeoffElection(k=2), seed=1, params={"k": 2}
-            )
-        modern = run(
-            RunSpec(
-                algorithm="async_tradeoff",
-                n=32,
-                engine="async",
-                seeds=(1,),
-                params={"k": 2},
-            )
-        )
-        assert canonical_record(legacy) == canonical_record(modern)
-
-    def test_run_fast_trial_warns_and_matches_runspec(self):
-        from repro.analysis import run_fast_trial
-
-        with pytest.warns(DeprecationWarning, match="run_fast_trial"):
-            legacy = run_fast_trial(256, "improved_tradeoff", seed=2)
-        modern = run(
-            RunSpec(algorithm="improved_tradeoff", n=256, engine="fast", seeds=(2,))
-        )
-        assert canonical_record(legacy) == canonical_record(modern)
-
-    def test_run_fast_batch_warns_and_matches_runspec(self):
-        from repro.analysis import run_fast_batch
-
-        with pytest.warns(DeprecationWarning, match="run_fast_batch"):
-            legacy = run_fast_batch(256, "improved_tradeoff", seeds=[0, 1, 2])
-        modern = execute_spec(
-            RunSpec(
-                algorithm="improved_tradeoff",
-                n=256,
-                engine="fast",
-                seeds=(0, 1, 2),
-                batch=3,
-            )
-        )
-        assert [canonical_record(r) for r in legacy] == [
-            canonical_record(r) for r in modern
-        ]
-
-    def test_sweep_sync_warns_and_matches_sweep(self):
-        from repro.analysis import sweep_sync
-
-        with pytest.warns(DeprecationWarning, match="sweep_sync"):
-            legacy = sweep_sync(
-                [16, 32], lambda n: ImprovedTradeoffElection, seeds=[0, 1]
-            )
-        modern = sweep(
-            [
-                RunSpec(
-                    algorithm="improved_tradeoff", n=n, engine="sync", seeds=(s,)
-                )
-                for n in (16, 32)
-                for s in (0, 1)
-            ]
-        )
-        assert [canonical_record(r) for r in legacy] == [
-            canonical_record(r) for r in modern
-        ]
-
-    def test_sweep_fast_warns_and_keeps_its_validation(self):
-        from repro.analysis import sweep_fast
-
-        with pytest.warns(DeprecationWarning, match="sweep_fast"):
-            legacy = sweep_fast([256], "improved_tradeoff", seeds=[0, 1], batch=2)
-        modern = sweep(
-            [
-                RunSpec(
-                    algorithm="improved_tradeoff",
-                    n=256,
-                    engine="fast",
-                    seeds=(0, 1),
-                    batch=2,
-                )
-            ]
-        )
-        assert [canonical_record(r) for r in legacy] == [
-            canonical_record(r) for r in modern
-        ]
-        with pytest.warns(DeprecationWarning), pytest.raises(
-            ValueError, match="drop one of the two"
-        ):
-            sweep_fast(
-                [256], "improved_tradeoff", batch=2, ids_for_n=lambda n, rng: range(n)
-            )
-
-    def test_sweep_async_warns(self):
-        from repro.analysis import sweep_async
-        from repro.core import AsyncTradeoffElection
-
-        with pytest.warns(DeprecationWarning, match="sweep_async"):
-            records = sweep_async(
-                [16], lambda n: lambda: AsyncTradeoffElection(k=2), seeds=[0]
-            )
-        assert len(records) == 1 and records[0].unique_leader

@@ -122,10 +122,12 @@ class TestProfiler:
         net = FastSyncNetwork(16, seed=0)
         assert net.profile("sampling") is NULL_PROFILE
 
-    def test_run_fast_trial_profile_flag(self):
-        from repro.analysis import run_fast_trial
+    def test_fast_spec_profile_flag(self):
+        from repro.analysis import RunSpec, run
 
-        record = run_fast_trial(64, "improved_tradeoff", seed=0, profile=True)
+        record = run(
+            RunSpec(algorithm="improved_tradeoff", n=64, engine="fast", profile=True)
+        )
         profile = record.extra["profile"]
         assert "sampling" in profile
         assert profile["sampling"]["calls"] >= 1

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis import run_async_trial, run_sync_trial
+from repro.analysis import RunSpec, run
 from repro.core import get_algorithm
 from repro.telemetry import Counter, Histogram, MetricsRegistry, run_metrics
 
@@ -40,7 +40,7 @@ class TestRunRecordConsistency:
 
     def test_sync_trial(self):
         spec = get_algorithm("improved_tradeoff")
-        record = run_sync_trial(32, spec.make(), seed=0)
+        record = run(RunSpec(algorithm=spec.make(), n=32, engine="sync"))
         metrics = record.extra["metrics"]
         assert metrics["counters"]["messages"] == record.messages
         assert metrics["gauges"]["leaders"] == 1
@@ -48,23 +48,21 @@ class TestRunRecordConsistency:
 
     def test_async_trial(self):
         spec = get_algorithm("async_tradeoff")
-        record = run_async_trial(32, spec.make(k=2), seed=0)
+        record = run(RunSpec(algorithm=spec.make(k=2), n=32, engine="async"))
         metrics = record.extra["metrics"]
         assert metrics["counters"]["messages"] == record.messages
         assert metrics["gauges"]["time_span"] == record.time
 
     def test_fast_trial(self):
         pytest.importorskip("numpy")
-        from repro.analysis import run_fast_trial
-
-        record = run_fast_trial(64, "improved_tradeoff", seed=0)
+        record = run(RunSpec(algorithm="improved_tradeoff", n=64, engine="fast"))
         metrics = record.extra["metrics"]
         assert metrics["counters"]["messages"] == record.messages
         assert metrics["gauges"]["rounds_to_decide"] == record.extra["rounds_executed"]
 
     def test_per_kind_counters_sum_to_messages(self):
         spec = get_algorithm("improved_tradeoff")
-        record = run_sync_trial(32, spec.make(), seed=1)
+        record = run(RunSpec(algorithm=spec.make(), n=32, engine="sync", seeds=(1,)))
         counters = record.extra["metrics"]["counters"]
         by_kind = {k: v for k, v in counters.items() if k.startswith("messages[")}
         assert by_kind
@@ -72,7 +70,7 @@ class TestRunRecordConsistency:
 
     def test_messages_per_round_histogram(self):
         spec = get_algorithm("improved_tradeoff")
-        record = run_sync_trial(32, spec.make(), seed=0)
+        record = run(RunSpec(algorithm=spec.make(), n=32, engine="sync"))
         hist = record.extra["metrics"]["histograms"]["messages_per_round"]
         assert hist["total"] == record.messages
 
@@ -98,6 +96,8 @@ class TestFailoverLatencyGauge:
 
     def test_run_metrics_failover_kwarg(self):
         spec = get_algorithm("improved_tradeoff")
-        record = run_sync_trial(16, spec.make(), seed=0, keep_result=True)
+        record = run(
+            RunSpec(algorithm=spec.make(), n=16, engine="sync"), keep_result=True
+        )
         reg = run_metrics(record.extra["result"], failover_latency=3.5)
         assert reg.as_dict()["gauges"]["failover_latency"] == 3.5
