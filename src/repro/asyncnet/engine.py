@@ -66,14 +66,13 @@ class AsyncContext:
         return self.rng.sample(range(self.port_count), m)
 
     def send(self, port: int, payload: Any) -> None:
-        self._net._send(self.node, port, payload)
+        self._net._send(self.node, (port,), payload)
 
     def send_many(self, ports: Sequence[int], payload: Any) -> None:
-        for port in ports:
-            self._net._send(self.node, port, payload)
+        self._net._send(self.node, ports, payload)
 
     def broadcast(self, payload: Any) -> None:
-        self.send_many(range(self.port_count), payload)
+        self._net._send(self.node, range(self.n - 1), payload)
 
     @property
     def decision(self) -> Optional[Decision]:
@@ -222,8 +221,8 @@ class AsyncNetwork:
         for node, t in sorted(wake_times.items()):
             if not 0 <= node < n:
                 raise ValueError("wake-time node indices must be in [0, n)")
-            if t < 0:
-                raise ValueError("wake times must be >= 0")
+            if not 0 <= t < float("inf"):
+                raise ValueError(f"wake times must be finite and >= 0, got {t!r}")
             self._push(t, _EVENT_WAKE, node, -1, None)
 
     # ------------------------------------------------------------------ #
@@ -233,47 +232,61 @@ class AsyncNetwork:
         heapq.heappush(self._heap, (time, self._seq, kind, node, port, payload))
         self._seq += 1
 
-    def _send(self, u: int, port: int, payload: Any) -> None:
+    def _send(self, u: int, ports: Sequence[int], payload: Any) -> None:
+        """Send one payload from ``u`` over each of ``ports``, in order."""
         if self._halted[u] or self._crashed[u]:
             raise ProtocolError(f"halted/crashed node {u} attempted to send")
-        v, j = self.port_map.resolve(u, port)
-        delay = self.scheduler.delay(u, v, self._now, payload)
-        if not 0.0 < delay <= 1.0:
-            raise ProtocolError(f"scheduler produced delay {delay!r} outside (0, 1]")
-        deliver_at = self._now + delay
-        link = (u, v)
-        previous = self._link_last_delivery.get(link)
-        if previous is not None and deliver_at < previous:
-            deliver_at = previous  # FIFO: never overtake on the same link
-        self._link_last_delivery[link] = deliver_at
         kind = message_kind(payload)
-        self.metrics.messages_total += 1
-        self.metrics.messages_by_kind[kind] += 1
-        if self.recorder is not None:
-            self.recorder.on_send(self._now, u, port, v, j, payload)
-        if self.fault_runtime is None:
-            self._push(deliver_at, _EVENT_DELIVER, v, j, payload)
-            return
-        for when, node in self.fault_runtime.observe_send(self._now, u, kind):
-            self._push(when, _EVENT_CRASH, node, -1, None)
-        for delivered in self.fault_runtime.delivered_payloads(
-            u, v, kind, payload, self._now
-        ):
-            # Byzantine rewrites (and replayed stale copies) are traced
-            # separately from the honest on_send record above.
-            if (
-                delivered is not payload
-                and self.recorder is not None
-                and hasattr(self.recorder, "on_tamper")
-            ):
-                self.recorder.on_tamper(self._now, u, v, payload, delivered)
-            self._push(deliver_at, _EVENT_DELIVER, v, j, delivered)
+        now = self._now
+        resolve = self.port_map.resolve
+        delay_of = self.scheduler.delay
+        last_delivery = self._link_last_delivery
+        recorder = self.recorder
+        runtime = self.fault_runtime
+        heap = self._heap
+        sent = 0
+        try:
+            for port in ports:
+                v, j = resolve(u, port)
+                delay = delay_of(u, v, now, payload)
+                if not 0.0 < delay <= 1.0:
+                    raise ProtocolError(f"scheduler produced delay {delay!r} outside (0, 1]")
+                deliver_at = now + delay
+                link = (u, v)
+                previous = last_delivery.get(link)
+                if previous is not None and deliver_at < previous:
+                    deliver_at = previous  # FIFO: never overtake on the same link
+                last_delivery[link] = deliver_at
+                sent += 1
+                if recorder is not None:
+                    recorder.on_send(now, u, port, v, j, payload)
+                if runtime is None:
+                    heapq.heappush(heap, (deliver_at, self._seq, _EVENT_DELIVER, v, j, payload))
+                    self._seq += 1
+                    continue
+                for when, node in runtime.observe_send(now, u, kind):
+                    self._push(when, _EVENT_CRASH, node, -1, None)
+                for delivered in runtime.delivered_payloads(u, v, kind, payload, now):
+                    # Byzantine rewrites (and replayed stale copies) are
+                    # traced separately from the honest on_send record.
+                    if (
+                        delivered is not payload
+                        and recorder is not None
+                        and hasattr(recorder, "on_tamper")
+                    ):
+                        recorder.on_tamper(now, u, v, payload, delivered)
+                    self._push(deliver_at, _EVENT_DELIVER, v, j, delivered)
+        finally:
+            # Counted even when a send raises mid-batch, like the sync engine.
+            if sent:
+                self.metrics.messages_total += sent
+                self.metrics.messages_by_kind[kind] += sent
 
     def _set_timer(self, u: int, delay: float, tag: Any) -> None:
         if self._halted[u] or self._crashed[u]:
             raise ProtocolError(f"halted/crashed node {u} attempted to set a timer")
-        if delay <= 0:
-            raise ProtocolError(f"timer delay must be > 0, got {delay!r}")
+        if not 0 < delay < float("inf"):
+            raise ProtocolError(f"timer delay must be finite and > 0, got {delay!r}")
         self._push(self._now + delay, _EVENT_TIMER, u, -1, tag)
 
     def _decide(self, u: int, decision: Decision, output: Optional[int]) -> None:
@@ -331,14 +344,18 @@ class AsyncNetwork:
 
     def run(self) -> AsyncRunResult:
         """Process events until quiescence (empty event queue)."""
-        while self._heap:
-            if self.metrics.events_processed >= self.max_events:
+        heap, heappop, metrics = self._heap, heapq.heappop, self.metrics
+        max_events, recorder = self.max_events, self.recorder
+        halted, crashed, awake = self._halted, self._crashed, self._awake
+        contexts, algorithms = self.contexts, self.algorithms
+        while heap:
+            if metrics.events_processed >= max_events:
                 raise SimulationLimitExceeded(
-                    f"no quiescence after {self.max_events} events (n={self.n})"
+                    f"no quiescence after {max_events} events (n={self.n})"
                 )
-            time, _seq, kind, node, port, payload = heapq.heappop(self._heap)
+            time, _seq, kind, node, port, payload = heappop(heap)
             self._now = time
-            self.metrics.events_processed += 1
+            metrics.events_processed += 1
             if kind == _EVENT_CRASH:
                 # Crashes are adversary actions, not protocol activity:
                 # they do not extend the measured time span by themselves.
@@ -346,29 +363,29 @@ class AsyncNetwork:
                     self._crash(node)
                 continue
             if kind == _EVENT_TIMER:
-                if self._halted[node] or self._crashed[node]:
+                if halted[node] or crashed[node]:
                     continue  # discarded with its owner; no time-span effect
-                self.metrics.last_event_time = max(self.metrics.last_event_time, time)
-                self.metrics.timers_fired += 1
-                ctx = self.contexts[node]
+                metrics.last_event_time = max(metrics.last_event_time, time)
+                metrics.timers_fired += 1
+                ctx = contexts[node]
                 ctx.now = time
-                self.algorithms[node].on_timer(ctx, payload)
+                algorithms[node].on_timer(ctx, payload)
                 continue
-            self.metrics.last_event_time = max(self.metrics.last_event_time, time)
+            metrics.last_event_time = max(metrics.last_event_time, time)
             if kind == _EVENT_WAKE:
                 self._wake(node)
                 continue
             # delivery
-            if self._halted[node] or self._crashed[node]:
+            if halted[node] or crashed[node]:
                 self._dropped += 1
                 continue
-            if not self._awake[node]:
+            if not awake[node]:
                 self._wake(node)
-            ctx = self.contexts[node]
+            ctx = contexts[node]
             ctx.now = time
-            if self.recorder is not None:
-                self.recorder.on_deliver(time, node, port, payload)
-            self.algorithms[node].on_message(ctx, port, payload)
+            if recorder is not None:
+                recorder.on_deliver(time, node, port, payload)
+            algorithms[node].on_message(ctx, port, payload)
         return self._result()
 
     def _result(self) -> AsyncRunResult:

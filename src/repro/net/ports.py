@@ -20,7 +20,7 @@ adaptive adversary for lower-bound experiments.
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 __all__ = [
     "PortMap",
@@ -59,12 +59,11 @@ class PortMap:
 
     def check_port(self, u: int, port: int) -> None:
         """Validate that ``port`` is a legal port number of node ``u``."""
-        if not 0 <= u < self.n:
-            raise ValueError(f"node {u} out of range [0, {self.n})")
-        if not 0 <= port < self.ports_per_node:
-            raise ValueError(
-                f"port {port} out of range [0, {self.ports_per_node}) at node {u}"
-            )
+        n = self.n
+        if not 0 <= u < n:
+            raise ValueError(f"node {u} out of range [0, {n})")
+        if not 0 <= port < n - 1:
+            raise ValueError(f"port {port} out of range [0, {n - 1}) at node {u}")
 
     def resolve(self, u: int, port: int) -> Endpoint:
         """Return (and fix, if still undefined) the endpoint of ``(u, port)``."""
@@ -109,11 +108,11 @@ class CanonicalPortMap(PortMap):
 class PortConnectionPolicy:
     """Strategy deciding where a freshly used port gets connected.
 
-    ``choose_peer`` must return a node ``v != u`` that is not yet linked to
-    ``u``; the port map then picks (or asks the policy for) a free port at
-    ``v``.  Policies see the :class:`LazyPortMap` itself and may therefore
-    base decisions on the full partial mapping — exactly the power the
-    paper grants its adaptive adversary.
+    The default :meth:`connect` asks ``choose_peer`` for a node ``v != u``
+    not yet linked to ``u``, then takes the first free port at ``v`` (or
+    the one ``choose_peer_port`` names).  Policies see the map itself and
+    may therefore base decisions on the full partial mapping — exactly
+    the power the paper grants its adaptive adversary.
     """
 
     def choose_peer(self, port_map: "LazyPortMap", u: int, port: int) -> int:
@@ -125,6 +124,23 @@ class PortConnectionPolicy:
         """Optionally pick the port at ``v``; ``None`` lets the map pick."""
         return None
 
+    def connect(self, port_map: "LazyPortMap", u: int, port: int) -> Endpoint:
+        """Fix and bind the far end of the unresolved port ``(u, port)``."""
+        v = self.choose_peer(port_map, u, port)
+        if v == u or not 0 <= v < port_map.n:
+            raise PortMapExhausted(f"policy returned invalid peer {v} for node {u}")
+        if port_map.linked(u, v):
+            raise PortMapExhausted(f"policy returned peer {v} already linked to node {u}")
+        j = self.choose_peer_port(port_map, u, port, v)
+        if j is None:
+            j = port_map.first_free_port(v)
+        elif j in port_map._ports[v]:
+            raise PortMapExhausted(f"policy returned bound port {j} at node {v}")
+        else:
+            port_map.check_port(v, j)
+        port_map._bind(u, port, v, j)
+        return (v, j)
+
 
 class RandomPortPolicy(PortConnectionPolicy):
     """Connect each newly used port to a uniformly random eligible peer.
@@ -132,18 +148,50 @@ class RandomPortPolicy(PortConnectionPolicy):
     Both the peer and the peer-side port are picked uniformly among the
     eligible choices, so the resolved mapping is a "generic" port mapping
     with no adversarial structure.
+
+    Each pick is rejection sampling over ``randrange(bound)`` draws, with
+    the draw inlined: ``getrandbits(bound.bit_length())`` until the word
+    is below ``bound``, the words CPython's ``randrange`` consumes
+    (3.10-3.12).  So the mapping and the final RNG state equal those of
+    ``randrange`` calls.  After ``_REJECTION_CAP`` rejected picks an
+    explicit scan keeps the worst case linear instead of unbounded.
     """
+
+    _REJECTION_CAP = 64
 
     def __init__(self, rng: random.Random) -> None:
         self.rng = rng
 
-    def choose_peer(self, port_map: "LazyPortMap", u: int, port: int) -> int:
-        return port_map.random_unlinked_peer(u, self.rng)
-
-    def choose_peer_port(
-        self, port_map: "LazyPortMap", u: int, port: int, v: int
-    ) -> Optional[int]:
-        return port_map.random_free_port(v, self.rng)
+    def connect(self, port_map: "LazyPortMap", u: int, port: int) -> Endpoint:
+        n = port_map.n
+        getrandbits = self.rng.getrandbits
+        linked = port_map._peer_to_port[u]
+        if len(linked) >= n - 1:
+            raise PortMapExhausted(f"node {u} is already linked to all peers")
+        k = n.bit_length()
+        for _ in range(self._REJECTION_CAP):
+            v = getrandbits(k)
+            while v >= n:
+                v = getrandbits(k)
+            if v != u and v not in linked:
+                break
+        else:
+            v = self.rng.choice([w for w in range(n) if w != u and w not in linked])
+        bound = port_map._ports[v]
+        m = n - 1
+        if len(bound) >= m:
+            raise PortMapExhausted(f"node {v} has no free port")
+        k = m.bit_length()
+        for _ in range(self._REJECTION_CAP):
+            j = getrandbits(k)
+            while j >= m:
+                j = getrandbits(k)
+            if j not in bound:
+                break
+        else:
+            j = self.rng.choice([i for i in range(m) if i not in bound])
+        port_map._bind(u, port, v, j)
+        return (v, j)
 
 
 class SequentialPortPolicy(PortConnectionPolicy):
@@ -196,27 +244,21 @@ class LazyPortMap(PortMap):
     simulating sub-quadratic-message algorithms on large cliques cheap.
     """
 
-    # Rejection sampling is used for "random free peer/port" picks; beyond
-    # this failure count we fall back to an explicit scan, which keeps the
-    # worst case linear instead of unbounded.
-    _REJECTION_CAP = 64
-
     def __init__(self, n: int, policy: PortConnectionPolicy) -> None:
         super().__init__(n)
         self.policy = policy
-        # (u, port) -> (v, port_at_v); involutive: both directions stored.
-        self._endpoint: Dict[Endpoint, Endpoint] = {}
+        # u -> {port_at_u: (v, port_at_v)}; involutive: both ends stored.
+        self._ports: List[Dict[int, Endpoint]] = [dict() for _ in range(n)]
         # u -> {v: port_at_u}; tracks which peers u is linked to.
         self._peer_to_port: List[Dict[int, int]] = [dict() for _ in range(n)]
-        # u -> set of u's ports already bound.
-        self._bound_ports: List[Set[int]] = [set() for _ in range(n)]
+        self._links = 0
 
     # ------------------------------------------------------------------ #
     # queries
 
     def is_resolved(self, u: int, port: int) -> bool:
         self.check_port(u, port)
-        return (u, port) in self._endpoint
+        return port in self._ports[u]
 
     def linked(self, u: int, v: int) -> bool:
         """Whether the (unique) link between ``u`` and ``v`` is materialized."""
@@ -227,36 +269,21 @@ class LazyPortMap(PortMap):
 
     def bound_port_count(self, u: int) -> int:
         """Number of ``u``'s ports whose endpoint has been fixed."""
-        return len(self._bound_ports[u])
+        return len(self._ports[u])
 
     def link_count(self) -> int:
         """Number of materialized links."""
-        return len(self._endpoint) // 2
+        return self._links
 
     # ------------------------------------------------------------------ #
     # resolution
 
     def resolve(self, u: int, port: int) -> Endpoint:
         self.check_port(u, port)
-        existing = self._endpoint.get((u, port))
+        existing = self._ports[u].get(port)
         if existing is not None:
             return existing
-        v = self.policy.choose_peer(self, u, port)
-        if v == u or not 0 <= v < self.n:
-            raise PortMapExhausted(f"policy returned invalid peer {v} for node {u}")
-        if self.linked(u, v):
-            raise PortMapExhausted(
-                f"policy returned peer {v} already linked to node {u}"
-            )
-        j = self.policy.choose_peer_port(self, u, port, v)
-        if j is None:
-            j = self.first_free_port(v)
-        elif j in self._bound_ports[v]:
-            raise PortMapExhausted(f"policy returned bound port {j} at node {v}")
-        else:
-            self.check_port(v, j)
-        self._bind(u, port, v, j)
-        return (v, j)
+        return self.policy.connect(self, u, port)
 
     def force_link(self, u: int, i: int, v: int, j: int) -> None:
         """Bind the link ``(u, i) <-> (v, j)``, validating consistency.
@@ -268,7 +295,7 @@ class LazyPortMap(PortMap):
         self.check_port(v, j)
         if u == v:
             raise ValueError("cannot link a node to itself")
-        if i in self._bound_ports[u] or j in self._bound_ports[v]:
+        if i in self._ports[u] or j in self._ports[v]:
             raise PortMapExhausted("port already bound")
         if self.linked(u, v):
             raise PortMapExhausted(f"nodes {u} and {v} already share a link")
@@ -276,49 +303,19 @@ class LazyPortMap(PortMap):
 
     def _bind(self, u: int, i: int, v: int, j: int) -> None:
         """Record the link ``(u, i) <-> (v, j)``; the caller has validated it."""
-        self._endpoint[(u, i)] = (v, j)
-        self._endpoint[(v, j)] = (u, i)
+        self._ports[u][i] = (v, j)
+        self._ports[v][j] = (u, i)
         self._peer_to_port[u][v] = i
         self._peer_to_port[v][u] = j
-        self._bound_ports[u].add(i)
-        self._bound_ports[v].add(j)
-
-    # ------------------------------------------------------------------ #
-    # helpers for policies
+        self._links += 1
 
     def first_free_port(self, v: int) -> int:
         """Smallest port of ``v`` whose endpoint is still undefined."""
-        bound = self._bound_ports[v]
+        bound = self._ports[v]
         for j in range(self.ports_per_node):
             if j not in bound:
                 return j
         raise PortMapExhausted(f"node {v} has no free port")
-
-    def random_free_port(self, v: int, rng: random.Random) -> int:
-        """Uniformly random free port of ``v``."""
-        bound = self._bound_ports[v]
-        free_count = self.ports_per_node - len(bound)
-        if free_count <= 0:
-            raise PortMapExhausted(f"node {v} has no free port")
-        for _ in range(self._REJECTION_CAP):
-            j = rng.randrange(self.ports_per_node)
-            if j not in bound:
-                return j
-        free = [j for j in range(self.ports_per_node) if j not in bound]
-        return rng.choice(free)
-
-    def random_unlinked_peer(self, u: int, rng: random.Random) -> int:
-        """Uniformly random node not yet linked to ``u`` (and not ``u``)."""
-        linked = self._peer_to_port[u]
-        candidates = self.n - 1 - len(linked)
-        if candidates <= 0:
-            raise PortMapExhausted(f"node {u} is already linked to all peers")
-        for _ in range(self._REJECTION_CAP):
-            v = rng.randrange(self.n)
-            if v != u and v not in linked:
-                return v
-        eligible = [v for v in range(self.n) if v != u and v not in linked]
-        return rng.choice(eligible)
 
 
 def random_port_map(n: int, rng: random.Random) -> LazyPortMap:

@@ -79,16 +79,15 @@ class SyncContext:
 
     def send(self, port: int, payload: Any) -> None:
         """Send ``payload`` over ``port``; delivered at the start of round+1."""
-        self._net._send(self.node, port, payload)
+        self._net._send(self.node, (port,), payload)
 
     def send_many(self, ports: Sequence[int], payload: Any) -> None:
         """Send the same payload over each port in ``ports``."""
-        for port in ports:
-            self._net._send(self.node, port, payload)
+        self._net._send(self.node, ports, payload)
 
     def broadcast(self, payload: Any) -> None:
         """Send ``payload`` over every port (``n - 1`` messages)."""
-        self.send_many(range(self.port_count), payload)
+        self._net._send(self.node, range(self.n - 1), payload)
 
     # ------------------------------------------------------------------ #
     # decisions
@@ -248,34 +247,48 @@ class SyncNetwork:
     # ------------------------------------------------------------------ #
     # engine internals (called by contexts)
 
-    def _send(self, u: int, port: int, payload: Any) -> None:
+    def _send(self, u: int, ports: Sequence[int], payload: Any) -> None:
+        """Send one payload from ``u`` over each of ``ports``, in order."""
         if self._halted[u] or self._crashed[u]:
             raise ProtocolError(f"halted/crashed node {u} attempted to send")
-        v, j = self.port_map.resolve(u, port)
-        opened = port not in self._used_send_ports[u]
-        if opened:
-            self._used_send_ports[u].add(port)
         kind = message_kind(payload)
-        self.metrics.record_send(self.round, kind, opened)
-        if self.recorder is not None:
-            self.recorder.on_send(self.round, u, port, v, j, payload)
-        if self.fault_runtime is None:
-            self._inboxes_next.setdefault(v, []).append((j, payload))
-            return
-        self.fault_runtime.observe_send(self.round, u, kind)
-        for delivered in self.fault_runtime.delivered_payloads(
-            u, v, kind, payload, self.round
-        ):
-            # Byzantine rewrites (and replayed stale copies) are traced
-            # separately: on_send above logged what the sender handed
-            # the network, on_tamper logs what the receiver will see.
-            if (
-                delivered is not payload
-                and self.recorder is not None
-                and hasattr(self.recorder, "on_tamper")
-            ):
-                self.recorder.on_tamper(self.round, u, v, payload, delivered)
-            self._inboxes_next.setdefault(v, []).append((j, delivered))
+        round_no = self.round
+        resolve = self.port_map.resolve
+        used = self._used_send_ports[u]
+        recorder = self.recorder
+        runtime = self.fault_runtime
+        inboxes = self._inboxes_next
+        sent = opened = 0
+        try:
+            for port in ports:
+                v, j = resolve(u, port)
+                sent += 1
+                if port not in used:
+                    used.add(port)
+                    opened += 1
+                if recorder is not None:
+                    recorder.on_send(round_no, u, port, v, j, payload)
+                if runtime is None:
+                    inboxes.setdefault(v, []).append((j, payload))
+                    continue
+                runtime.observe_send(round_no, u, kind)
+                for delivered in runtime.delivered_payloads(u, v, kind, payload, round_no):
+                    # Byzantine rewrites (and replayed stale copies) are
+                    # traced separately: on_send above logged what the
+                    # sender handed the network, on_tamper logs what the
+                    # receiver will see.
+                    if (
+                        delivered is not payload
+                        and recorder is not None
+                        and hasattr(recorder, "on_tamper")
+                    ):
+                        recorder.on_tamper(round_no, u, v, payload, delivered)
+                    inboxes.setdefault(v, []).append((j, delivered))
+        finally:
+            # Counted even when a send raises mid-batch, as callers that
+            # catch a policy's escape still read the totals.
+            if sent:
+                self.metrics.record_sends(round_no, kind, sent, opened)
 
     def _decide(self, u: int, decision: Decision, output: Optional[int]) -> None:
         previous = self.decisions[u]

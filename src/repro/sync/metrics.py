@@ -31,14 +31,14 @@ class SyncMetrics:
     sends_by_round: Dict[int, int] = field(default_factory=dict)
     messages_by_kind: Counter = field(default_factory=Counter)
 
-    def record_send(self, round_no: int, kind: str, opened_port: bool) -> None:
-        self.messages_total += 1
+    def record_sends(self, round_no: int, kind: str, count: int, opened: int) -> None:
+        """Account ``count`` sends of one kind, ``opened`` of them over fresh ports."""
+        self.messages_total += count
         if round_no > self.last_send_round:
             self.last_send_round = round_no
-        self.sends_by_round[round_no] = self.sends_by_round.get(round_no, 0) + 1
-        self.messages_by_kind[kind] += 1
-        if opened_port:
-            self.port_opens += 1
+        self.sends_by_round[round_no] = self.sends_by_round.get(round_no, 0) + count
+        self.messages_by_kind[kind] += count
+        self.port_opens += opened
 
     def summary(self) -> str:
         kinds = ", ".join(f"{k}={v}" for k, v in sorted(self.messages_by_kind.items()))

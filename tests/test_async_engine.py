@@ -183,6 +183,31 @@ class TestWakeSemantics:
         with pytest.raises(ValueError):
             AsyncNetwork(3, Quiet, wake_times={0: -1.0})
 
+    @pytest.mark.parametrize("t", [float("inf"), float("nan")])
+    def test_non_finite_wake_time_rejected(self, t):
+        with pytest.raises(ValueError, match="finite"):
+            AsyncNetwork(3, Quiet, wake_times={0: 0.0, 1: t})
+
+    @pytest.mark.parametrize("t", [float("inf"), float("nan")])
+    def test_non_finite_wake_time_rejected_through_run(self, t):
+        from repro.sweep import RunSpec, run
+
+        spec = RunSpec(algorithm="async_tradeoff", n=16, engine="async", wake_times={0: t})
+        with pytest.raises(ValueError, match="finite"):
+            run(spec)
+
+    @pytest.mark.parametrize("delay", [float("inf"), float("nan")])
+    def test_non_finite_timer_delay_rejected(self, delay):
+        class BadTimer(AsyncAlgorithm):
+            def on_wake(self, ctx):
+                ctx.set_timer(delay)
+
+            def on_message(self, ctx, port, payload):
+                pass
+
+        with pytest.raises(ProtocolError, match="finite"):
+            AsyncNetwork(2, BadTimer).run()
+
 
 class TestHaltAndDecisions:
     def test_halted_node_drops_deliveries(self):

@@ -10,6 +10,7 @@ from repro.net.ports import (
     CanonicalPortMap,
     LazyPortMap,
     PortMapExhausted,
+    RandomPortPolicy,
     SequentialPortPolicy,
     random_port_map,
 )
@@ -185,20 +186,83 @@ class TestHelpers:
         assert pm.first_free_port(2) == 1
 
     def test_random_free_port_all_bound(self):
-        pm = LazyPortMap(3, SequentialPortPolicy())
-        pm.resolve(0, 0)
-        pm.resolve(0, 1)
-        with pytest.raises(PortMapExhausted):
-            pm.random_free_port(0, random.Random(0))
+        # Unreachable on a consistent map: every peer's ports are bound
+        # although none of them is linked to node 0.
+        pm = random_port_map(3, random.Random(0))
+        pm._ports[1].update({0: (2, 1), 1: (2, 0)})
+        pm._ports[2].update({0: (1, 1), 1: (1, 0)})
+        with pytest.raises(PortMapExhausted, match="no free port"):
+            pm.resolve(0, 0)
 
     def test_random_unlinked_peer_none_left(self):
-        pm = LazyPortMap(3, SequentialPortPolicy())
-        pm.resolve(0, 0)
-        pm.resolve(0, 1)
-        with pytest.raises(PortMapExhausted):
-            pm.random_unlinked_peer(0, random.Random(0))
+        # Unreachable on a consistent map: node 0 counts as linked to
+        # every peer while its port 0 is still unbound.
+        pm = random_port_map(3, random.Random(0))
+        pm._peer_to_port[0].update({1: 1, 2: 1})
+        with pytest.raises(PortMapExhausted, match="linked to all peers"):
+            pm.resolve(0, 0)
 
     def test_linked_peers(self):
         pm = random_port_map(6, random.Random(9))
         v, _ = pm.resolve(0, 0)
         assert set(pm.linked_peers(0)) == {v}
+
+
+def _randrange_reference_policy(rng: random.Random, fallbacks: list) -> CallbackPortPolicy:
+    """The ``randrange``-based draws ``RandomPortPolicy`` must reproduce."""
+
+    def random_unlinked_peer(pm, u, port):
+        linked = pm._peer_to_port[u]
+        if pm.n - 1 - len(linked) <= 0:
+            raise PortMapExhausted(f"node {u} is already linked to all peers")
+        for _ in range(64):
+            v = rng.randrange(pm.n)
+            if v != u and v not in linked:
+                return v
+        fallbacks.append("peer")
+        return rng.choice([v for v in range(pm.n) if v != u and v not in linked])
+
+    def random_free_port(pm, u, port, v):
+        bound = pm._ports[v]
+        if pm.ports_per_node - len(bound) <= 0:
+            raise PortMapExhausted(f"node {v} has no free port")
+        for _ in range(64):
+            j = rng.randrange(pm.ports_per_node)
+            if j not in bound:
+                return j
+        fallbacks.append("port")
+        return rng.choice([j for j in range(pm.ports_per_node) if j not in bound])
+
+    return CallbackPortPolicy(random_unlinked_peer, random_free_port)
+
+
+class TestRandomDrawsMatchRandrange:
+    """``RandomPortPolicy`` inlines ``randrange``; the wiring must not move."""
+
+    @staticmethod
+    def _port_sequence(n: int, seed: int):
+        order = random.Random(seed)
+        scattered = [
+            (order.randrange(n), order.randrange(n - 1)) for _ in range(4 * n)
+        ]
+        # Full broadcasts exhaust the eligible peers and ports, which is
+        # where the 64-draw cap hands over to the explicit scan.
+        broadcasters = range(n) if n <= 256 else order.sample(range(n), 6)
+        return scattered + [(u, p) for u in broadcasters for p in range(n - 1)]
+
+    # Which 64-draw caps each sequence runs into (the reference records it).
+    FALLBACKS = {2: set(), 3: set(), 8: set(), 64: {"peer"}, 256: {"peer", "port"},
+                 512: {"peer"}}
+
+    @pytest.mark.parametrize("n", sorted(FALLBACKS))
+    def test_same_endpoints_and_rng_state(self, n):
+        fallbacks: list = []
+        ref_rng, new_rng = random.Random(n), random.Random(n)
+        reference = LazyPortMap(n, _randrange_reference_policy(ref_rng, fallbacks))
+        inlined = LazyPortMap(n, RandomPortPolicy(new_rng))
+        for u, port in self._port_sequence(n, seed=n + 1):
+            assert inlined.resolve(u, port) == reference.resolve(u, port)
+        assert inlined._ports == reference._ports
+        assert inlined.link_count() == reference.link_count()
+        assert new_rng.getstate() == ref_rng.getstate()
+        assert set(fallbacks) == self.FALLBACKS[n]
