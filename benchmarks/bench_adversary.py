@@ -29,8 +29,8 @@ import argparse
 import sys
 
 from repro.adversary import AdversaryPlan, SlanderWindow, TamperRule
-from repro.analysis import Table
-from repro.faults import CrashFault, DetectorSpec, FaultPlan, run_failover_trial
+from repro.analysis import RunSpec, Table, run
+from repro.faults import CrashFault, DetectorSpec, FaultPlan
 from repro.scenarios import ScenarioRunner, get_scenario
 
 from _harness import bench_once, emit, emit_json
@@ -63,8 +63,9 @@ def _trial(engine, n, plan, seed, quorum=True):
     if engine == "async":
         kwargs["wake_times"] = {u: 0.0 for u in range(n)}
         kwargs["max_events"] = 20_000_000
-    return run_failover_trial(
-        engine, n, _factory(engine, quorum), plan, seed=seed, **kwargs
+    return run(
+        RunSpec(algorithm=_factory(engine, quorum), n=n, engine=engine,
+                seeds=(seed,), faults=plan, **kwargs)
     )
 
 
@@ -96,8 +97,8 @@ def run_resilience(ns, seeds):
                     ),
                 )
                 results = [_trial(engine, n, plan, seed) for seed in seeds]
-                converged = sum(r.unique_surviving_leader for r in results)
-                msgs = sum(r.record.messages for r in results) / len(results)
+                converged = sum(r.extra["unique_surviving_leader"] for r in results)
+                msgs = sum(r.messages for r in results) / len(results)
                 rows.append((engine, n, f, converged, len(seeds), msgs))
                 table.add_row(
                     engine, n, f, f"{converged}/{len(seeds)}", f"{msgs:.0f}"
@@ -158,12 +159,11 @@ def run_overhead(ns, seeds):
         for seed in seeds:
             honest = _trial("sync", n, honest_plan, seed)
             byz = _trial("sync", n, byz_plan, seed)
-            converged &= honest.unique_surviving_leader
-            converged &= byz.unique_surviving_leader
-            h_msgs.append(honest.record.messages)
-            b_msgs.append(byz.record.messages)
-            fm = byz.record.extra["result"].fault_metrics
-            tampered += fm.tampered_messages if fm else 0
+            converged &= honest.extra["unique_surviving_leader"]
+            converged &= byz.extra["unique_surviving_leader"]
+            h_msgs.append(honest.messages)
+            b_msgs.append(byz.messages)
+            tampered += byz.extra["fault_metrics"].tampered_messages
         hm = sum(h_msgs) / len(h_msgs)
         bm = sum(b_msgs) / len(b_msgs)
         rows.append((n, hm, bm, bm / max(hm, 1.0), tampered, converged))

@@ -31,7 +31,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.analysis import Table
+from repro.analysis import RunSpec, Table, run
 from repro.faults import (
     AsyncReElectionElection,
     AsyncMonarchicalElection,
@@ -40,7 +40,6 @@ from repro.faults import (
     LeaderKillPolicy,
     MonarchicalElection,
     ReElectionElection,
-    run_failover_trial,
 )
 
 from _harness import bench_once, emit, emit_json
@@ -59,7 +58,7 @@ ASYNC_PLAN = FaultPlan(
 )
 
 CONFIGS = [
-    # (label, engine, factory, plan, trial kwargs)
+    # (label, engine, factory, plan, options)
     (
         "monarchical/sync",
         "sync",
@@ -109,28 +108,32 @@ def run_sweep(ns=NS, seeds=SEEDS):
     rows = []
     for label, engine, factory, plan, opts in CONFIGS:
         for n in ns:
-            reports = []
-            for seed in seeds:
-                kwargs = {}
-                if engine == "async":
-                    kwargs["wake_times"] = {u: 0.0 for u in range(n)}
-                    kwargs["max_events"] = 20_000_000
-                reports.append(
-                    run_failover_trial(engine, n, factory, plan, seed=seed, **kwargs)
-                )
-            survivors = sum(r.unique_surviving_leader for r in reports) / len(reports)
+            kwargs = {}
+            if engine == "async":
+                kwargs["wake_times"] = {u: 0.0 for u in range(n)}
+                kwargs["max_events"] = 20_000_000
+            records = [
+                run(RunSpec(algorithm=factory, n=n, engine=engine, seeds=(seed,),
+                            faults=plan, **kwargs))
+                for seed in seeds
+            ]
+            failovers = [r.extra["failover"] for r in records]
+            survivors = sum(
+                r.extra["unique_surviving_leader"] for r in records
+            ) / len(records)
             latencies = [
-                lat for r in reports for lat in r.detection_latencies
+                lat for f in failovers for lat in f["detection_latencies"]
             ]
             reelects = [
-                r.reelection_time for r in reports if r.reelection_time is not None
+                f["reelection_time"] for f in failovers
+                if f["reelection_time"] is not None
             ]
             mean_lat = sum(latencies) / len(latencies) if latencies else float("nan")
             mean_reelect = sum(reelects) / len(reelects) if reelects else float("nan")
-            mean_msgs = sum(r.record.messages for r in reports) / len(reports)
+            mean_msgs = sum(r.messages for r in records) / len(records)
             mean_after = sum(
-                r.messages_after_first_crash for r in reports
-            ) / len(reports)
+                f["messages_after_first_crash"] for f in failovers
+            ) / len(records)
             rows.append(
                 (label, engine, n, survivors, mean_lat, mean_reelect,
                  mean_msgs, mean_after)

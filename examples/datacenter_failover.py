@@ -32,6 +32,7 @@ Run:  python examples/datacenter_failover.py
 
 import random
 
+from repro.analysis import RunSpec, run
 from repro.asyncnet import AsyncNetwork, PerLinkDelayScheduler
 from repro.core import AsyncAfekGafniElection, AsyncTradeoffElection
 from repro.faults import (
@@ -39,7 +40,6 @@ from repro.faults import (
     DetectorSpec,
     FaultPlan,
     LeaderKillPolicy,
-    run_failover_trial,
 )
 from repro.lowerbound import bounds
 
@@ -94,30 +94,35 @@ def failover_under_churn(seed: int) -> None:
     )
     rng = random.Random(seed)
     first_pages = {rng.randrange(CELL_SIZE): 0.0 for _ in range(3)}
-    report = run_failover_trial(
-        "async",
-        CELL_SIZE,
-        lambda: AsyncReElectionElection(
-            inner="async_tradeoff", commit_delay=4.0, poll_interval=0.5,
-            inner_params={"k": 3},
-        ),
-        plan,
-        seed=seed,
-        wake_times=first_pages,
-        max_events=20_000_000,
+    record = run(
+        RunSpec(
+            algorithm=lambda: AsyncReElectionElection(
+                inner="async_tradeoff", commit_delay=4.0, poll_interval=0.5,
+                inner_params={"k": 3},
+            ),
+            n=CELL_SIZE,
+            engine="async",
+            seeds=(seed,),
+            wake_times=first_pages,
+            max_events=20_000_000,
+            faults=plan,
+        )
     )
-    crashed = report.record.extra["crashed"]
-    assert report.unique_surviving_leader, "churn must still yield one survivor"
+    crashed = record.extra["crashed"]
+    survived = record.extra["unique_surviving_leader"]
+    failover = record.extra["failover"]
+    latencies = failover["detection_latencies"]
+    assert survived, "churn must still yield one survivor"
     print("  epoch 0 winner crashed at its victory announcement"
           f" (machine index {crashed[0]})")
-    print(f"    crash detected in   : {report.mean_detection_latency:.2f} time units"
+    print(f"    crash detected in   : {sum(latencies) / len(latencies):.2f} time units"
           " (perfect detector, lag 1)")
-    print(f"    new coordinator     : machine id {report.surviving_leader_id}"
-          f" ({'unique survivor' if report.unique_surviving_leader else 'FAILED'})")
-    print(f"    re-election time    : {report.reelection_time:.2f} time units"
+    print(f"    new coordinator     : machine id {record.extra['surviving_leader_id']}"
+          f" ({'unique survivor' if survived else 'FAILED'})")
+    print(f"    re-election time    : {failover['reelection_time']:.2f} time units"
           " after the crash")
-    print(f"    recovery traffic    : {report.messages_after_first_crash:,} of"
-          f" {report.record.messages:,} total messages")
+    print(f"    recovery traffic    : {failover['messages_after_first_crash']:,} of"
+          f" {record.messages:,} total messages")
 
 
 def main() -> None:

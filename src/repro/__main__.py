@@ -136,7 +136,7 @@ from __future__ import annotations
 import argparse
 import random
 import sys
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Iterable, List, Optional
 
 from repro.analysis import RunSpec, Table, execute_spec, run
 from repro.common import SimulationLimitExceeded
@@ -183,6 +183,42 @@ def _ids_for(name: str, n: int, params: Dict[str, Any], rng: random.Random) -> O
     return None  # randomized algorithms: default 1..n is fine
 
 
+def _size_error(n: int, roots: Optional[int], min_n: int) -> Optional[str]:
+    """A one-line complaint about ``--n``/``--roots``, or None if they fit."""
+    if n < min_n:
+        return f"--n must be >= {min_n}, got {n}"
+    if roots is not None and not 1 <= roots <= n:
+        return f"--roots must be in [1, n={n}], got {roots}"
+    return None
+
+
+def _wake_fields(engine: str, roots: Optional[Iterable[int]]) -> Dict[str, Any]:
+    """The RunSpec wake-up field ``engine`` reads for these initial roots."""
+    if engine == "async":
+        return {} if roots is None else {"wake_times": {u: 0.0 for u in roots}}
+    return {"awake" if engine == "sync" else "roots": roots}
+
+
+def _run_workload(args, spec, params, engine: str, seed: int):
+    """IDs and RunSpec wake-up fields of one ``repro run`` seed.
+
+    One RNG per seed draws the IDs first and then the ``--roots`` set,
+    whatever the engine, so sync, async and fast runs of a seed share
+    both.
+    """
+    rng = random.Random(f"cli:{args.n}:{seed}")
+    ids = _ids_for(args.name, args.n, params, rng)
+    roots = None
+    if args.roots is not None:
+        roots = rng.sample(range(args.n), args.roots)
+    if engine == "async":
+        if spec.wakeup == ("simultaneous",):
+            roots = range(args.n)
+    elif roots is None and spec.wakeup == ("adversarial",):
+        roots = [0]
+    return ids, _wake_fields(engine, roots)
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     spec = get_algorithm(args.name)
     engine = spec.engine if args.engine == "auto" else args.engine
@@ -225,29 +261,12 @@ def cmd_run(args: argparse.Namespace) -> int:
             raise SystemExit("error: --trace records one run; pass exactly one seed")
     params = dict(kv.split("=", 1) for kv in args.param)
     params = {k: _parse_param(v) for k, v in params.items()}
+    # Deterministic algorithms draw IDs from the tradeoff universe,
+    # which needs n >= 2.
+    error = _size_error(args.n, args.roots, 2 if spec.deterministic else 1)
+    if error:
+        raise SystemExit(f"error: {error}")
     fault_plan = _partition_plan(args)
-    trace_recorder = None
-    telemetry = None
-    if args.trace is not None:
-        if engine == "fast":
-            # No per-message objects in the vectorized engine: the trace
-            # carries its per-round aggregate counters instead.  Batched
-            # runs route the export through RunSpec.trace so every lane
-            # lands in the file (lane-annotated).
-            if args.batch is None:
-                from repro.telemetry import FastTelemetry
-
-                telemetry = FastTelemetry()
-        else:
-            from repro.telemetry import JsonlRecorder, RunContext
-
-            trace_recorder = JsonlRecorder(
-                args.trace,
-                context=RunContext(
-                    algorithm=args.name, n=args.n, seed=args.seeds[0],
-                    engine=engine, params=params,
-                ),
-            )
     columns = ["seed", "unique leader", "elected id", "messages", "time", "decided"]
     if engine == "fast":
         columns.append("wall s")
@@ -255,120 +274,34 @@ def cmd_run(args: argparse.Namespace) -> int:
         columns,
         title=f"{spec.name} (n={args.n}, {spec.paper_ref}, engine={engine}) params={params}",
     )
-    def _fast_workload(seed: int):
-        """IDs and wake-up roots for one fast run (same draws as sync)."""
-        rng = random.Random(f"cli:{args.n}:{seed}")
-        ids = _ids_for(args.name, args.n, params, rng)
-        if args.roots is not None:
-            roots = rng.sample(range(args.n), args.roots)
-        elif spec.wakeup == ("adversarial",):
-            roots = [0]
-        else:
-            roots = None
-        return ids, roots
-
+    # Batched lanes share one configuration: the first seed of each
+    # chunk fixes the ID assignment (and wake-up set) for its lanes.
+    size = args.batch or 1
     records: List[Any] = []
-    if engine == "fast" and args.batch is not None:
-        # Batched lanes share one configuration: the first seed of each
-        # chunk fixes the ID assignment (and roots) for its lanes.
-        for start in range(0, len(args.seeds), args.batch):
-            chunk = args.seeds[start : start + args.batch]
-            ids, roots = _fast_workload(chunk[0])
-            records.extend(
-                execute_spec(
-                    RunSpec(
-                        algorithm=args.name,
-                        n=args.n,
-                        engine="fast",
-                        seeds=tuple(chunk),
-                        batch=len(chunk),
-                        params=params,
-                        ids=ids,
-                        roots=roots,
-                        faults=fault_plan,
-                        trace=args.trace,
-                    )
+    for start in range(0, len(args.seeds), size):
+        chunk = args.seeds[start : start + size]
+        ids, wake = _run_workload(args, spec, params, engine, chunk[0])
+        records.extend(
+            execute_spec(
+                RunSpec(
+                    algorithm=args.name,
+                    n=args.n,
+                    engine=engine,
+                    seeds=tuple(chunk),
+                    batch=len(chunk) if args.batch else None,
+                    params=params,
+                    ids=ids,
+                    faults=fault_plan,
+                    max_events=20_000_000 if engine == "async" else None,
+                    trace=args.trace,
+                    **wake,
                 )
             )
-    else:
-        for seed in args.seeds:
-            rng = random.Random(f"cli:{args.n}:{seed}")
-            if engine == "fast":
-                ids, roots = _fast_workload(seed)
-                record = run(
-                    RunSpec(
-                        algorithm=args.name,
-                        n=args.n,
-                        engine="fast",
-                        seeds=(seed,),
-                        params=params,
-                        ids=ids,
-                        roots=roots,
-                        faults=fault_plan,
-                    ),
-                    telemetry=telemetry,
-                )
-            elif engine == "sync":
-                ids = _ids_for(args.name, args.n, params, rng)
-                awake = None
-                if args.roots is not None:
-                    awake = rng.sample(range(args.n), args.roots)
-                elif spec.wakeup == ("adversarial",):
-                    awake = [0]
-                record = run(
-                    RunSpec(
-                        algorithm=args.name,
-                        n=args.n,
-                        engine="sync",
-                        seeds=(seed,),
-                        params=params,
-                        ids=ids,
-                        awake=awake,
-                        faults=fault_plan,
-                    ),
-                    recorder=trace_recorder,
-                )
-            else:
-                ids = _ids_for(args.name, args.n, params, rng)
-                wake_times = None
-                if spec.wakeup == ("simultaneous",):
-                    wake_times = {u: 0.0 for u in range(args.n)}
-                elif args.roots is not None:
-                    wake_times = {u: 0.0 for u in rng.sample(range(args.n), args.roots)}
-                record = run(
-                    RunSpec(
-                        algorithm=args.name,
-                        n=args.n,
-                        engine="async",
-                        seeds=(seed,),
-                        params=params,
-                        ids=ids,
-                        wake_times=wake_times,
-                        faults=fault_plan,
-                        max_events=20_000_000,
-                    ),
-                    recorder=trace_recorder,
-                )
-            records.append(record)
-    if trace_recorder is not None:
-        trace_recorder.close()
-        print(f"trace: wrote {trace_recorder.events_written} events to {args.trace}")
-    elif telemetry is not None:
-        from repro.telemetry import RunContext, dump_events
-
-        written = dump_events(
-            args.trace,
-            telemetry.events(),
-            context=RunContext(
-                algorithm=args.name, n=args.n, seed=args.seeds[0],
-                engine="fast", mode=telemetry.mode, params=params,
-            ),
         )
-        print(f"trace: wrote {written} aggregate events to {args.trace}")
-    elif args.trace is not None and records:
-        receipt = records[0].extra.get("trace") or {}
+    if args.trace is not None:
+        kind = "aggregate events" if engine == "fast" else "events"
         print(
-            f"trace: wrote {receipt.get('events', 0)} aggregate events to "
+            f"trace: wrote {records[0].extra['trace']['events']} {kind} to "
             f"{args.trace}"
         )
     failures = 0
@@ -515,13 +448,32 @@ def _build_fault_plan(args: argparse.Namespace):
     )
 
 
-def cmd_faults(args: argparse.Namespace) -> int:
-    from repro.faults import run_failover_trial
+def _faulted_spec(
+    engine: str, n: int, factory, plan, seed: int, roots=None
+) -> RunSpec:
+    """One faulted CLI run; async runs wake every node unless ``roots``."""
+    if roots is None and engine == "async":
+        roots = range(n)
+    return RunSpec(
+        algorithm=factory,
+        n=n,
+        engine=engine,
+        seeds=(seed,),
+        faults=plan,
+        max_events=20_000_000 if engine == "async" else None,
+        **_wake_fields(engine, roots),
+    )
 
+
+def cmd_faults(args: argparse.Namespace) -> int:
     spec = get_algorithm(args.name)
     engine = args.engine or spec.engine
     params = dict(kv.split("=", 1) for kv in args.param)
     params = {k: _parse_param(v) for k, v in params.items()}
+    error = _size_error(args.n, args.roots, 1)
+    if error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     try:
         plan = _build_fault_plan(args)
         plan.validate_for(args.n)
@@ -555,40 +507,31 @@ def cmd_faults(args: argparse.Namespace) -> int:
     failures = 0
     for seed in args.seeds:
         rng = random.Random(f"cli-faults:{args.n}:{seed}")
-        kwargs: Dict[str, Any] = {}
-        if engine == "sync":
-            if args.roots is not None:
-                kwargs["awake"] = rng.sample(range(args.n), args.roots)
-        else:
-            if args.roots is not None:
-                kwargs["wake_times"] = {
-                    u: 0.0 for u in rng.sample(range(args.n), args.roots)
-                }
-            else:
-                kwargs["wake_times"] = {u: 0.0 for u in range(args.n)}
-            kwargs["max_events"] = 20_000_000
+        roots = None
+        if args.roots is not None:
+            roots = rng.sample(range(args.n), args.roots)
         try:
-            report = run_failover_trial(
-                engine, args.n, factory, plan, seed=seed, **kwargs
-            )
+            record = run(_faulted_spec(engine, args.n, factory, plan, seed, roots))
         except SimulationLimitExceeded as exc:
             # Crash-oblivious algorithms may stall forever under faults
             # (e.g. waiting on a reply the network dropped).
             failures += 1
             table.add_row(seed, "STALLED", "-", "-", "-", "-", "-", "-", str(exc))
             continue
-        failures += not report.unique_surviving_leader
-        latency = report.mean_detection_latency
+        failover = record.extra["failover"]
+        latencies = failover["detection_latencies"]
+        reelection = failover["reelection_time"]
+        failures += not record.extra["unique_surviving_leader"]
         table.add_row(
             seed,
-            report.unique_surviving_leader,
-            report.surviving_leader_id,
-            report.crashes,
-            "-" if latency is None else f"{latency:.2f}",
-            "-" if report.reelection_time is None else f"{report.reelection_time:.2f}",
-            report.record.messages,
-            report.messages_after_first_crash,
-            f"{report.record.time:.2f}",
+            record.extra["unique_surviving_leader"],
+            record.extra["surviving_leader_id"],
+            len(record.extra["crashed"]),
+            f"{sum(latencies) / len(latencies):.2f}" if latencies else "-",
+            "-" if reelection is None else f"{reelection:.2f}",
+            record.messages,
+            failover["messages_after_first_crash"],
+            f"{record.time:.2f}",
         )
     print(table.render())
     if failures:
@@ -718,7 +661,16 @@ def cmd_scenarios_run(args: argparse.Namespace) -> int:
 
 
 def cmd_scenarios_sweep(args: argparse.Namespace) -> int:
-    from repro.scenarios import ScenarioRunner, ScenarioSchemaError, run_scenario_batch
+    from types import SimpleNamespace
+
+    from repro.scenarios import (
+        ScenarioRunner,
+        ScenarioSchemaError,
+        run_scenario_batch,
+        scenario_to_json,
+    )
+    from repro.sweep.scheduler import SweepCell, run_cells
+    from repro.sweep.worker import scenario_cell, scenario_summary
 
     if args.batch and args.engine != "fast":
         print("error: --batch needs --engine fast", file=sys.stderr)
@@ -735,26 +687,54 @@ def cmd_scenarios_sweep(args: argparse.Namespace) -> int:
     )
     metrics_out: Dict[str, Any] = {}
     failures = 0
-    parallel_metrics: Dict[Any, Dict[str, Any]] = {}
     progress = None
     if getattr(args, "progress", False):
         from repro.monitor import SweepProgress
 
         progress = SweepProgress(live=True)
-    if args.workers > 1:
-        # Shard (n, seed) cells across worker processes: the scenario
-        # crosses the boundary as its JSON timeline and each worker
-        # replays it with the same per-seed RNG streams, so the table is
-        # bit-identical to the sequential sweep.
-        from repro.scenarios import scenario_to_json
-        from repro.sweep.scheduler import SweepCell, run_cells
-        from repro.sweep.worker import scenario_cell
-
+    metrics_by_cell: Dict[Any, Any] = {}
+    if args.batch:
+        # The batched path has no scheduler; drive the same listener
+        # manually so --progress behaves identically.
+        if progress is not None:
+            progress.start(
+                len(args.ns) * len(args.seeds),
+                float(sum(n for n in args.ns for _ in args.seeds)),
+                1,
+            )
+        for n in args.ns:
+            try:
+                scenario = _load_scenario(args.name, n)
+                batch_results = run_scenario_batch(
+                    scenario, n, list(args.seeds), engine="fast",
+                    inner=args.inner, lag=args.lag, quorum=args.quorum,
+                )
+            except (ScenarioSchemaError, ValueError) as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                return 2
+            for seed, result in zip(args.seeds, batch_results):
+                metrics_by_cell[(n, seed)] = scenario_summary(result.metrics)
+                if progress is not None:
+                    cell = SimpleNamespace(index=len(metrics_by_cell) - 1, cost=float(n))
+                    progress.cell_start(cell)
+                    progress.cell_finish(cell, 0.0, 0)
+        if progress is not None:
+            progress.finish(progress.elapsed)
+    else:
+        # One (n, seed) cell per run: the scenario crosses into the
+        # cell as its JSON timeline and replays with the same per-seed
+        # RNG streams, so the table is identical for every --workers.
         cells = []
         keys = []
         try:
             for n in args.ns:
-                scenario_json = scenario_to_json(_load_scenario(args.name, n))
+                scenario = _load_scenario(args.name, n)
+                # Construction validates n, engine and lag up front.
+                ScenarioRunner(
+                    scenario, n, engine=args.engine, inner=args.inner,
+                    lag=args.lag, quorum=args.quorum,
+                )
+                scenario_json = scenario_to_json(scenario)
                 for seed in args.seeds:
                     payload = (
                         scenario_json, n, seed, args.engine,
@@ -768,80 +748,21 @@ def cmd_scenarios_sweep(args: argparse.Namespace) -> int:
         values = run_cells(
             cells, scenario_cell, workers=args.workers, progress=progress
         )
-        parallel_metrics = dict(zip(keys, values))
-    elif progress is not None:
-        # Sequential/batched paths have no scheduler; drive the same
-        # listener manually so --progress behaves identically.
-        progress.start(
-            len(args.ns) * len(args.seeds),
-            float(sum(n for n in args.ns for _ in args.seeds)),
-            1,
+        metrics_by_cell = dict(zip(keys, values))
+    for (n, seed), m in metrics_by_cell.items():
+        failures += not m["final_agreed"]
+        mean_failover = m["mean_failover_latency"]
+        table.add_row(
+            n, seed, m["elections"], m["epoch_churn"],
+            "-" if mean_failover is None else f"{mean_failover:.2f}",
+            f"{m['agreed_fraction']:.2f}", m["total_messages"],
+            f"{m['message_overhead']:.2f}", m["final_agreed"],
         )
-    sequential_cell = 0
-    for n in args.ns:
-        results_by_seed: Dict[int, Any] = {}
-        if args.batch:
-            try:
-                scenario = _load_scenario(args.name, n)
-                batch_results = run_scenario_batch(
-                    scenario, n, list(args.seeds), engine="fast",
-                    inner=args.inner, lag=args.lag, quorum=args.quorum,
-                )
-            except (ScenarioSchemaError, ValueError) as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
-            results_by_seed = dict(zip(args.seeds, batch_results))
-        for seed in args.seeds:
-            if args.workers > 1:
-                from types import SimpleNamespace
-
-                m = SimpleNamespace(**parallel_metrics[(n, seed)])
-            elif args.batch:
-                m = results_by_seed[seed].metrics
-            else:
-                try:
-                    scenario = _load_scenario(args.name, n)
-                    runner = ScenarioRunner(
-                        scenario, n, engine=args.engine, seed=seed,
-                        inner=args.inner, lag=args.lag, quorum=args.quorum,
-                    )
-                except (ScenarioSchemaError, ValueError) as exc:
-                    print(f"error: {exc}", file=sys.stderr)
-                    return 2
-                cell = None
-                if progress is not None and args.workers <= 1:
-                    from types import SimpleNamespace
-
-                    cell = SimpleNamespace(index=sequential_cell, cost=float(n))
-                    progress.cell_start(cell)
-                import time as _time
-
-                t0 = _time.perf_counter()
-                m = runner.run().metrics
-                if cell is not None:
-                    progress.cell_finish(cell, _time.perf_counter() - t0, 0)
-            if args.workers <= 1 and args.batch and progress is not None:
-                from types import SimpleNamespace
-
-                cell = SimpleNamespace(index=sequential_cell, cost=float(n))
-                progress.cell_start(cell)
-                progress.cell_finish(cell, 0.0, 0)
-            sequential_cell += 1
-            failures += not m.final_agreed
-            mean_failover = m.mean_failover_latency
-            table.add_row(
-                n, seed, m.elections, m.epoch_churn,
-                "-" if mean_failover is None else f"{mean_failover:.2f}",
-                f"{m.agreed_fraction:.2f}", m.total_messages,
-                f"{m.message_overhead:.2f}", m.final_agreed,
-            )
-            key = f"n={n}/seed={seed}"
-            metrics_out[f"{key}/messages"] = m.total_messages
-            metrics_out[f"{key}/epoch_churn"] = m.epoch_churn
-            if mean_failover is not None:
-                metrics_out[f"{key}/mean_failover_latency"] = mean_failover
-    if progress is not None and args.workers <= 1:
-        progress.finish(progress.elapsed)
+        key = f"n={n}/seed={seed}"
+        metrics_out[f"{key}/messages"] = m["total_messages"]
+        metrics_out[f"{key}/epoch_churn"] = m["epoch_churn"]
+        if mean_failover is not None:
+            metrics_out[f"{key}/mean_failover_latency"] = mean_failover
     print(table.render())
     if args.json:
         _write_json(
@@ -927,8 +848,6 @@ def _adversary_factory(args: argparse.Namespace, engine: str):
 
 
 def cmd_adversary_run(args: argparse.Namespace) -> int:
-    from repro.faults import run_failover_trial
-
     if args.trace is not None and len(args.seeds) != 1:
         print("error: --trace records one run; pass exactly one seed",
               file=sys.stderr)
@@ -967,29 +886,25 @@ def cmd_adversary_run(args: argparse.Namespace) -> int:
     )
     failures = 0
     for seed in args.seeds:
-        kwargs: Dict[str, Any] = {}
-        if args.engine == "async":
-            kwargs["wake_times"] = {u: 0.0 for u in range(args.n)}
-            kwargs["max_events"] = 20_000_000
         try:
-            report = run_failover_trial(
-                args.engine, args.n, factory, plan, seed=seed,
-                recorder=trace_recorder, **kwargs,
+            record = run(
+                _faulted_spec(args.engine, args.n, factory, plan, seed),
+                recorder=trace_recorder,
             )
         except SimulationLimitExceeded as exc:
             failures += 1
             table.add_row(seed, "STALLED", "-", "-", "-", "-", str(exc))
             continue
-        fm = report.record.extra["result"].fault_metrics
-        failures += not report.unique_surviving_leader
+        fm = record.extra["fault_metrics"]
+        failures += not record.extra["unique_surviving_leader"]
         table.add_row(
             seed,
-            report.unique_surviving_leader,
-            report.surviving_leader_id,
-            report.crashes,
-            fm.tampered_messages if fm else 0,
-            report.record.messages,
-            f"{report.record.time:.2f}",
+            record.extra["unique_surviving_leader"],
+            record.extra["surviving_leader_id"],
+            len(record.extra["crashed"]),
+            fm.tampered_messages,
+            record.messages,
+            f"{record.time:.2f}",
         )
     if trace_recorder is not None:
         trace_recorder.close()
@@ -1006,7 +921,7 @@ def cmd_adversary_run(args: argparse.Namespace) -> int:
 def cmd_adversary_sweep(args: argparse.Namespace) -> int:
     """Honest vs Byzantine overhead curve (EXPERIMENTS.md S3)."""
     from repro.adversary import AdversaryPlan, SlanderWindow, TamperRule
-    from repro.faults import CrashFault, DetectorSpec, FaultPlan, run_failover_trial
+    from repro.faults import CrashFault, DetectorSpec, FaultPlan
 
     table = Table(
         ["n", "f", "honest msgs", "byz msgs", "overhead", "honest time",
@@ -1056,29 +971,21 @@ def cmd_adversary_sweep(args: argparse.Namespace) -> int:
         b_time: List[float] = []
         converged = True
         for seed in args.seeds:
-            kwargs: Dict[str, Any] = {}
-            if args.engine == "async":
-                kwargs["wake_times"] = {u: 0.0 for u in range(n)}
-                kwargs["max_events"] = 20_000_000
             try:
-                honest = run_failover_trial(
-                    args.engine, n, factory, honest_plan, seed=seed, **kwargs
-                )
-                byz = run_failover_trial(
-                    args.engine, n, factory, byz_plan, seed=seed, **kwargs
-                )
+                honest = run(_faulted_spec(args.engine, n, factory, honest_plan, seed))
+                byz = run(_faulted_spec(args.engine, n, factory, byz_plan, seed))
             except SimulationLimitExceeded:
                 # The plain wrapper (--no-quorum) legitimately stalls
                 # under slander; a stalled seed fails the sweep point
                 # instead of killing the whole sweep with a traceback.
                 converged = False
                 continue
-            converged &= honest.unique_surviving_leader
-            converged &= byz.unique_surviving_leader
-            h_msgs.append(honest.record.messages)
-            b_msgs.append(byz.record.messages)
-            h_time.append(honest.record.time)
-            b_time.append(byz.record.time)
+            converged &= honest.extra["unique_surviving_leader"]
+            converged &= byz.extra["unique_surviving_leader"]
+            h_msgs.append(honest.messages)
+            b_msgs.append(byz.messages)
+            h_time.append(honest.time)
+            b_time.append(byz.time)
         failures += not converged
         if not h_msgs:
             table.add_row(n, f, "-", "-", "STALLED", "-", "-", converged)

@@ -30,7 +30,6 @@ from repro.faults.plan import (
     PartitionMask,
 )
 from repro.faults.reelect import AsyncReElectionElection, ReElectionElection
-from repro.faults.runner import FailoverReport, run_failover_trial
 from repro.faults.runtime import FaultMetrics, FaultRuntime
 
 __all__ = [
@@ -51,6 +50,4 @@ __all__ = [
     "safe_stable_rounds",
     "ReElectionElection",
     "AsyncReElectionElection",
-    "FailoverReport",
-    "run_failover_trial",
 ]

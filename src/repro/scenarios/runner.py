@@ -283,6 +283,47 @@ class ScenarioRunner:
             )
         )
 
+    def _object_trial(
+        self,
+        m: int,
+        member_ids: Sequence[int],
+        act_seed: int,
+        plan: FaultPlan,
+        monitor: Optional[Any] = None,
+    ):
+        """One sync/async re-election act under ``plan``, all nodes awake.
+
+        ``monitor`` is an extra live recorder for this act, composed
+        with the runner's own ``recorder``.
+        """
+        from repro.sweep.api import run
+        from repro.sweep.spec import RunSpec
+        from repro.trace.events import CompositeRecorder
+
+        recorder = self.recorder
+        if monitor is not None:
+            recorder = monitor if recorder is None else CompositeRecorder(
+                monitor, recorder
+            )
+        wake: Dict[str, Any] = {}
+        if self.engine == "async":
+            wake = dict(
+                wake_times={u: 0.0 for u in range(m)}, max_events=self.max_events
+            )
+        return run(
+            RunSpec(
+                algorithm=self._reelect_factory(),
+                n=m,
+                engine=self.engine,
+                seeds=(act_seed,),
+                ids=tuple(member_ids),
+                faults=plan,
+                **wake,
+            ),
+            recorder=recorder,
+            keep_result=True,
+        )
+
     @staticmethod
     def _act_plan_for_fast(plan: FaultPlan) -> Optional[FaultPlan]:
         """The act plan the fast engine receives: ``None`` when inert.
@@ -463,25 +504,23 @@ class ScenarioRunner:
         else:
             from repro.analysis.runner import RunRecord
             from repro.common import SimulationLimitExceeded
-            from repro.faults import run_failover_trial
+            from repro.monitor import MonitorSuite, UniqueLeaderMonitor
 
-            kwargs: Dict[str, Any] = {}
-            if self.engine == "async":
-                kwargs["wake_times"] = {u: 0.0 for u in range(m)}
-                kwargs["max_events"] = self.max_events
             self._annotate(
                 act=act_index, trigger=trigger, epoch=self.epoch_counter + 1
             )
+            # Leaders simultaneously alive when the act ended: > 1 means
+            # the act really split the brain (per-component leaders).
+            # The unique_leader_per_epoch monitor watches the act live,
+            # so the scenario metric and the monitor verdict are one
+            # computation and can never disagree.
+            unique_monitor = UniqueLeaderMonitor()
+            suite = MonitorSuite(
+                monitors=[unique_monitor], n=m, ids=list(member_ids)
+            )
             try:
-                report = run_failover_trial(
-                    self.engine,
-                    m,
-                    self._reelect_factory(),
-                    plan,
-                    seed=act_seed,
-                    ids=member_ids,
-                    recorder=self.recorder,
-                    **kwargs,
+                record = self._object_trial(
+                    m, member_ids, act_seed, plan, suite
                 )
             except SimulationLimitExceeded as exc:
                 # A node wedged without ever learning a leader (the plain
@@ -519,7 +558,6 @@ class ScenarioRunner:
                 self.act_floor = t_start
                 self._mark(t_start)
                 return epoch
-            record = report.record
             result = record.extra["result"]
             if self.engine == "sync":
                 duration = float(record.extra["rounds_executed"])
@@ -534,29 +572,20 @@ class ScenarioRunner:
                 for u in range(m)
             ]
             fm = result.fault_metrics
-            detection_latencies = list(report.detection_latencies)
+            failover = record.extra.pop("failover")
+            detection_latencies = list(failover["detection_latencies"])
             in_act_crashes = len(result.crashed)
             dropped = fm.dropped_messages if fm else 0
             duplicated = fm.duplicated_messages if fm else 0
             blocked = fm.partition_blocked if fm else 0
             tampered = fm.tampered_messages if fm else 0
-            # Leaders simultaneously alive when the act ended: > 1 means
-            # the act really split the brain (per-component leaders).
-            # Routed through the unique_leader_per_epoch monitor over the
-            # act's event stream, so the scenario metric and the monitor
-            # verdict are one computation and can never disagree.
-            from repro.monitor import MonitorSuite, UniqueLeaderMonitor
-
-            unique_monitor = UniqueLeaderMonitor()
-            MonitorSuite(
-                monitors=[unique_monitor], n=m, ids=list(member_ids)
-            ).replay(report.events).finish(result)
+            suite.finish(result)
             concurrent = unique_monitor.concurrent_leaders
             # Every committed leader is an epoch, and so is every
             # frontrunner a kill policy aborted before its commit.
             aborted = sum(1 for u in result.crashed if u not in result.leaders)
             epochs_minted = max(1, len(leader_ids) + aborted)
-            reelection_time = report.reelection_time
+            reelection_time = failover["reelection_time"]
         self._sanitize_record(record)
 
         # Persist the outcome: every participant moves to the new epoch
@@ -895,25 +924,10 @@ class ScenarioRunner:
         if self.engine == "fast":
             record = self._fast_trial(self.n, self._initial_ids, seed)
         else:
-            from repro.faults import run_failover_trial
-
             plan = FaultPlan(detector=DetectorSpec(kind="perfect", lag=self.lag))
-            kwargs: Dict[str, Any] = {}
-            if self.engine == "async":
-                kwargs["wake_times"] = {u: 0.0 for u in range(self.n)}
-                kwargs["max_events"] = self.max_events
             self._annotate(act=None, epoch=None, trigger="baseline")
-            report = run_failover_trial(
-                self.engine,
-                self.n,
-                self._reelect_factory(),
-                plan,
-                seed=seed,
-                ids=self._initial_ids,
-                recorder=self.recorder,
-                **kwargs,
-            )
-            record = report.record
+            record = self._object_trial(self.n, self._initial_ids, seed, plan)
+            record.extra.pop("failover")
             self._annotate(trigger=None)
         self._sanitize_record(record)
         return record

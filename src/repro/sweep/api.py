@@ -142,6 +142,43 @@ def _fast_record(
     return record
 
 
+def _measure_failover(result: Any, events: List[Any]) -> Dict[str, Any]:
+    """Failover numbers of one faulted run, read off its event stream.
+
+    ``detection_latencies`` holds one crash-to-first-suspicion delay per
+    detected crash; ``reelection_time`` runs from the first crash to the
+    last LEADER decision (``None`` without a crash or a later leader);
+    ``messages_after_first_crash`` counts the sends from the first crash
+    on.
+    """
+    from repro.common import Decision
+
+    metrics = result.fault_metrics
+    crash_times = sorted(when for when, _u in metrics.crashes) if metrics else []
+    first_crash = crash_times[0] if crash_times else None
+    reelection_time = None
+    messages_after = 0
+    if first_crash is not None:
+        leader_decides = [
+            e.when
+            for e in events
+            if e.kind == "decide" and e.detail[0] is Decision.LEADER
+        ]
+        if leader_decides and leader_decides[-1] >= first_crash:
+            reelection_time = leader_decides[-1] - first_crash
+        messages_after = sum(
+            1 for e in events if e.kind == "send" and e.when >= first_crash
+        )
+    crashed_at = {u: when for when, u in (metrics.crashes if metrics else [])}
+    return {
+        "detection_latencies": (
+            metrics.detection_latencies(crashed_at) if metrics else []
+        ),
+        "reelection_time": reelection_time,
+        "messages_after_first_crash": messages_after,
+    }
+
+
 def _trace_recorder(spec: RunSpec, engine: str, recorder: Optional[Any]):
     """A JSONL recorder for ``spec.trace`` on the object engines."""
     if spec.trace is None or engine == "fast":
@@ -180,6 +217,17 @@ def _execute_object(
     records = []
     try:
         for seed in spec.seeds:
+            failover = None
+            seed_recorder = trial_recorder
+            if faults is not None:
+                # Faulted runs measure their failover off the sends and
+                # decides, next to whatever sink the caller attached.
+                from repro.trace.events import CompositeRecorder, MemoryRecorder
+
+                failover = MemoryRecorder(kinds=("send", "decide"))
+                seed_recorder = failover
+                if trial_recorder is not None:
+                    seed_recorder = CompositeRecorder(failover, trial_recorder)
             if engine == "sync":
                 net = SyncNetwork(
                     spec.n,
@@ -189,7 +237,7 @@ def _execute_object(
                     awake=spec.awake,
                     max_rounds=spec.max_rounds,
                     faults=faults,
-                    recorder=trial_recorder,
+                    recorder=seed_recorder,
                 )
                 result = net.run()
                 record = _sync_record(spec.n, seed, result, spec.params)
@@ -203,10 +251,17 @@ def _execute_object(
                     wake_times=spec.wake_times,
                     max_events=spec.max_events,
                     faults=faults,
-                    recorder=trial_recorder,
+                    recorder=seed_recorder,
                 )
                 result = net.run()
                 record = _async_record(spec.n, seed, result, spec.params)
+            if failover is not None:
+                measured = _measure_failover(result, failover.events)
+                record.extra["failover"] = measured
+                if measured["reelection_time"] is not None:
+                    record.extra["metrics"]["gauges"]["failover_latency"] = (
+                        measured["reelection_time"]
+                    )
             if keep_result:
                 record.extra["result"] = result
             records.append(record)

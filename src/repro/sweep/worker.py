@@ -12,7 +12,7 @@ import os
 import time
 from typing import Any, Callable, Dict, Optional, Tuple
 
-__all__ = ["invoke_cell", "run_spec_cell", "scenario_cell"]
+__all__ = ["invoke_cell", "run_spec_cell", "scenario_cell", "scenario_summary"]
 
 
 def invoke_cell(
@@ -102,7 +102,12 @@ def scenario_cell(payload: Tuple[str, int, int, str, Any, float, bool]):
     registry.counter("sweep.records").inc(1)
     registry.counter("sweep.messages").inc(int(m.total_messages))
     registry.counter("sweep.records[scenario]").inc(1)
-    value = {
+    return scenario_summary(m), registry.as_dict()
+
+
+def scenario_summary(m: Any) -> Dict[str, Any]:
+    """The convergence metrics one ``repro scenarios sweep`` row shows."""
+    return {
         "elections": m.elections,
         "epoch_churn": m.epoch_churn,
         "mean_failover_latency": m.mean_failover_latency,
@@ -111,4 +116,3 @@ def scenario_cell(payload: Tuple[str, int, int, str, Any, float, bool]):
         "message_overhead": m.message_overhead,
         "final_agreed": m.final_agreed,
     }
-    return value, registry.as_dict()

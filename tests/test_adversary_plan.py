@@ -229,7 +229,9 @@ class TestTamperTracing:
         """The trace layer must show what receivers actually got: every
         Byzantine rewrite (and replayed stale copy) emits a ``tamper``
         event alongside the honest ``send`` record."""
-        from repro.faults import run_failover_trial
+        from repro.adversary import QuorumReElectionElection
+        from repro.analysis import RunSpec, run
+        from repro.trace import MemoryRecorder
 
         plan = FaultPlan(
             adversary=AdversaryPlan(
@@ -237,13 +239,13 @@ class TestTamperTracing:
                 tampers=(TamperRule(mode="forge", kinds=("compete",)),),
             ),
         )
-        from repro.adversary import QuorumReElectionElection
-
-        report = run_failover_trial(
-            "sync", 6, lambda: QuorumReElectionElection(), plan, seed=0
+        memory = MemoryRecorder()
+        record = run(
+            RunSpec(algorithm=QuorumReElectionElection, n=6, engine="sync", faults=plan),
+            recorder=memory,
         )
-        tampers = [e for e in report.events if e.kind == "tamper"]
-        fm = report.record.extra["result"].fault_metrics
+        tampers = [e for e in memory.events if e.kind == "tamper"]
+        fm = record.extra["fault_metrics"]
         assert fm.tampered_messages > 0
         assert len(tampers) == fm.tampered_messages
         for event in tampers:
@@ -252,13 +254,17 @@ class TestTamperTracing:
             assert original != delivered
 
     def test_honest_runs_emit_no_tamper_events(self):
-        from repro.faults import DetectorSpec, ReElectionElection, run_failover_trial
+        from repro.analysis import RunSpec, run
+        from repro.faults import DetectorSpec, ReElectionElection
+        from repro.trace import MemoryRecorder
 
         plan = FaultPlan(detector=DetectorSpec(kind="perfect", lag=1.0))
-        report = run_failover_trial(
-            "sync", 6, lambda: ReElectionElection(), plan, seed=0
+        memory = MemoryRecorder()
+        run(
+            RunSpec(algorithm=ReElectionElection, n=6, engine="sync", faults=plan),
+            recorder=memory,
         )
-        assert not [e for e in report.events if e.kind == "tamper"]
+        assert not [e for e in memory.events if e.kind == "tamper"]
 
 
 class TestSlanderDetectors:

@@ -5,6 +5,8 @@ import pytest
 from repro.__main__ import main
 from repro.core import ALGORITHMS
 
+from tests.helpers import run_cli
+
 
 class TestList:
     def test_lists_all_algorithms(self, capsys):
@@ -184,3 +186,29 @@ class TestRunFastBatch:
             name = line.split()[0] if line.strip() else ""
             if name in ("kutten16", "adversarial_2round", "small_id"):
                 assert "yes" in line, line
+
+
+class TestWorkloadSizeErrors:
+    """Bad ``--n``/``--roots`` values fail with one ``error:`` line."""
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            ("run improved_tradeoff --n 8 --roots 9", "--roots must be in [1, n=8], got 9"),
+            ("faults monarchical --n 8 --roots 9", "--roots must be in [1, n=8], got 9"),
+            ("run improved_tradeoff --n 8 --roots 0", "--roots must be in [1, n=8], got 0"),
+            ("faults reelect --engine async --n 8 --roots 0",
+             "--roots must be in [1, n=8], got 0"),
+            ("run adversarial_2round --engine fast --n 8 --roots 0",
+             "--roots must be in [1, n=8], got 0"),
+            ("run improved_tradeoff --n 0", "--n must be >= 2, got 0"),
+            ("faults reelect --n 0", "--n must be >= 1, got 0"),
+            ("trace record improved_tradeoff --n 8 --roots 9 -o unused.jsonl",
+             "--roots must be in [1, n=8], got 9"),
+        ],
+    )
+    def test_one_line_error(self, argv, message):
+        proc = run_cli(*argv.split())
+        assert proc.returncode != 0
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr == f"error: {message}\n"

@@ -6,6 +6,8 @@ import pytest
 
 from repro.__main__ import build_parser, main
 
+from tests.helpers import run_cli
+
 
 class TestParsing:
     def test_subcommands_parse(self):
@@ -105,3 +107,12 @@ class TestSweep:
         payload = json.loads(out[out.index("{"):])
         assert payload["scenario"] == "rolling_restart"
         assert "n=8/seed=0/messages" in payload["metrics"]
+
+    def test_worker_count_does_not_change_output(self):
+        argv = ["scenarios", "sweep", "rolling_restart", "--ns", "8", "12",
+                "--seeds", "0", "1", "--json", "-"]
+        one = run_cli(*argv, "--workers", "1")
+        two = run_cli(*argv, "--workers", "2")
+        assert one.returncode == two.returncode == 0, (one.stderr, two.stderr)
+        assert "scenario sweep" in one.stdout
+        assert one.stdout == two.stdout

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis import RunSpec, run
 from repro.asyncnet.engine import AsyncNetwork
 from repro.common import SimulationLimitExceeded
 from repro.core import LasVegasElection
@@ -13,7 +14,6 @@ from repro.faults import (
     LeaderKillPolicy,
     LinkFaults,
     ReElectionElection,
-    run_failover_trial,
 )
 from repro.sync.engine import SyncNetwork
 
@@ -58,16 +58,17 @@ class TestSyncReElection:
         )
 
     def test_wrapped_las_vegas(self):
-        report = run_failover_trial(
-            "sync",
-            48,
-            lambda: ReElectionElection(inner="las_vegas", commit_rounds=4),
-            KILL_SYNC,
-            seed=3,
-        )
-        assert report.crashes == 1
-        assert report.unique_surviving_leader
-        assert report.reelection_time is not None and report.reelection_time > 0
+        record = run(RunSpec(
+            algorithm=lambda: ReElectionElection(inner="las_vegas", commit_rounds=4),
+            n=48,
+            engine="sync",
+            seeds=(3,),
+            faults=KILL_SYNC,
+        ))
+        reelection_time = record.extra["failover"]["reelection_time"]
+        assert len(record.extra["crashed"]) == 1
+        assert record.extra["unique_surviving_leader"]
+        assert reelection_time is not None and reelection_time > 0
 
     def test_callable_inner_factory(self):
         result = SyncNetwork(
@@ -84,16 +85,16 @@ class TestSyncReElection:
         assert result.unique_leader
 
     def test_adversarial_wakeup_with_kill(self):
-        report = run_failover_trial(
-            "sync",
-            48,
-            lambda: ReElectionElection(inner="afek_gafni", commit_rounds=4),
-            KILL_SYNC,
-            seed=5,
+        record = run(RunSpec(
+            algorithm=lambda: ReElectionElection(inner="afek_gafni", commit_rounds=4),
+            n=48,
+            engine="sync",
+            seeds=(5,),
             awake=[0, 7, 13],
-        )
-        assert report.crashes == 1
-        assert report.unique_surviving_leader
+            faults=KILL_SYNC,
+        ))
+        assert len(record.extra["crashed"]) == 1
+        assert record.extra["unique_surviving_leader"]
 
     def test_static_crash_of_nonleader_restarts_epoch(self):
         # Any membership change restarts the election; node 0 is almost
@@ -116,17 +117,17 @@ class TestSyncReElection:
             policies=(LeaderKillPolicy(kinds=("ree_coord",), delay=1, max_kills=2),),
             detector=DetectorSpec(lag=1),
         )
-        report = run_failover_trial(
-            "sync",
-            32,
-            lambda: ReElectionElection(inner="afek_gafni", commit_rounds=4),
-            plan,
-            seed=4,
-        )
-        assert report.crashes == 2
-        assert report.unique_surviving_leader
+        record = run(RunSpec(
+            algorithm=lambda: ReElectionElection(inner="afek_gafni", commit_rounds=4),
+            n=32,
+            engine="sync",
+            seeds=(4,),
+            faults=plan,
+        ))
+        assert len(record.extra["crashed"]) == 2
+        assert record.extra["unique_surviving_leader"]
         # Max and second-max died announcing; third-max survives.
-        assert report.surviving_leader_id == 30
+        assert record.extra["surviving_leader_id"] == 30
 
     def test_bad_commit_rounds(self):
         with pytest.raises(ValueError):
@@ -201,16 +202,16 @@ class TestLossyCommit:
             ),
             detector=DetectorSpec(lag=1),
         )
-        report = run_failover_trial(
-            "sync",
-            24,
-            lambda: ReElectionElection(inner="afek_gafni", commit_rounds=4),
-            plan,
-            seed=2,
-        )
-        assert report.crashes == 1
-        assert report.unique_surviving_leader
-        assert report.surviving_leader_id == 23
+        record = run(RunSpec(
+            algorithm=lambda: ReElectionElection(inner="afek_gafni", commit_rounds=4),
+            n=24,
+            engine="sync",
+            seeds=(2,),
+            faults=plan,
+        ))
+        assert len(record.extra["crashed"]) == 1
+        assert record.extra["unique_surviving_leader"]
+        assert record.extra["surviving_leader_id"] == 23
 
     def test_async_commit_survives_coord_drop(self):
         plan = FaultPlan(
@@ -246,36 +247,39 @@ class TestAsyncReElection:
         assert result.unique_leader
 
     def test_frontrunner_kill_reelects_survivor(self):
-        report = run_failover_trial(
-            "async",
-            32,
-            lambda: AsyncReElectionElection(
+        record = run(RunSpec(
+            algorithm=lambda: AsyncReElectionElection(
                 inner="async_tradeoff", commit_delay=4.0, poll_interval=0.5
             ),
-            KILL_ASYNC,
-            seed=3,
+            n=32,
+            engine="async",
+            seeds=(3,),
             wake_times={0: 0.0},
             max_events=2_000_000,
-        )
-        assert report.crashes == 1
-        assert report.unique_surviving_leader
-        assert report.reelection_time is not None and report.reelection_time > 0
-        assert report.detection_latencies and report.detection_latencies[0] >= 1.0
+            faults=KILL_ASYNC,
+        ))
+        failover = record.extra["failover"]
+        reelection_time = failover["reelection_time"]
+        detection_latencies = failover["detection_latencies"]
+        assert len(record.extra["crashed"]) == 1
+        assert record.extra["unique_surviving_leader"]
+        assert reelection_time is not None and reelection_time > 0
+        assert detection_latencies and detection_latencies[0] >= 1.0
 
     def test_all_awake_with_kill(self):
-        report = run_failover_trial(
-            "async",
-            24,
-            lambda: AsyncReElectionElection(
+        record = run(RunSpec(
+            algorithm=lambda: AsyncReElectionElection(
                 inner="async_tradeoff", commit_delay=4.0, poll_interval=0.5
             ),
-            KILL_ASYNC,
-            seed=6,
+            n=24,
+            engine="async",
+            seeds=(6,),
             wake_times={u: 0.0 for u in range(24)},
             max_events=2_000_000,
-        )
-        assert report.crashes == 1
-        assert report.unique_surviving_leader
+            faults=KILL_ASYNC,
+        ))
+        assert len(record.extra["crashed"]) == 1
+        assert record.extra["unique_surviving_leader"]
 
     def test_bad_parameters(self):
         with pytest.raises(ValueError):

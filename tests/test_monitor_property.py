@@ -15,8 +15,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.adversary import QuorumReElectionElection
+from repro.analysis import RunSpec, run
 from repro.common import SimulationLimitExceeded
-from repro.faults import CrashFault, DetectorSpec, FaultPlan, run_failover_trial
+from repro.faults import CrashFault, DetectorSpec, FaultPlan
 from repro.monitor import (
     MonitorSuite,
     QuorumOneLeaderMonitor,
@@ -51,18 +52,21 @@ def monitored_trial(n, crashes, seed, *, max_rounds=None):
     plan = FaultPlan(
         crashes=crashes, detector=DetectorSpec(kind="perfect", lag=1.0)
     )
-    report = run_failover_trial(
-        "sync", n, lambda: QuorumReElectionElection(), plan, seed=seed,
-        max_rounds=max_rounds,
-    )
-    result = report.record.extra["result"]
     suite = MonitorSuite(
         monitors=[UniqueLeaderMonitor(), QuorumOneLeaderMonitor()],
         n=n,
         context={"n": n, "seed": seed, "crashes": len(crashes)},
     )
-    suite.replay(report.events).finish(result)
-    return report, suite
+    record = run(
+        RunSpec(
+            algorithm=QuorumReElectionElection, n=n, engine="sync",
+            seeds=(seed,), max_rounds=max_rounds, faults=plan,
+        ),
+        recorder=suite,
+        keep_result=True,
+    )
+    suite.finish(record.extra["result"])
+    return record, suite
 
 
 class TestQuorumSafetyProperty:
@@ -71,7 +75,7 @@ class TestQuorumSafetyProperty:
     def test_minority_crashes_never_split_the_brain(self, schedule):
         n, crashes, seed = schedule
         try:
-            report, suite = monitored_trial(n, crashes, seed, max_rounds=256)
+            record, suite = monitored_trial(n, crashes, seed, max_rounds=256)
         except SimulationLimitExceeded:
             # Adversarial crash timing can stall re-election (a liveness
             # edge — e.g. the round-1 coordinator crashing with a second
@@ -80,13 +84,13 @@ class TestQuorumSafetyProperty:
             assume(False)
         assert suite.ok, [str(v) for v in suite.violations]
         # And the engine's own accounting agrees with the silent monitor.
-        assert len(report.record.extra["result"].surviving_leaders) <= 1
+        assert len(record.extra["result"].surviving_leaders) <= 1
 
     def test_fixed_minority_crash_converges_uniquely(self):
         # A deterministic anchor next to the property: crash 2 of 7
         # (including the initial winner's likely id-range) and require a
         # unique surviving leader, not just the absence of a violation.
         crashes = (CrashFault(node=6, at=4.0), CrashFault(node=0, at=6.0))
-        report, suite = monitored_trial(7, crashes, seed=1)
+        record, suite = monitored_trial(7, crashes, seed=1)
         assert suite.ok
-        assert report.unique_surviving_leader
+        assert record.extra["unique_surviving_leader"]

@@ -14,6 +14,7 @@ from repro.adversary import (
     QuorumReElectionElection,
     SlanderWindow,
 )
+from repro.analysis import RunSpec, run
 from repro.common import Decision, SimulationLimitExceeded
 from repro.faults import (
     CrashFault,
@@ -21,20 +22,27 @@ from repro.faults import (
     FaultPlan,
     PartitionMask,
     ReElectionElection,
-    run_failover_trial,
 )
 
 
-def sync_trial(n, plan, seed=0, **params):
-    return run_failover_trial(
-        "sync", n, lambda: QuorumReElectionElection(**params), plan, seed=seed
+def sync_trial(n, plan, seed=0, factory=None, **params):
+    return run(
+        RunSpec(
+            algorithm=factory or (lambda: QuorumReElectionElection(**params)),
+            n=n, engine="sync", seeds=(seed,), faults=plan,
+        ),
+        keep_result=True,
     )
 
 
 def async_trial(n, plan, seed=0, **params):
-    return run_failover_trial(
-        "async", n, lambda: AsyncQuorumReElectionElection(**params), plan,
-        seed=seed, wake_times={u: 0.0 for u in range(n)}, max_events=5_000_000,
+    return run(
+        RunSpec(
+            algorithm=lambda: AsyncQuorumReElectionElection(**params),
+            n=n, engine="async", seeds=(seed,), faults=plan,
+            wake_times={u: 0.0 for u in range(n)}, max_events=5_000_000,
+        ),
+        keep_result=True,
     )
 
 
@@ -57,22 +65,22 @@ def slander_plan(n, f, crash_node=None, crash_at=6.0, start=2.0, end=None):
 class TestSlanderTolerance:
     @pytest.mark.parametrize("n,f", [(5, 1), (9, 2), (9, 3), (12, 4)])
     def test_sync_survives_slander(self, n, f):
-        report = sync_trial(n, slander_plan(n, f))
-        assert report.unique_surviving_leader
+        record = sync_trial(n, slander_plan(n, f))
+        assert record.extra["unique_surviving_leader"]
         # The slandered victims are alive: they must follow, not contest.
-        result = report.record.extra["result"]
+        result = record.extra["result"]
         assert result.decided_count == n
-        leader = report.surviving_leader_id
+        leader = record.extra["surviving_leader_id"]
         for u in range(n - f, n):
             assert result.decisions[u] is Decision.NON_LEADER
             assert result.outputs[u] == leader
 
     @pytest.mark.parametrize("n,f", [(5, 1), (9, 2)])
     def test_async_survives_slander(self, n, f):
-        report = async_trial(n, slander_plan(n, f))
-        assert report.unique_surviving_leader
-        result = report.record.extra["result"]
-        leader = report.surviving_leader_id
+        record = async_trial(n, slander_plan(n, f))
+        assert record.extra["unique_surviving_leader"]
+        result = record.extra["result"]
+        leader = record.extra["surviving_leader_id"]
         for u in range(n - f, n):
             assert result.decisions[u] is Decision.NON_LEADER
             assert result.outputs[u] == leader
@@ -82,17 +90,17 @@ class TestSlanderTolerance:
         """The acceptance bar: f < n/2 crash + slander adversaries."""
         n = 9
         for seed in (0, 1, 2):
-            report = engine_trial(n, slander_plan(n, 2, crash_node=3), seed=seed)
-            assert report.unique_surviving_leader, seed
-            assert report.crashes == 1
+            record = engine_trial(n, slander_plan(n, 2, crash_node=3), seed=seed)
+            assert record.extra["unique_surviving_leader"], seed
+            assert len(record.extra["crashed"]) == 1
 
     def test_slandered_monarch_is_deposed_but_agrees(self):
         """Slander the max-ID node: the quorum elects the runner-up and
         the alive victim adopts it through coord catch-up."""
         n = 7
-        report = sync_trial(n, slander_plan(n, 1))
-        assert report.surviving_leader_id == n - 1  # runner-up id
-        result = report.record.extra["result"]
+        record = sync_trial(n, slander_plan(n, 1))
+        assert record.extra["surviving_leader_id"] == n - 1  # runner-up id
+        result = record.extra["result"]
         assert result.outputs[n - 1] == n - 1  # the victim follows it
 
     @pytest.mark.parametrize("start", [4.0, 6.0, 7.0, 8.0, 10.0])
@@ -106,10 +114,10 @@ class TestSlanderTolerance:
         sweeps the victim up as a follower."""
         n = 7
         for seed in (0, 1):
-            report = sync_trial(
+            record = sync_trial(
                 n, slander_plan(n, 1, start=start), seed=seed
             )
-            result = report.record.extra["result"]
+            result = record.extra["result"]
             assert len(result.surviving_leaders) == 1, (start, seed)
 
     def test_plain_reelect_breaks_under_slander(self):
@@ -117,9 +125,7 @@ class TestSlanderTolerance:
         the victim spinning forever (it is excluded from every coord)."""
         n = 7
         with pytest.raises(SimulationLimitExceeded):
-            run_failover_trial(
-                "sync", n, lambda: ReElectionElection(), slander_plan(n, 1), seed=0
-            )
+            sync_trial(n, slander_plan(n, 1), factory=ReElectionElection)
 
 
 class TestPartitionAbstention:
@@ -132,8 +138,8 @@ class TestPartitionAbstention:
 
     def test_minority_never_elects(self):
         n, minority = 9, 4
-        report = sync_trial(n, self.partition_plan(n, minority))
-        result = report.record.extra["result"]
+        record = sync_trial(n, self.partition_plan(n, minority))
+        result = record.extra["result"]
         assert result.leader_ids == [n]  # only the majority side elected
         for u in range(minority):
             assert result.decisions[u] is Decision.NON_LEADER
@@ -141,25 +147,24 @@ class TestPartitionAbstention:
 
     def test_plain_wrapper_split_brains(self):
         n, minority = 9, 4
-        report = run_failover_trial(
-            "sync", n, lambda: ReElectionElection(),
-            self.partition_plan(n, minority), seed=0,
+        record = sync_trial(
+            n, self.partition_plan(n, minority), factory=ReElectionElection
         )
-        result = report.record.extra["result"]
+        result = record.extra["result"]
         assert len(result.leader_ids) == 2  # one leader per component
 
     def test_even_split_elects_nobody(self):
         """No component holds a majority: CP semantics, nobody leads."""
         n = 8
-        report = sync_trial(n, self.partition_plan(n, 4))
-        result = report.record.extra["result"]
+        record = sync_trial(n, self.partition_plan(n, 4))
+        result = record.extra["result"]
         assert result.leader_ids == []
         assert all(d is Decision.NON_LEADER for d in result.decisions)
 
     def test_async_minority_never_elects(self):
         n, minority = 9, 4
-        report = async_trial(n, self.partition_plan(n, minority))
-        result = report.record.extra["result"]
+        record = async_trial(n, self.partition_plan(n, minority))
+        result = record.extra["result"]
         assert len(result.leader_ids) == 1
         for u in range(minority):
             assert result.outputs[u] is None
@@ -175,11 +180,10 @@ class TestQuorumMechanics:
             detector=DetectorSpec(kind="perfect", lag=1.0),
         )
         quorum = sync_trial(n, plan)
-        plain = run_failover_trial(
-            "sync", n, lambda: ReElectionElection(), plan, seed=0
-        )
-        assert quorum.unique_surviving_leader and plain.unique_surviving_leader
-        assert quorum.surviving_leader_id == plain.surviving_leader_id
+        plain = sync_trial(n, plan, factory=ReElectionElection)
+        assert quorum.extra["unique_surviving_leader"]
+        assert plain.extra["unique_surviving_leader"]
+        assert quorum.extra["surviving_leader_id"] == plain.extra["surviving_leader_id"]
 
     def test_majority_crash_means_no_leader(self):
         """f >= n/2 crashes: survivors abstain rather than risk a
@@ -189,8 +193,8 @@ class TestQuorumMechanics:
             crashes=tuple(CrashFault(node=u, at=2.0) for u in range(4)),
             detector=DetectorSpec(kind="perfect", lag=1.0),
         )
-        report = sync_trial(n, plan)
-        result = report.record.extra["result"]
+        record = sync_trial(n, plan)
+        result = record.extra["result"]
         assert result.leader_ids == []
 
     def test_threshold_is_validated_at_construction(self):
@@ -209,15 +213,15 @@ class TestQuorumMechanics:
             ),
             detector=DetectorSpec(kind="perfect", lag=1.0),
         )
-        report = sync_trial(n, plan, threshold=2 / 3)
-        result = report.record.extra["result"]
+        record = sync_trial(n, plan, threshold=2 / 3)
+        result = record.extra["result"]
         # 5 of 9 is a majority but not > 2/3: nobody elects anywhere.
         assert result.leader_ids == []
 
     def test_single_node_self_elects(self):
         plan = FaultPlan(detector=DetectorSpec(kind="perfect", lag=1.0))
-        report = sync_trial(1, plan)
-        assert report.surviving_leader_id == 1
+        record = sync_trial(1, plan)
+        assert record.extra["surviving_leader_id"] == 1
 
     def test_fault_free_equivalence_across_engines(self):
         """Cross-engine validation: both engines converge with explicit
@@ -227,10 +231,11 @@ class TestQuorumMechanics:
         for seed in (0, 1):
             s = sync_trial(n, plan, seed=seed)
             a = async_trial(n, plan, seed=seed)
-            assert s.unique_surviving_leader and a.unique_surviving_leader
-            for report in (s, a):
-                result = report.record.extra["result"]
-                leader = report.surviving_leader_id
+            assert s.extra["unique_surviving_leader"]
+            assert a.extra["unique_surviving_leader"]
+            for record in (s, a):
+                result = record.extra["result"]
+                leader = record.extra["surviving_leader_id"]
                 for u in range(n):
                     if result.decisions[u] is Decision.NON_LEADER:
                         assert result.outputs[u] == leader

@@ -3,8 +3,8 @@
 ``ScenarioRunner._run_act`` routes its ``concurrent_leaders`` epoch
 metric through ``unique_leader_per_epoch`` over the act's event stream,
 replacing the old ad-hoc ``len(result.surviving_leaders)`` computation.
-These tests monkeypatch :func:`repro.faults.run_failover_trial` to
-capture every act's raw engine artifacts and pin that the monitor's
+These tests wrap :func:`repro.sweep.api.run` to capture every act's raw
+engine artifacts and pin that the monitor's
 count equals the engine's survivor accounting on every act of
 ``partition_heal`` and ``slandered_leader`` — the two scenarios where
 the numbers could plausibly diverge (partition masks, quorum deposals).
@@ -12,23 +12,26 @@ the numbers could plausibly diverge (partition masks, quorum deposals).
 
 import pytest
 
-import repro.faults as faults
+import repro.sweep.api as api
 from repro.monitor import MonitorSuite, UniqueLeaderMonitor
 from repro.scenarios import get_scenario, run_scenario
+from repro.trace import CompositeRecorder, MemoryRecorder
 
 
 @pytest.fixture
 def captured(monkeypatch):
     """Capture (events, result) per act before the runner sanitizes them."""
     acts = []
-    original = faults.run_failover_trial
+    original = api.run
 
-    def wrapper(*args, **kwargs):
-        report = original(*args, **kwargs)
-        acts.append((list(report.events), report.record.extra["result"]))
-        return report
+    def wrapper(spec, *, recorder=None, **kwargs):
+        memory = MemoryRecorder()
+        recorder = memory if recorder is None else CompositeRecorder(memory, recorder)
+        record = original(spec, recorder=recorder, **kwargs)
+        acts.append((memory.events, record.extra["result"]))
+        return record
 
-    monkeypatch.setattr(faults, "run_failover_trial", wrapper)
+    monkeypatch.setattr(api, "run", wrapper)
     return acts
 
 
@@ -50,7 +53,7 @@ class TestMonitorMatchesEngineAccounting:
     )
     def test_every_act_agrees(self, name, cfg, captured):
         run_scenario(get_scenario(name, 9), 9, engine="sync", seed=0, **cfg)
-        assert captured  # the seam actually ran through run_failover_trial
+        assert captured  # the seam actually ran through run()
         for events, result in captured:
             assert monitor_count(events, result) == len(
                 result.surviving_leaders

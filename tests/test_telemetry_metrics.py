@@ -78,21 +78,23 @@ class TestRunRecordConsistency:
 class TestFailoverLatencyGauge:
     def test_failover_trial_reports_latency(self):
         from repro.faults import CrashFault, DetectorSpec, FaultPlan
-        from repro.faults import run_failover_trial
 
         spec = get_algorithm("reelect")
         plan = FaultPlan(
             crashes=(CrashFault(node=7, at=6.0),),
             detector=DetectorSpec(kind="perfect", lag=1.0),
         )
-        report = run_failover_trial(
-            "sync", 8, spec.make(), plan, seed=0, max_rounds=400,
+        record = run(
+            RunSpec(algorithm=spec.make(), n=8, engine="sync", max_rounds=400,
+                    faults=plan)
         )
-        gauges = report.record.extra["metrics"]["gauges"]
-        if report.reelection_time is not None:
-            assert gauges["failover_latency"] == report.reelection_time
+        reelection_time = record.extra["failover"]["reelection_time"]
+        gauges = record.extra["metrics"]["gauges"]
+        if reelection_time is not None:
+            assert gauges["failover_latency"] == reelection_time
         # Crash accounting flows through the same registry.
-        assert report.record.extra["metrics"]["counters"]["crashes"] == report.crashes
+        crashes = len(record.extra["crashed"])
+        assert record.extra["metrics"]["counters"]["crashes"] == crashes
 
     def test_run_metrics_failover_kwarg(self):
         spec = get_algorithm("improved_tradeoff")
