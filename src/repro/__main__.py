@@ -374,11 +374,15 @@ def _parse_crash(text: str):
 
     try:
         node, at = text.split("@", 1)
-        return CrashFault(node=int(node), at=float(at))
+        node, at = int(node), float(at)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"crash spec {text!r} is not NODE@WHEN (e.g. 63@2)"
         ) from None
+    try:
+        return CrashFault(node=node, at=at)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"crash spec {text!r}: {exc}") from None
 
 
 def _parse_partition(text: str):
@@ -409,11 +413,14 @@ def _partition_plan(args: argparse.Namespace):
         raise SystemExit(
             f"error: --partition cut must be in (0, n), got {cut} with n={args.n}"
         )
-    mask = PartitionMask(
-        components=(tuple(range(cut)), tuple(range(cut, args.n))),
-        start=start,
-        end=end,
-    )
+    try:
+        mask = PartitionMask(
+            components=(tuple(range(cut)), tuple(range(cut, args.n))),
+            start=start,
+            end=end,
+        )
+    except ValueError as exc:
+        raise SystemExit(f"error: {exc}") from None
     return FaultPlan(partitions=(mask,))
 
 

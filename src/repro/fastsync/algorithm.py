@@ -25,9 +25,11 @@ single run is a batch of one lane).  The contract:
 
 A port that declares :attr:`supports_faults` also has a
 ``_run_faulted`` fold, which :meth:`run` hands over to when a FaultPlan
-is attached (:attr:`FastSyncNetwork.has_faults`).  Faulted runs are
-single-lane, so the fold calls the same primitives with one lane, where
-a global index is the node index.
+is attached (:attr:`FastSyncNetwork.has_faults`).  The fold is the only
+body that reads :attr:`FastSyncNetwork.alive`: crashes, like every
+other fault, come from the plan.  Faulted runs are single-lane, so the
+fold calls the same primitives with one lane, where a global index is
+the node index.
 
 Ports assume the simultaneous wake-up regime (every node awake in round
 1) unless they declare :attr:`supports_roots` and honor the engine's
@@ -50,12 +52,6 @@ class VectorAlgorithm:
     #: Registry name of the object-model twin (for diagnostics).
     name: str = "?"
 
-    #: Whether the port honors the engine's crash masks
-    #: (:attr:`FastSyncNetwork.alive`).  Crash-aware ports must filter
-    #: senders and referees through the mask every round; the engine
-    #: refuses to run a crash schedule against a port that does not.
-    supports_crashes: bool = False
-
     #: Whether the port honors an adversarial wake-up schedule
     #: (:attr:`FastSyncNetwork.roots`).  Ports without it assume every
     #: node wakes in round 1.
@@ -63,9 +59,9 @@ class VectorAlgorithm:
 
     #: Whether the port implements a FaultPlan fold — the per-receiver
     #: round-by-round path driven through the engine's
-    #: :class:`~repro.fastsync.faults.FastFaultRuntime` (partitions,
-    #: link faults, kill policies, tampering).  The engine refuses to
-    #: attach ``faults=`` to a port that does not.
+    #: :class:`~repro.fastsync.faults.FastFaultRuntime` (crashes,
+    #: partitions, link faults, kill policies, tampering).  The engine
+    #: refuses to attach ``faults=`` to a port that does not.
     supports_faults: bool = False
 
     def run(self, net: "FastSyncNetwork") -> None:

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -94,21 +94,13 @@ def _referee_iteration(
     (``net.ids_rank_flat`` values, or ``-1``): max-compete logic runs on
     int32 ranks — order-isomorphic to the IDs — which halves the
     scatter/gather traffic of the hot round.
-
-    Crash masks: competes are *sent* (and counted) regardless of the
-    destination's fate — exactly like the object engine, where the
-    send is accounted and the delivery dropped — but a referee that is
-    dead in the referee round neither receives nor responds, so its
-    senders lose the iteration for want of a response.
     """
     net.count_messages(net.rows_per_lane(senders) * m, compete_kind)
     net.tick()
-    crashy = net.has_crashes
     sid_all = net.ids_rank_flat[senders]
     best = init.copy()
     rows = len(senders)
     chunk = max(1, _ROW_CHUNK // max(m, 1))
-    alive_flat = net.alive_flat
     ok = np.empty(rows, dtype=bool)
     # Lanes are independent, so each lane group runs its sample-scatter-
     # check pipeline end to end and frees its edge matrix before the
@@ -120,15 +112,10 @@ def _referee_iteration(
                 stop = min(ge - gs, start + chunk)
                 flat = dst[start:stop].reshape(-1)
                 rep = np.repeat(sid_all[gs + start : gs + stop], m)
-                if crashy:
-                    delivered = alive_flat[flat]
-                    flat = flat[delivered]
-                    rep = rep[delivered]
                 np.maximum.at(best, flat, rep)
-        # Column-0 pruning (sound with crash masks too: a dead referee's
-        # floor never equals a live sender's rank — referees are never
-        # self): only ~rows/m senders win their first referee, so the
-        # full all-columns gather runs on a sliver of rows.
+        # Column-0 pruning: only ~rows/m senders win their first
+        # referee, so the full all-columns gather runs on a sliver of
+        # rows.
         with net.profile("compaction"):
             sid = sid_all[gs:ge]
             group_ok = best[dst[:, 0]] == sid
@@ -141,41 +128,25 @@ def _referee_iteration(
     return senders[ok]
 
 
-def _rank_referee_grants(
-    alive: Optional[np.ndarray],
-    size: int,
-    flat: np.ndarray,
-    rep: np.ndarray,
-    crashy: bool,
-) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+def _rank_referee_grants(size: int, flat: np.ndarray, rep: np.ndarray) -> np.ndarray:
     """Referee grants for rank competitions (``kutten16`` / ``las_vegas``).
 
     A referee grants ``win`` to the unique maximum rank among the
-    competes *delivered* to it and ``lose`` to the rest.  Returns the
-    per-compete ``is_win`` mask and (when crash-aware) the delivered
-    mask — undelivered competes are neither won nor lost.
+    competes sent to it and ``lose`` to the rest.  Returns the
+    per-compete ``is_win`` mask.
     """
     best = np.zeros(size, dtype=np.int64)
-    if crashy:
-        delivered = alive[flat]
-        np.maximum.at(best, flat[delivered], rep[delivered])
-        hits = delivered & (rep == best[flat])
-    else:
-        delivered = None
-        np.maximum.at(best, flat, rep)
-        hits = rep == best[flat]
+    np.maximum.at(best, flat, rep)
+    hits = rep == best[flat]
     top_count = np.zeros(size, dtype=np.int64)
     np.add.at(top_count, flat[hits], 1)
-    is_win = hits & (top_count[flat] == 1)
-    return is_win, delivered
+    return hits & (top_count[flat] == 1)
 
 
-def _rank_lane_counts(net, flat, is_win, delivered):
+def _rank_lane_counts(net, flat, is_win):
     """Per-lane ``(wins, considered)`` counts of one rank-referee round."""
     lanes_of = flat // net.n
     wins = np.bincount(lanes_of[is_win], minlength=net.batch)
-    if delivered is not None:
-        lanes_of = lanes_of[delivered]
     return wins, np.bincount(lanes_of, minlength=net.batch)
 
 
@@ -266,18 +237,17 @@ def _rank_grants_per_copy(dst, val, size):
 class VectorImprovedTradeoffElection(VectorAlgorithm):
     """Vectorized Theorem 3.10 tradeoff election (twin: ``improved_tradeoff``).
 
-    Crash-aware: under a :class:`~repro.fastsync.FastSyncNetwork` crash
-    schedule, crashed survivors drop out at the start of the round their
-    crash lands on, dead referees never respond (so their senders lose
-    the iteration), and only nodes alive in the silent decision round
-    decide — matching the object engine's crash-stop semantics bit for
-    bit in ``exact`` mode (``tests/test_fastsync_crash.py``).  Crash
-    runs take the materialized path even for full fan-out, so they cost
-    ``O(n·m)`` memory where the analytic branch costs ``O(1)``.
+    Under a FaultPlan crash schedule (the :meth:`_run_faulted` fold),
+    crashed survivors drop out at the start of the round their crash
+    lands on, dead referees never respond (so their senders lose the
+    iteration), and only nodes alive in the silent decision round decide
+    — matching the object engine's crash-stop semantics bit for bit in
+    ``exact`` mode (``tests/test_fastsync_crash.py``).  The fold
+    materializes every send, so full fan-out costs ``O(n·m)`` memory
+    where the fault-free analytic branch costs ``O(1)``.
     """
 
     name = "improved_tradeoff"
-    supports_crashes = True
     supports_faults = True
 
     COMPETE = "compete"
@@ -300,17 +270,14 @@ class VectorImprovedTradeoffElection(VectorAlgorithm):
             return
         n, ids_flat = net.n, net.ids_flat
         batch = net.batch
-        crashy = net.has_crashes
         survivors = np.arange(batch * n, dtype=np.int64)
         for i in range(1, self.k - 1):
             m = self.referee_count(n, i)
             net.tick()  # round 2i-1: competes (prior tally already applied)
-            if crashy:
-                survivors = survivors[net.alive_flat[survivors]]
             if m == 0:  # n == 1: the lone node competes at nobody
                 net.tick()
                 continue
-            if m == n - 1 and not crashy:
+            if m == n - 1:
                 net.count_messages(net.rows_per_lane(survivors) * m, self.COMPETE)
                 net.tick()
                 # Full fan-out, floor -1: every contacted referee responds.
@@ -340,26 +307,12 @@ class VectorImprovedTradeoffElection(VectorAlgorithm):
                 net, survivors, m, init, self.COMPETE, self.RESPONSE
             )
         net.tick()  # round 2k-3: surviving IDs are broadcast
-        if crashy:
-            survivors = survivors[net.alive_flat[survivors]]
         net.count_messages(net.rows_per_lane(survivors) * (n - 1), self.FINAL)
         net.tick()  # round 2k-2: silent decision round
         starts, stops = net.lane_segments(survivors)
         for b in range(batch):
             seg = survivors[starts[b] : stops[b]] - b * n
-            if crashy:
-                # Only nodes alive in the decision round decide; the winner
-                # must both have broadcast and still be alive to lead.
-                decided = int(net.alive[b].sum())
-                if len(seg):
-                    winner = int(seg[int(np.argmax(net.ids[seg]))])
-                    leaders = [winner] if net.alive[b, winner] else []
-                else:
-                    leaders = []
-                net.decide(b, leaders, decided_count=decided)
-            else:
-                winner = int(seg[int(np.argmax(net.ids[seg]))])
-                net.decide(b, [winner])
+            net.decide(b, [int(seg[int(np.argmax(net.ids[seg]))])])
 
     def _run_faulted(self, net) -> None:
         """The per-receiver fold under a FaultPlan (exact twin semantics).
@@ -457,17 +410,16 @@ class VectorAfekGafniElection(VectorAlgorithm):
     Simultaneous wake-up only: at scale every node starts as a candidate,
     which is the head-to-head configuration the benchmarks sweep.
 
-    Crash-aware, with one faithful sharp edge: the reconstruction's
-    final iteration contacts *every* peer, so any crash that lands
-    before the last referee round starves every candidate of a response
-    and the protocol stalls — on both engines, which raise
-    ``SimulationLimitExceeded`` in lockstep.  Crashes at or after the
-    announcement round behave gracefully (dead followers simply never
-    decide).
+    Under a FaultPlan crash schedule there is one faithful sharp edge:
+    the reconstruction's final iteration contacts *every* peer, so any
+    crash that lands before the last referee round starves every
+    candidate of a response and the protocol stalls — on both engines,
+    which raise ``SimulationLimitExceeded`` in lockstep.  Crashes at or
+    after the announcement round behave gracefully (dead followers
+    simply never decide).
     """
 
     name = "afek_gafni"
-    supports_crashes = True
     supports_faults = True
 
     COMPETE = "compete"
@@ -489,17 +441,14 @@ class VectorAfekGafniElection(VectorAlgorithm):
             return
         n, ids_flat = net.n, net.ids_flat
         batch = net.batch
-        crashy = net.has_crashes
         candidates = np.arange(batch * n, dtype=np.int64)
         for i in range(1, self.iterations + 1):
             m = self.referee_count(n, i)
             net.tick()  # round 2i-1: competes
-            if crashy:
-                candidates = candidates[net.alive_flat[candidates]]
             if m == 0:  # n == 1
                 net.tick()
                 continue
-            if m == n - 1 and not crashy:
+            if m == n - 1:
                 net.count_messages(net.rows_per_lane(candidates) * m, self.COMPETE)
                 net.tick()
                 # Full fan-out with self-comparing referees: the max-ID
@@ -523,33 +472,13 @@ class VectorAfekGafniElection(VectorAlgorithm):
                 net, candidates, m, init, self.COMPETE, self.RESPONSE
             )
         net.tick()  # round 2K+1: the surviving candidates announce
-        if crashy:
-            candidates = candidates[net.alive_flat[candidates]]
         counts = net.rows_per_lane(candidates)
-        if (counts == 0).any():
-            if not crashy:  # pragma: no cover - the max ID always survives
-                raise RuntimeError("afek_gafni lost every candidate")
-            # Every candidate of a lane crashed (or lost to a dead
-            # referee): nobody announces and the object engine's referees
-            # idle until the round limit — replicate the stall.
-            while True:
-                net.tick()
         net.count_messages(counts * (n - 1), self.ELECTED)
         if n >= 2:
             net.tick()  # round 2K+2: followers receive the announcement
         starts, stops = net.lane_segments(candidates)
         for b in range(batch):
-            seg = candidates[starts[b] : stops[b]] - b * n
-            if crashy:
-                # The winner decided LEADER at the announcement round —
-                # that decision is permanent even if it crashes afterwards;
-                # the followers decide only if alive when the broadcast
-                # lands.
-                winner = int(seg[int(np.argmax(net.ids[seg]))])
-                decided = int(net.alive[b].sum()) + (0 if net.alive[b, winner] else 1)
-                net.decide(b, [winner], decided_count=decided)
-            else:
-                net.decide(b, seg.tolist())
+            net.decide(b, (candidates[starts[b] : stops[b]] - b * n).tolist())
 
     def _run_faulted(self, net) -> None:
         """The FaultPlan fold: drops can leave several (or zero) winners.
@@ -671,13 +600,12 @@ class VectorSmallIdElection(VectorAlgorithm):
     mode: same rounds, same message counts, same winner
     (``tests/test_fastsync_small_id.py``).
 
-    Crash-aware: a window whose members all died stays silent, so the
-    opening round is the first window with a *live* member; the minimum
-    live broadcaster leads only if it survives into the decision round.
+    Under a FaultPlan crash schedule (the :meth:`_run_faulted` fold), a
+    window whose members all died stays silent, so the opening round is
+    the first window with a *live* member.
     """
 
     name = "small_id"
-    supports_crashes = True
     supports_faults = True
 
     BALLOT = "ballot"
@@ -772,11 +700,11 @@ class VectorSmallIdElection(VectorAlgorithm):
         batch = net.batch
         windows = self._windows(net)
         # Rounds before a lane's opening window are silent; the opening
-        # round is the first window with a live member (a window whose
-        # members all crashed stays silent), whose members broadcast
-        # their ballots, and everyone decides in the round after, exactly
-        # like the per-node twin.  Nodes sorted by window make each
-        # round's window one slice, so a silent round costs O(log n).
+        # round is the first window with a member, whose members
+        # broadcast their ballots, and everyone decides in the round
+        # after, exactly like the per-node twin.  Nodes sorted by window
+        # make each round's window one slice, so a silent round costs
+        # O(log n).
         order = np.argsort(windows, kind="stable")
         sorted_windows = windows[order]
         # stage 0: scanning for the opening window; 1: broadcast sent,
@@ -792,15 +720,12 @@ class VectorSmallIdElection(VectorAlgorithm):
             for b in np.nonzero(active)[0]:
                 if stage[b] == 1:
                     seg = broadcasters[b]
-                    winner = int(seg[int(np.argmin(ids[seg]))])
-                    leaders = [winner] if net.alive[b, winner] else []
-                    net.decide(b, leaders, decided_count=int(net.alive[b].sum()))
+                    net.decide(b, [int(seg[int(np.argmin(ids[seg]))])])
                     stage[b] = 2
                     continue
-                seg = window[net.alive[b, window]]
-                if len(seg):
-                    broadcasters[b] = seg
-                    counts[b] = len(seg) * (n - 1)
+                if len(window):
+                    broadcasters[b] = window
+                    counts[b] = len(window) * (n - 1)
                     stage[b] = 1
             net.count_messages(counts, self.BALLOT)
 
@@ -808,16 +733,14 @@ class VectorSmallIdElection(VectorAlgorithm):
 class VectorLasVegasElection(VectorAlgorithm):
     """Vectorized Theorem 3.16 Las Vegas election (twin: ``las_vegas``).
 
-    Crash-aware: dead nodes flip no candidacy coins, dead referees grant
-    nothing (so their candidates can never collect a full win set), a
-    candidate must be alive in the broadcast round to announce, and the
-    unique announcer leads only if it survives into the decision round.
     Lanes finish in different phases — decided lanes stop ticking and
-    drawing while the stragglers keep restarting.
+    drawing while the stragglers keep restarting.  Under a FaultPlan
+    crash schedule (the :meth:`_run_faulted` fold), dead nodes flip no
+    candidacy coins and dead referees grant nothing, so their candidates
+    can never collect a full win set.
     """
 
     name = "las_vegas"
-    supports_crashes = True
     supports_faults = True
 
     COMPETE = "compete"
@@ -970,7 +893,6 @@ class VectorLasVegasElection(VectorAlgorithm):
             for b in range(batch):
                 net.decide(b, [0])
             return
-        crashy = net.has_crashes
         m = self.referee_count(n)
         announcers = [np.empty(0, dtype=np.int64) for _ in range(batch)]  # lane-local
         active = np.ones(batch, dtype=bool)
@@ -979,12 +901,7 @@ class VectorLasVegasElection(VectorAlgorithm):
             net.tick(active)  # round 3p+1: verify previous announcements
             for b in np.nonzero(active)[0]:
                 if len(announcers[b]) == 1:
-                    winner = int(announcers[b][0])
-                    if crashy:
-                        leaders = [winner] if net.alive[b, winner] else []
-                        net.decide(b, leaders, decided_count=int(net.alive[b].sum()))
-                    else:
-                        net.decide(b, [winner])
+                    net.decide(b, [int(announcers[b][0])])
                     active[b] = False
             if not active.any():
                 return
@@ -993,8 +910,6 @@ class VectorLasVegasElection(VectorAlgorithm):
             self.phases_run = phase + 1
             prob = self.candidate_probability(n, phase)
             coin = net.bernoulli(prob, lanes=act_idx)
-            if crashy:
-                coin &= net.alive
             cand = np.nonzero(coin.reshape(-1))[0]
             ranks = net.rank_draws(cand, n**4)
             dst = net.sampled_targets(cand, m)
@@ -1002,17 +917,13 @@ class VectorLasVegasElection(VectorAlgorithm):
             net.tick(active)  # round 3p+2: referees grant win/lose per compete
             flat = dst.reshape(-1)
             rep = np.repeat(ranks, m)
-            is_win, delivered = _rank_referee_grants(
-                net.alive_flat, batch * n, flat, rep, crashy
-            )
-            wins, considered = _rank_lane_counts(net, flat, is_win, delivered)
+            is_win = _rank_referee_grants(batch * n, flat, rep)
+            wins, considered = _rank_lane_counts(net, flat, is_win)
             net.count_messages(wins, self.WIN)
             net.count_messages(considered - wins, self.LOSE)
             net.tick(active)  # round 3p+3: all-win candidates broadcast
             ok = is_win.reshape(len(cand), m).all(axis=1) if len(cand) else np.empty(0, bool)
             ann = cand[ok]
-            if crashy:
-                ann = ann[net.alive_flat[ann]]
             net.count_messages(net.rows_per_lane(ann) * (n - 1), self.ANNOUNCE)
             starts, stops = net.lane_segments(ann)
             for b in act_idx:
@@ -1031,12 +942,12 @@ class VectorKutten16Election(VectorAlgorithm):
     is the Monte Carlo failure mode the twin measures.  With no
     candidates at all the run ends after round 2, like the twin.
 
-    Crash-aware: dead nodes flip no coins, dead referees grant nothing,
-    and a winning candidate must survive into round 3 to decide.
+    Under a FaultPlan crash schedule (the :meth:`_run_faulted` fold),
+    dead nodes flip no coins, dead referees grant nothing, and a winning
+    candidate must survive into round 3 to decide.
     """
 
     name = "kutten16"
-    supports_crashes = True
     supports_faults = True
 
     COMPETE = "compete"
@@ -1139,16 +1050,12 @@ class VectorKutten16Election(VectorAlgorithm):
             return
         n = net.n
         batch = net.batch
-        crashy = net.has_crashes
         net.tick()  # round 1: candidacy coins + competes
         if n == 1:
             for b in range(batch):
                 net.decide(b, [0])
             return
         coin = net.bernoulli(self.candidate_probability(n))
-        if crashy:
-            coin &= net.alive
-        alive1 = net.alive.copy() if crashy else None
         cand = np.nonzero(coin.reshape(-1))[0]
         m = self.referee_count(n)
         ranks = net.rank_draws(cand, n**4)
@@ -1158,39 +1065,22 @@ class VectorKutten16Election(VectorAlgorithm):
         active = cand_lanes > 0
         net.tick()  # round 2: referees grant win/lose; non-candidates halt
         for b in np.nonzero(~active)[0]:
-            # Nobody competed: every live node decided NON_LEADER in
-            # round 1 and the lane ends after the silent referee round.
-            decided = int(alive1[b].sum()) if crashy else n
-            net.decide(b, [], decided_count=decided)
+            # Nobody competed: every node decided NON_LEADER in round 1
+            # and the lane ends after the silent referee round.
+            net.decide(b, [])
         if not active.any():
             return
         flat = dst.reshape(-1)
         rep = np.repeat(ranks, m)
-        is_win, delivered = _rank_referee_grants(
-            net.alive_flat, batch * n, flat, rep, crashy
-        )
-        wins, considered = _rank_lane_counts(net, flat, is_win, delivered)
+        is_win = _rank_referee_grants(batch * n, flat, rep)
+        wins, considered = _rank_lane_counts(net, flat, is_win)
         net.count_messages(wins, self.WIN)
         net.count_messages(considered - wins, self.LOSE)
         net.tick(active)  # round 3 (silent): candidates tally their verdicts
-        ok = is_win.reshape(len(cand), m).all(axis=1)
-        winners = cand[ok]
-        if crashy:
-            winners = winners[net.alive_flat[winners]]
+        winners = cand[is_win.reshape(len(cand), m).all(axis=1)]
         starts, stops = net.lane_segments(winners)
-        c_starts, c_stops = net.lane_segments(cand)
         for b in np.nonzero(active)[0]:
-            seg = winners[starts[b] : stops[b]] - b * n
-            if crashy:
-                # Non-candidates decided (permanently) in round 1 while
-                # alive; candidates decide in round 3 only if still alive.
-                lane_cand = cand[c_starts[b] : c_stops[b]] - b * n
-                decided = int((alive1[b] & ~coin[b]).sum()) + int(
-                    net.alive[b][lane_cand].sum()
-                )
-                net.decide(b, seg.tolist(), decided_count=decided)
-            else:
-                net.decide(b, seg.tolist())
+            net.decide(b, (winners[starts[b] : stops[b]] - b * n).tolist())
 
 
 class VectorAdversarial2RoundElection(VectorAlgorithm):

@@ -75,10 +75,12 @@ is a batch of one lane whose ``run()`` returns that lane's result.
 State arrays carry a leading lane dimension (``alive`` is ``(batch,
 n)``) and index arrays hold *global* indices ``lane * n + node`` — in a
 one-lane run, the node index itself.  Every lane draws from its **own**
-RNG streams seeded by its seed alone, crash masks apply per lane, and
-per-lane termination lets finished lanes stop paying tick cost, so a
-lane's result depends only on ``(n, seed, mode)``, never on the batch
-it ran in (``tests/test_fastsync_batch.py``).
+RNG streams seeded by its seed alone, and per-lane termination lets
+finished lanes stop paying tick cost, so a lane's result depends only
+on ``(n, seed, mode)``, never on the batch it ran in
+(``tests/test_fastsync_batch.py``).  Faults, crashes included, come
+only from a ``faults=`` :class:`~repro.faults.FaultPlan`, and a faulted
+run is single-lane.
 """
 
 from __future__ import annotations
@@ -160,7 +162,7 @@ class FastRunResult(SurvivorAccounting):
     messages_by_kind: Dict[str, int]
     sends_by_round: Dict[int, int]
     wall_time_s: float
-    crashed: List[int] = field(default_factory=list)  # crash-mask casualties
+    crashed: List[int] = field(default_factory=list)  # FaultPlan casualties
     fault_metrics: Optional[object] = None
     seed: Optional[int] = None  # the run (or lane) seed, when known
     #: Per-node decision values (``None`` = undecided or decided-None),
@@ -260,27 +262,6 @@ class _NodeStreams:
         return sum(rng is not None for rng in self._streams)
 
 
-def _validated_schedule(
-    crashes: Sequence[Tuple[int, float]], n: int
-) -> List[Tuple[float, int]]:
-    """Normalize one crash schedule to a sorted ``(at, node)`` list."""
-    schedule: List[Tuple[float, int]] = []
-    seen_nodes = set()
-    for node, at in crashes:
-        node = int(node)
-        if not 0 <= node < n:
-            raise ValueError(f"crash target {node} out of range for n={n}")
-        if node in seen_nodes:
-            raise ValueError(f"node {node} is scheduled to crash twice")
-        if at < 0:
-            raise ValueError("crash schedule entries need at >= 0")
-        seen_nodes.add(node)
-        schedule.append((float(at), node))
-    if len(schedule) >= n:
-        raise ValueError("cannot schedule every node to crash")
-    return sorted(schedule)
-
-
 def _sample_distinct(
     rng: np.random.Generator, src_local: np.ndarray, m: int, n: int
 ) -> np.ndarray:
@@ -367,8 +348,6 @@ class FastSyncNetwork:
         mode: str = "auto",
         exact_limit: int = DEFAULT_EXACT_LIMIT,
         max_rounds: Optional[int] = None,
-        crashes: Optional[Sequence[Tuple[int, float]]] = None,
-        lane_crashes: Optional[Sequence[Optional[Sequence[Tuple[int, float]]]]] = None,
         roots: Optional[Sequence[int]] = None,
         faults: Optional[object] = None,
         quorum: bool = False,
@@ -470,38 +449,13 @@ class FastSyncNetwork:
                 np.random.default_rng(np.random.PCG64(s)) for s in self.lane_seeds
             ]
 
-        # ---- crash masks -----------------------------------------------
-        # (the ROADMAP "array extension"): a deterministic crash-stop
-        # schedule of (node, at-round) pairs, applied at the start of
-        # round ``at`` exactly like the object engine's CrashFault
-        # handling.  ``alive`` is the ground-truth mask crash-aware
-        # algorithms filter senders/referees through.  ``crashes`` is
-        # shared by every lane; ``lane_crashes`` gives each lane its own
-        # schedule.
-        if lane_crashes is not None:
-            if self._single:
-                raise ValueError("lane_crashes needs batch mode (pass seeds= or batch=)")
-            if crashes is not None:
-                raise ValueError("pass either crashes (shared) or lane_crashes, not both")
-            if len(lane_crashes) != self.batch:
-                raise ValueError(
-                    f"need {self.batch} lane crash schedules, got {len(lane_crashes)}"
-                )
-            self._lane_crash_schedules = [
-                _validated_schedule(sched or (), n) for sched in lane_crashes
-            ]
-        else:
-            shared = _validated_schedule(crashes or (), n)
-            self._lane_crash_schedules = [list(shared) for _ in range(self.batch)]
-        self._lane_crash_idx = [0] * self.batch
-        self.alive = np.ones((self.batch, n), dtype=bool)
-        self.lane_crashed_at: List[Dict[int, float]] = [{} for _ in range(self.batch)]
-
         # ---- fault runtime (FaultPlan-driven path) -----------------------
-        # ``faults=`` attaches a full FaultPlan — partitions, link rules,
-        # kill policies, tampering — through the FastFaultRuntime adapter;
-        # the lightweight ``crashes=`` mask path stays separate (and the
-        # two are mutually exclusive: a plan carries its own schedule).
+        # ``faults=`` attaches a FaultPlan — crashes, partitions, link
+        # rules, kill policies, tampering — through the FastFaultRuntime
+        # adapter, which crash-stops nodes in ``alive`` at the start of
+        # their round, like the object engine.  Fault-free runs leave
+        # ``alive`` all-true.
+        self.alive = np.ones((self.batch, n), dtype=bool)
         self.quorum = bool(quorum)
         self.fault_runtime = None
         if faults is not None:
@@ -509,10 +463,6 @@ class FastSyncNetwork:
                 raise ValueError(
                     "faulted runs are single-lane; the sweep executor runs "
                     "batched faulted specs one seed at a time"
-                )
-            if self.has_crashes:
-                raise ValueError(
-                    "pass the crash schedule inside the FaultPlan when faults= is set"
                 )
             from repro.fastsync.faults import FastFaultRuntime
 
@@ -547,11 +497,6 @@ class FastSyncNetwork:
         if self._profiler is None:
             return NULL_PROFILE
         return self._profiler.phase(name)
-
-    @property
-    def has_crashes(self) -> bool:
-        """Whether any lane carries a crash schedule (mask path active)."""
-        return any(self._lane_crash_schedules)
 
     @property
     def has_faults(self) -> bool:
@@ -597,12 +542,6 @@ class FastSyncNetwork:
     # ------------------------------------------------------------------ #
     # round/message accounting (called by algorithms)
 
-    def _apply_crash(self, lane: int, node: int, at: float) -> None:
-        """Crash-stop ``node`` (skipped if it would leave nobody alive)."""
-        if self.alive[lane, node] and int(self.alive[lane].sum()) > 1:
-            self.alive[lane, node] = False
-            self.lane_crashed_at[lane][node] = at
-
     def _quorum_veto(self, lane: int, leaders, outputs):
         """Strip leaders that cannot reach a majority of the clique.
 
@@ -631,12 +570,12 @@ class FastSyncNetwork:
     def tick(self, active: Optional[np.ndarray] = None) -> int:
         """Advance the global round counter by one synchronous round.
 
-        Scheduled crashes with ``at <= round`` take effect here — at the
-        *start* of the round, before that round's deliveries and sends —
-        matching the object engine's ``_apply_due_crashes`` semantics.
-        ``active`` is a ``(batch,)`` bool mask of lanes still running:
-        finished lanes stop ticking (their round counters freeze and
-        their pending crashes wait for the post-run drain).
+        Under a FaultPlan, scheduled crashes with ``at <= round`` take
+        effect here — at the *start* of the round, before that round's
+        deliveries and sends — matching the object engine's
+        ``_apply_due_crashes`` semantics.  ``active`` is a ``(batch,)``
+        bool mask of lanes still running: finished lanes stop ticking
+        (their round counters freeze).
         """
         self.round += 1
         if self.round > self.max_rounds:
@@ -647,19 +586,10 @@ class FastSyncNetwork:
         lanes = range(self.batch) if active is None else np.nonzero(active)[0]
         for b in lanes:
             self.lane_round[b] += 1
-            sched = self._lane_crash_schedules[b]
-            i = self._lane_crash_idx[b]
-            r = self.lane_round[b]
-            while i < len(sched) and sched[i][0] <= r:
-                at, node = sched[i]
-                i += 1
-                self._apply_crash(b, node, at)
-            self._lane_crash_idx[b] = i
             if runtime is not None:
                 runtime.apply_due_crashes(self.alive[b], self.round)
             if self._telemetry is not None:
-                faulty = bool(sched) or runtime is not None
-                survivors = int(self.alive[b].sum()) if faulty else self.n
+                survivors = self.n if runtime is None else int(self.alive[b].sum())
                 self._telemetry.on_tick(int(b), int(self.lane_round[b]), survivors)
         return self.round
 
@@ -847,13 +777,6 @@ class FastSyncNetwork:
         """
         if self._ran:
             raise RuntimeError("a FastSyncNetwork is single-use, like SyncNetwork")
-        if self.has_crashes and not getattr(algorithm, "supports_crashes", False):
-            raise ValueError(
-                f"{type(algorithm).__name__} has no crash-mask support; "
-                "only crash-aware vectorized ports can run under a crash "
-                "schedule — use the object engine with a FaultPlan for the "
-                "other algorithms"
-            )
         if self.roots is not None and not getattr(algorithm, "supports_roots", False):
             raise ValueError(
                 f"{type(algorithm).__name__} assumes simultaneous wake-up; "
@@ -882,21 +805,13 @@ class FastSyncNetwork:
                     f"{type(algorithm).__name__}.run() returned without calling "
                     f"decide() for lane {b}"
                 )
-            # Post-quiescence crashes still happen (to the machines, not
-            # the protocol), mirroring SyncNetwork's drain of pending
-            # crashes.
-            sched = self._lane_crash_schedules[b]
-            i = self._lane_crash_idx[b]
-            while i < len(sched):
-                at, node = sched[i]
-                i += 1
-                self._apply_crash(b, node, at)
-            self._lane_crash_idx[b] = i
+            crashed_at: Dict[int, float] = {}
             if runtime is not None:  # faulted runs are single-lane
+                # Post-quiescence crashes still happen (to the machines,
+                # not the protocol), mirroring SyncNetwork's drain of
+                # pending crashes.
                 runtime.drain_pending(self.alive[b])
                 crashed_at = runtime.crashed_at
-            else:
-                crashed_at = self.lane_crashed_at[b]
             never_woke = sum(1 for at in crashed_at.values() if at <= 1)
             decided = int(self._lane_decided[b])
             if self._lane_awake[b] is not None:
@@ -904,8 +819,7 @@ class FastSyncNetwork:
                 halted = decided
             else:
                 awake = self.n - never_woke
-                faulty = bool(sched) or runtime is not None
-                halted = decided if faulty else self.n
+                halted = self.n if runtime is None else decided
             leaders = list(self._lane_leaders[b])
             outputs = self._lane_outputs[b]
             if self.quorum and leaders:

@@ -46,8 +46,10 @@ class CrashFault:
     def __post_init__(self) -> None:
         if self.node < 0:
             raise ValueError("crash target must be a node index >= 0")
-        if self.at < 0:
-            raise ValueError("crash schedule entries need at >= 0")
+        if not 0 <= self.at < float("inf"):
+            raise ValueError(
+                f"crash schedule entries need a finite at >= 0, got {self.at!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -140,10 +142,13 @@ class PartitionMask:
                 if u in seen:
                     raise ValueError(f"node {u} appears in two partition components")
                 seen[u] = c
-        if self.start < 0:
-            raise ValueError("partition start must be >= 0")
-        if self.end is not None and self.end <= self.start:
-            raise ValueError("partition end must be after its start")
+        # Negated comparisons, so NaN fails them too.
+        if not self.start >= 0:
+            raise ValueError(f"partition start must be >= 0, got {self.start!r}")
+        if self.end is not None and not self.end > self.start:
+            raise ValueError(
+                f"partition end must be after its start, got {self.end!r}"
+            )
         object.__setattr__(self, "_component_of", seen)
 
     def component_of(self, u: int) -> Optional[int]:
@@ -182,8 +187,11 @@ class LeaderKillPolicy:
     max_kills: int = 1
 
     def __post_init__(self) -> None:
-        if self.delay <= 0:
-            raise ValueError("kill delay must be > 0 (crashes apply strictly later)")
+        if not self.delay > 0:  # NaN fails too
+            raise ValueError(
+                "kill delay must be > 0 (crashes apply strictly later), "
+                f"got {self.delay!r}"
+            )
         if self.max_kills < 1:
             raise ValueError("max_kills must be >= 1")
         if not self.kinds:
@@ -215,8 +223,8 @@ class DetectorSpec:
     def __post_init__(self) -> None:
         if self.kind not in ("perfect", "eventually_perfect"):
             raise ValueError(f"unknown detector kind {self.kind!r}")
-        if self.lag < 0:
-            raise ValueError("detector lag must be >= 0")
+        if not self.lag >= 0:  # NaN fails too
+            raise ValueError(f"detector lag must be >= 0, got {self.lag!r}")
         if self.kind == "perfect" and (self.noise_horizon or self.false_prob):
             raise ValueError("a perfect detector cannot have noise parameters")
         if not 0.0 <= self.false_prob <= 1.0:

@@ -308,9 +308,6 @@ def _execute_fast(
     records: List[RunRecord] = []
     for start in range(0, len(seeds), size):
         chunk = seeds[start : start + size]
-        lane_crashes = None
-        if spec.batch is not None and spec.lane_crashes is not None:
-            lane_crashes = spec.lane_crashes[start : start + size]
         profiler = _fast_profiler(spec)
         # Unnamed, so each network (and its port matrices) is freed
         # before the next chunk builds its own.
@@ -320,8 +317,6 @@ def _execute_fast(
             seeds=chunk,
             mode=spec.mode,
             max_rounds=spec.max_rounds,
-            crashes=spec.crashes,
-            lane_crashes=lane_crashes,
             roots=spec.roots,
             faults=faults,
             quorum=spec.quorum,
@@ -436,19 +431,10 @@ def _shard(spec: RunSpec, workers: int) -> List[RunSpec]:
     """
     seeds = spec.seeds
     if spec.batch is not None:
-        out = []
-        for start in range(0, len(seeds), spec.batch):
-            lane_crashes = None
-            if spec.lane_crashes is not None:
-                lane_crashes = spec.lane_crashes[start : start + spec.batch]
-            out.append(
-                dataclasses.replace(
-                    spec,
-                    seeds=seeds[start : start + spec.batch],
-                    lane_crashes=lane_crashes,
-                )
-            )
-        return out
+        return [
+            dataclasses.replace(spec, seeds=seeds[start : start + spec.batch])
+            for start in range(0, len(seeds), spec.batch)
+        ]
     if workers <= 1 or len(seeds) == 1:
         return [spec]
     block = max(1, math.ceil(len(seeds) / (workers * 4)))

@@ -51,10 +51,11 @@ class RunSpec:
     seed axis (``run()`` wants exactly one; ``sweep()`` fans out);
     ``batch`` groups fast-engine seeds into multi-lane engine runs of
     that many lanes.  ``faults``/``adversary``/``quorum`` configure the
-    object engines' fault layer; ``crashes``/``lane_crashes``/``roots``
-    are the fast engine's deterministic schedules; ``trace`` records the
-    (single-seed) run to a JSONL path and ``profile`` attaches kernel
-    phase timers (fast engine).
+    fault layer of every engine — a crash schedule is
+    ``faults=FaultPlan(crashes=...)``, and faulted fast specs run one
+    lane per seed; ``roots`` is the fast engine's adversarial wake-up
+    schedule; ``trace`` records the (single-seed) run to a JSONL path
+    and ``profile`` attaches kernel phase timers (fast engine).
     """
 
     algorithm: Any
@@ -73,8 +74,6 @@ class RunSpec:
     faults: Optional[Any] = None
     adversary: Optional[Any] = None
     quorum: bool = False
-    crashes: Optional[Tuple[Tuple[int, float], ...]] = None
-    lane_crashes: Optional[Tuple[Any, ...]] = None
     trace: Optional[str] = None
     profile: bool = False
 
@@ -104,23 +103,6 @@ class RunSpec:
                 self,
                 "wake_times",
                 {int(u): float(t) for u, t in dict(self.wake_times).items()},
-            )
-        if self.crashes is not None:
-            object.__setattr__(
-                self,
-                "crashes",
-                tuple((int(node), at) for node, at in self.crashes),
-            )
-        if self.lane_crashes is not None:
-            object.__setattr__(
-                self,
-                "lane_crashes",
-                tuple(
-                    None if lane is None else tuple(
-                        (int(node), at) for node, at in lane
-                    )
-                    for lane in self.lane_crashes
-                ),
             )
         if self.faults is not None:
             from repro.faults.plan import FaultPlan

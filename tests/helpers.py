@@ -58,23 +58,18 @@ FAULT_METRIC_FIELDS = (
 )
 
 
-def _object_fault_plan(spec):
-    """The FaultPlan the object twin runs under (crash masks lifted)."""
-    plan = spec.effective_faults()
-    if plan is None and spec.crashes is not None:
-        from repro.faults import CrashFault, FaultPlan
+def crash_plan(crashes):
+    """A crash-only FaultPlan from ``(node, at)`` pairs."""
+    from repro.faults import CrashFault, FaultPlan
 
-        plan = FaultPlan(
-            crashes=tuple(CrashFault(node=u, at=at) for u, at in spec.crashes)
-        )
-    return plan
+    return FaultPlan(crashes=tuple(CrashFault(node=u, at=at) for u, at in crashes))
 
 
 def assert_twin_run(spec):
     """Execute one exact-mode spec on both engines; assert bit-identity.
 
     The differential oracle of the vectorized engine: the spec runs once
-    on :class:`FastSyncNetwork` (``mode="exact"``, faults/crashes/roots
+    on :class:`FastSyncNetwork` (``mode="exact"``, faults and roots
     taken from the spec) and once on the object engine wired to the very
     same port matrix, and every observable the two share must be
     bit-identical — winners, per-node outputs, message totals, per-kind
@@ -105,7 +100,6 @@ def assert_twin_run(spec):
         seed=seed,
         mode="exact",
         max_rounds=spec.max_rounds,
-        crashes=spec.crashes,
         roots=spec.roots,
         faults=spec.effective_faults(),
     )
@@ -125,7 +119,7 @@ def assert_twin_run(spec):
         awake=awake,
         port_map=port_map,
         max_rounds=spec.max_rounds,
-        faults=_object_fault_plan(spec),
+        faults=spec.effective_faults(),
     )
     try:
         obj = obj_net.run()

@@ -90,6 +90,30 @@ class TestRuns:
         assert proc.returncode == 2
         assert proc.stderr == "error: afek_gafni runs on the sync engine, not async\n"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("faults", "reelect", "--engine", "async", "--n", "8", "--seeds", "0",
+             "--crash", "3@nan"),
+            ("faults", "reelect", "--n", "8", "--seeds", "0", "--crash", "3@inf"),
+            ("faults", "reelect", "--n", "8", "--seeds", "0", "--crash", "3@1",
+             "--lag", "nan"),
+            ("faults", "reelect", "--n", "8", "--seeds", "0", "--kill-leader",
+             "--kill-delay", "nan"),
+            ("run", "improved_tradeoff", "--n", "8", "--partition", "4@nan-3"),
+            ("run", "improved_tradeoff", "--n", "8", "--partition", "4@1-nan"),
+        ],
+        ids=["crash-nan", "crash-inf", "lag-nan", "kill-delay-nan",
+             "partition-start-nan", "partition-end-nan"],
+    )
+    def test_nan_fault_times_are_one_line_errors(self, argv):
+        proc = run_cli(*argv)
+        assert proc.returncode != 0
+        assert "Traceback" not in proc.stderr
+        errors = [line for line in proc.stderr.splitlines() if "error:" in line]
+        assert len(errors) == 1, proc.stderr
+        assert "nan" in errors[0] or "inf" in errors[0]
+
     def test_eventually_perfect_flags(self, capsys):
         assert (
             main(

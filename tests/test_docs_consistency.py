@@ -174,9 +174,9 @@ class TestApiDoc:
         for func, required in [
             (FastSyncNetwork.__init__,
              {"ids", "seed", "seeds", "batch", "mode", "exact_limit",
-              "max_rounds", "crashes", "lane_crashes", "roots"}),
-            (RunSpec, {"seeds", "batch", "ids", "mode", "crashes",
-                       "lane_crashes", "roots", "profile"}),
+              "max_rounds", "roots", "faults"}),
+            (RunSpec, {"seeds", "batch", "ids", "mode", "roots", "faults",
+                       "profile"}),
             (run, {"recorder", "telemetry", "scheduler", "keep_result"}),
             (ScenarioRunner.__init__,
              {"engine", "seed", "inner", "lag", "quorum"}),
@@ -185,13 +185,18 @@ class TestApiDoc:
             parameters = set(inspect.signature(func).parameters)
             missing = required - parameters
             assert not missing, f"{func.__qualname__} lost kwargs {missing}"
+        # A crash schedule is a FaultPlan; the crash-mask kwargs are gone.
+        for func in (FastSyncNetwork.__init__, RunSpec):
+            parameters = set(inspect.signature(func).parameters)
+            assert not {"crashes", "lane_crashes"} & parameters
 
     def test_capability_flags_exist(self):
         from repro.fastsync import VectorAlgorithm
 
-        for flag in ("supports_crashes", "supports_roots", "supports_faults"):
+        for flag in ("supports_roots", "supports_faults"):
             assert flag in self.doc()
             assert hasattr(VectorAlgorithm, flag), flag
+        assert not hasattr(VectorAlgorithm, "supports_crashes")
 
     def test_fast_registry_listing_is_complete(self):
         from repro.fastsync import FAST_ALGORITHMS

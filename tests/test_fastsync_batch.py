@@ -4,9 +4,10 @@ The contract under test (see DESIGN.md "Batched fast engine"): lane
 ``b`` of ``FastSyncNetwork(n, seeds=[...])`` is **bit-exact** to a
 single run with seed ``seeds[b]`` — same winners, same message totals,
 per-kind and per-round counts, round counters, survivor accounting —
-with and without crash masks, for every ported algorithm.  Lanes are
-deterministic per ``(n, seed, mode)`` and independent of the batch
-composition in both port-model modes.
+for every ported algorithm.  Lanes are deterministic per ``(n, seed,
+mode)`` and independent of the batch composition in both port-model
+modes.  Crash schedules are ``FaultPlan``s, and faulted runs are
+single-lane, so a batched faulted spec runs one engine run per seed.
 """
 
 import dataclasses
@@ -26,7 +27,15 @@ from repro.fastsync import (  # noqa: E402
     VectorSmallIdElection,
 )
 
-from tests.helpers import make_ids  # noqa: E402
+from repro.sweep import (  # noqa: E402
+    RunSpec,
+    canonical_record,
+    execute_spec,
+    run,
+    sweep,
+)
+
+from tests.helpers import crash_plan, make_ids  # noqa: E402
 
 LANE_FIELDS = (
     "n",
@@ -55,32 +64,26 @@ MAKERS = {
     "adversarial_2round": lambda: VectorAdversarial2RoundElection(),
 }
 
-#: Crash schedules that keep each algorithm live (afek_gafni stalls on
-#: any crash before its full-fan-out referee round, so it gets a late
-#: one; adversarial_2round has no crash support).
+#: Crash schedules (with the ``MAKERS`` parameters) that keep each
+#: algorithm live: afek_gafni stalls on any crash before its
+#: full-fan-out referee round, so it gets a late one.
 CRASHES = {
-    "improved_tradeoff": [(15, 1), (3, 2)],
-    "afek_gafni": [(3, 6)],
-    "las_vegas": [(15, 1), (3, 2)],
-    "small_id": [(0, 1), (5, 2)],
-    "kutten16": [(15, 1), (3, 2)],
+    "improved_tradeoff": ({"ell": 5}, [(15, 1), (3, 2)]),
+    "afek_gafni": ({"ell": 4}, [(3, 6)]),
+    "las_vegas": ({"referee_coeff": 0.5}, [(15, 1), (3, 2)]),
+    "small_id": ({"d": 4, "g": 8}, [(0, 1), (5, 2)]),
+    "kutten16": ({}, [(15, 1), (3, 2)]),
 }
 
 
-def assert_lanes_match_singles(n, seeds, maker, *, ids=None, crashes=None,
-                               lane_crashes=None, roots=None):
+def assert_lanes_match_singles(n, seeds, maker, *, ids=None, roots=None):
     """Batched lanes must replay the sequential single runs bit for bit."""
-    singles = []
-    for b, seed in enumerate(seeds):
-        lane_sched = crashes if lane_crashes is None else lane_crashes[b]
-        singles.append(
-            FastSyncNetwork(
-                n, ids=ids, seed=seed, mode="exact", crashes=lane_sched, roots=roots
-            ).run(maker())
-        )
+    singles = [
+        FastSyncNetwork(n, ids=ids, seed=seed, mode="exact", roots=roots).run(maker())
+        for seed in seeds
+    ]
     lanes = FastSyncNetwork(
-        n, ids=ids, seeds=seeds, mode="exact", crashes=crashes,
-        lane_crashes=lane_crashes, roots=roots,
+        n, ids=ids, seeds=seeds, mode="exact", roots=roots
     ).run(maker())
     assert len(lanes) == len(seeds)
     for single, lane in zip(singles, lanes):
@@ -100,18 +103,21 @@ class TestBatchedEqualsSequential:
 
     @pytest.mark.parametrize("name", sorted(CRASHES))
     def test_exact_lanes_replay_single_runs_under_shared_crashes(self, name):
-        assert_lanes_match_singles(
-            16, [0, 1, 2, 3], MAKERS[name], crashes=CRASHES[name]
+        # A batched crash spec runs one single-lane engine run per seed,
+        # so every record equals that seed's own run.
+        params, crashes = CRASHES[name]
+        spec = RunSpec(
+            algorithm=name, n=16, engine="fast", mode="exact", params=params,
+            seeds=(0, 1, 2, 3), batch=4, faults=crash_plan(crashes),
         )
-
-    def test_per_lane_crash_schedules(self):
-        lane_crashes = [[(15, 1)], None, [(3, 2), (7, 4)]]
-        lanes = assert_lanes_match_singles(
-            16, [5, 6, 7], MAKERS["improved_tradeoff"], lane_crashes=lane_crashes
-        )
-        assert lanes[0].crashed == [15]
-        assert lanes[1].crashed == []
-        assert lanes[2].crashed == [3, 7]
+        singles = [
+            run(dataclasses.replace(spec, seeds=(seed,), batch=None))
+            for seed in spec.seeds
+        ]
+        batched = execute_spec(spec)
+        assert [canonical_record(r) for r in batched] == [
+            canonical_record(r) for r in singles
+        ]
 
     def test_lanes_may_finish_in_different_rounds(self):
         # Las Vegas lanes terminate phase by phase; a decided lane's
@@ -143,8 +149,8 @@ class TestBatchedEqualsSequential:
 @settings(max_examples=20, deadline=None)
 @given(data=st.data())
 def test_batch_property_exact_bit_equality(data):
-    """Hypothesis: any (algorithm, n, seeds, crash mask) batched run is
-    bit-exact to the sequential single runs in exact mode."""
+    """Hypothesis: any (algorithm, n, seeds) batched run is bit-exact to
+    the sequential single runs in exact mode."""
     name = data.draw(st.sampled_from(sorted(MAKERS)), label="algorithm")
     n = data.draw(st.integers(min_value=2, max_value=48), label="n")
     k = data.draw(st.integers(min_value=1, max_value=5), label="lanes")
@@ -164,18 +170,7 @@ def test_batch_property_exact_bit_equality(data):
                 st.sets(st.integers(0, n - 1), min_size=root_count, max_size=root_count)
             )
         )
-    crashes = None
-    if name in ("improved_tradeoff", "las_vegas", "kutten16", "small_id"):
-        if data.draw(st.booleans(), label="crashy") and n >= 3:
-            victims = data.draw(
-                st.sets(st.integers(0, n - 1), min_size=1, max_size=min(3, n - 2)),
-                label="victims",
-            )
-            crashes = [
-                (u, data.draw(st.integers(1, 6), label=f"at{u}")) for u in sorted(victims)
-            ]
-    assert_lanes_match_singles(n, seeds, maker, ids=ids, crashes=crashes,
-                               roots=roots)
+    assert_lanes_match_singles(n, seeds, maker, ids=ids, roots=roots)
 
 
 class TestScaleModeLanes:
@@ -229,20 +224,6 @@ class TestEngineValidation:
         net = FastSyncNetwork(8, seed=5, batch=3)
         assert net.lane_seeds == (5, 6, 7)
 
-    def test_lane_crashes_need_batch_mode(self):
-        with pytest.raises(ValueError, match="batch mode"):
-            FastSyncNetwork(8, lane_crashes=[[(0, 1)]])
-
-    def test_shared_and_per_lane_crashes_are_exclusive(self):
-        with pytest.raises(ValueError, match="not both"):
-            FastSyncNetwork(
-                8, seeds=[0, 1], crashes=[(0, 1)], lane_crashes=[None, None]
-            )
-
-    def test_lane_crashes_length_must_match(self):
-        with pytest.raises(ValueError, match="lane crash schedules"):
-            FastSyncNetwork(8, seeds=[0, 1], lane_crashes=[[(0, 1)]])
-
     def test_roots_require_wakeup_aware_port(self):
         with pytest.raises(ValueError, match="wake-up"):
             FastSyncNetwork(8, seeds=[0, 1], roots=[0]).run(
@@ -261,8 +242,6 @@ class TestEngineValidation:
 
 class TestRunnerIntegration:
     def test_batched_spec_matches_single_seed_runs(self):
-        from repro.analysis import RunSpec, execute_spec, run
-
         seeds = [3, 4, 5]
         spec = RunSpec(
             algorithm="improved_tradeoff", n=32, engine="fast", params={"ell": 3}
@@ -278,8 +257,6 @@ class TestRunnerIntegration:
             )
 
     def test_batched_sweep_equals_unbatched_in_exact_mode(self):
-        from repro.analysis import RunSpec, sweep
-
         def grid(batch):
             return [
                 RunSpec(
@@ -296,8 +273,6 @@ class TestRunnerIntegration:
         ]
 
     def test_batched_spec_with_roots(self):
-        from repro.analysis import RunSpec, execute_spec
-
         records = execute_spec(
             RunSpec(
                 algorithm="adversarial_2round", n=64, engine="fast", seeds=(0, 1),

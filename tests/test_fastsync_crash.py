@@ -1,26 +1,32 @@
-"""Crash masks on the vectorized engine, cross-checked at small n.
+"""Crash schedules on the vectorized engine, cross-checked at small n.
 
-In ``exact`` mode a fastsync run under a crash schedule must replay the
+A crash schedule reaches the fast engine only as a
+``faults=FaultPlan(crashes=...)``, which runs the port's single-lane
+``_run_faulted`` fold.  In ``exact`` mode that run must replay the
 object engine bit for bit: same port matrix, same crash rounds, same
 winners, message totals, per-kind counts, round counters and survivor
 accounting — all asserted by :func:`tests.helpers.assert_twin_run`.
 The object twin runs the plain (crash-oblivious) ``improved_tradeoff``
-under a ``FaultPlan`` crash schedule — the protocol tolerates missing
-responses by demoting survivors, so crashes change outcomes without
-stalling either engine.
+under the same plan — the protocol tolerates missing responses by
+demoting survivors, so crashes change outcomes without stalling either
+engine.
 """
 
 import pytest
 
 pytest.importorskip("numpy")
 
+import numpy as np  # noqa: E402
+from repro.faults import CrashFault, FaultPlan  # noqa: E402
 from repro.fastsync import (  # noqa: E402
+    FAST_ALGORITHMS,
     FastSyncNetwork,
     VectorImprovedTradeoffElection,
 )
+from repro.fastsync.faults import FastFaultRuntime  # noqa: E402
 from repro.sweep import RunSpec  # noqa: E402
 
-from tests.helpers import assert_twin_run  # noqa: E402
+from tests.helpers import assert_twin_run, crash_plan  # noqa: E402
 
 CASES = [
     # (n, seed, ell, crashes)
@@ -34,6 +40,28 @@ CASES = [
     (12, 7, 3, [(11, 1), (10, 1), (9, 1)]),  # top three all dead at wake
 ]
 
+#: Every vectorized port, with parameters valid at every size below.
+PORT_PARAMS = {
+    "improved_tradeoff": {"ell": 5},
+    "afek_gafni": {"ell": 4},
+    "las_vegas": {},
+    "small_id": {"d": 2},
+    "kutten16": {},
+    "adversarial_2round": {},
+}
+
+#: What an empty plan must leave unchanged.
+NOOP_FIELDS = (
+    "leaders",
+    "messages",
+    "messages_by_kind",
+    "sends_by_round",
+    "rounds_executed",
+    "last_send_round",
+    "decided_count",
+    "awake_count",
+)
+
 
 class TestCrossEngineEquivalence:
     @pytest.mark.parametrize("n,seed,ell,crashes", CASES)
@@ -44,63 +72,75 @@ class TestCrossEngineEquivalence:
                 n=n,
                 seeds=(seed,),
                 params={"ell": ell},
-                crashes=tuple(crashes),
+                faults=crash_plan(crashes),
             )
         )
 
-    def test_crash_free_schedule_is_a_noop(self):
-        baseline = FastSyncNetwork(16, seed=9, mode="exact").run(
-            VectorImprovedTradeoffElection(ell=5)
+
+@pytest.mark.parametrize("mode", ["exact", "scale"])
+@pytest.mark.parametrize("name", sorted(PORT_PARAMS))
+def test_empty_plan_is_a_noop(name, mode):
+    """``faults=FaultPlan()`` runs the fold, which must match ``run``."""
+    factory = FAST_ALGORITHMS[name]
+    params = PORT_PARAMS[name]
+    for n, seed in [(2, 0), (5, 1), (16, 2), (64, 3)]:
+        plain = FastSyncNetwork(n, seed=seed, mode=mode).run(factory(**params))
+        folded = FastSyncNetwork(n, seed=seed, mode=mode, faults=FaultPlan()).run(
+            factory(**params)
         )
-        masked = FastSyncNetwork(16, seed=9, mode="exact", crashes=[]).run(
-            VectorImprovedTradeoffElection(ell=5)
-        )
-        assert masked.leader_ids == baseline.leader_ids
-        assert masked.messages == baseline.messages
-        assert masked.sends_by_round == baseline.sends_by_round
+        for field in NOOP_FIELDS:
+            assert getattr(folded, field) == getattr(plain, field), (n, seed, field)
 
 
 class TestEngineMask:
     def test_alive_mask_follows_the_schedule(self):
-        net = FastSyncNetwork(4, seed=0, crashes=[(2, 2)])
+        net = FastSyncNetwork(4, seed=0, faults=crash_plan([(2, 2)]))
         assert net.alive.all()
         net.tick()
         assert net.alive.all()
         net.tick()
         assert not net.alive[0, 2] and net.alive.sum() == 3
-        assert net.lane_crashed_at[0] == {2: 2.0}
+        assert net.fault_runtime.crashed_at == {2: 2}
 
     def test_last_survivor_guard(self):
-        # The guard mirrors FaultRuntime.approve_crash: a crash that
-        # would leave nobody alive is suppressed.
-        net = FastSyncNetwork(2, seed=0, crashes=[(0, 1)])
-        net.tick()
-        assert net.alive[0, 1]
-        with pytest.raises(ValueError):
-            FastSyncNetwork(2, seed=0, crashes=[(0, 1), (1, 2)])
+        # FaultRuntime.approve_crash refuses a crash that would leave
+        # nobody alive, and counts it as suppressed.
+        runtime = FastFaultRuntime(crash_plan([(0, 1)]), 2, [1, 2], seed=0)
+        alive = np.ones(2, dtype=bool)
+        runtime.apply_due_crashes(alive, 1)
+        assert alive.tolist() == [False, True]
+        assert not runtime.inner.approve_crash(1)
+        assert runtime.metrics.suppressed_crashes == 1
+        with pytest.raises(ValueError, match="every node"):
+            FastSyncNetwork(2, seed=0, faults=crash_plan([(0, 1), (1, 2)]))
 
     def test_validation(self):
         with pytest.raises(ValueError, match="out of range"):
-            FastSyncNetwork(4, crashes=[(9, 1)])
+            FastSyncNetwork(4, faults=crash_plan([(9, 1)]))
         with pytest.raises(ValueError, match="twice"):
-            FastSyncNetwork(4, crashes=[(1, 1), (1, 2)])
+            crash_plan([(1, 1), (1, 2)])
         with pytest.raises(ValueError, match="at >= 0"):
-            FastSyncNetwork(4, crashes=[(1, -1)])
+            CrashFault(node=1, at=-1)
 
     def test_unsupported_algorithm_refused(self):
-        from repro.fastsync import VectorAdversarial2RoundElection
+        class NoFold(VectorImprovedTradeoffElection):
+            supports_faults = False
 
-        net = FastSyncNetwork(8, seed=0, crashes=[(1, 2)])
-        with pytest.raises(ValueError, match="crash-mask support"):
-            net.run(VectorAdversarial2RoundElection())
+        net = FastSyncNetwork(8, seed=0, faults=crash_plan([(1, 2)]))
+        with pytest.raises(ValueError, match="no FaultPlan fold"):
+            net.run(NoFold())
+
+    def test_crash_runs_are_single_lane(self):
+        with pytest.raises(ValueError, match="single-lane"):
+            FastSyncNetwork(8, seeds=[0, 1], faults=crash_plan([(1, 2)]))
 
     def test_scale_mode_crash_runs_are_deterministic(self):
         runs = [
-            FastSyncNetwork(64, seed=3, mode="scale", crashes=[(63, 1), (5, 3)]).run(
-                VectorImprovedTradeoffElection(ell=5)
-            )
+            FastSyncNetwork(
+                64, seed=3, mode="scale", faults=crash_plan([(63, 1), (5, 3)])
+            ).run(VectorImprovedTradeoffElection(ell=5))
             for _ in range(2)
         ]
         assert runs[0].leader_ids == runs[1].leader_ids
         assert runs[0].messages == runs[1].messages
-        assert runs[0].crashed == runs[1].crashed
+        assert runs[0].crashed == runs[1].crashed == [5, 63]

@@ -1,11 +1,11 @@
-"""Crash masks on the remaining vectorized ports, cross-checked at small n.
+"""Crash schedules on the remaining vectorized ports, cross-checked at small n.
 
 ``tests/test_fastsync_crash.py`` pins the ``improved_tradeoff`` port;
-this file covers the ports that gained crash-mask support with the batch
-engine: ``afek_gafni``, ``las_vegas`` and ``small_id`` (``kutten16``
-lives with its twin suite in ``tests/test_fastsync_new_ports.py``).
-Each exact-mode run under a crash schedule must replay the object engine
-bit for bit (:func:`tests.helpers.assert_twin_run`) — including the
+this file covers ``afek_gafni``, ``las_vegas`` and ``small_id``
+(``kutten16`` lives with its twin suite in
+``tests/test_fastsync_new_ports.py``).  Each exact-mode run under a
+``FaultPlan`` crash schedule must replay the object engine bit for bit
+(:func:`tests.helpers.assert_twin_run`) — including the
 *stall* modes: the Afek–Gafni reconstruction's final iteration contacts
 every peer, so an early crash starves every candidate on both engines,
 and a saturated Las Vegas referee count (``m = n - 1``) does the same.
@@ -19,7 +19,7 @@ pytest.importorskip("numpy")
 
 from repro.sweep import RunSpec  # noqa: E402
 
-from tests.helpers import assert_twin_run  # noqa: E402
+from tests.helpers import assert_twin_run, crash_plan  # noqa: E402
 
 
 def crash_spec(algorithm, n, seed, crashes, params=None, ids=None, max_rounds=None):
@@ -29,7 +29,7 @@ def crash_spec(algorithm, n, seed, crashes, params=None, ids=None, max_rounds=No
         seeds=(seed,),
         params=params or {},
         ids=ids,
-        crashes=tuple(crashes),
+        faults=crash_plan(crashes),
         max_rounds=max_rounds,
     )
 

@@ -5,7 +5,8 @@ Same contract as ``tests/test_fastsync_equivalence.py`` (and the same
 run and an object-model run from the same seed over the same
 materialized port map must agree on winners and every complexity
 counter.  ``adversarial_2round`` additionally sweeps adversarial wake-up
-schedules (the engine's ``roots``), and ``kutten16`` sweeps crash masks.
+schedules (the engine's ``roots``), and ``kutten16`` sweeps ``FaultPlan``
+crash schedules.
 """
 
 import pytest
@@ -19,7 +20,7 @@ from repro.fastsync import (  # noqa: E402
 )
 from repro.sweep import RunSpec  # noqa: E402
 
-from tests.helpers import assert_twin_run, make_ids  # noqa: E402
+from tests.helpers import assert_twin_run, crash_plan, make_ids  # noqa: E402
 
 
 class TestKutten16Twins:
@@ -58,7 +59,7 @@ class TestKutten16Twins:
     def test_crash_masks_replay_the_object_engine(self, n, seed, crashes):
         fast, obj = assert_twin_run(
             RunSpec(
-                algorithm="kutten16", n=n, seeds=(seed,), crashes=tuple(crashes)
+                algorithm="kutten16", n=n, seeds=(seed,), faults=crash_plan(crashes)
             )
         )
         assert fast is not None and obj is not None

@@ -9,7 +9,11 @@ from repro.faults import (
     FaultRuntime,
     LeaderKillPolicy,
     LinkFaults,
+    PartitionMask,
 )
+
+NAN = float("nan")
+INF = float("inf")
 
 
 class TestPlanValidation:
@@ -52,6 +56,28 @@ class TestPlanValidation:
             DetectorSpec(kind="perfect", false_prob=0.5)
         with pytest.raises(ValueError):
             DetectorSpec(kind="eventually_perfect", false_prob=0.5)  # no horizon
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            pytest.param(lambda: CrashFault(node=0, at=NAN), id="crash-at-nan"),
+            pytest.param(lambda: CrashFault(node=0, at=INF), id="crash-at-inf"),
+            pytest.param(
+                lambda: PartitionMask(components=((0,),), start=NAN),
+                id="partition-start-nan",
+            ),
+            pytest.param(
+                lambda: PartitionMask(components=((0,),), start=1, end=NAN),
+                id="partition-end-nan",
+            ),
+            pytest.param(lambda: LeaderKillPolicy(delay=NAN), id="kill-delay-nan"),
+            pytest.param(lambda: DetectorSpec(lag=NAN), id="detector-lag-nan"),
+        ],
+    )
+    def test_nan_and_infinite_times_rejected(self, build):
+        with pytest.raises(ValueError, match="nan|inf") as info:
+            build()
+        assert "\n" not in str(info.value)
 
     def test_validate_for_checks_indices(self):
         plan = FaultPlan(crashes=(CrashFault(9, 1),))

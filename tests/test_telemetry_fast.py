@@ -12,6 +12,8 @@ from repro.telemetry import (  # noqa: E402
     trace_fast_lane,
 )
 
+from tests.helpers import crash_plan  # noqa: E402
+
 
 def _run(n=64, algorithm="improved_tradeoff", seed=0, **net_kwargs):
     telemetry = FastTelemetry()
@@ -33,7 +35,7 @@ class TestAggregateCounters:
     def test_decide_round_and_survivors(self):
         result, telemetry = _run()
         assert telemetry.decide_round() == result.rounds_executed
-        # No crash schedule: every round reports the full clique alive.
+        # No fault plan: every round reports the full clique alive.
         assert set(telemetry.survivors_by_round().values()) == {result.n}
 
     def test_batched_lanes_record_independent_streams(self):
@@ -63,7 +65,7 @@ class TestAggregateCounters:
 
     def test_crash_schedule_shrinks_survivors(self):
         result, telemetry = _run(n=32, algorithm="las_vegas",
-                                 crashes=[(0, 2.0), (1, 2.0), (2, 2.0)])
+                                 faults=crash_plan([(0, 2.0), (1, 2.0), (2, 2.0)]))
         survivors = telemetry.survivors_by_round()
         assert min(survivors.values()) <= 29
         assert max(survivors.values()) == 32
