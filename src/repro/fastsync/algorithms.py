@@ -36,6 +36,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from repro.fastsync.algorithm import VectorAlgorithm
+from repro.fastsync.engine import for_each_lane, lane_width
 from repro.fastsync.faults import delivered_total
 from repro.mathutil import ceil_pow_frac, ceil_sqrt
 
@@ -48,13 +49,14 @@ __all__ = [
     "VectorSmallIdElection",
 ]
 
-#: Cap on temporary row elements per scatter/gather chunk (keeps peak
-#: memory for an n = 10^5, m ≈ 300 iteration in the tens of megabytes).
-_ROW_CHUNK = 8_000_000
+#: Edges per scatter chunk: a chunk's repeated ranks (4 MiB of int32)
+#: stay in cache, and each concurrent lane holds one chunk.
+_ROW_CHUNK = 1 << 20
 
-#: Edge budget per lane group: a compete iteration materializes at most
-#: this many destination entries at once (~128 MB of int32), so a
-#: 64-lane n = 10^5 batch never holds the whole batch's edge matrix.
+#: Edge budget per concurrent lane of a group: a compete iteration
+#: materializes at most ``lane_width()`` times this many destination
+#: entries at once (~128 MB of int32 each), so a 64-lane n = 10^5 batch
+#: never holds the whole batch's edge matrix.
 _GROUP_EDGES = 32_000_000
 
 
@@ -62,20 +64,43 @@ def _lane_groups(net, sorted_idx: np.ndarray, m: int):
     """Yield ``(row_start, row_stop)`` lane-aligned groups of ``sorted_idx``.
 
     Groups pack consecutive lanes while the group's edge count
-    (``rows * m``) stays under :data:`_GROUP_EDGES`; a single lane always
-    forms a group even when it exceeds the budget (its scatter passes
-    sub-chunk by rows).
+    (``rows * m``) stays under :data:`_GROUP_EDGES` per lane that
+    :func:`~repro.fastsync.engine.for_each_lane` runs at once; a single
+    lane always forms a group even when it exceeds the budget (its
+    scatter passes sub-chunk by rows).
     """
     starts, stops = net.lane_segments(sorted_idx)
     batch = net.batch
+    budget = _GROUP_EDGES * lane_width()
     b0 = 0
     width = max(m, 1)
     while b0 < batch:
         b1 = b0 + 1
-        while b1 < batch and (stops[b1] - starts[b0]) * width <= _GROUP_EDGES:
+        while b1 < batch and (stops[b1] - starts[b0]) * width <= budget:
             b1 += 1
         yield int(starts[b0]), int(stops[b1 - 1])
         b0 = b1
+
+
+def _scatter_max(net, best: np.ndarray, src: np.ndarray, dst: np.ndarray, sid: np.ndarray) -> None:
+    """``best[t] = max(best[t], sid[r])`` for every target ``t`` of every row ``r``.
+
+    ``src`` holds the rows' sorted global senders.  A lane's targets lie
+    in its own ``best[b*n:(b+1)*n]`` segment, so the lanes scatter
+    concurrently (:func:`~repro.fastsync.engine.for_each_lane`), each in
+    row chunks of at most :data:`_ROW_CHUNK` edges.
+    """
+    m = dst.shape[1]
+    chunk = max(1, _ROW_CHUNK // m)
+    starts, stops = net.lane_segments(src)
+
+    def scatter_lane(b: int) -> None:
+        for start in range(starts[b], stops[b], chunk):
+            stop = min(stops[b], start + chunk)
+            flat = dst[start:stop].reshape(-1)
+            np.maximum.at(best, flat, np.repeat(sid[start:stop], m))
+
+    for_each_lane(scatter_lane, [b for b in range(net.batch) if stops[b] > starts[b]])
 
 
 def _referee_iteration(
@@ -99,30 +124,25 @@ def _referee_iteration(
     net.tick()
     sid_all = net.ids_rank_flat[senders]
     best = init.copy()
-    rows = len(senders)
-    chunk = max(1, _ROW_CHUNK // max(m, 1))
-    ok = np.empty(rows, dtype=bool)
+    ok = np.empty(len(senders), dtype=bool)
     # Lanes are independent, so each lane group runs its sample-scatter-
     # check pipeline end to end and frees its edge matrix before the
-    # next group starts — peak memory is one group, not the whole batch.
+    # next group samples — peak memory is one group, not the whole batch.
     for gs, ge in _lane_groups(net, senders, m):
         dst = net.first_ports(senders[gs:ge], m)
+        sid = sid_all[gs:ge]
         with net.profile("scatter"):
-            for start in range(0, ge - gs, chunk):
-                stop = min(ge - gs, start + chunk)
-                flat = dst[start:stop].reshape(-1)
-                rep = np.repeat(sid_all[gs + start : gs + stop], m)
-                np.maximum.at(best, flat, rep)
+            _scatter_max(net, best, senders[gs:ge], dst, sid)
         # Column-0 pruning: only ~rows/m senders win their first
         # referee, so the full all-columns gather runs on a sliver of
         # rows.
         with net.profile("compaction"):
-            sid = sid_all[gs:ge]
             group_ok = best[dst[:, 0]] == sid
             cand = np.nonzero(group_ok)[0]
             if len(cand) and m > 1:
                 group_ok[cand] = (best[dst[cand]] == sid[cand, None]).all(axis=1)
             ok[gs:ge] = group_ok
+        del dst
     responded = (best > init).reshape(net.batch, net.n)
     net.count_messages(responded.sum(axis=1), response_kind)
     return senders[ok]
@@ -1130,6 +1150,7 @@ class VectorAdversarial2RoundElection(VectorAlgorithm):
         for gs, ge in _lane_groups(net, roots_g, m):
             dst = net.sampled_targets(roots_g[gs:ge], m)
             eligible[dst.reshape(-1)] = True
+            del dst  # free the group's matrix before the next group samples
         net.count_messages(np.full(batch, len(roots) * m, dtype=np.int64), self.WAKE)
         net.tick()  # round 2: wake-up receivers flip candidacy coins
         coin = net.bernoulli(self.candidate_probability(n))

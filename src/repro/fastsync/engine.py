@@ -85,10 +85,12 @@ run is single-lane.
 
 from __future__ import annotations
 
+import os
 import random
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -104,6 +106,15 @@ DEFAULT_EXACT_LIMIT = 2048
 #: Safety valve for the collision-resampling loops: statistically the
 #: loops converge geometrically, so this is never reached.
 _RESAMPLE_LIMIT = 500
+
+#: Elements per block of the scale sampler's passes: a block's draws,
+#: masks and sort stay in cache.
+_BLOCK_ELEMS = 1 << 18
+
+#: Lanes a kernel call may run at once; ``None`` means every core this
+#: process may use (:func:`lane_width`).  A sweep pool worker sets its
+#: share of the cores here (:func:`repro.sweep.worker.share_cores`).
+LANE_WIDTH: Optional[int] = None
 
 
 class ArrayPortMap(PortMap):
@@ -262,13 +273,53 @@ class _NodeStreams:
         return sum(rng is not None for rng in self._streams)
 
 
-def _sample_distinct(
-    rng: np.random.Generator, src_local: np.ndarray, m: int, n: int
-) -> np.ndarray:
-    """``m`` distinct uniform peers (≠ self) per row — the scale sampler.
+def lane_width() -> int:
+    """How many lanes a kernel call runs at once.
 
-    A target row is treated as a *set* (every port's referee logic is
-    symmetric over columns), which unlocks two tricks:
+    :data:`LANE_WIDTH` when a sweep pool worker was given its share of
+    the cores, else every core this process may use.
+    """
+    if LANE_WIDTH is not None:
+        return LANE_WIDTH
+    return len(os.sched_getaffinity(0))
+
+
+def for_each_lane(fn: Callable[[int], None], lanes: Sequence[int]) -> None:
+    """Call ``fn(b)`` for every lane ``b``, up to :func:`lane_width` at once.
+
+    The callers' kernels spend most of their time in numpy calls that
+    release the GIL (``Generator.integers``, sorts, comparisons), and
+    each lane writes only its own rows and its own ``lane * n`` segment,
+    so lanes run on threads without locks and give the same bits in any
+    order.  The pool lives for this call only: no thread is alive when a
+    sweep pool later forks its workers.
+    """
+    width = min(lane_width(), len(lanes))
+    if width <= 1:
+        for b in lanes:
+            fn(b)
+        return
+    with ThreadPoolExecutor(max_workers=width) as pool:
+        list(pool.map(fn, lanes))
+
+
+def _adjacent_dups(rows: np.ndarray) -> np.ndarray:
+    """Which sorted rows hold a repeated value."""
+    return (rows[:, 1:] == rows[:, :-1]).any(axis=1)
+
+
+def _sample_distinct(
+    rng: np.random.Generator,
+    src_local: np.ndarray,
+    m: int,
+    n: int,
+    out: np.ndarray,
+    offset: int = 0,
+) -> None:
+    """Write ``m`` distinct uniform peers (≠ self) per row, plus ``offset``, into ``out``.
+
+    The scale sampler.  A target row is treated as a *set* (every port's
+    referee logic is symmetric over columns), which unlocks two tricks:
 
     * rows are kept **sorted in place** — duplicate detection costs one
       copy-free int32 sort per pass;
@@ -276,53 +327,69 @@ def _sample_distinct(
       that hit ``src`` onto the reserved value ``n-1`` (exactly uniform
       over the peers), instead of a branchy shift-add.
 
-    Only the colliding *positions* are redrawn (in a sorted row they are
-    the adjacent-equal slots; one copy of each value survives, the rest
-    get fresh uniform draws, and the affected rows re-sort and recheck).
-    By exchangeability of the iid redraws this converges to the uniform
-    distinct-set distribution — same as whole-row rejection, but with
-    redraw volume proportional to the collisions, which is what keeps
-    the mid-range ``m² >> n`` iterations cheap (see DESIGN.md "Batched
-    fast engine").  For ``m`` above half the peer count the *excluded*
-    set is sampled instead.
+    The first pass works on cache-sized blocks of rows: each block is
+    drawn, remapped, sorted and checked for duplicates, then written with
+    the lane ``offset`` straight into the caller's ``out`` (so no second
+    matrix exists).  Only the colliding *positions* are then redrawn: in
+    a sorted row they are the adjacent-equal slots; one copy of each
+    value survives, the rest get fresh uniform draws, and the affected
+    rows re-sort and recheck.  The redraw passes walk the pending rows in
+    fixed chunks, in row-major order, and ``integers`` continues one
+    stream across calls, so the output and the generator's final state
+    are the same as for whole-matrix passes.  By exchangeability of the
+    iid redraws this converges to the uniform distinct-set distribution
+    — same as whole-row rejection, but with redraw volume proportional
+    to the collisions, which is what keeps the mid-range ``m² >> n``
+    iterations cheap (see DESIGN.md "Batched fast engine").  For ``m``
+    above half the peer count the *excluded* set is sampled instead.
     """
     rows = len(src_local)
     if m == 0 or rows == 0:
-        return np.empty((rows, m), dtype=np.int32)
+        return
     src32 = src_local.astype(np.int32)
     if m == n - 1:
         full = np.arange(n - 1, dtype=np.int32)[None, :]
-        return full + (full >= src32[:, None])
+        np.add(full + np.int32(offset), full >= src32[:, None], out=out)
+        return
     if m > (n - 1) // 2:
         # Complement trick: draw the n-1-m excluded peers (cheap), keep
         # the rest.  nonzero() walks row-major, so the reshape is exact.
-        excluded = _sample_distinct(rng, src_local, (n - 1) - m, n)
+        excluded = np.empty((rows, (n - 1) - m), dtype=np.int32)
+        _sample_distinct(rng, src_local, (n - 1) - m, n, excluded)
         keep = np.ones((rows, n), dtype=bool)
         keep[np.arange(rows), src_local] = False
         keep[np.arange(rows)[:, None], excluded] = False
-        return np.nonzero(keep)[1].astype(np.int32).reshape(rows, m)
+        cols = np.nonzero(keep)[1].reshape(rows, m)
+        np.add(cols, offset, out=out, casting="unsafe")
+        return
     last = np.int32(n - 1)
-    draw = rng.integers(0, n - 1, size=(rows, m), dtype=np.int32)
-    np.copyto(draw, last, where=draw == src32[:, None])
-    if m == 1:
-        return draw
-    draw.sort(axis=1)
-    dup = draw[:, 1:] == draw[:, :-1]
-    pending = np.nonzero(dup.any(axis=1))[0]
+    off = np.int32(offset)
+    step = max(1, _BLOCK_ELEMS // m)
+    pending = []
+    for lo in range(0, rows, step):
+        hi = min(rows, lo + step)
+        draw = rng.integers(0, n - 1, size=(hi - lo, m), dtype=np.int32)
+        np.copyto(draw, last, where=draw == src32[lo:hi, None])
+        draw.sort(axis=1)
+        pending.append(lo + np.nonzero(_adjacent_dups(draw))[0])
+        np.add(draw, off, out=out[lo:hi])
+    pending = np.concatenate(pending)
     for _ in range(_RESAMPLE_LIMIT):
         if not len(pending):
-            return draw
-        # In a sorted row, duplicate positions are the adjacent-equal
-        # slots: redraw exactly those (keeping one copy of each value),
-        # re-sort the affected rows in place, and recheck only them.
-        sub = draw[pending]
-        r_idx, c_idx = np.nonzero(sub[:, 1:] == sub[:, :-1])
-        fresh = rng.integers(0, n - 1, size=len(r_idx), dtype=np.int32)
-        np.copyto(fresh, last, where=fresh == src32[pending[r_idx]])
-        sub[r_idx, c_idx + 1] = fresh
-        sub.sort(axis=1)
-        draw[pending] = sub
-        pending = pending[(sub[:, 1:] == sub[:, :-1]).any(axis=1)]
+            return
+        still = []
+        for lo in range(0, len(pending), step):
+            idx = pending[lo : lo + step]
+            sub = out[idx]
+            r_idx, c_idx = np.nonzero(sub[:, 1:] == sub[:, :-1])
+            fresh = rng.integers(0, n - 1, size=len(r_idx), dtype=np.int32)
+            np.copyto(fresh, last, where=fresh == src32[idx[r_idx]])
+            fresh += off
+            sub[r_idx, c_idx + 1] = fresh
+            sub.sort(axis=1)
+            out[idx] = sub
+            still.append(idx[_adjacent_dups(sub)])
+        pending = np.concatenate(still)
     raise RuntimeError(  # pragma: no cover - statistically unreachable
         "distinct-target resampling failed to converge"
     )
@@ -664,6 +731,8 @@ class FastSyncNetwork:
         draws fresh distinct peers, the distribution a random port
         mapping induces on first use.
         """
+        if m < 0:
+            raise ValueError(f"need m >= 0 ports, got {m}")
         if m > self.n - 1:
             raise ValueError(f"cannot use {m} of {self.n - 1} ports")
         n = self.n
@@ -676,6 +745,8 @@ class FastSyncNetwork:
 
     def sampled_targets(self, src_global: np.ndarray, m: int) -> np.ndarray:
         """Global destinations of "send over ``m`` sampled ports" (``ctx.sample_ports``)."""
+        if m < 0:
+            raise ValueError(f"need m >= 0 ports, got {m}")
         if m > self.n - 1:
             raise ValueError(f"cannot sample {m} of {self.n - 1} ports")
         n = self.n
@@ -749,21 +820,23 @@ class FastSyncNetwork:
         """Per-lane distinct sampling through the int32 scale sampler.
 
         Returns global int32 targets (the constructor guarantees
-        ``batch * n`` fits int32).
+        ``batch * n`` fits int32).  ``src_global`` must be sorted, so each
+        lane's rows are one slice; the lanes are sampled concurrently
+        (:func:`for_each_lane`), each from its own generator into its own
+        rows.
         """
+        if np.any(src_global[1:] < src_global[:-1]):
+            raise ValueError("scale-mode sampling needs sorted global rows")
         n = self.n
         out = np.empty((len(src_global), m), dtype=np.int32)
         starts, stops = self.lane_segments(src_global)
-        for b in range(self.batch):
+
+        def sample_lane(b: int) -> None:
             s, e = starts[b], stops[b]
-            if s == e:
-                continue
             local = src_global[s:e] - b * n
-            np.add(
-                _sample_distinct(self._lane_rngs[b], local, m, n),
-                np.int32(b * n),
-                out=out[s:e],
-            )
+            _sample_distinct(self._lane_rngs[b], local, m, n, out[s:e], b * n)
+
+        for_each_lane(sample_lane, [b for b in range(self.batch) if stops[b] > starts[b]])
         return out
 
     # ------------------------------------------------------------------ #

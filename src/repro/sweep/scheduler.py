@@ -28,6 +28,7 @@ same deterministic order.
 
 from __future__ import annotations
 
+import os
 import pickle
 import time
 from concurrent.futures import as_completed
@@ -51,7 +52,14 @@ class SweepCell:
 def _default_executor_factory(workers: int) -> Any:
     from concurrent.futures import ProcessPoolExecutor
 
-    return ProcessPoolExecutor(max_workers=workers)
+    from repro.sweep.worker import share_cores
+
+    cores = len(os.sched_getaffinity(0))
+    return ProcessPoolExecutor(
+        max_workers=workers,
+        initializer=share_cores,
+        initargs=(max(1, cores // workers),),
+    )
 
 
 def _pool_errors():

@@ -12,7 +12,21 @@ import os
 import time
 from typing import Any, Callable, Dict, Optional, Tuple
 
-__all__ = ["invoke_cell", "run_spec_cell", "scenario_cell", "scenario_summary"]
+__all__ = ["invoke_cell", "run_spec_cell", "scenario_cell", "scenario_summary", "share_cores"]
+
+
+def share_cores(width: int) -> None:
+    """Pool initializer: this worker runs at most ``width`` lanes at once.
+
+    The scheduler passes each worker its share of the cores, so a pool
+    of ``w`` workers never runs more lane threads than there are cores
+    (:func:`repro.fastsync.engine.lane_width`).
+    """
+    try:
+        from repro.fastsync import engine
+    except ImportError:  # no numpy, so no fast engine to size
+        return
+    engine.LANE_WIDTH = width
 
 
 def invoke_cell(

@@ -11,6 +11,10 @@ single-lane, so a batched faulted spec runs one engine run per seed.
 """
 
 import dataclasses
+import os
+import threading
+import tracemalloc
+import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,6 +31,7 @@ from repro.fastsync import (  # noqa: E402
     VectorSmallIdElection,
 )
 
+from repro.fastsync import algorithms, engine  # noqa: E402
 from repro.sweep import (  # noqa: E402
     RunSpec,
     canonical_record,
@@ -34,6 +39,7 @@ from repro.sweep import (  # noqa: E402
     run,
     sweep,
 )
+from repro.sweep.scheduler import SweepCell, run_cells  # noqa: E402
 
 from tests.helpers import crash_plan, make_ids  # noqa: E402
 
@@ -282,3 +288,85 @@ class TestRunnerIntegration:
         assert len(records) == 2
         for record in records:
             assert record.extra["engine"] == "fast"
+
+
+def _lane_width_cell(payload):
+    return engine.lane_width(), {}
+
+
+def _fields(lanes):
+    return [[getattr(lane, field) for field in LANE_FIELDS] for lane in lanes]
+
+
+class TestLaneThreads:
+    """Lanes sampled and scattered on threads give the one-thread bits."""
+
+    def _lanes(self, monkeypatch, width, group_edges, n, seeds, mode, name):
+        monkeypatch.setattr(engine, "LANE_WIDTH", width)
+        monkeypatch.setattr(algorithms, "_GROUP_EDGES", group_edges)
+        return FastSyncNetwork(n, seeds=seeds, mode=mode).run(MAKERS[name]())
+
+    @pytest.mark.parametrize("name", sorted(MAKERS))
+    def test_scale_results_do_not_depend_on_lane_width(self, monkeypatch, name):
+        seeds = list(range(3, 3 + 4 + sorted(MAKERS).index(name) % 5))  # 4-8 lanes
+        want = self._lanes(monkeypatch, 1, 32_000_000, 4096, seeds, "scale", name)
+        # A small edge budget splits the lanes into several groups.
+        for width, group_edges in ((2, 32_000_000), (3, 32_000_000), (2, 100_000), (3, 1)):
+            got = self._lanes(monkeypatch, width, group_edges, 4096, seeds, "scale", name)
+            assert _fields(got) == _fields(want), (width, group_edges)
+
+    @pytest.mark.parametrize("name", sorted(MAKERS))
+    def test_exact_results_do_not_depend_on_lane_width(self, monkeypatch, name):
+        want = self._lanes(monkeypatch, 1, 32_000_000, 64, [0, 1, 2, 3, 4], "exact", name)
+        for width, group_edges in ((2, 32_000_000), (3, 100)):
+            got = self._lanes(monkeypatch, width, group_edges, 64, [0, 1, 2, 3, 4], "exact", name)
+            assert _fields(got) == _fields(want), (width, group_edges)
+
+    def test_no_thread_outlives_a_run_so_pools_fork_cleanly(self, monkeypatch):
+        # Python 3.12 warns (an error under pytest.ini) when a process
+        # forks with threads alive, so lane pools must be gone by then.
+        monkeypatch.setattr(engine, "LANE_WIDTH", 2)
+        before = threading.active_count()
+        FastSyncNetwork(4096, seeds=[0, 1, 2, 3], mode="scale").run(
+            VectorImprovedTradeoffElection(ell=3)
+        )
+        assert threading.active_count() == before
+        grid = [
+            RunSpec(
+                algorithm=algorithm, n=4096, engine="fast", mode="scale",
+                seeds=(0, 1, 2, 3), batch=2, params=params,
+            )
+            for algorithm, params in (("improved_tradeoff", {"ell": 3}), ("las_vegas", {}))
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            pooled = sweep(grid, workers=2)
+        assert [canonical_record(r) for r in pooled] == [
+            canonical_record(r) for r in sweep(grid, workers=1)
+        ]
+
+    def test_pool_workers_share_the_cores(self):
+        cells = [SweepCell(index=i, cost=1.0, payload=None) for i in range(2)]
+        widths = run_cells(cells, _lane_width_cell, workers=2)
+        assert widths == [max(1, len(os.sched_getaffinity(0)) // 2)] * 2
+
+
+class TestLaneGroupMemory:
+    def test_iteration_peak_is_one_group_matrix(self, monkeypatch):
+        # improved_tradeoff ell=3 has one materialized iteration; with
+        # one lane per group, its three groups must not overlap.
+        n, m = 40_000, 200
+        monkeypatch.setattr(engine, "LANE_WIDTH", 1)
+        monkeypatch.setattr(algorithms, "_GROUP_EDGES", n * m)
+        net = FastSyncNetwork(n, seeds=[0, 1, 2], mode="scale")
+        matrix = n * m * 4  # one lane's int32 edge matrix, 30.5 MiB
+        # Slack: the run's per-node arrays (~3 MiB here), one scatter
+        # chunk (4 MiB) and one sampler block (~2 MiB with its masks).
+        slack = 10 * 2**20
+        tracemalloc.start()
+        try:
+            net.run(VectorImprovedTradeoffElection(ell=3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= matrix + slack, (peak - matrix) / 2**20

@@ -18,7 +18,8 @@ from repro.fastsync import (  # noqa: E402
     VectorSmallIdElection,
     get_fast_algorithm,
 )
-from repro.fastsync.engine import _random_port_matrix  # noqa: E402
+from repro.fastsync import engine  # noqa: E402
+from repro.fastsync.engine import _random_port_matrix, _sample_distinct  # noqa: E402
 
 
 def _argsort_reference(keys):
@@ -166,10 +167,76 @@ class TestSamplingPrimitives:
         with pytest.raises(ValueError):
             net.first_ports(np.arange(8), 8)
 
+    @pytest.mark.parametrize("mode", ["exact", "scale"])
+    @pytest.mark.parametrize("primitive", ["first_ports", "sampled_targets"])
+    def test_negative_port_count_rejected(self, mode, primitive):
+        # Exact-mode first_ports once sliced [:, :-1] and returned n-2 columns.
+        net = FastSyncNetwork(8, mode=mode)
+        with pytest.raises(ValueError, match="m >= 0"):
+            getattr(net, primitive)(np.arange(8), -1)
+
+    def test_unsorted_scale_rows_rejected(self):
+        # Rows are sliced per lane by searchsorted: unsorted, row 17 (lane
+        # 1) would silently get lane-0 targets.
+        net = FastSyncNetwork(16, batch=2, mode="scale")
+        with pytest.raises(ValueError, match="sorted"):
+            net.first_ports(np.array([17, 0]), 3)
+
     def test_bernoulli_extremes(self):
         net = FastSyncNetwork(16, mode="scale", seed=0)
         assert not net.bernoulli(0.0).any()
         assert net.bernoulli(1.0).all()
+
+
+def _whole_matrix_sampler(rng, src, m, n):
+    """The scale sampler as whole-matrix passes: the blocked writer's spec."""
+    if m == n - 1:
+        full = np.arange(n - 1)[None, :]
+        return full + (full >= src[:, None])
+    if m > (n - 1) // 2:
+        keep = np.ones((len(src), n), dtype=bool)
+        keep[np.arange(len(src)), src] = False
+        keep[np.arange(len(src))[:, None], _whole_matrix_sampler(rng, src, n - 1 - m, n)] = False
+        return np.nonzero(keep)[1].reshape(len(src), m)
+    src32 = src.astype(np.int32)
+    last = np.int32(n - 1)
+    draw = rng.integers(0, n - 1, size=(len(src), m), dtype=np.int32)
+    np.copyto(draw, last, where=draw == src32[:, None])
+    if m == 1:
+        return draw
+    draw.sort(axis=1)
+    pending = np.nonzero((draw[:, 1:] == draw[:, :-1]).any(axis=1))[0]
+    while len(pending):
+        sub = draw[pending]
+        r_idx, c_idx = np.nonzero(sub[:, 1:] == sub[:, :-1])
+        fresh = rng.integers(0, n - 1, size=len(r_idx), dtype=np.int32)
+        np.copyto(fresh, last, where=fresh == src32[pending[r_idx]])
+        sub[r_idx, c_idx + 1] = fresh
+        sub.sort(axis=1)
+        draw[pending] = sub
+        pending = pending[(sub[:, 1:] == sub[:, :-1]).any(axis=1)]
+    return draw
+
+
+class TestBlockedSampler:
+    @pytest.mark.parametrize("block", [1, 7, 1 << 18])
+    @pytest.mark.parametrize(
+        "n,m", [(2, 1), (8, 7), (50, 1), (50, 7), (50, 40), (200, 20), (5000, 60)]
+    )
+    def test_bit_identical_to_whole_matrix_passes(self, monkeypatch, block, n, m):
+        # Blocks of a few rows (or one) split the first pass and every
+        # redraw pass; the output and the generator's final state must
+        # not move.
+        monkeypatch.setattr(engine, "_BLOCK_ELEMS", block)
+        for seed in range(3):
+            src = np.sort(np.random.default_rng(seed + 9).integers(0, n, size=300))
+            ref_rng = np.random.default_rng(seed)
+            want = _whole_matrix_sampler(ref_rng, src, m, n)
+            rng = np.random.default_rng(seed)
+            out = np.empty((len(src), m), dtype=np.int32)
+            _sample_distinct(rng, src, m, n, out, 5 * n)
+            np.testing.assert_array_equal(out, want + 5 * n)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def _eager_streams(seed, n):
