@@ -107,7 +107,7 @@ Examples
     python -m repro scenarios run rolling_restart --n 32 --engine fast
     python -m repro scenarios run my_timeline.json --n 16
     python -m repro scenarios sweep election_storm --ns 32 64 --seeds 0 1 2
-    python -m repro scenarios sweep election_storm --ns 32 64 --engine fast --batch
+    python -m repro scenarios sweep election_storm --ns 32 64 --engine fast --workers 2
     python -m repro adversary run --n 9 --slander 0:8@5-60 --crash 3@10
     python -m repro adversary run --n 9 --byzantine 0 --tamper forge:compete --no-quorum
     python -m repro adversary sweep --ns 8 16 32 --mode both --json -
@@ -617,7 +617,7 @@ def cmd_scenarios_run(args: argparse.Namespace) -> int:
             quorum=args.quorum,
             recorder=trace_recorder,
         )
-    except (ScenarioSchemaError, ValueError) as exc:
+    except (ScenarioSchemaError, KeyError, ValueError) as exc:
         if trace_recorder is not None:
             trace_recorder.close()
         print(f"error: {exc}", file=sys.stderr)
@@ -668,25 +668,10 @@ def cmd_scenarios_run(args: argparse.Namespace) -> int:
 
 
 def cmd_scenarios_sweep(args: argparse.Namespace) -> int:
-    from types import SimpleNamespace
-
-    from repro.scenarios import (
-        ScenarioRunner,
-        ScenarioSchemaError,
-        run_scenario_batch,
-        scenario_to_json,
-    )
+    from repro.scenarios import ScenarioRunner, ScenarioSchemaError, scenario_to_json
     from repro.sweep.scheduler import SweepCell, run_cells
-    from repro.sweep.worker import scenario_cell, scenario_summary
+    from repro.sweep.worker import scenario_cell
 
-    if args.batch and args.engine != "fast":
-        print("error: --batch needs --engine fast", file=sys.stderr)
-        return 2
-    if args.workers > 1 and args.batch:
-        # Batched lanes already share one engine run; sharding them
-        # across processes would change the lane grouping.
-        print("error: --workers and --batch are mutually exclusive", file=sys.stderr)
-        return 2
     table = Table(
         ["n", "seed", "elections", "epoch churn", "mean failover",
          "agreed frac", "messages", "overhead", "final agreed"],
@@ -699,64 +684,32 @@ def cmd_scenarios_sweep(args: argparse.Namespace) -> int:
         from repro.monitor import SweepProgress
 
         progress = SweepProgress(live=True)
-    metrics_by_cell: Dict[Any, Any] = {}
-    if args.batch:
-        # The batched path has no scheduler; drive the same listener
-        # manually so --progress behaves identically.
-        if progress is not None:
-            progress.start(
-                len(args.ns) * len(args.seeds),
-                float(sum(n for n in args.ns for _ in args.seeds)),
-                1,
-            )
+    # One (n, seed) cell per run: the scenario crosses into the cell as
+    # its JSON timeline and replays with the same per-seed RNG streams,
+    # so the table is identical for every --workers.
+    cells = []
+    keys = []
+    try:
         for n in args.ns:
-            try:
-                scenario = _load_scenario(args.name, n)
-                batch_results = run_scenario_batch(
-                    scenario, n, list(args.seeds), engine="fast",
-                    inner=args.inner, lag=args.lag, quorum=args.quorum,
+            scenario = _load_scenario(args.name, n)
+            # Construction validates n, engine, inner and lag up front.
+            ScenarioRunner(
+                scenario, n, engine=args.engine, inner=args.inner,
+                lag=args.lag, quorum=args.quorum,
+            )
+            scenario_json = scenario_to_json(scenario)
+            for seed in args.seeds:
+                payload = (
+                    scenario_json, n, seed, args.engine,
+                    args.inner, args.lag, args.quorum,
                 )
-            except (ScenarioSchemaError, ValueError) as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
-            for seed, result in zip(args.seeds, batch_results):
-                metrics_by_cell[(n, seed)] = scenario_summary(result.metrics)
-                if progress is not None:
-                    cell = SimpleNamespace(index=len(metrics_by_cell) - 1, cost=float(n))
-                    progress.cell_start(cell)
-                    progress.cell_finish(cell, 0.0, 0)
-        if progress is not None:
-            progress.finish(progress.elapsed)
-    else:
-        # One (n, seed) cell per run: the scenario crosses into the
-        # cell as its JSON timeline and replays with the same per-seed
-        # RNG streams, so the table is identical for every --workers.
-        cells = []
-        keys = []
-        try:
-            for n in args.ns:
-                scenario = _load_scenario(args.name, n)
-                # Construction validates n, engine and lag up front.
-                ScenarioRunner(
-                    scenario, n, engine=args.engine, inner=args.inner,
-                    lag=args.lag, quorum=args.quorum,
-                )
-                scenario_json = scenario_to_json(scenario)
-                for seed in args.seeds:
-                    payload = (
-                        scenario_json, n, seed, args.engine,
-                        args.inner, args.lag, args.quorum,
-                    )
-                    cells.append(SweepCell(index=len(cells), cost=n, payload=payload))
-                    keys.append((n, seed))
-        except (ScenarioSchemaError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        values = run_cells(
-            cells, scenario_cell, workers=args.workers, progress=progress
-        )
-        metrics_by_cell = dict(zip(keys, values))
-    for (n, seed), m in metrics_by_cell.items():
+                cells.append(SweepCell(index=len(cells), cost=n, payload=payload))
+                keys.append((n, seed))
+    except (ScenarioSchemaError, KeyError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    values = run_cells(cells, scenario_cell, workers=args.workers, progress=progress)
+    for (n, seed), m in zip(keys, values):
         failures += not m["final_agreed"]
         mean_failover = m["mean_failover_latency"]
         table.add_row(
@@ -1590,15 +1543,9 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_scen_p.add_argument("--ns", type=int, nargs="+", default=[32, 64])
     sweep_scen_p.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2])
     sweep_scen_p.add_argument(
-        "--batch", action="store_true",
-        help="batch the seed replicas per (scenario, n) point: concurrent "
-        "election acts with the same membership run as one multi-lane "
-        "fast-engine execution (needs --engine fast; same results)",
-    )
-    sweep_scen_p.add_argument(
         "--workers", type=int, default=1, metavar="N",
         help="shard the (n, seed) cells over N worker processes "
-        "(bit-identical to the sequential sweep; excludes --batch)",
+        "(bit-identical to the sequential sweep)",
     )
     sweep_scen_p.add_argument(
         "--progress", action="store_true",

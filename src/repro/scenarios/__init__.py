@@ -52,7 +52,6 @@ from repro.scenarios.runner import (
     ScenarioResult,
     ScenarioRunner,
     run_scenario,
-    run_scenario_batch,
 )
 
 __all__ = [
@@ -84,5 +83,4 @@ __all__ = [
     "ScenarioResult",
     "ScenarioRunner",
     "run_scenario",
-    "run_scenario_batch",
 ]

@@ -70,7 +70,6 @@ __all__ = [
     "ScenarioResult",
     "ScenarioRunner",
     "run_scenario",
-    "run_scenario_batch",
 ]
 
 ENGINES = ("sync", "async", "fast")
@@ -140,8 +139,6 @@ class ScenarioRunner:
             raise ValueError(
                 f"scenario {scenario.name!r} needs n >= {max(2, scenario.min_n)}"
             )
-        if lag < 0:
-            raise ValueError("detector lag must be >= 0")
         if engine == "fast" and recorder is not None:
             raise ValueError(
                 "the fast engine has no per-event recorder hooks — record "
@@ -160,6 +157,8 @@ class ScenarioRunner:
             }[engine]
         self.inner = inner
         self.lag = lag
+        # Every act's detector; its own check rejects a negative or NaN lag.
+        self._detector = DetectorSpec(kind="perfect", lag=lag)
         self.commit_rounds = commit_rounds
         self.commit_delay = commit_delay
         self.poll_interval = poll_interval
@@ -173,6 +172,16 @@ class ScenarioRunner:
         if len(ids) != n or len(set(ids)) != n:
             raise ValueError(f"need {n} distinct initial IDs")
         self._initial_ids = list(ids)
+        # Resolve ``inner`` now, so a bad name fails here rather than in
+        # the first act (``KeyError``: unknown or no vectorized port;
+        # ``ValueError``: wrong engine for the re-election wrapper).
+        if engine == "fast":
+            from repro.fastsync import get_fast_algorithm
+
+            get_fast_algorithm(inner)
+        else:
+            self._reelect = self._reelect_factory()
+            self._reelect()
 
     # ------------------------------------------------------------------ #
     # state helpers
@@ -259,11 +268,10 @@ class ScenarioRunner:
         act_seed: int,
         plan: Optional[FaultPlan] = None,
     ):
-        """One fast-engine election act.
+        """One fast-engine election act, as a one-seed :class:`RunSpec` run.
 
-        The single dispatch point for every fast-engine run the scenario
-        makes — :func:`run_scenario_batch` overrides it per replica to
-        collect concurrent acts into one batched engine execution.
+        Every fast-engine run the scenario makes, acts and baseline,
+        goes through here and nowhere else; nothing overrides it.
         ``plan`` carries the act-local :class:`FaultPlan` (partitions,
         link rules, kill policies, tampering) into the engine's
         vectorized fault runtime; fault-free acts pass ``None``.
@@ -312,7 +320,7 @@ class ScenarioRunner:
             )
         return run(
             RunSpec(
-                algorithm=self._reelect_factory(),
+                algorithm=self._reelect,
                 n=m,
                 engine=self.engine,
                 seeds=(act_seed,),
@@ -466,7 +474,7 @@ class ScenarioRunner:
             links=self.scenario.link_faults,
             partitions=masks,
             policies=tuple(policies),
-            detector=DetectorSpec(kind="perfect", lag=self.lag),
+            detector=self._detector,
             adversary=self._act_adversary(members, slanders),
         )
 
@@ -924,7 +932,7 @@ class ScenarioRunner:
         if self.engine == "fast":
             record = self._fast_trial(self.n, self._initial_ids, seed)
         else:
-            plan = FaultPlan(detector=DetectorSpec(kind="perfect", lag=self.lag))
+            plan = FaultPlan(detector=self._detector)
             self._annotate(act=None, epoch=None, trigger="baseline")
             record = self._object_trial(self.n, self._initial_ids, seed, plan)
             record.extra.pop("failover")
@@ -938,154 +946,3 @@ def run_scenario(
 ) -> ScenarioResult:
     """One-call convenience wrapper around :class:`ScenarioRunner`."""
     return ScenarioRunner(scenario, n, engine=engine, seed=seed, **config).run()
-
-
-def run_scenario_batch(
-    scenario: Scenario,
-    n: int,
-    seeds: Sequence[int],
-    *,
-    engine: str = "fast",
-    **config: Any,
-) -> List[ScenarioResult]:
-    """Run one timeline under many seeds, batching fast-engine acts.
-
-    One replica :class:`ScenarioRunner` per seed executes in lockstep;
-    whenever several replicas are waiting on an election act with the
-    same membership and the same act fault plan (the common case —
-    event timelines are mostly seed-independent), their acts run as
-    **one** batched :class:`~repro.fastsync.FastSyncNetwork` execution
-    with one lane per replica.  Results are always exactly the
-    sequential ones: a lane's result depends only on its seed, and a
-    sequential act is a batch of one lane.  Faulted act groups run one
-    lane per seed (the vectorized fault runtime's RNG replay is
-    single-lane, so the executor serializes them), and replicas whose
-    memberships diverged (e.g. after ``crash(LEADER)`` under a
-    randomized inner election) run their acts alone.
-
-    Only the ``fast`` engine has a batched path; other engines (or a
-    single seed) run sequentially.
-    """
-    if engine != "fast" or len(seeds) <= 1:
-        return [
-            ScenarioRunner(scenario, n, engine=engine, seed=s, **config).run()
-            for s in seeds
-        ]
-
-    import threading
-
-    from repro.sweep.api import execute_spec, run
-    from repro.sweep.spec import RunSpec
-
-    runners = [
-        ScenarioRunner(scenario, n, engine=engine, seed=s, **config) for s in seeds
-    ]
-    total = len(runners)
-    lock = threading.Condition()
-    pending: Dict[int, Tuple[int, Tuple[int, ...], int, Optional[FaultPlan]]] = {}
-    replies: Dict[int, Any] = {}
-    done: List[int] = []
-    results: List[Optional[ScenarioResult]] = [None] * total
-    errors: List[BaseException] = []
-
-    def dispatch_for(idx: int):
-        def dispatch(
-            m: int,
-            member_ids: Sequence[int],
-            act_seed: int,
-            plan: Optional[FaultPlan] = None,
-        ):
-            with lock:
-                pending[idx] = (m, tuple(member_ids), act_seed, plan)
-                lock.notify_all()
-                while idx not in replies and not errors:
-                    lock.wait()
-                if errors:
-                    raise RuntimeError("scenario batch aborted")
-                return replies.pop(idx)
-
-        return dispatch
-
-    def worker(idx: int) -> None:
-        try:
-            runners[idx]._fast_trial = dispatch_for(idx)
-            results[idx] = runners[idx].run()
-        except BaseException as exc:  # propagate to the coordinator
-            errors.append(exc)
-        finally:
-            with lock:
-                done.append(idx)
-                lock.notify_all()
-
-    threads = [
-        threading.Thread(target=worker, args=(i,), daemon=True) for i in range(total)
-    ]
-    for t in threads:
-        t.start()
-    while True:
-        with lock:
-            while len(pending) + len(done) < total and not errors:
-                lock.wait()
-            if errors:
-                lock.notify_all()
-                break
-            if not pending:  # every replica finished
-                break
-            # Group the waiting acts by membership + act-plan signature
-            # (plans are frozen dataclasses, so they hash and compare by
-            # value); each group becomes one batched engine run (lanes in
-            # replica order).  Faulted groups still go through the
-            # batched spec: the executor serializes them seed-by-seed —
-            # the fault runtime is single-lane — with identical records.
-            groups: Dict[
-                Tuple[int, Tuple[int, ...], Optional[FaultPlan]], List[int]
-            ] = {}
-            for idx in sorted(pending):
-                m, ids, _, act_plan = pending[idx]
-                groups.setdefault((m, ids, act_plan), []).append(idx)
-            inner = runners[0].inner
-            quorum = runners[0].quorum
-            try:
-                for (m, ids, act_plan), members in groups.items():
-                    if len(members) == 1:
-                        for idx in members:
-                            replies[idx] = run(
-                                RunSpec(
-                                    algorithm=inner,
-                                    n=m,
-                                    engine="fast",
-                                    seeds=(pending[idx][2],),
-                                    ids=ids,
-                                    faults=act_plan,
-                                    quorum=quorum,
-                                )
-                            )
-                    else:
-                        act_seeds = tuple(pending[idx][2] for idx in members)
-                        records = execute_spec(
-                            RunSpec(
-                                algorithm=inner,
-                                n=m,
-                                engine="fast",
-                                seeds=act_seeds,
-                                batch=len(act_seeds),
-                                ids=ids,
-                                faults=act_plan,
-                                quorum=quorum,
-                            )
-                        )
-                        for idx, record in zip(members, records):
-                            replies[idx] = record
-            except BaseException as exc:
-                # Unblock every waiting replica (their dispatch raises
-                # and the worker threads exit) before re-raising below.
-                errors.append(exc)
-                lock.notify_all()
-                break
-            pending.clear()
-            lock.notify_all()
-    for t in threads:
-        t.join()
-    if errors:
-        raise errors[0]
-    return [r for r in results if r is not None]

@@ -52,3 +52,26 @@ def test_cli_output_is_pinned(capture, argv):
     proc = run_cli(*argv)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.encode() == (DATA / capture).read_bytes()
+
+
+#: ``scenarios sweep`` on the fast engine, captured as one file: the
+#: n=2100 rows run scale-mode acts, and under las_vegas the four
+#: ``rolling_restart`` seeds crash different leaders, so their
+#: memberships diverge from the first restart on.
+FAST_SWEEPS = [
+    ["scenarios", "sweep", "election_storm", "--ns", "24", "2100",
+     "--seeds", "0", "1", "--engine", "fast"],
+    ["scenarios", "sweep", "rolling_restart", "--ns", "24",
+     "--seeds", "0", "1", "2", "3", "--inner", "las_vegas", "--engine", "fast"],
+]
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_fast_scenario_sweep_is_pinned(workers):
+    pytest.importorskip("numpy")
+    out = b""
+    for argv in FAST_SWEEPS:
+        proc = run_cli(*argv, "--workers", workers)
+        assert proc.returncode == 0, proc.stderr
+        out += proc.stdout.encode()
+    assert out == (DATA / "cli_scenarios_sweep_fast.txt").read_bytes()

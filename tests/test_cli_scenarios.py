@@ -108,11 +108,56 @@ class TestSweep:
         assert payload["scenario"] == "rolling_restart"
         assert "n=8/seed=0/messages" in payload["metrics"]
 
-    def test_worker_count_does_not_change_output(self):
+    @pytest.mark.parametrize("engine", ["sync", "fast"])
+    def test_worker_count_does_not_change_output(self, engine):
+        if engine == "fast":
+            pytest.importorskip("numpy")
         argv = ["scenarios", "sweep", "rolling_restart", "--ns", "8", "12",
-                "--seeds", "0", "1", "--json", "-"]
+                "--seeds", "0", "1", "--engine", engine, "--json", "-"]
         one = run_cli(*argv, "--workers", "1")
         two = run_cli(*argv, "--workers", "2")
         assert one.returncode == two.returncode == 0, (one.stderr, two.stderr)
         assert "scenario sweep" in one.stdout
         assert one.stdout == two.stdout
+
+    def test_batch_flag_is_gone(self):
+        proc = run_cli(
+            "scenarios", "sweep", "election_storm", "--ns", "16", "--seeds", "0",
+            "--engine", "fast", "--batch",
+        )
+        assert proc.returncode == 2
+        assert "unrecognized arguments: --batch" in proc.stderr
+
+
+class TestUsageErrors:
+    """Bad ``--inner``/``--lag`` values fail before any act runs."""
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["run", "election_storm", "--n", "16", "--engine", "fast",
+              "--inner", "monarchical"], "no vectorized port"),
+            (["sweep", "election_storm", "--ns", "16", "--seeds", "0",
+              "--inner", "nosuch"], "unknown algorithm"),
+            (["sweep", "election_storm", "--ns", "16", "--seeds", "0",
+              "--inner", "nosuch", "--workers", "2"], "unknown algorithm"),
+            (["sweep", "election_storm", "--ns", "16", "--seeds", "0",
+              "--engine", "async", "--inner", "improved_tradeoff"],
+             "runs on the sync engine"),
+            (["run", "election_storm", "--n", "16", "--lag", "nan"],
+             "detector lag must be >= 0"),
+            (["sweep", "election_storm", "--ns", "16", "--seeds", "0",
+              "--lag", "nan"], "detector lag must be >= 0"),
+        ],
+        ids=["run-fast-no-port", "sweep-unknown", "sweep-unknown-workers",
+             "sweep-async-wrong-engine", "run-lag-nan", "sweep-lag-nan"],
+    )
+    def test_one_error_line_and_exit_2(self, argv, message):
+        if "fast" in argv:
+            pytest.importorskip("numpy")
+        proc = run_cli("scenarios", *argv)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+        assert message in lines[0]

@@ -169,7 +169,8 @@ class TestApiDoc:
 
         from repro.analysis import RunSpec, run
         from repro.fastsync import FastSyncNetwork
-        from repro.scenarios import ScenarioRunner, run_scenario_batch
+        import repro.scenarios
+        from repro.scenarios import ScenarioRunner
 
         for func, required in [
             (FastSyncNetwork.__init__,
@@ -180,7 +181,6 @@ class TestApiDoc:
             (run, {"recorder", "telemetry", "scheduler", "keep_result"}),
             (ScenarioRunner.__init__,
              {"engine", "seed", "inner", "lag", "quorum"}),
-            (run_scenario_batch, {"engine"}),
         ]:
             parameters = set(inspect.signature(func).parameters)
             missing = required - parameters
@@ -189,6 +189,8 @@ class TestApiDoc:
         for func in (FastSyncNetwork.__init__, RunSpec):
             parameters = set(inspect.signature(func).parameters)
             assert not {"crashes", "lane_crashes"} & parameters
+        # Every scenario sweep shards (n, seed) cells; no lockstep batcher.
+        assert not hasattr(repro.scenarios, "run_scenario_batch")
 
     def test_capability_flags_exist(self):
         from repro.fastsync import VectorAlgorithm

@@ -255,3 +255,24 @@ class TestRunnerSemantics:
     def test_bad_engine_rejected(self):
         with pytest.raises(ValueError, match="engine"):
             ScenarioRunner(get_scenario("election_storm", 8), 8, engine="warp")
+
+    @pytest.mark.parametrize(
+        "engine,inner,error,match",
+        [
+            ("fast", "monarchical", KeyError, "no vectorized port"),
+            ("sync", "nosuch", KeyError, "unknown algorithm"),
+            ("async", "improved_tradeoff", ValueError, "runs on the sync engine"),
+        ],
+    )
+    def test_bad_inner_rejected_at_construction(self, engine, inner, error, match):
+        if engine == "fast":
+            pytest.importorskip("numpy")
+        with pytest.raises(error, match=match):
+            ScenarioRunner(
+                get_scenario("election_storm", 8), 8, engine=engine, inner=inner
+            )
+
+    @pytest.mark.parametrize("lag", [-1.0, float("nan")])
+    def test_bad_lag_rejected_at_construction(self, lag):
+        with pytest.raises(ValueError, match="detector lag must be >= 0"):
+            ScenarioRunner(get_scenario("election_storm", 8), 8, lag=lag)
