@@ -148,16 +148,16 @@ class VoteLedger:
 
 
 class _QuorumCommitMixin:
-    """The quorum machinery both engine wrappers share.
+    """The quorum policy, written once for both engine wrappers.
 
-    Mixed in *before* the engine-specific re-election base class, so the
-    hook overrides here win the MRO and ``super()._restart`` still
-    reaches the base wrapper.  Engine-specific behavior (how a commit is
-    armed, how epochs are polled) stays in the subclasses'
-    ``_handle_coord``.
+    Mixed in *before* a re-election driver, so the hook overrides here
+    win the MRO and ``super()`` still reaches the shared core; the
+    driver's ``_adopt`` supplies the engine-specific commit start.
+    ``threshold`` is the quorum fraction over the full membership.
     """
 
-    def _init_quorum(self, threshold: float) -> None:
+    def __init__(self, *args: Any, threshold: float = 0.5, **kwargs: Any) -> None:
+        super().__init__(*args, **kwargs)
         if not 0.5 <= threshold < 1.0:
             # Same rule QuorumPolicy enforces, surfaced at construction
             # time so front-ends report a usage error, not a mid-run one.
@@ -174,23 +174,14 @@ class _QuorumCommitMixin:
             self.ledger = VoteLedger(QuorumPolicy(n=ctx.n, threshold=self.threshold))
         return self.ledger
 
-    def _coord_ports(self):
+    def _coord_ports(self, ctx):
         # Every port, not just the survivor sub-clique: a suspected peer
         # may be a slander victim that must learn the new reign.
-        return range(self.proxy._ctx.n - 1)
+        return range(ctx.n - 1)
 
-    def _restart(self, ctx, suspects) -> None:
+    def _enter_epoch(self, ctx, epoch: int) -> None:
         self._fresh_acks = set()
-        super()._restart(ctx, suspects)
-
-    def _adopt_reign(self, ctx, epoch: int) -> None:
-        """Coord catch-up bookkeeping shared by both engines: abandon my
-        own stale candidacy and move to the coord's (higher) epoch."""
-        self.epoch = epoch
-        self.attempt = 0
-        self.inner = None
-        self.inner_halted = True
-        self._fresh_acks = set()
+        super()._enter_epoch(ctx, epoch)
 
     def _admit_epoch(self, ctx) -> bool:
         policy = self._ledger_for(ctx).policy
@@ -216,21 +207,42 @@ class _QuorumCommitMixin:
         ledger.commit(self.epoch, ctx.my_id)
         return True
 
+    def _handle_coord(self, ctx, port: int, payload) -> None:
+        _tag, epoch, leader_id = payload
+        if epoch > self.epoch:
+            self._check_epoch(ctx)
+            if self.done:
+                return
+        if epoch > self.epoch:
+            # Coord catch-up: my detector can't see the suspicion driving
+            # the group's epoch (I may be its victim) — the authenticated
+            # epoch tag is the proof.  Abandon my own stale candidacy and
+            # adopt the reign as a follower.
+            self._enter_epoch(ctx, epoch)
+            self._stop_inner()
+            self._adopt(ctx, leader_id)
+            ctx.send(port, (QACK, epoch, ctx.my_id))
+            return
+        if epoch == self.epoch:
+            if self.tentative is None:
+                self._adopt(ctx, leader_id)
+            if self.tentative == leader_id and leader_id != ctx.my_id:
+                # Ack every copy: retransmits re-solicit votes lost to
+                # drops — and only current-epoch coords are ever acked,
+                # which is what makes older quorums go stale.
+                ctx.send(port, (QACK, epoch, ctx.my_id))
+
     def _handle_extra(self, ctx, port: int, payload) -> None:
         if payload[0] != QACK:
             return
         _tag, epoch, _voter_id = payload
         if epoch == self.epoch and self.tentative == ctx.my_id:
-            # Votes are ledgered by *port* (the authenticated link), so an
+            # Votes are ledgered by the peer behind *port* (the
+            # authenticated link; oracle power, like live_ports), so an
             # equivocating voter still spends exactly one vote.
-            real_peer = self._voter_index(ctx, port)
+            real_peer = ctx._net.port_map.peer(ctx.node, port)
             self._ledger_for(ctx).grant(epoch, real_peer, ctx.my_id)
             self._fresh_acks.add(real_peer)
-
-    @staticmethod
-    def _voter_index(ctx, port: int) -> int:
-        """The peer node index behind ``port`` (oracle power, like live_ports)."""
-        return ctx._net.port_map.peer(ctx.node, port)
 
 
 class QuorumReElectionElection(_QuorumCommitMixin, ReElectionElection):
@@ -241,85 +253,6 @@ class QuorumReElectionElection(_QuorumCommitMixin, ReElectionElection):
     the full membership, default majority).
     """
 
-    def __init__(
-        self,
-        inner="afek_gafni",
-        commit_rounds: int = 4,
-        restart_rounds: Optional[int] = None,
-        threshold: float = 0.5,
-        inner_params=None,
-        **extra_inner_params: Any,
-    ) -> None:
-        super().__init__(
-            inner=inner,
-            commit_rounds=commit_rounds,
-            restart_rounds=restart_rounds,
-            inner_params=inner_params,
-            **extra_inner_params,
-        )
-        self._init_quorum(threshold)
-
-    def _handle_coord(self, ctx, port: int, payload) -> None:
-        _tag, epoch, leader_id = payload
-        if epoch > self.epoch:
-            # Coord catch-up: my detector can't see the suspicion driving
-            # the group's epoch (I may be its victim) — the authenticated
-            # epoch tag is the proof.  Adopt the reign as a follower.
-            self._adopt_reign(ctx, epoch)
-            self.pending_coord_round = None
-            self.tentative = leader_id
-            self.commit_left = self.commit_rounds
-            ctx.send(port, (QACK, epoch, ctx.my_id))
-            return
-        if epoch == self.epoch:
-            if self.tentative is None:
-                self.tentative = leader_id
-                self.commit_left = self.commit_rounds
-            if self.tentative == leader_id and leader_id != ctx.my_id:
-                # Ack every copy: retransmits re-solicit votes lost to
-                # drops — and only current-epoch coords are ever acked,
-                # which is what makes older quorums go stale.
-                ctx.send(port, (QACK, epoch, ctx.my_id))
-
 
 class AsyncQuorumReElectionElection(_QuorumCommitMixin, AsyncReElectionElection):
     """Asynchronous quorum-safe re-election (twin of the sync wrapper)."""
-
-    def __init__(
-        self,
-        inner="async_tradeoff",
-        commit_delay: float = 4.0,
-        poll_interval: float = 0.5,
-        restart_delay: Optional[float] = None,
-        threshold: float = 0.5,
-        inner_params=None,
-        **extra_inner_params: Any,
-    ) -> None:
-        super().__init__(
-            inner=inner,
-            commit_delay=commit_delay,
-            poll_interval=poll_interval,
-            restart_delay=restart_delay,
-            inner_params=inner_params,
-            **extra_inner_params,
-        )
-        self._init_quorum(threshold)
-
-    def _handle_coord(self, ctx, port: int, payload) -> None:
-        _tag, epoch, leader_id = payload
-        if epoch > self.epoch:
-            self._check_epoch(ctx)
-            if self.done:
-                return
-        if epoch > self.epoch:
-            # Coord catch-up (see the sync twin): adopt the authenticated
-            # reign my own detector cannot yet justify.
-            self._adopt_reign(ctx, epoch)
-            self._arm_commit(ctx, leader_id)
-            ctx.send(port, (QACK, epoch, ctx.my_id))
-            return
-        if epoch == self.epoch:
-            if self.tentative is None:
-                self._arm_commit(ctx, leader_id)
-            if self.tentative == leader_id and leader_id != ctx.my_id:
-                ctx.send(port, (QACK, epoch, ctx.my_id))

@@ -34,6 +34,7 @@ import math
 from typing import Any, Optional
 
 from repro.asyncnet.algorithm import AsyncAlgorithm
+from repro.faults.reelect import check_count, check_delay
 from repro.sync.algorithm import Inbox, SyncAlgorithm
 
 __all__ = [
@@ -50,19 +51,21 @@ def safe_stable_rounds(noise_horizon: float, lag: float) -> int:
     return int(math.ceil(noise_horizon + lag)) + 2
 
 
-class MonarchicalElection(SyncAlgorithm):
-    """Synchronous monarchical (eventual) leader election."""
+class _TrustStep:
+    """The monarchical step both engines share.
 
-    def __init__(self, stable_rounds: int = 4) -> None:
-        if stable_rounds < 1:
-            raise ValueError("need stable_rounds >= 1")
-        self.stable_rounds = stable_rounds
-        self.trust: Optional[int] = None
-        self.stable = 0
-        self.announced = False
+    Each step reads the trusted ID; a trust change resets the stability
+    count, a newly trusted node announces its reign once, and ``window``
+    consecutive steps (rounds or polls) with unchanged trust commit it.
+    """
 
-    def on_round(self, ctx, inbox: Inbox) -> None:
-        trust = ctx.detector.trusted(ctx.round)
+    trust: Optional[int] = None
+    stable = 0
+    announced = False
+    done = False
+
+    def _step(self, ctx, now: float, window: int) -> None:
+        trust = ctx.detector.trusted(now)
         if trust != self.trust:
             self.trust = trust
             self.stable = 1
@@ -72,15 +75,26 @@ class MonarchicalElection(SyncAlgorithm):
         if trust == ctx.my_id and not self.announced and ctx.n > 1:
             ctx.broadcast((COORD, ctx.my_id))
             self.announced = True
-        if self.stable >= self.stable_rounds:
+        if self.stable >= window:
             if trust == ctx.my_id:
                 ctx.decide_leader()
             else:
                 ctx.decide_follower(trust)
             ctx.halt()
+            self.done = True
 
 
-class AsyncMonarchicalElection(AsyncAlgorithm):
+class MonarchicalElection(_TrustStep, SyncAlgorithm):
+    """Synchronous monarchical (eventual) leader election."""
+
+    def __init__(self, stable_rounds: int = 4) -> None:
+        self.stable_rounds = check_count("stable_rounds", stable_rounds)
+
+    def on_round(self, ctx, inbox: Inbox) -> None:
+        self._step(ctx, ctx.round, self.stable_rounds)
+
+
+class AsyncMonarchicalElection(_TrustStep, AsyncAlgorithm):
     """Asynchronous monarchical election, paced by polling timers.
 
     Each node polls its detector every ``poll_interval`` time units and
@@ -92,26 +106,15 @@ class AsyncMonarchicalElection(AsyncAlgorithm):
     POLL = "monarch-poll"
 
     def __init__(self, poll_interval: float = 0.5, stable_polls: int = 6) -> None:
-        if poll_interval <= 0:
-            raise ValueError("need poll_interval > 0")
-        if stable_polls < 1:
-            raise ValueError("need stable_polls >= 1")
-        self.poll_interval = poll_interval
-        self.stable_polls = stable_polls
-        self.trust: Optional[int] = None
-        self.stable = 0
-        self.announced = False
-        self.done = False
+        self.poll_interval = check_delay("poll_interval", poll_interval)
+        self.stable_polls = check_count("stable_polls", stable_polls)
 
     def on_wake(self, ctx) -> None:
         if ctx.n == 1:
             ctx.decide_leader()
             ctx.halt()
-            self.done = True
             return
         self._poll(ctx)
-        if not self.done:
-            ctx.set_timer(self.poll_interval, self.POLL)
 
     def on_message(self, ctx, port: int, payload: Any) -> None:
         # ``coord`` announcements carry no decision authority (the
@@ -120,27 +123,10 @@ class AsyncMonarchicalElection(AsyncAlgorithm):
         return
 
     def on_timer(self, ctx, tag: Any) -> None:
-        if tag != self.POLL or self.done:
-            return
-        self._poll(ctx)
-        if not self.done:
-            ctx.set_timer(self.poll_interval, self.POLL)
+        if tag == self.POLL:
+            self._poll(ctx)
 
     def _poll(self, ctx) -> None:
-        trust = ctx.detector.trusted(ctx.now)
-        if trust != self.trust:
-            self.trust = trust
-            self.stable = 1
-            self.announced = False
-        else:
-            self.stable += 1
-        if trust == ctx.my_id and not self.announced:
-            ctx.broadcast((COORD, ctx.my_id))
-            self.announced = True
-        if self.stable >= self.stable_polls:
-            if trust == ctx.my_id:
-                ctx.decide_leader()
-            else:
-                ctx.decide_follower(trust)
-            ctx.halt()
-            self.done = True
+        self._step(ctx, ctx.now, self.stable_polls)
+        if not self.done:
+            ctx.set_timer(self.poll_interval, self.POLL)

@@ -35,6 +35,11 @@ PINNED = [
         ["adversary", "run", "--n", "9", "--slander", "0:8@5-60", "--crash", "3@10"],
     ),
     (
+        "cli_adversary_run_async.txt",
+        ["adversary", "run", "--n", "9", "--engine", "async", "--slander", "0:8@5-60",
+         "--crash", "3@10"],
+    ),
+    (
         "cli_adversary_sweep_json.txt",
         ["adversary", "sweep", "--ns", "8", "16", "--mode", "both", "--json", "-"],
     ),

@@ -144,13 +144,18 @@ class TestUsageErrors:
             (["sweep", "election_storm", "--ns", "16", "--seeds", "0",
               "--engine", "async", "--inner", "improved_tradeoff"],
              "runs on the sync engine"),
+            (["run", "election_storm", "--n", "16", "--inner", "monarchical"],
+             "crash-oblivious"),
+            (["run", "election_storm", "--n", "16", "--engine", "async",
+              "--inner", "reelect"], "crash-oblivious"),
             (["run", "election_storm", "--n", "16", "--lag", "nan"],
              "detector lag must be >= 0"),
             (["sweep", "election_storm", "--ns", "16", "--seeds", "0",
               "--lag", "nan"], "detector lag must be >= 0"),
         ],
         ids=["run-fast-no-port", "sweep-unknown", "sweep-unknown-workers",
-             "sweep-async-wrong-engine", "run-lag-nan", "sweep-lag-nan"],
+             "sweep-async-wrong-engine", "run-sync-fault-layer-inner",
+             "run-async-fault-layer-inner", "run-lag-nan", "sweep-lag-nan"],
     )
     def test_one_error_line_and_exit_2(self, argv, message):
         if "fast" in argv:

@@ -8,7 +8,7 @@ from repro.adversary import AsyncQuorumReElectionElection, QuorumReElectionElect
 from repro.analysis import RunSpec, run
 from repro.asyncnet.algorithm import AsyncAlgorithm
 from repro.asyncnet.engine import AsyncNetwork
-from repro.core import ALGORITHMS, get_algorithm
+from repro.core import ALGORITHMS, AsyncAfekGafniElection, get_algorithm
 from repro.faults import (
     AsyncMonarchicalElection,
     AsyncReElectionElection,
@@ -175,6 +175,10 @@ class TestEngineTwins:
         with pytest.raises(ValueError, match="async_tradeoff"):
             ReElectionElection(inner="async_tradeoff")
 
-    def test_async_inner_twin_is_picked_by_name(self):
-        wrapper = AsyncReElectionElection(inner="monarchical")
-        assert type(wrapper.factory()) is AsyncMonarchicalElection
+    def test_async_inner_is_picked_by_name(self):
+        wrapper = AsyncReElectionElection(inner="async_afek_gafni")
+        assert type(wrapper.factory()) is AsyncAfekGafniElection
+        # The names with an async twin are the fault-layer elections; they
+        # read the detector, which the survivor sub-clique does not offer.
+        with pytest.raises(ValueError, match="crash-oblivious"):
+            AsyncReElectionElection(inner="monarchical")

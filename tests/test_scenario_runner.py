@@ -262,6 +262,8 @@ class TestRunnerSemantics:
             ("fast", "monarchical", KeyError, "no vectorized port"),
             ("sync", "nosuch", KeyError, "unknown algorithm"),
             ("async", "improved_tradeoff", ValueError, "runs on the sync engine"),
+            ("sync", "monarchical", ValueError, "crash-oblivious"),
+            ("async", "reelect", ValueError, "crash-oblivious"),
         ],
     )
     def test_bad_inner_rejected_at_construction(self, engine, inner, error, match):
