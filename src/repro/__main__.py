@@ -131,27 +131,55 @@ Examples
     python -m repro compare nightly --slack 0.05
 """
 
+
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import random
 import sys
-from typing import Any, Dict, Iterable, List, Optional
+from collections import Counter
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
-from repro.analysis import RunSpec, Table, execute_spec, run
+from repro.analysis import RunSpec, Table, execute_spec
 from repro.common import SimulationLimitExceeded
 from repro.core import ALGORITHMS, get_algorithm
 from repro.ids import assign_random, small_universe, tradeoff_universe
 from repro.lowerbound import bounds
 
 
-def _parse_param(text: str) -> Any:
+class UsageError(Exception):
+    """Malformed CLI input: :func:`main` prints ``error: <message>``, exits 2."""
+
+
+def _param(text: str) -> Tuple[str, Any]:
+    """``--param KEY=VALUE`` as ``(key, value)``; numeric values are cast."""
+    key, sep, value = text.partition("=")
+    if not sep or not key:
+        raise argparse.ArgumentTypeError(
+            f"parameter {text!r} is not KEY=VALUE (e.g. ell=5)"
+        )
     for cast in (int, float):
         try:
-            return cast(text)
+            return key, cast(value)
         except ValueError:
             continue
-    return text
+    return key, value
+
+
+def _at_least(minimum: int):
+    """An argparse type: an integer no smaller than ``minimum``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+
+    return parse
 
 
 def cmd_list(_args: argparse.Namespace) -> int:
@@ -183,13 +211,53 @@ def _ids_for(name: str, n: int, params: Dict[str, Any], rng: random.Random) -> O
     return None  # randomized algorithms: default 1..n is fine
 
 
-def _size_error(n: int, roots: Optional[int], min_n: int) -> Optional[str]:
-    """A one-line complaint about ``--n``/``--roots``, or None if they fit."""
+def _check_size(n: int, roots: Optional[int], min_n: int, flag: str = "--n") -> None:
+    """Reject a clique size (or ``--roots`` count) the workload cannot take."""
     if n < min_n:
-        return f"--n must be >= {min_n}, got {n}"
+        raise UsageError(f"{flag} must be >= {min_n}, got {n}")
     if roots is not None and not 1 <= roots <= n:
-        return f"--roots must be in [1, n={n}], got {roots}"
-    return None
+        raise UsageError(f"--roots must be in [1, n={n}], got {roots}")
+
+
+def _check_algorithm(name: str, engine: str, params: Dict[str, Any]) -> Any:
+    """One instance of ``name`` for ``engine``, built from ``params``.
+
+    The one place the CLI checks an algorithm: an engine it has no class
+    or vectorized port for, or parameters its constructor rejects, are a
+    :class:`UsageError` before any run starts.
+    """
+    spec = get_algorithm(name)
+    try:
+        if engine == "fast":
+            return spec.make_fast(**params)()
+        return spec.make(engine=engine, **params)()
+    except KeyError as exc:
+        raise UsageError(exc.args[0]) from None
+    except (TypeError, ValueError, ImportError) as exc:
+        raise UsageError(str(exc)) from None
+
+
+def _seed_results(specs: Iterable[RunSpec]) -> Iterator[Tuple[int, Any]]:
+    """``(seed, record)`` for every seed of every spec, in order.
+
+    A seed that hits the engine's step limit yields its
+    :class:`SimulationLimitExceeded` in place of a record, so one stalled
+    seed never aborts the rest (a batched chunk of lanes stalls whole).
+    """
+    for spec in specs:
+        size = spec.batch or 1
+        for start in range(0, len(spec.seeds), size):
+            chunk = spec.seeds[start : start + size]
+            try:
+                records = execute_spec(dataclasses.replace(spec, seeds=chunk))
+            except SimulationLimitExceeded as exc:
+                records = [exc] * len(chunk)
+            yield from zip(chunk, records)
+
+
+def _stalled_row(table: Table, seed: int, exc: SimulationLimitExceeded) -> None:
+    """The row of a seed that never terminated: STALLED and the reason."""
+    table.add_row(seed, "STALLED", *["-"] * (len(table.columns) - 3), str(exc))
 
 
 def _wake_fields(engine: str, roots: Optional[Iterable[int]]) -> Dict[str, Any]:
@@ -222,50 +290,32 @@ def _run_workload(args, spec, params, engine: str, seed: int):
 def cmd_run(args: argparse.Namespace) -> int:
     spec = get_algorithm(args.name)
     engine = spec.engine if args.engine == "auto" else args.engine
-    if engine in ("sync", "async") and engine not in spec.engines:
-        raise SystemExit(
-            f"error: {spec.name} runs on the {'+'.join(spec.engines)} engine "
-            f"(got --engine {engine})"
+    params = dict(args.param)
+    algorithm = _check_algorithm(args.name, engine, params)
+    if engine == "fast" and args.roots is not None and not algorithm.supports_roots:
+        raise UsageError(
+            f"the fast port of {spec.name} supports simultaneous "
+            "wake-up only (adversarial_2round accepts --roots)"
         )
-    if engine == "fast":
-        if spec.engine != "sync":
-            raise SystemExit("error: the fast engine vectorizes sync algorithms only")
-        try:
-            from repro.fastsync import get_fast_algorithm
-
-            fast_cls = get_fast_algorithm(spec.name)
-        except ImportError as exc:
-            raise SystemExit(f"error: {exc}") from None
-        except KeyError as exc:
-            raise SystemExit(f"error: {exc.args[0]}") from None
-        if args.roots is not None and not getattr(fast_cls, "supports_roots", False):
-            raise SystemExit(
-                f"error: the fast port of {spec.name} supports simultaneous "
-                "wake-up only (adversarial_2round accepts --roots)"
-            )
     if args.batch is not None:
         if engine != "fast":
-            raise SystemExit("error: --batch needs --engine fast")
+            raise UsageError("--batch needs --engine fast")
         if args.batch < 1:
-            raise SystemExit(f"error: --batch must be >= 1, got {args.batch}")
+            raise UsageError(f"--batch must be >= 1, got {args.batch}")
     if args.trace is not None:
         if args.batch is not None:
             # One batched engine run traces all its lanes (lane-annotated
             # JSONL); more than one chunk would overwrite the file.
             if len(args.seeds) > args.batch:
-                raise SystemExit(
-                    "error: --trace with --batch records one batched engine "
+                raise UsageError(
+                    "--trace with --batch records one batched engine "
                     "run; pass at most --batch seeds"
                 )
         elif len(args.seeds) != 1:
-            raise SystemExit("error: --trace records one run; pass exactly one seed")
-    params = dict(kv.split("=", 1) for kv in args.param)
-    params = {k: _parse_param(v) for k, v in params.items()}
+            raise UsageError("--trace records one run; pass exactly one seed")
     # Deterministic algorithms draw IDs from the tradeoff universe,
     # which needs n >= 2.
-    error = _size_error(args.n, args.roots, 2 if spec.deterministic else 1)
-    if error:
-        raise SystemExit(f"error: {error}")
+    _check_size(args.n, args.roots, 2 if spec.deterministic else 1)
     fault_plan = _partition_plan(args)
     columns = ["seed", "unique leader", "elected id", "messages", "time", "decided"]
     if engine == "fast":
@@ -277,35 +327,27 @@ def cmd_run(args: argparse.Namespace) -> int:
     # Batched lanes share one configuration: the first seed of each
     # chunk fixes the ID assignment (and wake-up set) for its lanes.
     size = args.batch or 1
-    records: List[Any] = []
+    specs = []
     for start in range(0, len(args.seeds), size):
         chunk = args.seeds[start : start + size]
         ids, wake = _run_workload(args, spec, params, engine, chunk[0])
-        records.extend(
-            execute_spec(
-                RunSpec(
-                    algorithm=args.name,
-                    n=args.n,
-                    engine=engine,
-                    seeds=tuple(chunk),
-                    batch=len(chunk) if args.batch else None,
-                    params=params,
-                    ids=ids,
-                    faults=fault_plan,
-                    max_events=20_000_000 if engine == "async" else None,
-                    trace=args.trace,
-                    **wake,
-                )
-            )
-        )
-    if args.trace is not None:
+        specs.append(RunSpec(
+            algorithm=args.name, n=args.n, engine=engine, seeds=tuple(chunk),
+            batch=len(chunk) if args.batch else None, params=params, ids=ids,
+            faults=fault_plan, max_events=20_000_000 if engine == "async" else None,
+            trace=args.trace, **wake,
+        ))
+    results = list(_seed_results(specs))
+    first = results[0][1]
+    if args.trace is not None and not isinstance(first, SimulationLimitExceeded):
         kind = "aggregate events" if engine == "fast" else "events"
-        print(
-            f"trace: wrote {records[0].extra['trace']['events']} {kind} to "
-            f"{args.trace}"
-        )
-    failures = 0
-    for record in records:
+        print(f"trace: wrote {first.extra['trace']['events']} {kind} to {args.trace}")
+    failures = stalled = 0
+    for seed, record in results:
+        if isinstance(record, SimulationLimitExceeded):
+            stalled += 1
+            _stalled_row(table, seed, record)
+            continue
         failures += not record.unique_leader
         row = [
             record.seed,
@@ -322,7 +364,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     if failures:
         print(f"note: {failures}/{len(args.seeds)} runs failed "
               "(expected occasionally for Monte Carlo algorithms)")
-    return 0
+    if stalled:
+        print(f"note: {stalled}/{len(args.seeds)} runs stalled at the engine's step limit")
+    return 1 if stalled else 0
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
@@ -404,15 +448,13 @@ def _parse_partition(text: str):
 
 def _partition_plan(args: argparse.Namespace):
     """The ``--partition`` flag as a one-mask :class:`FaultPlan` (or None)."""
-    if getattr(args, "partition", None) is None:
+    if args.partition is None:
         return None
     from repro.faults import FaultPlan, PartitionMask
 
     cut, start, end = args.partition
     if not 0 < cut < args.n:
-        raise SystemExit(
-            f"error: --partition cut must be in (0, n), got {cut} with n={args.n}"
-        )
+        raise UsageError(f"--partition cut must be in (0, n), got {cut} with n={args.n}")
     try:
         mask = PartitionMask(
             components=(tuple(range(cut)), tuple(range(cut, args.n))),
@@ -420,7 +462,7 @@ def _partition_plan(args: argparse.Namespace):
             end=end,
         )
     except ValueError as exc:
-        raise SystemExit(f"error: {exc}") from None
+        raise UsageError(str(exc)) from None
     return FaultPlan(partitions=(mask,))
 
 
@@ -456,74 +498,51 @@ def _build_fault_plan(args: argparse.Namespace):
 
 
 def _faulted_spec(
-    engine: str, n: int, factory, plan, seed: int, roots=None
+    engine: str, n: int, algorithm: str, params: Dict[str, Any], plan, seeds,
+    roots=None, trace: Optional[str] = None,
 ) -> RunSpec:
-    """One faulted CLI run; async runs wake every node unless ``roots``."""
+    """Faulted CLI runs; async runs wake every node unless ``roots``."""
     if roots is None and engine == "async":
         roots = range(n)
     return RunSpec(
-        algorithm=factory,
-        n=n,
-        engine=engine,
-        seeds=(seed,),
-        faults=plan,
-        max_events=20_000_000 if engine == "async" else None,
-        **_wake_fields(engine, roots),
+        algorithm=algorithm, n=n, engine=engine, seeds=tuple(seeds), params=params,
+        faults=plan, max_events=20_000_000 if engine == "async" else None,
+        trace=trace, **_wake_fields(engine, roots),
     )
 
 
 def cmd_faults(args: argparse.Namespace) -> int:
-    spec = get_algorithm(args.name)
-    engine = args.engine or spec.engine
-    params = dict(kv.split("=", 1) for kv in args.param)
-    params = {k: _parse_param(v) for k, v in params.items()}
-    error = _size_error(args.n, args.roots, 1)
-    if error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    engine = args.engine or get_algorithm(args.name).engine
+    params = dict(args.param)
+    _check_size(args.n, args.roots, 1)
     try:
         plan = _build_fault_plan(args)
         plan.validate_for(args.n)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        factory = spec.make(engine=engine, **params)
-        factory()  # eager validation: parameters, inner algorithm engine
-    except (KeyError, ValueError) as exc:
-        # A usage error, reported the way argparse reports one.
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(2) from None
+        raise UsageError(str(exc)) from None
+    _check_algorithm(args.name, engine, params)
     table = Table(
-        [
-            "seed",
-            "survivor leader",
-            "elected id",
-            "crashes",
-            "detect lat",
-            "re-elect time",
-            "messages",
-            "after crash",
-            "time",
-        ],
+        ["seed", "survivor leader", "elected id", "crashes", "detect lat",
+         "re-elect time", "messages", "after crash", "time"],
         title=(
             f"faults: {args.name} on {engine} engine "
             f"(n={args.n}) params={params} plan={plan_summary(plan)}"
         ),
     )
-    failures = 0
+    specs = []
     for seed in args.seeds:
         rng = random.Random(f"cli-faults:{args.n}:{seed}")
         roots = None
         if args.roots is not None:
             roots = rng.sample(range(args.n), args.roots)
-        try:
-            record = run(_faulted_spec(engine, args.n, factory, plan, seed, roots))
-        except SimulationLimitExceeded as exc:
+        specs.append(_faulted_spec(engine, args.n, args.name, params, plan, (seed,), roots))
+    failures = 0
+    for seed, record in _seed_results(specs):
+        if isinstance(record, SimulationLimitExceeded):
             # Crash-oblivious algorithms may stall forever under faults
             # (e.g. waiting on a reply the network dropped).
             failures += 1
-            table.add_row(seed, "STALLED", "-", "-", "-", "-", "-", "-", str(exc))
+            _stalled_row(table, seed, record)
             continue
         failover = record.extra["failover"]
         latencies = failover["detection_latencies"]
@@ -620,8 +639,7 @@ def cmd_scenarios_run(args: argparse.Namespace) -> int:
     except (ScenarioSchemaError, KeyError, ValueError) as exc:
         if trace_recorder is not None:
             trace_recorder.close()
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise UsageError(str(exc)) from None
     result = runner.run()
     if trace_recorder is not None:
         trace_recorder.close()
@@ -680,7 +698,7 @@ def cmd_scenarios_sweep(args: argparse.Namespace) -> int:
     metrics_out: Dict[str, Any] = {}
     failures = 0
     progress = None
-    if getattr(args, "progress", False):
+    if args.progress:
         from repro.monitor import SweepProgress
 
         progress = SweepProgress(live=True)
@@ -706,8 +724,7 @@ def cmd_scenarios_sweep(args: argparse.Namespace) -> int:
                 cells.append(SweepCell(index=len(cells), cost=n, payload=payload))
                 keys.append((n, seed))
     except (ScenarioSchemaError, KeyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise UsageError(str(exc)) from None
     values = run_cells(cells, scenario_cell, workers=args.workers, progress=progress)
     for (n, seed), m in zip(keys, values):
         failures += not m["final_agreed"]
@@ -786,54 +803,31 @@ def _build_adversary_plan(args: argparse.Namespace):
     )
 
 
-def _adversary_fault_plan(args: argparse.Namespace, adversary):
-    from repro.faults import DetectorSpec, FaultPlan
-
-    return FaultPlan(
-        crashes=tuple(args.crash),
-        detector=DetectorSpec(kind="perfect", lag=args.lag),
-        adversary=adversary,
-    )
-
-
-def _adversary_factory(args: argparse.Namespace, engine: str):
-    params: Dict[str, Any] = {}
-    if args.inner:
-        params["inner"] = args.inner
-    if args.no_quorum:
-        return get_algorithm("reelect").make(engine=engine, **params)
-    return get_algorithm("quorum_reelect").make(
-        engine=engine, threshold=args.threshold, **params
-    )
+def _adversary_algorithm(args: argparse.Namespace) -> Tuple[str, Dict[str, Any]]:
+    """The re-election wrapper ``adversary`` runs, checked: name, params."""
+    params: Dict[str, Any] = {"inner": args.inner} if args.inner else {}
+    name = "reelect"
+    if not args.no_quorum:
+        name, params["threshold"] = "quorum_reelect", args.threshold
+    _check_algorithm(name, args.engine, params)
+    return name, params
 
 
 def cmd_adversary_run(args: argparse.Namespace) -> int:
-    if args.trace is not None and len(args.seeds) != 1:
-        print("error: --trace records one run; pass exactly one seed",
-              file=sys.stderr)
-        return 2
-    try:
-        adversary = _build_adversary_plan(args)
-        plan = _adversary_fault_plan(args, adversary)
-        plan.validate_for(args.n)
-        factory = _adversary_factory(args, args.engine)
-        factory()  # eager validation: threshold range, inner algorithm name
-    except (KeyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    trace_recorder = None
-    if args.trace is not None:
-        from repro.telemetry import JsonlRecorder, RunContext
+    from repro.faults import DetectorSpec, FaultPlan
 
-        algo_name = "reelect" if args.no_quorum else "quorum_reelect"
-        trace_recorder = JsonlRecorder(
-            args.trace,
-            context=RunContext(
-                algorithm=algo_name, n=args.n, seed=args.seeds[0],
-                engine=args.engine,
-            ),
+    if args.trace is not None and len(args.seeds) != 1:
+        raise UsageError("--trace records one run; pass exactly one seed")
+    try:
+        plan = FaultPlan(
+            crashes=tuple(args.crash),
+            detector=DetectorSpec(kind="perfect", lag=args.lag),
+            adversary=_build_adversary_plan(args),
         )
-    algo = "reelect" if args.no_quorum else "quorum_reelect"
+        plan.validate_for(args.n)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+    algo, params = _adversary_algorithm(args)
     table = Table(
         ["seed", "survivor leader", "elected id", "crashes", "tampered",
          "messages", "time"],
@@ -844,16 +838,18 @@ def cmd_adversary_run(args: argparse.Namespace) -> int:
             f"crashes={len(args.crash)}"
         ),
     )
+    spec = _faulted_spec(
+        args.engine, args.n, algo, params, plan, args.seeds, trace=args.trace
+    )
+    results = list(_seed_results([spec]))
+    first = results[0][1]
+    if args.trace is not None and not isinstance(first, SimulationLimitExceeded):
+        print(f"trace: wrote {first.extra['trace']['events']} events to {args.trace}")
     failures = 0
-    for seed in args.seeds:
-        try:
-            record = run(
-                _faulted_spec(args.engine, args.n, factory, plan, seed),
-                recorder=trace_recorder,
-            )
-        except SimulationLimitExceeded as exc:
+    for seed, record in results:
+        if isinstance(record, SimulationLimitExceeded):
             failures += 1
-            table.add_row(seed, "STALLED", "-", "-", "-", "-", str(exc))
+            _stalled_row(table, seed, record)
             continue
         fm = record.extra["fault_metrics"]
         failures += not record.extra["unique_surviving_leader"]
@@ -866,9 +862,6 @@ def cmd_adversary_run(args: argparse.Namespace) -> int:
             record.messages,
             f"{record.time:.2f}",
         )
-    if trace_recorder is not None:
-        trace_recorder.close()
-        print(f"trace: wrote {trace_recorder.events_written} events to {args.trace}")
     print(table.render())
     if failures:
         print(
@@ -889,12 +882,7 @@ def cmd_adversary_sweep(args: argparse.Namespace) -> int:
         title=f"adversary sweep: honest vs Byzantine quorum_reelect "
         f"({args.engine} engine, mode={args.mode})",
     )
-    try:
-        factory = _adversary_factory(args, args.engine)
-        factory()  # eager validation: threshold range, inner algorithm name
-    except (KeyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    algo, params = _adversary_algorithm(args)
     metrics_out: Dict[str, Any] = {}
     failures = 0
     for n in args.ns:
@@ -923,40 +911,37 @@ def cmd_adversary_sweep(args: argparse.Namespace) -> int:
             byz_plan = FaultPlan(crashes=crashes, detector=detector, adversary=adversary)
             byz_plan.validate_for(n)
         except ValueError as exc:
-            print(f"error: n={n}: {exc}", file=sys.stderr)
-            return 2
-        h_msgs: List[int] = []
-        b_msgs: List[int] = []
-        h_time: List[float] = []
-        b_time: List[float] = []
-        converged = True
-        for seed in args.seeds:
-            try:
-                honest = run(_faulted_spec(args.engine, n, factory, honest_plan, seed))
-                byz = run(_faulted_spec(args.engine, n, factory, byz_plan, seed))
-            except SimulationLimitExceeded:
-                # The plain wrapper (--no-quorum) legitimately stalls
-                # under slander; a stalled seed fails the sweep point
-                # instead of killing the whole sweep with a traceback.
-                converged = False
-                continue
-            converged &= honest.extra["unique_surviving_leader"]
-            converged &= byz.extra["unique_surviving_leader"]
-            h_msgs.append(honest.messages)
-            b_msgs.append(byz.messages)
-            h_time.append(honest.time)
-            b_time.append(byz.time)
+            raise UsageError(f"n={n}: {exc}") from None
+        honest, byz = (
+            [record for _seed, record in _seed_results(
+                [_faulted_spec(args.engine, n, algo, params, plan, args.seeds)]
+            )]
+            for plan in (honest_plan, byz_plan)
+        )
+        # The plain wrapper (--no-quorum) legitimately stalls under
+        # slander; a stalled seed fails the sweep point instead of
+        # killing the whole sweep.
+        pairs = [
+            (h, b)
+            for h, b in zip(honest, byz)
+            if not isinstance(h, SimulationLimitExceeded)
+            and not isinstance(b, SimulationLimitExceeded)
+        ]
+        converged = len(pairs) == len(honest) and all(
+            h.extra["unique_surviving_leader"] and b.extra["unique_surviving_leader"]
+            for h, b in pairs
+        )
         failures += not converged
-        if not h_msgs:
+        if not pairs:
             table.add_row(n, f, "-", "-", "STALLED", "-", "-", converged)
             continue
-        hm = sum(h_msgs) / len(h_msgs)
-        bm = sum(b_msgs) / len(b_msgs)
+        hm = sum(h.messages for h, _ in pairs) / len(pairs)
+        bm = sum(b.messages for _, b in pairs) / len(pairs)
         overhead = bm / max(hm, 1.0)
         table.add_row(
             n, f, f"{hm:.0f}", f"{bm:.0f}", f"{overhead:.2f}x",
-            f"{sum(h_time) / len(h_time):.1f}",
-            f"{sum(b_time) / len(b_time):.1f}", converged,
+            f"{sum(h.time for h, _ in pairs) / len(pairs):.1f}",
+            f"{sum(b.time for _, b in pairs) / len(pairs):.1f}", converged,
         )
         metrics_out[f"n={n}/honest_messages"] = hm
         metrics_out[f"n={n}/byzantine_messages"] = bm
@@ -974,28 +959,17 @@ def cmd_adversary_sweep(args: argparse.Namespace) -> int:
 
 def cmd_trace_record(args: argparse.Namespace) -> int:
     """`repro trace record NAME -o PATH` == `repro run NAME --trace PATH`."""
-    run_args = argparse.Namespace(
-        name=args.name,
-        n=args.n,
-        seeds=[args.seed],
-        param=args.param,
-        roots=args.roots,
-        engine=args.engine,
-        batch=None,
-        trace=args.out,
-        partition=getattr(args, "partition", None),
-    )
-    return cmd_run(run_args)
+    args.seeds, args.trace, args.batch = [args.seed], args.out, None
+    return cmd_run(args)
 
 
-def _load_trace_or_fail(path: str):
+def _load_trace(path: str):
     from repro.telemetry import TraceSchemaError, load_trace
 
     try:
         return load_trace(path)
     except (OSError, TraceSchemaError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return None
+        raise UsageError(str(exc)) from None
 
 
 def _trace_banner(path: str, trace) -> str:
@@ -1006,19 +980,13 @@ def _trace_banner(path: str, trace) -> str:
 def cmd_trace_inspect(args: argparse.Namespace) -> int:
     from repro.telemetry import filter_lane, render_timeline, trace_lanes
 
-    trace = _load_trace_or_fail(args.path)
-    if trace is None:
-        return 2
+    trace = _load_trace(args.path)
     print(_trace_banner(args.path, trace))
     full_trace = trace
     if args.lane is not None:
         lanes = trace_lanes(trace)
         if args.lane not in (lanes or [0]):
-            print(
-                f"error: lane {args.lane} not in this trace (lanes: {lanes})",
-                file=sys.stderr,
-            )
-            return 2
+            raise UsageError(f"lane {args.lane} not in this trace (lanes: {lanes})")
         trace = filter_lane(trace, args.lane)
         if lanes:
             print(f"lane {args.lane} of lanes {lanes}")
@@ -1047,9 +1015,7 @@ def cmd_trace_stats(args: argparse.Namespace) -> int:
 
     from repro.telemetry import trace_stats
 
-    trace = _load_trace_or_fail(args.path)
-    if trace is None:
-        return 2
+    trace = _load_trace(args.path)
     s = trace_stats(trace)
     print(_trace_banner(args.path, trace))
     print(
@@ -1077,13 +1043,7 @@ def cmd_trace_diff(args: argparse.Namespace) -> int:
 
     from repro.telemetry import diff_traces
 
-    trace_a = _load_trace_or_fail(args.a)
-    if trace_a is None:
-        return 2
-    trace_b = _load_trace_or_fail(args.b)
-    if trace_b is None:
-        return 2
-    diff = diff_traces(trace_a, trace_b)
+    diff = diff_traces(_load_trace(args.a), _load_trace(args.b))
     print(diff.summary())
     for line in diff.context_diffs:
         print(f"  {line}")
@@ -1105,9 +1065,7 @@ def cmd_trace_diff(args: argparse.Namespace) -> int:
 def cmd_trace_causal(args: argparse.Namespace) -> int:
     from repro.telemetry import build_graph, critical_path, explain
 
-    trace = _load_trace_or_fail(args.path)
-    if trace is None:
-        return 2
+    trace = _load_trace(args.path)
     graph = build_graph(trace)
     path = critical_path(trace, graph)
     print(explain(trace, graph=graph))
@@ -1148,44 +1106,34 @@ _MONITOR_DEFAULT_ALGORITHMS = [
 _MONITOR_DEFAULT_PARAMS: Dict[str, Dict[str, Any]] = {"small_id": {"d": 4}}
 
 
-def _monitor_specs(args: argparse.Namespace) -> List[RunSpec]:
+def _monitored_sweep(args: argparse.Namespace, cli: str):
+    """The spec grid and :class:`SweepMonitor` of ``monitor check`` / ``top``."""
+    from repro.monitor import SweepMonitor
+
     specs = []
     for name in args.algorithms:
         algo = get_algorithm(name)
-        params = dict(_MONITOR_DEFAULT_PARAMS.get(name, {}))
-        for kv in args.param:
-            key, _, value = kv.partition("=")
-            params[key] = _parse_param(value)
+        params = {**_MONITOR_DEFAULT_PARAMS.get(name, {}), **dict(args.param)}
+        _check_algorithm(name, algo.engine, params)
         for n in args.ns:
+            _check_size(n, None, 2 if algo.deterministic else 1, flag="--ns")
             rng = random.Random(f"{name}:{n}:monitor")
-            specs.append(
-                RunSpec(
-                    algorithm=name,
-                    n=n,
-                    engine=algo.engine,
-                    seeds=tuple(args.seeds),
-                    params=params,
-                    ids=_ids_for(name, n, params, rng),
-                )
-            )
-    return specs
+            specs.append(RunSpec(
+                algorithm=name, n=n, engine=algo.engine, seeds=tuple(args.seeds),
+                params=params, ids=_ids_for(name, n, params, rng),
+            ))
+    monitor = SweepMonitor(
+        slack=args.slack, ledger=args.ledger, label=args.label,
+        context={"cli": cli, "ns": list(args.ns)},
+    )
+    return specs, monitor
 
 
 def cmd_monitor_check(args: argparse.Namespace) -> int:
     from repro.analysis import sweep
-    from repro.monitor import SweepMonitor, SweepProgress
+    from repro.monitor import SweepProgress
 
-    try:
-        specs = _monitor_specs(args)
-    except (KeyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    monitor = SweepMonitor(
-        slack=args.slack,
-        ledger=args.ledger,
-        label=args.label,
-        context={"cli": "monitor check", "ns": list(args.ns)},
-    )
+    specs, monitor = _monitored_sweep(args, "monitor check")
     progress = SweepProgress(live=True) if args.progress else None
     records = sweep(
         specs, workers=args.workers, monitor=monitor, progress=progress
@@ -1194,28 +1142,17 @@ def cmd_monitor_check(args: argparse.Namespace) -> int:
         ["algorithm", "paper", "runs", "conforming", "violations"],
         title=f"monitored sweep (ns={list(args.ns)}, seeds={list(args.seeds)})",
     )
-    by_algo: Dict[str, Dict[str, int]] = {}
-    for record in records:
-        name = record.extra.get("algorithm", "?")
-        by_algo.setdefault(name, {"runs": 0})["runs"] += 1
-    failures_by_algo: Dict[str, int] = {}
-    for failure in monitor.conformance.failures:
-        failures_by_algo[failure.algorithm] = (
-            failures_by_algo.get(failure.algorithm, 0) + 1
-        )
-    violations_by_algo: Dict[str, int] = {}
-    for violation in monitor.violations:
-        name = violation.context.get("algorithm", "?")
-        violations_by_algo[name] = violations_by_algo.get(name, 0) + 1
+    runs = Counter(record.extra.get("algorithm", "?") for record in records)
+    failures = Counter(failure.algorithm for failure in monitor.conformance.failures)
+    violations = Counter(v.context.get("algorithm", "?") for v in monitor.violations)
     for name in args.algorithms:
-        algo = get_algorithm(name)
-        runs = by_algo.get(name, {}).get("runs", 0)
+        envelope = get_algorithm(name).envelope
         table.add_row(
             name,
-            algo.envelope.paper_ref if algo.envelope else "-",
-            runs,
-            runs - failures_by_algo.get(name, 0),
-            violations_by_algo.get(name, 0),
+            envelope.paper_ref if envelope else "-",
+            runs[name],
+            runs[name] - failures[name],
+            violations[name],
         )
     print(table.render())
     print(monitor.summary())
@@ -1282,8 +1219,7 @@ def cmd_history_prune(args: argparse.Namespace) -> int:
     try:
         result = prune_ledger(path, keep=args.keep)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise UsageError(str(exc)) from None
     print(
         f"pruned {path}: kept {result['kept']}, dropped {result['dropped']}"
     )
@@ -1292,20 +1228,9 @@ def cmd_history_prune(args: argparse.Namespace) -> int:
 
 def cmd_top(args: argparse.Namespace) -> int:
     from repro.analysis import sweep
-    from repro.monitor import SweepMonitor
     from repro.obs import SweepTop, collect, new_spool_dir
 
-    try:
-        specs = _monitor_specs(args)
-    except (KeyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    monitor = SweepMonitor(
-        slack=args.slack,
-        ledger=args.ledger,
-        label=args.label,
-        context={"cli": "top", "ns": list(args.ns)},
-    )
+    specs, monitor = _monitored_sweep(args, "top")
     spool = args.spool or new_spool_dir()
     top = SweepTop(monitor=monitor)
     sweep(specs, workers=args.workers, monitor=monitor, progress=top, spool_dir=spool)
@@ -1332,8 +1257,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         base = resolve_ref(entries, args.ref)
         new = resolve_ref(entries, args.to)
     except LookupError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise UsageError(str(exc)) from None
     diff = compare_entries(base, new, slack=args.slack)
     print(diff.summary())
     if args.json:
@@ -1353,6 +1277,77 @@ def plan_summary(plan) -> str:
     return "+".join(parts)
 
 
+#: The flags several subcommands share, declared once; each subcommand
+#: adds its own through :func:`_add_flags`.
+_FLAGS: Dict[str, Dict[str, Any]] = {
+    "n": {"type": int, "help": "clique size"},
+    "ns": {"type": int, "nargs": "+", "help": "clique sizes"},
+    "seeds": {"type": int, "nargs": "+", "help": "seeds to run"},
+    "param": {
+        "type": _param, "action": "append", "default": [], "metavar": "KEY=VALUE",
+        "help": "algorithm parameter (repeatable), e.g. --param ell=5",
+    },
+    "roots": {
+        "type": int, "default": None,
+        "help": "number of initially awake nodes (default: all)",
+    },
+    "crash": {
+        "type": _parse_crash, "action": "append", "default": [],
+        "metavar": "NODE@WHEN",
+        "help": "crash node NODE at round/time WHEN (repeatable)",
+    },
+    "partition": {
+        "type": _parse_partition, "default": None, "metavar": "CUT@START-END",
+        "help": "split nodes {0..CUT-1} from {CUT..n-1} for rounds "
+        "[START, END) with automatic heal (omit -END for a permanent split)",
+    },
+    "lag": {"type": float, "default": 1.0, "help": "detector detection lag"},
+    "inner": {"default": None, "help": "inner election algorithm"},
+    "trace": {
+        "default": None, "metavar": "PATH",
+        "help": "record the run to a JSONL trace (single seed)",
+    },
+    "json": {
+        "default": None, "metavar": "PATH",
+        "help": "write the results as JSON ('-' prints to stdout)",
+    },
+    "workers": {
+        "type": _at_least(1), "default": 1, "metavar": "N",
+        "help": "shard the sweep over N worker processes (bit-identical to "
+        "the sequential sweep)",
+    },
+    "progress": {
+        "action": "store_true",
+        "help": "render a live progress line while the sweep runs",
+    },
+    "ledger": {
+        "default": None, "metavar": "PATH",
+        "help": "append the sweep to this run ledger (see 'repro history')",
+    },
+    "label": {"default": None, "help": "free-form label for the ledger entry"},
+    "slack": {
+        "type": float, "default": None,
+        "help": "override every envelope's slack constant (default: the "
+        "per-envelope calibrated constants)",
+    },
+}
+
+
+def _add_flags(parser: argparse.ArgumentParser, **flags: Any) -> None:
+    """Add shared flags to ``parser``, one keyword per flag.
+
+    ``True`` adds the table entry as it is, a dict overrides some of its
+    keywords, and any other value is the flag's default.
+    """
+    for name, choice in flags.items():
+        kwargs = dict(_FLAGS[name])
+        if isinstance(choice, dict):
+            kwargs.update(choice)
+        elif choice is not True:
+            kwargs["default"] = choice
+        parser.add_argument("--" + name, **kwargs)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro", description="Improved Tradeoffs for Leader Election — reproduction CLI"
@@ -1363,16 +1358,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="run one algorithm")
     run_p.add_argument("name", choices=sorted(ALGORITHMS))
-    run_p.add_argument("--n", type=int, default=1024, help="clique size")
-    run_p.add_argument("--seeds", type=int, nargs="+", default=[0], help="seeds to run")
-    run_p.add_argument(
-        "--param", action="append", default=[], metavar="KEY=VALUE",
-        help="algorithm parameter (repeatable), e.g. --param ell=5",
-    )
-    run_p.add_argument(
-        "--roots", type=int, default=None,
-        help="adversarial wake-up: number of initially awake nodes "
-        "(on the fast engine only adversarial_2round accepts this)",
+    _add_flags(
+        run_p, n=1024, seeds=[0], param=True,
+        roots={"help": "adversarial wake-up: number of initially awake nodes "
+               "(on the fast engine only adversarial_2round accepts this)"},
+        trace={"help": "record the run to a JSONL trace (single seed; object "
+               "engines stream per-message events, the fast engine writes "
+               "per-round aggregate counters)"},
+        partition=True,
     )
     run_p.add_argument(
         "--engine", choices=["auto", "sync", "async", "fast"], default="auto",
@@ -1386,43 +1379,24 @@ def build_parser() -> argparse.ArgumentParser:
         "LANES lanes each (one FastSyncNetwork execution per chunk; lanes "
         "of a chunk share the first seed's ID assignment and roots)",
     )
-    run_p.add_argument(
-        "--trace", default=None, metavar="PATH",
-        help="record the run to a JSONL trace (single seed; object engines "
-        "stream per-message events, the fast engine writes per-round "
-        "aggregate counters)",
-    )
-    run_p.add_argument(
-        "--partition", type=_parse_partition, default=None,
-        metavar="CUT@START-END",
-        help="split nodes {0..CUT-1} from {CUT..n-1} for rounds "
-        "[START, END) with automatic heal (omit -END for a permanent "
-        "split); runs on every engine, including the vectorized fault "
-        "runtime on --engine fast",
-    )
     run_p.set_defaults(func=cmd_run)
 
     bounds_p = sub.add_parser("bounds", help="evaluate the Table 1 formulas")
-    bounds_p.add_argument("n", type=int)
+    bounds_p.add_argument("n", type=_at_least(1))
     bounds_p.set_defaults(func=cmd_bounds)
 
     faults_p = sub.add_parser(
         "faults", help="run one election under a crash/link fault plan"
     )
     faults_p.add_argument("name", choices=sorted(ALGORITHMS))
-    faults_p.add_argument("--n", type=int, default=64, help="clique size")
-    faults_p.add_argument("--seeds", type=int, nargs="+", default=[0])
+    _add_flags(
+        faults_p, n=64, seeds=[0],
+        param={"help": "algorithm parameter (repeatable), e.g. --param inner=afek_gafni"},
+        crash=True, lag=True, roots=True,
+    )
     faults_p.add_argument(
         "--engine", choices=["sync", "async"], default=None,
         help="engine for monarchical/reelect (default: sync)",
-    )
-    faults_p.add_argument(
-        "--param", action="append", default=[], metavar="KEY=VALUE",
-        help="algorithm parameter (repeatable), e.g. --param inner=afek_gafni",
-    )
-    faults_p.add_argument(
-        "--crash", action="append", default=[], type=_parse_crash,
-        metavar="NODE@WHEN", help="crash node NODE at round/time WHEN (repeatable)",
     )
     faults_p.add_argument(
         "--kill-leader", action="store_true",
@@ -1446,13 +1420,8 @@ def build_parser() -> argparse.ArgumentParser:
     faults_p.add_argument(
         "--detector", choices=["perfect", "eventually_perfect"], default="perfect"
     )
-    faults_p.add_argument("--lag", type=float, default=1.0, help="detector detection lag")
     faults_p.add_argument("--noise-horizon", type=float, default=0.0)
     faults_p.add_argument("--false-prob", type=float, default=0.0)
-    faults_p.add_argument(
-        "--roots", type=int, default=None,
-        help="number of initially awake nodes (default: all)",
-    )
     faults_p.set_defaults(func=cmd_faults)
 
     report_p = sub.add_parser(
@@ -1460,17 +1429,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="regenerate the paper's Table 1, or (--html) write a static "
         "campaign report",
     )
-    report_p.add_argument("--n", type=int, default=512)
-    report_p.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2])
+    _add_flags(
+        report_p, n={"type": _at_least(2), "default": 512}, seeds=[0, 1, 2],
+        ledger={"help": "ledger feeding the HTML report (default: .repro/ledger.jsonl)"},
+    )
     report_p.add_argument(
         "--html", default=None, metavar="OUT.html",
         help="write a self-contained HTML campaign report (ledger history, "
         "tradeoff-vs-envelope scatter, bench baselines, critical paths) "
         "instead of Table 1",
-    )
-    report_p.add_argument(
-        "--ledger", default=None, metavar="PATH",
-        help="ledger feeding the HTML report (default: .repro/ledger.jsonl)",
     )
     report_p.add_argument(
         "--bench-dir", action="append", default=None, metavar="DIR",
@@ -1507,12 +1474,11 @@ def build_parser() -> argparse.ArgumentParser:
             "--engine", choices=["sync", "async", "fast"], default="sync",
             help="engine for every election act (fast: crash/join/elect subset)",
         )
-        p.add_argument(
-            "--inner", default=None,
-            help="inner election algorithm (default: afek_gafni sync, "
-            "async_tradeoff async, improved_tradeoff fast)",
+        _add_flags(
+            p, lag=True,
+            inner={"help": "inner election algorithm (default: afek_gafni sync, "
+                   "async_tradeoff async, improved_tradeoff fast)"},
         )
-        p.add_argument("--lag", type=float, default=1.0, help="detector detection lag")
         p.add_argument(
             "--quorum", action="store_true",
             help="majority-quorum commit gating: minority components never "
@@ -1523,38 +1489,22 @@ def build_parser() -> argparse.ArgumentParser:
         "run", help="run one scenario and print per-epoch convergence metrics"
     )
     _scenario_run_args(run_scen_p)
-    run_scen_p.add_argument("--n", type=int, default=64, help="initial clique size")
+    _add_flags(
+        run_scen_p, n={"default": 64, "help": "initial clique size"},
+        json={"help": "write the full JSON report ('-' prints to stdout)"},
+        trace={"help": "record every act's per-message events to a JSONL trace, "
+               "annotated with act/epoch coordinates (sync/async engines only)"},
+    )
     run_scen_p.add_argument("--seed", type=int, default=0)
-    run_scen_p.add_argument(
-        "--json", default=None, metavar="PATH",
-        help="write the full JSON report ('-' prints to stdout)",
-    )
-    run_scen_p.add_argument(
-        "--trace", default=None, metavar="PATH",
-        help="record every act's per-message events to a JSONL trace, "
-        "annotated with act/epoch coordinates (sync/async engines only)",
-    )
     run_scen_p.set_defaults(func=cmd_scenarios_run)
 
     sweep_scen_p = scen_sub.add_parser(
         "sweep", help="sweep one scenario over clique sizes and seeds"
     )
     _scenario_run_args(sweep_scen_p)
-    sweep_scen_p.add_argument("--ns", type=int, nargs="+", default=[32, 64])
-    sweep_scen_p.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2])
-    sweep_scen_p.add_argument(
-        "--workers", type=int, default=1, metavar="N",
-        help="shard the (n, seed) cells over N worker processes "
-        "(bit-identical to the sequential sweep)",
-    )
-    sweep_scen_p.add_argument(
-        "--progress", action="store_true",
-        help="render a live progress line (cells done, ETA from the "
-        "completed-cost fraction) while the sweep runs",
-    )
-    sweep_scen_p.add_argument(
-        "--json", default=None, metavar="PATH",
-        help="write the sweep metrics as JSON ('-' prints to stdout)",
+    _add_flags(
+        sweep_scen_p, ns=[32, 64], seeds=[0, 1, 2], workers=True, progress=True,
+        json={"help": "write the sweep metrics as JSON ('-' prints to stdout)"},
     )
     sweep_scen_p.set_defaults(func=cmd_scenarios_sweep)
 
@@ -1569,12 +1519,11 @@ def build_parser() -> argparse.ArgumentParser:
             "--engine", choices=["sync", "async"], default="sync",
             help="object engine for the quorum_reelect wrapper",
         )
-        p.add_argument(
-            "--inner", default=None,
-            help="inner election algorithm (default: afek_gafni sync, "
-            "async_tradeoff async)",
+        _add_flags(
+            p, lag=True,
+            inner={"help": "inner election algorithm (default: afek_gafni sync, "
+                   "async_tradeoff async)"},
         )
-        p.add_argument("--lag", type=float, default=1.0, help="detector detection lag")
         p.add_argument(
             "--threshold", type=float, default=0.5,
             help="quorum fraction over the full membership (default: majority)",
@@ -1589,8 +1538,11 @@ def build_parser() -> argparse.ArgumentParser:
         "run", help="one election under a Byzantine adversary plan"
     )
     _adversary_common(run_adv_p)
-    run_adv_p.add_argument("--n", type=int, default=9, help="clique size")
-    run_adv_p.add_argument("--seeds", type=int, nargs="+", default=[0])
+    _add_flags(
+        run_adv_p, n=9, seeds=[0], crash=True,
+        trace={"help": "record the run (incl. tamper events) to a JSONL trace "
+               "(single seed)"},
+    )
     run_adv_p.add_argument(
         "--byzantine", type=int, nargs="+", default=[], metavar="NODE",
         help="adversarial node indices (senders subject to tamper rules)",
@@ -1607,23 +1559,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="tamper rule for the byzantine senders: corrupt, forge, replay "
         "or equivocate, optionally limited to payload kinds, e.g. forge:compete",
     )
-    run_adv_p.add_argument(
-        "--crash", action="append", default=[], type=_parse_crash,
-        metavar="NODE@WHEN", help="crash node NODE at round/time WHEN (repeatable)",
-    )
-    run_adv_p.add_argument(
-        "--trace", default=None, metavar="PATH",
-        help="record the run (incl. tamper events) to a JSONL trace "
-        "(single seed)",
-    )
     run_adv_p.set_defaults(func=cmd_adversary_run)
 
     sweep_adv_p = adv_sub.add_parser(
         "sweep", help="honest vs Byzantine overhead curve (EXPERIMENTS.md S3)"
     )
     _adversary_common(sweep_adv_p)
-    sweep_adv_p.add_argument("--ns", type=int, nargs="+", default=[8, 16, 32])
-    sweep_adv_p.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2])
+    _add_flags(
+        sweep_adv_p, ns=[8, 16, 32], seeds=[0, 1, 2],
+        json={"help": "write the overhead metrics as JSON ('-' prints to stdout)"},
+    )
     sweep_adv_p.add_argument(
         "--mode", choices=["slander", "forge", "both"], default="both",
         help="which Byzantine behaviors the hostile runs carry",
@@ -1636,10 +1581,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--crash-one", action="store_true",
         help="additionally crash one node early in both arms of the sweep",
     )
-    sweep_adv_p.add_argument(
-        "--json", default=None, metavar="PATH",
-        help="write the overhead metrics as JSON ('-' prints to stdout)",
-    )
     sweep_adv_p.set_defaults(func=cmd_adversary_sweep)
 
     trace_p = sub.add_parser(
@@ -1651,25 +1592,15 @@ def build_parser() -> argparse.ArgumentParser:
         "record", help="run one algorithm and write its trace (= run --trace)"
     )
     rec_p.add_argument("name", choices=sorted(ALGORITHMS))
-    rec_p.add_argument("--n", type=int, default=64, help="clique size")
+    _add_flags(
+        rec_p, n=64, param=True, roots=True,
+        partition={"help": "record under a partition window: split {0..CUT-1} "
+                   "from {CUT..n-1} for rounds [START, END), healing at END"},
+    )
     rec_p.add_argument("--seed", type=int, default=0)
     rec_p.add_argument(
         "--engine", choices=["auto", "sync", "async", "fast"], default="auto",
         help="engine override (fast traces carry per-round aggregate counters)",
-    )
-    rec_p.add_argument(
-        "--param", action="append", default=[], metavar="KEY=VALUE",
-        help="algorithm parameter (repeatable), e.g. --param ell=5",
-    )
-    rec_p.add_argument(
-        "--roots", type=int, default=None,
-        help="number of initially awake nodes (default: all)",
-    )
-    rec_p.add_argument(
-        "--partition", type=_parse_partition, default=None,
-        metavar="CUT@START-END",
-        help="record under a partition window: split {0..CUT-1} from "
-        "{CUT..n-1} for rounds [START, END), healing at END",
     )
     rec_p.add_argument(
         "-o", "--out", required=True, metavar="PATH", help="trace output path"
@@ -1700,10 +1631,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     stats_p = trace_sub.add_parser("stats", help="summary statistics of one trace")
     stats_p.add_argument("path", help="trace file")
-    stats_p.add_argument(
-        "--json", default=None, metavar="PATH",
-        help="write the stats as JSON ('-' prints to stdout)",
-    )
+    _add_flags(stats_p, json=True)
     stats_p.set_defaults(func=cmd_trace_stats)
 
     diff_p = trace_sub.add_parser(
@@ -1711,10 +1639,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     diff_p.add_argument("a", help="baseline trace")
     diff_p.add_argument("b", help="candidate trace")
-    diff_p.add_argument(
-        "--json", default=None, metavar="PATH",
-        help="write the diff as JSON ('-' prints to stdout)",
-    )
+    _add_flags(diff_p, json=True)
     diff_p.set_defaults(func=cmd_trace_diff)
 
     causal_p = trace_sub.add_parser(
@@ -1723,11 +1648,22 @@ def build_parser() -> argparse.ArgumentParser:
         "path to the decide event",
     )
     causal_p.add_argument("path", help="trace file")
-    causal_p.add_argument(
-        "--json", default=None, metavar="PATH",
-        help="write the analysis as JSON ('-' prints to stdout)",
-    )
+    _add_flags(causal_p, json=True)
     causal_p.set_defaults(func=cmd_trace_causal)
+
+    def _monitored_sweep_args(p) -> None:
+        p.add_argument(
+            "--algorithms", nargs="+", default=list(_MONITOR_DEFAULT_ALGORITHMS),
+            choices=sorted(ALGORITHMS), metavar="NAME",
+            help="algorithms to sweep (default: every sync algorithm with a "
+            "registered theory envelope)",
+        )
+        _add_flags(
+            p, ns=[32, 64], seeds=[0, 1, 2], slack=True, workers=True,
+            ledger=True, label=True,
+            param={"help": "algorithm parameter applied to every algorithm "
+                   "(repeatable)"},
+        )
 
     mon_p = sub.add_parser(
         "monitor",
@@ -1738,46 +1674,14 @@ def build_parser() -> argparse.ArgumentParser:
         "check",
         help="monitored fault-free sweep: invariants + envelope conformance",
     )
-    check_p.add_argument(
-        "--algorithms", nargs="+", default=list(_MONITOR_DEFAULT_ALGORITHMS),
-        choices=sorted(ALGORITHMS), metavar="NAME",
-        help="algorithms to check (default: every sync algorithm with a "
-        "registered theory envelope)",
-    )
-    check_p.add_argument("--ns", type=int, nargs="+", default=[32, 64])
-    check_p.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2])
-    check_p.add_argument(
-        "--param", action="append", default=[], metavar="KEY=VALUE",
-        help="algorithm parameter applied to every checked algorithm "
-        "(repeatable)",
-    )
-    check_p.add_argument(
-        "--slack", type=float, default=None,
-        help="override every envelope's slack constant (default: the "
-        "per-envelope calibrated constants)",
-    )
-    check_p.add_argument(
-        "--workers", type=int, default=1, metavar="N",
-        help="shard the sweep over N worker processes",
-    )
-    check_p.add_argument(
-        "--ledger", default=None, metavar="PATH",
-        help="append the sweep to this run ledger (see 'repro history')",
-    )
-    check_p.add_argument(
-        "--label", default=None, help="free-form label for the ledger entry"
-    )
-    check_p.add_argument(
-        "--progress", action="store_true",
-        help="render a live progress line while the sweep runs",
+    _monitored_sweep_args(check_p)
+    _add_flags(
+        check_p, progress=True,
+        json={"help": "write the monitor report as JSON ('-' prints to stdout)"},
     )
     check_p.add_argument(
         "--records", default=None, metavar="PATH",
         help="also write the raw records as JSONL",
-    )
-    check_p.add_argument(
-        "--json", default=None, metavar="PATH",
-        help="write the monitor report as JSON ('-' prints to stdout)",
     )
     check_p.set_defaults(func=cmd_monitor_check)
 
@@ -1786,55 +1690,25 @@ def build_parser() -> argparse.ArgumentParser:
         help="live per-worker dashboard over a monitored sweep with "
         "telemetry spooling",
     )
-    top_p.add_argument(
-        "--algorithms", nargs="+", default=list(_MONITOR_DEFAULT_ALGORITHMS),
-        choices=sorted(ALGORITHMS), metavar="NAME",
-        help="algorithms to sweep (default: every sync algorithm with a "
-        "registered theory envelope)",
-    )
-    top_p.add_argument("--ns", type=int, nargs="+", default=[32, 64])
-    top_p.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2])
-    top_p.add_argument(
-        "--param", action="append", default=[], metavar="KEY=VALUE",
-        help="algorithm parameter applied to every algorithm (repeatable)",
-    )
-    top_p.add_argument(
-        "--slack", type=float, default=None,
-        help="override every envelope's slack constant",
-    )
-    top_p.add_argument(
-        "--workers", type=int, default=1, metavar="N",
-        help="shard the sweep over N worker processes (one dashboard row "
-        "per worker slot)",
-    )
+    _monitored_sweep_args(top_p)
     top_p.add_argument(
         "--spool", default=None, metavar="DIR",
         help="telemetry spool directory (default: a fresh "
         ".repro/obs/<sweep-id>/)",
     )
-    top_p.add_argument(
-        "--ledger", default=None, metavar="PATH",
-        help="append the sweep to this run ledger (see 'repro history')",
-    )
-    top_p.add_argument(
-        "--label", default=None, help="free-form label for the ledger entry"
-    )
     top_p.set_defaults(func=cmd_top)
 
+    ledger_file = {"help": "ledger file (default: .repro/ledger.jsonl)"}
     hist_p = sub.add_parser(
         "history",
         help="list or prune the persistent run ledger (.repro/ledger.jsonl)",
     )
-    hist_p.add_argument(
-        "--ledger", default=None, metavar="PATH",
-        help="ledger file (default: .repro/ledger.jsonl)",
+    _add_flags(
+        hist_p, ledger=ledger_file,
+        json={"help": "write the shown entries as JSON ('-' prints to stdout)"},
     )
     hist_p.add_argument(
         "--limit", type=int, default=10, help="entries to show (0 = all)"
-    )
-    hist_p.add_argument(
-        "--json", default=None, metavar="PATH",
-        help="write the shown entries as JSON ('-' prints to stdout)",
     )
     hist_p.set_defaults(func=cmd_history)
     hist_sub = hist_p.add_subparsers(dest="history_command", required=False)
@@ -1845,10 +1719,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--keep", type=int, required=True, metavar="N",
         help="entries to keep (0 empties the ledger)",
     )
-    prune_p.add_argument(
-        "--ledger", default=None, metavar="PATH",
-        help="ledger file (default: .repro/ledger.jsonl)",
-    )
+    _add_flags(prune_p, ledger=ledger_file)
     prune_p.set_defaults(func=cmd_history_prune)
 
     cmp_p = sub.add_parser(
@@ -1863,27 +1734,24 @@ def build_parser() -> argparse.ArgumentParser:
         "--to", default="-1", metavar="REF",
         help="entry to compare against the base (default: latest)",
     )
-    cmp_p.add_argument(
-        "--ledger", default=None, metavar="PATH",
-        help="ledger file (default: .repro/ledger.jsonl)",
-    )
-    cmp_p.add_argument(
-        "--slack", type=float, default=0.10,
-        help="relative mean-message growth tolerated before the exit "
-        "status flags a regression (default 10%%)",
-    )
-    cmp_p.add_argument(
-        "--json", default=None, metavar="PATH",
-        help="write the comparison as JSON ('-' prints to stdout)",
+    _add_flags(
+        cmp_p, ledger=ledger_file,
+        slack={"default": 0.10,
+               "help": "relative mean-message growth tolerated before the exit "
+               "status flags a regression (default 10%%)"},
+        json={"help": "write the comparison as JSON ('-' prints to stdout)"},
     )
     cmp_p.set_defaults(func=cmd_compare)
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -128,10 +128,11 @@ def _resolve_factory(
 ) -> Callable[[], Any]:
     """Accept a registry name or a zero-argument factory.
 
-    A name resolves to its ``engine`` class, so an inner election that
-    cannot run on the wrapper's engine fails here, at construction.  The
-    fault-layer entries (the only ones with an asynchronous twin) read
-    the failure detector, which the sub-clique does not offer.
+    A name resolves to its ``engine`` class and is built once, so an
+    inner election that cannot run on the wrapper's engine, or rejects
+    its parameters, fails here, at construction.  The fault-layer
+    entries (the only ones with an asynchronous twin) read the failure
+    detector, which the sub-clique does not offer.
     """
     if callable(inner):
         if inner_params:
@@ -146,7 +147,9 @@ def _resolve_factory(
             "survivor sub-clique does not offer; the inner election must be "
             "crash-oblivious (one of the paper's algorithms)"
         )
-    return spec.make(engine=engine, **(inner_params or {}))
+    factory = spec.make(engine=engine, **(inner_params or {}))
+    factory()
+    return factory
 
 
 class _SubClique:

@@ -162,21 +162,21 @@ class TestRunFastBatch:
         assert main(["run", "kutten16", "--n", "256", "--engine", "fast"]) == 0
         assert "[16]" in capsys.readouterr().out
 
-    def test_batch_requires_fast_engine(self):
-        with pytest.raises(SystemExit, match="--engine fast"):
-            main(["run", "improved_tradeoff", "--n", "64", "--batch", "2"])
+    def test_batch_requires_fast_engine(self, capsys):
+        assert main(["run", "improved_tradeoff", "--n", "64", "--batch", "2"]) == 2
+        assert "--engine fast" in capsys.readouterr().err
 
-    def test_batch_must_be_positive(self):
+    def test_batch_must_be_positive(self, capsys):
         pytest.importorskip("numpy")
-        with pytest.raises(SystemExit, match=">= 1"):
-            main(["run", "improved_tradeoff", "--n", "64", "--engine", "fast",
-                  "--batch", "0"])
+        assert main(["run", "improved_tradeoff", "--n", "64", "--engine", "fast",
+                     "--batch", "0"]) == 2
+        assert ">= 1" in capsys.readouterr().err
 
-    def test_roots_rejected_for_simultaneous_only_ports(self):
+    def test_roots_rejected_for_simultaneous_only_ports(self, capsys):
         pytest.importorskip("numpy")
-        with pytest.raises(SystemExit, match="simultaneous"):
-            main(["run", "afek_gafni", "--n", "64", "--engine", "fast",
-                  "--roots", "2"])
+        assert main(["run", "afek_gafni", "--n", "64", "--engine", "fast",
+                     "--roots", "2"]) == 2
+        assert "simultaneous" in capsys.readouterr().err
 
     def test_list_reports_fast_ports_for_every_sync_algorithm(self, capsys):
         pytest.importorskip("numpy")
@@ -189,7 +189,7 @@ class TestRunFastBatch:
 
 
 class TestWorkloadSizeErrors:
-    """Bad ``--n``/``--roots`` values fail with one ``error:`` line."""
+    """Bad sizes, parameters and flags fail with one ``error:`` line, exit 2."""
 
     @pytest.mark.parametrize(
         "argv,message",
@@ -205,10 +205,59 @@ class TestWorkloadSizeErrors:
             ("faults reelect --n 0", "--n must be >= 1, got 0"),
             ("trace record improved_tradeoff --n 8 --roots 9 -o unused.jsonl",
              "--roots must be in [1, n=8], got 9"),
+            ("run improved_tradeoff --n 16 --param foo=1",
+             "ImprovedTradeoffElection.__init__() got an unexpected keyword argument 'foo'"),
+            ("run improved_tradeoff --n 16 --engine fast --param foo=1",
+             "VectorImprovedTradeoffElection.__init__() got an unexpected keyword "
+             "argument 'foo'"),
+            ("run improved_tradeoff --n 16 --param ell=4",
+             "Theorem 3.10 requires an odd round budget ell >= 3"),
+            ("run async_tradeoff --n 16 --param k=0", "Theorem 5.1 requires k >= 2"),
+            ("run small_id --n 16",
+             "SmallIdElection.__init__() missing 1 required positional argument: 'd'"),
+            ("monitor check --ns 16 --seeds 0 --param d=4",
+             "ImprovedTradeoffElection.__init__() got an unexpected keyword argument 'd'"),
+            ("top --ns 16 --seeds 0 --param foo=1",
+             "ImprovedTradeoffElection.__init__() got an unexpected keyword argument 'foo'"),
+            ("faults reelect --n 16 --param foo=1",
+             "AfekGafniElection.__init__() got an unexpected keyword argument 'foo'"),
         ],
     )
     def test_one_line_error(self, argv, message):
+        if "fast" in argv:
+            pytest.importorskip("numpy")
         proc = run_cli(*argv.split())
-        assert proc.returncode != 0
+        assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert proc.stderr == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            ("run improved_tradeoff --param ell",
+             "argument --param: parameter 'ell' is not KEY=VALUE"),
+            ("faults reelect --param ell",
+             "argument --param: parameter 'ell' is not KEY=VALUE"),
+            ("trace record improved_tradeoff --param ell -o unused.jsonl",
+             "argument --param: parameter 'ell' is not KEY=VALUE"),
+            ("bounds 0", "argument n: must be >= 1, got 0"),
+            ("report --n 1", "argument --n: must be >= 2, got 1"),
+            ("monitor check --workers 0", "argument --workers: must be >= 1, got 0"),
+            ("top --workers -1", "argument --workers: must be >= 1, got -1"),
+            ("scenarios sweep election_storm --workers 0",
+             "argument --workers: must be >= 1, got 0"),
+        ],
+    )
+    def test_one_argparse_error_line(self, argv, message):
+        proc = run_cli(*argv.split())
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        errors = [line for line in proc.stderr.splitlines() if "error:" in line]
+        assert len(errors) == 1 and message in errors[0], proc.stderr
+
+    def test_stalled_run_is_a_row(self):
+        proc = run_cli("run", "afek_gafni", "--n", "64", "--partition", "32@2-6")
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        row = proc.stdout.splitlines()[3].split()
+        assert row[:2] == ["0", "STALLED"], proc.stdout

@@ -78,9 +78,9 @@ class TestRuns:
         assert "kutten16" in out
         assert "without a unique surviving leader" in out
 
-    def test_engine_mismatch_errors(self):
-        with pytest.raises(SystemExit):
-            main(["faults", "las_vegas", "--engine", "async"])
+    def test_engine_mismatch_errors(self, capsys):
+        assert main(["faults", "las_vegas", "--engine", "async"]) == 2
+        assert "las_vegas runs on the sync engine, not async" in capsys.readouterr().err
 
     def test_inner_engine_mismatch_is_a_one_line_error(self):
         proc = run_cli(

@@ -1,11 +1,12 @@
-"""Byte-for-byte pins of the failover-facing CLI surfaces.
+"""Byte-for-byte pins of the election-running CLI surfaces.
 
 Each case runs one ``python -m repro`` command in a fresh interpreter
 and compares its stdout with a checked-in capture under ``tests/data``.
 The commands cover every subcommand that reads failover or adversary
 numbers off a run record (``faults``, ``adversary run|sweep`` and the
-scenario runner behind ``scenarios sweep``), so any drift in what the
-executor measures shows up here as a diff.
+scenario runner behind ``scenarios sweep``), plus plain ``run`` on the
+sync and async engines, ``monitor check`` and the Table 1 ``report``,
+so any drift in what the executor measures shows up here as a diff.
 """
 
 import pathlib
@@ -46,6 +47,28 @@ PINNED = [
     (
         "cli_scenarios_sweep.txt",
         ["scenarios", "sweep", "election_storm", "--ns", "16", "--seeds", "0", "1"],
+    ),
+    (
+        "cli_run_improved_tradeoff.txt",
+        ["run", "improved_tradeoff", "--n", "64", "--param", "ell=5",
+         "--seeds", "0", "1", "2"],
+    ),
+    (
+        "cli_run_async_tradeoff.txt",
+        ["run", "async_tradeoff", "--n", "64", "--param", "k=2", "--seeds", "0", "1"],
+    ),
+    (
+        "cli_run_adversarial_2round_roots.txt",
+        ["run", "adversarial_2round", "--n", "128", "--roots", "4",
+         "--param", "epsilon=0.02"],
+    ),
+    (
+        "cli_monitor_check.txt",
+        ["monitor", "check", "--ns", "16", "--seeds", "0", "1"],
+    ),
+    (
+        "cli_report_table1.txt",
+        ["report", "--n", "128", "--seeds", "0", "1"],
     ),
 ]
 

@@ -58,10 +58,10 @@ class TestRunTraceFlag:
         assert "trace: wrote" in capsys.readouterr().out
         assert load_trace(out).run_context.algorithm == "improved_tradeoff"
 
-    def test_trace_needs_single_seed(self, tmp_path):
-        with pytest.raises(SystemExit, match="exactly one seed"):
-            main(["run", "improved_tradeoff", "--n", "32", "--seeds", "0", "1",
-                  "--trace", str(tmp_path / "x.jsonl")])
+    def test_trace_needs_single_seed(self, tmp_path, capsys):
+        assert main(["run", "improved_tradeoff", "--n", "32", "--seeds", "0", "1",
+                     "--trace", str(tmp_path / "x.jsonl")]) == 2
+        assert "exactly one seed" in capsys.readouterr().err
 
     def test_batched_trace_records_every_lane(self, tmp_path, capsys):
         pytest.importorskip("numpy")
@@ -74,12 +74,12 @@ class TestRunTraceFlag:
 
         assert trace_lanes(load_trace(out)) == [0, 1]
 
-    def test_trace_rejects_multiple_batched_runs(self, tmp_path):
+    def test_trace_rejects_multiple_batched_runs(self, tmp_path, capsys):
         pytest.importorskip("numpy")
-        with pytest.raises(SystemExit, match="at most --batch seeds"):
-            main(["run", "improved_tradeoff", "--n", "32", "--engine", "fast",
-                  "--seeds", "0", "1", "2", "--batch", "2",
-                  "--trace", str(tmp_path / "x.jsonl")])
+        assert main(["run", "improved_tradeoff", "--n", "32", "--engine", "fast",
+                     "--seeds", "0", "1", "2", "--batch", "2",
+                     "--trace", str(tmp_path / "x.jsonl")]) == 2
+        assert "at most --batch seeds" in capsys.readouterr().err
 
 
 class TestScenarioAndAdversaryTrace:

@@ -1,7 +1,13 @@
 """Documentation consistency: the docs must reference real artifacts."""
 
+import os
 import pathlib
 import re
+import shlex
+import subprocess
+import sys
+
+import pytest
 
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -276,3 +282,100 @@ class TestModelDoc:
         assert "reading note" in adversarial or "receipt" in adversarial
         ag = read("src/repro/core/async_afek_gafni.py")
         assert "(level, id)" in ag
+
+
+
+#: Flags whose value names a file the command writes, not one it reads.
+OUTPUT_FLAGS = {"-o", "--out", "--trace", "--json", "--html", "--records",
+                "--ledger", "--spool"}
+
+
+def documented_cli_lines():
+    """``(argv, comment)`` for every documented ``python -m repro`` line.
+
+    README.md, EXPERIMENTS.md, docs/*.md and the CLI module docstring,
+    each in file order.
+    """
+    import repro.__main__
+
+    sources = [read("README.md"), read("EXPERIMENTS.md")]
+    sources += [path.read_text() for path in sorted((ROOT / "docs").glob("*.md"))]
+    sources.append(repro.__main__.__doc__)
+    for text in sources:
+        for line in re.findall(
+            r"^\s*(?:PYTHONPATH=src )?python -m repro (.+)$", text, re.MULTILINE
+        ):
+            command, _, comment = line.partition("#")
+            yield shlex.split(command), comment
+
+
+def unmet_inputs(argv, cwd):
+    """What ``argv`` reads that no earlier line wrote.
+
+    That is a trace or timeline file that is neither in ``cwd`` nor in
+    the checkout, or, for ``compare``, a ledger with fewer than the two
+    entries it diffs.
+    """
+    missing = []
+    for i, token in enumerate(argv):
+        if not token.endswith((".json", ".jsonl")):
+            continue
+        if i and argv[i - 1] in OUTPUT_FLAGS:
+            continue
+        if not (cwd / token).exists() and not (ROOT / token).exists():
+            missing.append(token)
+    if argv[0] == "compare":
+        ledger = cwd / (
+            argv[argv.index("--ledger") + 1] if "--ledger" in argv
+            else ".repro/ledger.jsonl"
+        )
+        if not ledger.exists() or len(ledger.read_text().splitlines()) < 2:
+            missing.append(str(ledger))
+    return missing
+
+
+@pytest.mark.slow
+def test_documented_cli_examples_run(tmp_path):
+    """Every documented command runs without a traceback.
+
+    The commands run in order in one scratch directory, so a trace one
+    line records is there for the next line to read.  A line whose
+    input no earlier line writes (a user's own timeline) is skipped, and
+    so is a shell-loop body; a line that already ran is not run again.
+    Exit 0 is expected; exit 1 is also the documented verdict of
+    ``compare`` (a regression), of ``trace diff`` (the traces differ)
+    and of a line whose comment names the failure mode it shows (a
+    stall).
+    """
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    ran, failed = set(), []
+    for argv, comment in documented_cli_lines():
+        if (
+            tuple(argv) in ran
+            or any("$" in token for token in argv)
+            or unmet_inputs(argv, tmp_path)
+        ):
+            continue
+        ran.add(tuple(argv))
+        # Repository files (the golden traces) are read from the checkout.
+        argv = [
+            str(ROOT / token)
+            if not (tmp_path / token).exists() and (ROOT / token).is_file()
+            else token
+            for token in argv
+        ]
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", *argv], cwd=tmp_path, env=env,
+            capture_output=True, text=True, timeout=300,
+        )
+        verdict = (
+            argv[0] == "compare" or argv[:2] == ["trace", "diff"] or "stall" in comment
+        )
+        allowed = (0, 1) if verdict else (0,)
+        if proc.returncode not in allowed or "Traceback" in proc.stderr:
+            failed.append((" ".join(argv), proc.returncode, proc.stderr[-300:]))
+    assert len(ran) >= 50, f"only {len(ran)} documented commands ran"
+    assert not failed, failed

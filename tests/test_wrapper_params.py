@@ -79,6 +79,22 @@ def test_fault_layer_inner_rejected(cls, inner):
 
 
 @pytest.mark.parametrize(
+    "cls",
+    [
+        ReElectionElection,
+        AsyncReElectionElection,
+        QuorumReElectionElection,
+        AsyncQuorumReElectionElection,
+    ],
+)
+def test_bad_inner_parameter_rejected_at_construction(cls):
+    # Keywords the wrapper does not take configure the inner election,
+    # which is built once in the constructor to check them.
+    with pytest.raises(TypeError, match="foo"):
+        cls(foo=1)
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["reelect", "--engine", "async", "--param", "commit_delay=nan"],
@@ -92,6 +108,8 @@ def test_fault_layer_inner_rejected(cls, inner):
         ["monarchical", "--engine", "async", "--param", "stable_polls=2.5"],
         ["reelect", "--param", "inner=monarchical"],
         ["reelect", "--param", "inner=reelect"],
+        ["reelect", "--param", "foo=1"],
+        ["quorum_reelect", "--engine", "async", "--param", "foo=1"],
     ],
     ids=lambda argv: "-".join(argv[:1] + argv[-1:]),
 )
