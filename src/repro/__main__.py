@@ -44,9 +44,12 @@ Commands
     writes per-round aggregates), filter and pretty-print a trace
     (``--timeline`` renders an ASCII per-node grid, ``--lane`` selects
     one lane of a batched fast trace), summarize one, or diff two
-    traces — the diff localizes the first round whose send totals
-    differ, the tool of choice for pinning down a cross-engine
-    divergence.  ``causal`` runs the happens-before analysis: Lamport
+    traces — the diff names the first round whose send totals differ
+    (say, where two seeds of one election part).  The object and fast
+    engines wire their ports independently, so a freestanding
+    cross-engine pair always differs; replay one wiring on both
+    (``repro.telemetry.trace_fast_lane``) to compare engines.
+    ``causal`` runs the happens-before analysis: Lamport
     clocks, the causal DAG and the critical path to the decide event,
     with per-kind message attribution.  ``run``, ``scenarios run`` and
     ``adversary run`` also accept ``--trace PATH`` to record while they
@@ -114,11 +117,12 @@ Examples
     python -m repro run improved_tradeoff --n 256 --trace run.jsonl
     python -m repro scenarios run flapping_leader --n 8 --trace scenario.jsonl
     python -m repro trace record improved_tradeoff --n 256 --engine fast -o fast.jsonl
+    python -m repro trace record improved_tradeoff --n 256 --engine fast --seed 1 -o fast1.jsonl
     python -m repro trace inspect run.jsonl --kind decide --timeline
     python -m repro trace inspect batched.jsonl --lane 1 --timeline
     python -m repro trace stats fast.jsonl
-    python -m repro trace diff run.jsonl fast.jsonl
-    python -m repro trace diff run.jsonl fast.jsonl --json -
+    python -m repro trace diff fast.jsonl fast1.jsonl
+    python -m repro trace diff fast.jsonl fast1.jsonl --json -
     python -m repro trace causal run.jsonl
     python -m repro trace causal run.jsonl --json -
     python -m repro monitor check --ns 32 64 --seeds 0 1 2 --progress

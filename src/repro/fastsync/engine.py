@@ -38,16 +38,31 @@ Two port-model modes
     float keys: a PCG64 ``random()`` is the raw draw's top 53 bits, so
     each entry is packed into one ``uint64`` as ``key53 << bits |
     column`` (``bits = (n-1).bit_length()``), the diagonal is set to the
-    ``UINT64_MAX`` sentinel, one in-place row sort orders keys with ties
+    ``UINT64_MAX`` sentinel, an in-place row sort orders keys with ties
     by column, and masking the low ``bits`` leaves the permutation.  Up
     to ``n = 2048`` the whole key fits; above, the packed key keeps its
     top ``64 - bits`` bits, and any row where two kept prefixes tie is
-    regenerated from the stream and stable-sorted on full keys.
+    regenerated from the stream and stable-sorted on full keys.  The
+    draws come in row chunks of about ``2**19`` (one stream, continued
+    across chunks), so the only ``uint64`` buffer is one chunk's 4 MiB;
+    each sorted chunk lands in the matrix, which is stored in the
+    narrowest unsigned type that holds ``n - 1`` (``uint16`` at
+    ``n = 2048``: 8.4 MB rather than 33.5 MB).  ``first_ports`` and
+    ``sampled_targets`` still return ``int64`` global indices.
 
     The per-node seeds are drawn up front, but a node's ``Random`` is
     built only when ``bernoulli``, ``rank_draws`` or ``sampled_targets``
     first draws for it, so deterministic ports (``first_ports`` only)
     never build one.
+
+    A lane's wiring — its per-node seeds and its port matrix — depends
+    on ``(n, seed)`` alone, so every algorithm run on the same instance
+    (a Table 1 grid runs six) shares one build.  A per-process cache
+    keyed by ``(n, seed)`` keeps the two most recently used wirings, all
+    of one ``n`` (a lookup at another ``n`` empties it first), and hands
+    them out read-only.  :func:`release_wirings` empties it; the sweep
+    executor calls it before every object-engine spec, so no matrix
+    outlives the fast cells into the object cells that follow them.
 
 ``mode="scale"``
     No materialized port map.  "Send over ports ``0..m-1``" and "send
@@ -110,6 +125,10 @@ _RESAMPLE_LIMIT = 500
 #: Elements per block of the scale sampler's passes: a block's draws,
 #: masks and sort stay in cache.
 _BLOCK_ELEMS = 1 << 18
+
+#: Elements per row chunk of the port-matrix build: one chunk's
+#: ``uint64`` draws (4 MiB) are the build's only wide buffer.
+_PORT_CHUNK_ELEMS = 1 << 19
 
 #: Lanes a kernel call may run at once; ``None`` means every core this
 #: process may use (:func:`lane_width`).  A sweep pool worker sets its
@@ -194,47 +213,90 @@ def _random_port_matrix(rng: np.random.Generator, n: int) -> np.ndarray:
     """An ``(n, n-1)`` matrix whose rows are random orderings of peers.
 
     Row ``u`` is the stable argsort of ``rng.random((n, n))[u]`` with self
-    sorting last, computed as one packed in-place ``uint64`` sort (see the
-    module docstring); ``rng`` must be PCG64-backed.
+    sorting last, computed as packed in-place ``uint64`` sorts of row
+    chunks and stored as ``np.min_scalar_type(n - 1)`` (see the module
+    docstring); ``rng`` must be PCG64-backed.
     """
     bits = (n - 1).bit_length()
     drop = max(0, 53 + bits - 64)  # key bits that do not fit beside the column
     start = rng.bit_generator.state
-    buf = rng.bit_generator.random_raw((n, n))
-    buf >>= np.uint64(11 + drop)  # random() keeps the top 53 bits
-    buf <<= np.uint64(bits)
-    buf |= np.arange(n, dtype=np.uint64)
-    np.fill_diagonal(buf, np.iinfo(np.uint64).max)  # self is never a peer: sorts last
-    buf.sort(axis=1)
-    if drop:
-        _repair_truncated_ties(buf, start, bits)
-    buf &= np.uint64((1 << bits) - 1)
-    return buf.view(np.int64)[:, : n - 1]
+    out = np.empty((n, max(0, n - 1)), dtype=np.min_scalar_type(n - 1))
+    columns = np.arange(n, dtype=np.uint64)
+    step = max(1, _PORT_CHUNK_ELEMS // n)
+    for lo in range(0, n, step):
+        rows = min(step, n - lo)
+        buf = rng.bit_generator.random_raw((rows, n))
+        buf >>= np.uint64(11 + drop)  # random() keeps the top 53 bits
+        buf <<= np.uint64(bits)
+        buf |= columns
+        local = np.arange(rows)
+        buf[local, lo + local] = np.iinfo(np.uint64).max  # self is never a peer: sorts last
+        buf.sort(axis=1)
+        if drop:
+            _repair_truncated_ties(buf, start, bits, lo)
+        buf &= np.uint64((1 << bits) - 1)
+        out[lo : lo + rows] = buf[:, : n - 1]
+    return out
 
 
-def _repair_truncated_ties(buf: np.ndarray, start: dict, bits: int) -> None:
+def _repair_truncated_ties(buf: np.ndarray, start: dict, bits: int, lo: int) -> None:
     """Re-order, from full keys, the sorted rows whose kept prefixes tie.
 
-    Two packed entries tie on their prefix exactly when their XOR is below
-    ``2**bits``.  Such a row is regenerated from the PCG64 ``start`` state
-    (row ``u`` is draws ``u*n .. u*n+n-1``) and stable-sorted; its bare
-    columns, which the caller's column mask leaves unchanged, replace the
-    packed entries.
+    ``buf`` holds rows ``lo, lo + 1, ...`` of the packed matrix.  Two
+    packed entries tie on their prefix exactly when their XOR is below
+    ``2**bits``.  Such a row is regenerated from the PCG64 ``start``
+    state (row ``u`` is draws ``u*n .. u*n+n-1``) and stable-sorted; its
+    bare columns, which the caller's column mask leaves unchanged,
+    replace the packed entries.
     """
-    n = buf.shape[0]
-    low = np.uint64(1 << bits)
-    # Chunked, so the check never holds a second (n, n) array.
-    step = max(1, (1 << 22) // n)
-    for lo in range(0, n, step):
-        rows = buf[lo : lo + step, : n - 1]
-        tied = ((rows[:, 1:] ^ rows[:, :-1]) < low).any(axis=1)
-        for u in (lo + np.nonzero(tied)[0]).tolist():
-            gen = np.random.PCG64(0)
-            gen.state = start
-            gen.advance(u * n)
-            keys = gen.random_raw(n) >> np.uint64(11)
-            keys[u] = np.uint64(1 << 53)  # above every 53-bit key
-            buf[u] = np.argsort(keys, kind="stable").astype(np.uint64)
+    n = buf.shape[1]
+    rows = buf[:, : n - 1]
+    tied = ((rows[:, 1:] ^ rows[:, :-1]) < np.uint64(1 << bits)).any(axis=1)
+    for i in np.nonzero(tied)[0].tolist():
+        u = lo + i
+        gen = np.random.PCG64(0)
+        gen.state = start
+        gen.advance(u * n)
+        keys = gen.random_raw(n) >> np.uint64(11)
+        keys[u] = np.uint64(1 << 53)  # above every 53-bit key
+        buf[i] = np.argsort(keys, kind="stable").astype(np.uint64)
+
+
+#: ``(n, seed) -> (node_seeds, ports)``, least recently used first.
+_WIRINGS: Dict[Tuple[int, int], Tuple[Tuple[int, ...], np.ndarray]] = {}
+
+#: How many wirings :data:`_WIRINGS` keeps: enough for a two-seed block
+#: of one ``n``, the shape of the Table 1 grids.
+_WIRING_SLOTS = 2
+
+
+def _wiring(n: int, seed: int) -> Tuple[Tuple[int, ...], np.ndarray]:
+    """The exact wiring of ``(n, seed)``: per-node seeds and port matrix.
+
+    The seeds follow ``SyncNetwork``'s schedule (one master stream, one
+    64-bit draw per node, in node order); the port matrix comes from a
+    PCG64 stream of the same seed.  Both are cached (see the module
+    docstring) and the matrix is read-only.
+    """
+    key = (n, seed)
+    wiring = _WIRINGS.pop(key, None)
+    if wiring is None:
+        if any(cached_n != n for cached_n, _ in _WIRINGS):
+            _WIRINGS.clear()
+        while len(_WIRINGS) >= _WIRING_SLOTS:
+            del _WIRINGS[next(iter(_WIRINGS))]
+        master = random.Random(seed)
+        node_seeds = tuple(master.getrandbits(64) for _ in range(n))
+        ports = _random_port_matrix(np.random.default_rng(np.random.PCG64(seed)), n)
+        ports.flags.writeable = False
+        wiring = (node_seeds, ports)
+    _WIRINGS[key] = wiring
+    return wiring
+
+
+def release_wirings() -> None:
+    """Empty the wiring cache, freeing every matrix no network still holds."""
+    _WIRINGS.clear()
 
 
 class _NodeStreams:
@@ -247,7 +309,7 @@ class _NodeStreams:
 
     __slots__ = ("_seeds", "_streams")
 
-    def __init__(self, seeds: List[int]) -> None:
+    def __init__(self, seeds: Sequence[int]) -> None:
         self._seeds = seeds
         self._streams: List[Optional[random.Random]] = [None] * len(seeds)
 
@@ -482,29 +544,24 @@ class FastSyncNetwork:
 
         # ---- randomness ------------------------------------------------
         # Each lane is seeded by its own seed alone.  Exact mode mirrors
-        # SyncNetwork's seeding schedule per lane: one master stream, one
-        # 64-bit draw per node, in node order (SyncNetwork only skips its
-        # port-policy draw when a port map is supplied — which is exactly
-        # how the twin run is constructed); the per-node streams are built
-        # from those seeds on first use.  The port matrix comes from a
-        # PCG64 stream of the same seed.
+        # SyncNetwork's seeding schedule per lane (SyncNetwork only skips
+        # its port-policy draw when a port map is supplied — which is
+        # exactly how the twin run is constructed): the lane's wiring
+        # (_wiring) holds the per-node seeds, and the per-node streams
+        # are built from them on first use.
         if self.mode == "exact":
             self._node_streams: Optional[List[_NodeStreams]] = []
             self._lane_ports: Optional[np.ndarray] = None
             if self.batch > 1:
                 self._lane_ports = np.empty(
-                    (self.batch, n, max(0, n - 1)), dtype=np.int64
+                    (self.batch, n, max(0, n - 1)), dtype=np.min_scalar_type(n - 1)
                 )
             for b, s in enumerate(self.lane_seeds):
-                master = random.Random(s)
-                self._node_streams.append(
-                    _NodeStreams([master.getrandbits(64) for _ in range(n)])
-                )
-                rng_b = np.random.default_rng(np.random.PCG64(s))
-                ports = _random_port_matrix(rng_b, n)
+                node_seeds, ports = _wiring(n, s)
+                self._node_streams.append(_NodeStreams(node_seeds))
                 if self.batch == 1:
-                    # Keep the matrix itself: copying it into a lane
-                    # buffer would hold two (n, n-1) arrays at the peak.
+                    # Share the cached (read-only) matrix: a lane buffer
+                    # would hold a second (n, n-1) array.
                     self._lane_ports = ports[None]
                 else:
                     self._lane_ports[b] = ports
@@ -740,7 +797,10 @@ class FastSyncNetwork:
             if self._lane_ports is not None:
                 lane = src_global // n
                 node = src_global - lane * n
-                return self._lane_ports[lane, node, :m] + (lane * n)[:, None]
+                # In int64: a narrow port plus a lane offset would wrap.
+                return np.add(
+                    self._lane_ports[lane, node, :m], (lane * n)[:, None], dtype=np.int64
+                )
             return self._scale_targets(src_global, m)
 
     def sampled_targets(self, src_global: np.ndarray, m: int) -> np.ndarray:
@@ -757,7 +817,7 @@ class FastSyncNetwork:
                 for row, g in enumerate(src_global):
                     b, u = divmod(int(g), n)
                     ports = self._node_streams[b][u].sample(port_range, m)
-                    out[row] = self._lane_ports[b, u, ports] + b * n
+                    np.add(self._lane_ports[b, u, ports], b * n, out=out[row], dtype=np.int64)
                 return out
             return self._scale_targets(src_global, m)
 

@@ -15,11 +15,15 @@ skip lines they cannot parse, so mixed-version ledgers stay usable.
 
 from __future__ import annotations
 
+import fcntl
 import hashlib
 import json
 import os
+import shutil
 import subprocess
+import tempfile
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
@@ -147,12 +151,25 @@ def make_entry(
     return entry
 
 
+@contextmanager
+def _locked(path: str):
+    """Hold the exclusive lock that serialises appends and prunes of ``path``.
+
+    The lock is ``flock`` on a sidecar ``<path>.lock``, not on the ledger
+    itself: a prune replaces the ledger file, and a lock on the old file
+    would not exclude a writer that opens the new one.
+    """
+    with open(path + ".lock", "a") as lock:
+        fcntl.flock(lock, fcntl.LOCK_EX)
+        yield  # closing the sidecar releases the lock
+
+
 def append_entry(entry: Dict[str, Any], path: str = DEFAULT_LEDGER_PATH) -> str:
     """Append one entry (creating the ledger and its directory)."""
     directory = os.path.dirname(path)
     if directory:
         os.makedirs(directory, exist_ok=True)
-    with open(path, "a", encoding="utf-8") as fh:
+    with _locked(path), open(path, "a", encoding="utf-8") as fh:
         fh.write(json.dumps(entry, default=str) + "\n")
     return path
 
@@ -183,20 +200,30 @@ def prune_ledger(path: str = DEFAULT_LEDGER_PATH, *, keep: int) -> Dict[str, int
     without limit; pruning rewrites the file with the most recent
     ``keep`` parseable entries (unparseable lines are dropped too — they
     were already invisible to every reader).  The rewrite goes through a
-    temp file and an atomic replace, so a crash mid-prune never leaves a
-    truncated ledger.
+    temp file of its own and an atomic replace, so a crash mid-prune
+    never leaves a truncated ledger, and it holds the append lock from
+    the read to the replace, so an entry appended meanwhile is never lost.
     """
     if keep < 0:
         raise ValueError("keep must be >= 0")
-    entries = read_ledger(path)
-    kept = entries[-keep:] if keep else []
     if not os.path.exists(path):
         return {"kept": 0, "dropped": 0}
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        for entry in kept:
-            fh.write(json.dumps(entry, default=str) + "\n")
-    os.replace(tmp, path)
+    with _locked(path):
+        entries = read_ledger(path)
+        kept = entries[-keep:] if keep else []
+        fd, tmp = tempfile.mkstemp(
+            dir=os.path.dirname(path) or ".", prefix=os.path.basename(path) + ".",
+            suffix=".tmp",
+        )
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                for entry in kept:
+                    fh.write(json.dumps(entry, default=str) + "\n")
+            shutil.copymode(path, tmp)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
     return {"kept": len(kept), "dropped": len(entries) - len(kept)}
 
 

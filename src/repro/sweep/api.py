@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 from typing import Any, Callable, Dict, Iterable, List, Optional, Union
 
 from repro.sweep.scheduler import SweepCell, run_cells
@@ -309,7 +310,7 @@ def _execute_fast(
     for start in range(0, len(seeds), size):
         chunk = seeds[start : start + size]
         profiler = _fast_profiler(spec)
-        # Unnamed, so each network (and its port matrices) is freed
+        # Unnamed, so each network (and its lane buffers) is freed
         # before the next chunk builds its own.
         results = FastSyncNetwork(
             spec.n,
@@ -385,6 +386,12 @@ def execute_spec(
         return _execute_fast(spec, telemetry=telemetry, keep_result=keep_result)
     if telemetry is not None:
         raise ValueError("telemetry= (FastTelemetry) needs the fast engine")
+    # Free the fast engine's cached wirings before the object engine's
+    # own peak.  Looked up, not imported: without a loaded fast engine
+    # (or without numpy) nothing is cached.
+    fast_engine = sys.modules.get("repro.fastsync.engine")
+    if fast_engine is not None:
+        fast_engine.release_wirings()
     if engine == "async":
         return _execute_object(
             spec, "async", recorder=recorder, scheduler=scheduler,

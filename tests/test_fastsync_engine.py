@@ -31,17 +31,20 @@ def _argsort_reference(keys):
 
 
 class _PlantedTie:
-    """A PCG64 generator whose next ``(n, n)`` raw block carries a planted tie.
+    """A PCG64 generator whose raw draws carry a planted tie in row ``row``.
 
-    ``raw[row, col]`` is overwritten with ``raw[row, like] ^ flip``; the
-    stream state itself is left alone, so regenerating a row from it
-    yields the original draws.  ``raw`` keeps the planted block.
+    The port-matrix build draws ``(rows, n)`` row chunks; in the chunk
+    that holds absolute row ``row``, ``raw[row, col]`` is overwritten
+    with ``raw[row, like] ^ flip``.  The stream state itself is left
+    alone, so regenerating a row from it yields the original draws.
+    ``raw`` keeps the planted block: every row drawn so far.
     """
 
     def __init__(self, seed, row, col, like, flip):
         self.bit_generator = self
         self._real = np.random.PCG64(seed)
         self._plant = (row, col, like, np.uint64(flip))
+        self._rows_drawn = 0
         self.raw = None
 
     @property
@@ -51,8 +54,11 @@ class _PlantedTie:
     def random_raw(self, size):
         raw = self._real.random_raw(size)
         row, col, like, flip = self._plant
-        raw[row, col] = raw[row, like] ^ flip
-        self.raw = raw.copy()
+        lo = self._rows_drawn
+        self._rows_drawn += size[0]
+        if lo <= row < self._rows_drawn:
+            raw[row - lo, col] = raw[row - lo, like] ^ flip
+        self.raw = raw.copy() if self.raw is None else np.concatenate((self.raw, raw))
         return raw
 
 
@@ -112,20 +118,44 @@ class TestPortModel:
         keys = np.random.default_rng(np.random.PCG64(seed)).random((n, n))
         np.testing.assert_array_equal(got, _argsort_reference(keys))
 
-    def test_equal_keys_order_by_column(self):
+    @pytest.mark.parametrize("chunk", [1, 7, 100])
+    @pytest.mark.parametrize("n", [2, 17, 40])
+    def test_row_chunking_does_not_move_the_matrix(self, monkeypatch, chunk, n):
+        # Chunks of one row, of a few rows and of rows plus a remainder
+        # continue one stream: the matrix is the whole-block argsort.
+        monkeypatch.setattr(engine, "_PORT_CHUNK_ELEMS", chunk * n)
+        got = _random_port_matrix(np.random.default_rng(np.random.PCG64(4)), n)
+        keys = np.random.default_rng(np.random.PCG64(4)).random((n, n))
+        np.testing.assert_array_equal(got, _argsort_reference(keys))
+
+    @pytest.mark.parametrize("n", [2, 256, 257, 2048])
+    def test_matrix_is_stored_narrow(self, n):
+        got = _random_port_matrix(np.random.default_rng(np.random.PCG64(0)), n)
+        assert got.dtype == np.min_scalar_type(n - 1)
+        assert got.dtype.itemsize == (1 if n <= 256 else 2)
+
+    @pytest.mark.parametrize("chunk", [None, 8 * 128])
+    def test_equal_keys_order_by_column(self, monkeypatch, chunk):
         # Two identical raw draws in row 7: a stable sort keeps column 3
-        # ahead of column 100, and so must the packed sort.
+        # ahead of column 100, and so must the packed sort.  With chunks
+        # of 8 rows, the tie sits in the first chunk only.
+        if chunk is not None:
+            monkeypatch.setattr(engine, "_PORT_CHUNK_ELEMS", chunk)
         planted = _PlantedTie(seed=5, row=7, col=100, like=3, flip=0)
         got = _random_port_matrix(planted, 128)
+        assert planted.raw.shape == (128, 128)
         keys = (planted.raw >> np.uint64(11)) * 2.0**-53
         np.testing.assert_array_equal(got, _argsort_reference(keys))
 
-    def test_truncated_key_tie_is_repaired_above_2048(self):
+    @pytest.mark.parametrize("row", [7, 1000])
+    def test_truncated_key_tie_is_repaired_above_2048(self, row):
         # At n = 2049 the packed key drops the lowest key bit.  Two draws
         # differing only there tie after packing; the row must come back
         # ordered by the full keys, which are regenerated from the stream.
+        # Row 1000 lies in a later chunk than row 7, so the repair must
+        # regenerate it from its absolute row offset.
         n = 2049
-        planted = _PlantedTie(seed=5, row=7, col=900, like=3, flip=1 << 11)
+        planted = _PlantedTie(seed=5, row=row, col=900, like=3, flip=1 << 11)
         got = _random_port_matrix(planted, n)
         keys = np.random.default_rng(np.random.PCG64(5)).random((n, n))
         np.testing.assert_array_equal(got, _argsort_reference(keys))
@@ -294,6 +324,108 @@ class TestLazyNodeStreams:
         everyone = np.arange(rows)
         expected = [eager[g // n][g % n].randrange(1, 50 + 1) for g in everyone]
         assert net.rank_draws(everyone, 50).tolist() == expected
+
+
+def _wiring_snapshot(n, seed):
+    """One exact network's whole port map and a Las Vegas run on it.
+
+    Las Vegas draws from the per-node streams, so the run also checks
+    the cached node seeds.
+    """
+    pm = FastSyncNetwork(n, mode="exact", seed=seed).port_map()
+    ports = [[pm.resolve(u, i) for i in range(n - 1)] for u in range(n)]
+    r = FastSyncNetwork(n, mode="exact", seed=seed).run(VectorLasVegasElection())
+    return ports, (r.leaders, r.messages, r.rounds_executed, r.messages_by_kind, r.sends_by_round)
+
+
+_TABLE1_FAST = (
+    ("improved_tradeoff", {"ell": 3}),
+    ("afek_gafni", {}),
+    ("las_vegas", {}),
+    ("kutten16", {}),
+    ("small_id", {"d": 4}),
+    ("adversarial_2round", {}),
+)
+
+
+class TestWiringCache:
+    def test_build_order_does_not_change_a_network(self):
+        n, seed = 40, 9
+        engine.release_wirings()
+        cold = _wiring_snapshot(n, seed)
+        # A hit after another seed, a rebuild after another n emptied
+        # the cache, and a rebuild after an explicit release.
+        for other_n, other_seed in [(n, seed + 1), (n, seed + 2), (2 * n, seed)]:
+            _wiring_snapshot(other_n, other_seed)
+            assert _wiring_snapshot(n, seed) == cold
+        engine.release_wirings()
+        assert _wiring_snapshot(n, seed) == cold
+
+    def test_cache_holds_two_wirings_of_one_n(self):
+        engine.release_wirings()
+        first = engine._wiring(32, 0)
+        assert engine._wiring(32, 0) is first
+        for seed in (1, 2):
+            engine._wiring(32, seed)
+        assert sorted(engine._WIRINGS) == [(32, 1), (32, 2)]
+        engine._wiring(48, 1)
+        assert sorted(engine._WIRINGS) == [(48, 1)]
+        engine.release_wirings()
+        assert not engine._WIRINGS
+
+    def test_cached_arrays_are_read_only(self):
+        engine.release_wirings()
+        net = FastSyncNetwork(16, mode="exact", seed=3)
+        node_seeds, ports = engine._wiring(16, 3)
+        assert isinstance(node_seeds, tuple)
+        for matrix in (ports, net._lane_ports):
+            assert not matrix.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                matrix[0, 0] = 1
+
+    @pytest.mark.parametrize("n,seeds", [(200, [5]), (200, [5, 6, 7]), (16, [1, 2])])
+    def test_global_targets_are_int64(self, n, seeds):
+        # uint8 ports plus a lane offset of 200 or 400 would wrap.
+        net = FastSyncNetwork(n, mode="exact", seeds=seeds)
+        src = np.arange(len(seeds) * n)
+        first = net.first_ports(src, n - 1)
+        sampled = net.sampled_targets(src, 3)
+        assert first.dtype == sampled.dtype == np.int64
+        for g in src.tolist():
+            lane, u = divmod(g, n)
+            pm = net.port_map(lane)
+            assert first[g].tolist() == [
+                lane * n + pm.resolve(u, i)[0] for i in range(n - 1)
+            ]
+            assert all(t // n == lane and t % n != u for t in sampled[g].tolist())
+
+    def test_table1_grid_records_do_not_depend_on_cache_hits(self):
+        from repro.analysis import RunSpec, canonical_record, execute_spec, sweep
+
+        grid = [
+            RunSpec(
+                algorithm=name, n=n, engine="fast", mode="exact",
+                seeds=(3, 4), params=params,
+            )
+            for n in (64, 128)
+            for name, params in _TABLE1_FAST
+        ]
+        alone = []
+        for spec in grid:
+            engine.release_wirings()
+            alone += execute_spec(spec)
+        want = [canonical_record(r) for r in alone]
+        for workers in (1, 2):
+            got = sweep(grid, workers=workers)
+            assert [canonical_record(r) for r in got] == want
+
+    def test_object_engine_spec_releases_the_cache(self):
+        from repro.analysis import RunSpec, execute_spec
+
+        FastSyncNetwork(32, mode="exact", seed=0)
+        assert engine._WIRINGS
+        execute_spec(RunSpec(algorithm="las_vegas", n=16, engine="sync", seeds=(0,)))
+        assert not engine._WIRINGS
 
 
 class TestExecution:

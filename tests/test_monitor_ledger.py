@@ -6,6 +6,11 @@ same hash so ``repro compare`` pairs the entries).
 """
 
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -20,7 +25,7 @@ from repro.monitor import (
     resolve_ref,
     spec_hash,
 )
-from repro.monitor.ledger import LEDGER_SCHEMA, git_sha
+from repro.monitor.ledger import LEDGER_SCHEMA, git_sha, prune_ledger
 from repro.sweep import RunSpec, sweep
 
 
@@ -103,6 +108,51 @@ class TestEntries:
 
     def test_read_missing_ledger(self, tmp_path):
         assert read_ledger(str(tmp_path / "absent.jsonl")) == []
+
+
+#: One appender process: ``argv[1]`` is the ledger, ``argv[2]`` its tag.
+_APPENDER = """
+import sys
+from repro.monitor.ledger import append_entry
+for i in range(150):
+    append_entry({"label": f"{sys.argv[2]}-{i}"}, sys.argv[1])
+"""
+
+
+class TestConcurrentPrune:
+    def test_appends_racing_a_pruner_are_never_lost(self, tmp_path):
+        # Four appender processes on two cores, against a pruner that
+        # keeps everything and rewrites the file as fast as it can: an
+        # append landing between a prune's read and its replace would
+        # vanish.
+        path = str(tmp_path / "ledger.jsonl")
+        append_entry({"label": "seed"}, path)
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        tags = [f"w{k}" for k in range(4)]
+        procs = [
+            subprocess.Popen([sys.executable, "-c", _APPENDER, path, tag], env=env)
+            for tag in tags
+        ]
+        deadline = time.monotonic() + 120
+        prunes = 0
+        try:
+            while any(p.poll() is None for p in procs) and time.monotonic() < deadline:
+                prune_ledger(path, keep=10**6)
+                prunes += 1
+        finally:
+            for p in procs:
+                if p.poll() is None:
+                    p.kill()
+                p.wait(timeout=10)
+        assert [p.returncode for p in procs] == [0] * len(tags)
+        assert prunes > 0
+        labels = [e["label"] for e in read_ledger(path)]
+        want = ["seed"] + [f"{tag}-{i}" for tag in tags for i in range(150)]
+        assert sorted(labels) == sorted(want)
+        # Every prune cleaned up its own temp file.
+        assert sorted(os.listdir(tmp_path)) == ["ledger.jsonl", "ledger.jsonl.lock"]
 
 
 class TestResolveRef:
