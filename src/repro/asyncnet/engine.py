@@ -31,7 +31,7 @@ from repro.common import (
 from repro.asyncnet.algorithm import AsyncAlgorithm
 from repro.asyncnet.metrics import AsyncMetrics
 from repro.asyncnet.schedulers import DelayScheduler, UnitDelayScheduler
-from repro.net.ports import LazyPortMap, PortMap, RandomPortPolicy
+from repro.net.ports import LazyPortMap, PortMap, RandomPortPolicy, sample_range
 
 __all__ = ["AsyncContext", "AsyncNetwork", "AsyncRunResult"]
 
@@ -42,18 +42,31 @@ _EVENT_TIMER = 3
 
 
 class AsyncContext:
-    """Per-node handle for interacting with the asynchronous clique."""
+    """Per-node handle for interacting with the asynchronous clique.
 
-    __slots__ = ("_net", "node", "my_id", "n", "rng", "now", "wake_time")
+    The node's ``random.Random`` is built from its seed when :attr:`rng`
+    is first read, as in :class:`repro.sync.engine.SyncContext`.
+    """
 
-    def __init__(self, net: "AsyncNetwork", node: int, my_id: int, rng: random.Random):
+    __slots__ = ("_net", "node", "my_id", "n", "_seed", "_rng", "now", "wake_time")
+
+    def __init__(self, net: "AsyncNetwork", node: int, my_id: int, seed: int):
         self._net = net
         self.node = node
         self.my_id = my_id
         self.n = net.n
-        self.rng = rng
+        self._seed = seed
+        self._rng: Optional[random.Random] = None
         self.now = 0.0
         self.wake_time = 0.0
+
+    @property
+    def rng(self) -> random.Random:
+        """This node's private random stream."""
+        rng = self._rng
+        if rng is None:
+            rng = self._rng = random.Random(self._seed)
+        return rng
 
     @property
     def port_count(self) -> int:
@@ -63,7 +76,7 @@ class AsyncContext:
         """``m`` distinct ports sampled uniformly (no replacement)."""
         if m > self.port_count:
             raise ValueError(f"cannot sample {m} of {self.port_count} ports")
-        return self.rng.sample(range(self.port_count), m)
+        return sample_range(self.rng, self.port_count, m)
 
     def send(self, port: int, payload: Any) -> None:
         self._net._send(self.node, (port,), payload)
@@ -186,8 +199,7 @@ class AsyncNetwork:
 
         self.algorithms: List[AsyncAlgorithm] = [algorithm_factory() for _ in range(n)]
         self.contexts: List[AsyncContext] = [
-            AsyncContext(self, u, self.ids[u], random.Random(master.getrandbits(64)))
-            for u in range(n)
+            AsyncContext(self, u, self.ids[u], master.getrandbits(64)) for u in range(n)
         ]
         self.decisions: List[Optional[Decision]] = [None] * n
         self.outputs: List[Optional[int]] = [None] * n
@@ -203,7 +215,8 @@ class AsyncNetwork:
         self._crashed: List[bool] = [False] * n
         self._heap: List[Tuple[float, int, int, int, int, Any]] = []
         self._seq = 0
-        self._link_last_delivery: Dict[Tuple[int, int], float] = {}
+        # Directed link u -> v, keyed u * n + v: its latest delivery time.
+        self._link_last_delivery: Dict[int, float] = {}
         self._dropped = 0
         self._now = 0.0
 
@@ -236,23 +249,36 @@ class AsyncNetwork:
         """Send one payload from ``u`` over each of ``ports``, in order."""
         if self._halted[u] or self._crashed[u]:
             raise ProtocolError(f"halted/crashed node {u} attempted to send")
+        endpoints: List[Tuple[int, int]] = []
+        try:
+            self.port_map.resolve_many(u, ports, endpoints)
+        finally:
+            # A policy may raise mid-batch: the sends resolved before that
+            # still go out and count, like the sync engine's.
+            if endpoints:
+                self._schedule_sends(u, ports, endpoints, payload)
+
+    def _schedule_sends(
+        self, u: int, ports: Sequence[int], endpoints: List[Tuple[int, int]], payload: Any
+    ) -> None:
+        """Push a delivery event for each send ``ports[i] -> endpoints[i]``."""
         kind = message_kind(payload)
         now = self._now
-        resolve = self.port_map.resolve
         delay_of = self.scheduler.delay
         last_delivery = self._link_last_delivery
         recorder = self.recorder
         runtime = self.fault_runtime
-        heap = self._heap
+        heap, push = self._heap, heapq.heappush
+        seq = self._seq
+        base = u * self.n
         sent = 0
         try:
-            for port in ports:
-                v, j = resolve(u, port)
+            for port, (v, j) in zip(ports, endpoints):
                 delay = delay_of(u, v, now, payload)
                 if not 0.0 < delay <= 1.0:
                     raise ProtocolError(f"scheduler produced delay {delay!r} outside (0, 1]")
                 deliver_at = now + delay
-                link = (u, v)
+                link = base + v
                 previous = last_delivery.get(link)
                 if previous is not None and deliver_at < previous:
                     deliver_at = previous  # FIFO: never overtake on the same link
@@ -261,11 +287,12 @@ class AsyncNetwork:
                 if recorder is not None:
                     recorder.on_send(now, u, port, v, j, payload)
                 if runtime is None:
-                    heapq.heappush(heap, (deliver_at, self._seq, _EVENT_DELIVER, v, j, payload))
-                    self._seq += 1
+                    push(heap, (deliver_at, seq, _EVENT_DELIVER, v, j, payload))
+                    seq += 1
                     continue
                 for when, node in runtime.observe_send(now, u, kind):
-                    self._push(when, _EVENT_CRASH, node, -1, None)
+                    push(heap, (when, seq, _EVENT_CRASH, node, -1, None))
+                    seq += 1
                 for delivered in runtime.delivered_payloads(u, v, kind, payload, now):
                     # Byzantine rewrites (and replayed stale copies) are
                     # traced separately from the honest on_send record.
@@ -275,9 +302,11 @@ class AsyncNetwork:
                         and hasattr(recorder, "on_tamper")
                     ):
                         recorder.on_tamper(now, u, v, payload, delivered)
-                    self._push(deliver_at, _EVENT_DELIVER, v, j, delivered)
+                    push(heap, (deliver_at, seq, _EVENT_DELIVER, v, j, delivered))
+                    seq += 1
         finally:
-            # Counted even when a send raises mid-batch, like the sync engine.
+            # Counted even when a send raises mid-batch.
+            self._seq = seq
             if sent:
                 self.metrics.messages_total += sent
                 self.metrics.messages_by_kind[kind] += sent

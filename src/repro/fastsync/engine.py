@@ -110,7 +110,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.common import SimulationLimitExceeded, SurvivorAccounting
-from repro.net.ports import PortMap
+from repro.net.ports import PortMap, sample_range
+from repro.sweep import worker as sweep_worker
 from repro.telemetry.profile import NULL_PROFILE
 
 __all__ = ["ArrayPortMap", "DEFAULT_EXACT_LIMIT", "FastRunResult", "FastSyncNetwork"]
@@ -130,9 +131,9 @@ _BLOCK_ELEMS = 1 << 18
 #: ``uint64`` draws (4 MiB) are the build's only wide buffer.
 _PORT_CHUNK_ELEMS = 1 << 19
 
-#: Lanes a kernel call may run at once; ``None`` means every core this
-#: process may use (:func:`lane_width`).  A sweep pool worker sets its
-#: share of the cores here (:func:`repro.sweep.worker.share_cores`).
+#: Lanes a kernel call may run at once; ``None`` defers to the sweep
+#: pool worker's core share, then to every core this process may use
+#: (:func:`lane_width`).
 LANE_WIDTH: Optional[int] = None
 
 
@@ -338,11 +339,14 @@ class _NodeStreams:
 def lane_width() -> int:
     """How many lanes a kernel call runs at once.
 
-    :data:`LANE_WIDTH` when a sweep pool worker was given its share of
-    the cores, else every core this process may use.
+    :data:`LANE_WIDTH` if set, else the share of the cores a sweep pool
+    worker was given (:data:`repro.sweep.worker.CORE_SHARE`), else every
+    core this process may use.
     """
     if LANE_WIDTH is not None:
         return LANE_WIDTH
+    if sweep_worker.CORE_SHARE is not None:
+        return sweep_worker.CORE_SHARE
     return len(os.sched_getaffinity(0))
 
 
@@ -812,13 +816,18 @@ class FastSyncNetwork:
         n = self.n
         with self.profile("sampling"):
             if self._node_streams is not None:
-                out = np.empty((len(src_global), m), dtype=np.int64)
-                port_range = range(n - 1)
-                for row, g in enumerate(src_global):
-                    b, u = divmod(int(g), n)
-                    ports = self._node_streams[b][u].sample(port_range, m)
-                    np.add(self._lane_ports[b, u, ports], b * n, out=out[row], dtype=np.int64)
-                return out
+                lane = src_global // n
+                node = src_global - lane * n
+                streams = self._node_streams
+                ports: List[int] = []
+                for b, u in zip(lane.tolist(), node.tolist()):
+                    ports += sample_range(streams[b][u], n - 1, m)
+                cols = np.array(ports, dtype=np.int64).reshape(len(src_global), m)
+                return np.add(
+                    self._lane_ports[lane[:, None], node[:, None], cols],
+                    (lane * n)[:, None],
+                    dtype=np.int64,
+                )
             return self._scale_targets(src_global, m)
 
     # Earlier names of the two samplers, still patched by name by the

@@ -92,6 +92,7 @@ from typing import Any, Callable, Dict, List, Optional, Union
 
 from repro.asyncnet.algorithm import AsyncAlgorithm
 from repro.common import Decision
+from repro.net.ports import sample_range
 from repro.sync.algorithm import Inbox, SyncAlgorithm
 
 __all__ = ["ReElectionElection", "AsyncReElectionElection"]
@@ -172,12 +173,15 @@ class _SubClique:
         self.n = len(live_ports) + 1
         self.my_id = ctx.my_id
         self.node = ctx.node
-        self.rng = ctx.rng
         self._decision: Optional[Decision] = None
 
     @property
     def now(self) -> float:
         return self._ctx.now
+
+    @property
+    def rng(self):
+        return self._ctx.rng
 
     # topology ---------------------------------------------------------- #
 
@@ -191,7 +195,7 @@ class _SubClique:
     def sample_ports(self, m: int) -> List[int]:
         if m > self.port_count:
             raise ValueError(f"cannot sample {m} of {self.port_count} ports")
-        return self.rng.sample(range(self.port_count), m)
+        return sample_range(self.rng, self.port_count, m)
 
     # communication ------------------------------------------------------ #
 

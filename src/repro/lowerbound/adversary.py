@@ -33,7 +33,7 @@ bound formulas it yields are evaluated in :mod:`repro.lowerbound.bounds`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.lowerbound.commgraph import CommGraph, CommGraphRecorder
 from repro.net.ports import LazyPortMap, PortConnectionPolicy
@@ -88,6 +88,14 @@ class ComponentCapacityAdversary(PortConnectionPolicy):
         members = self.graph.component_members(best_root)
         eligible = [w for w in members if not port_map.linked(u, w)]
         return min(eligible)
+
+    def connect(self, port_map: LazyPortMap, u: int, port: int) -> Tuple[int, int]:
+        endpoint = super().connect(port_map, u, port)
+        # The engine resolves a whole send batch before its recorder adds
+        # the batch's edges, so add this send's edge now: the next port
+        # of the batch must see the component it merged.
+        self.graph.add_edge(u, endpoint[0])
+        return endpoint
 
 
 @dataclass

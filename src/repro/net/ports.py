@@ -15,12 +15,19 @@ that formalism directly: :class:`LazyPortMap` keeps the mapping partial and
 resolves an endpoint only at first use, delegating the choice to a
 pluggable :class:`PortConnectionPolicy` — uniform random by default, or an
 adaptive adversary for lower-bound experiments.
+
+The uniform random draws are inlined rather than calls into
+:class:`random.Random`: port picks replay the ``getrandbits`` words of
+``randrange`` and :func:`sample_range` those of ``sample(range(n), k)``,
+word for word as CPython 3.10-3.12 consumes them, so wirings, samples and
+the final generator states equal those of the library calls.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from math import ceil, log
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 __all__ = [
     "PortMap",
@@ -31,9 +38,47 @@ __all__ = [
     "RandomPortPolicy",
     "SequentialPortPolicy",
     "CallbackPortPolicy",
+    "sample_range",
 ]
 
 Endpoint = Tuple[int, int]
+
+
+def sample_range(rng: random.Random, n: int, k: int) -> List[int]:
+    """``rng.sample(range(n), k)``, with ``_randbelow`` inlined.
+
+    Both of CPython's branches are kept: a shrinking pool when an
+    ``n``-list is smaller than a ``k``-set, else rejection against the
+    picks so far.  Each pick draws ``getrandbits(bound.bit_length())``
+    words until one is below its bound, so the sample and the final
+    state of ``rng`` equal those of ``Random.sample``.
+    """
+    if not 0 <= k <= n:
+        raise ValueError("Sample larger than population or is negative")
+    getrandbits = rng.getrandbits
+    setsize = 21  # CPython's pool-or-set threshold
+    if k > 5:
+        setsize += 4 ** ceil(log(k * 3, 4))
+    if n <= setsize:
+        pool = list(range(n))
+        result = [0] * k
+        for i in range(k):
+            bound = n - i
+            bits = bound.bit_length()
+            j = getrandbits(bits)
+            while j >= bound:
+                j = getrandbits(bits)
+            result[i] = pool[j]
+            pool[j] = pool[bound - 1]
+        return result
+    bits = n.bit_length()
+    picked: Dict[int, None] = {}
+    for _ in range(k):
+        j = getrandbits(bits)
+        while j >= n or j in picked:
+            j = getrandbits(bits)
+        picked[j] = None
+    return list(picked)
 
 
 class PortMapExhausted(RuntimeError):
@@ -68,6 +113,17 @@ class PortMap:
     def resolve(self, u: int, port: int) -> Endpoint:
         """Return (and fix, if still undefined) the endpoint of ``(u, port)``."""
         raise NotImplementedError
+
+    def resolve_many(self, u: int, ports: Sequence[int], out: List[Endpoint]) -> None:
+        """Append the endpoint of each ``(u, port)`` to ``out``, in order.
+
+        One call per send batch.  If a resolution raises, the endpoints
+        resolved before it are already in ``out``: those sends happened.
+        """
+        resolve = self.resolve
+        append = out.append
+        for port in ports:
+            append(resolve(u, port))
 
     def is_resolved(self, u: int, port: int) -> bool:
         """Whether the endpoint of ``(u, port)`` has already been fixed."""
@@ -141,6 +197,20 @@ class PortConnectionPolicy:
         port_map._bind(u, port, v, j)
         return (v, j)
 
+    def resolve_many(
+        self, port_map: "LazyPortMap", u: int, ports: Sequence[int], out: List[Endpoint]
+    ) -> None:
+        """Append the endpoint of each of ``u``'s ``ports``, connecting the unresolved.
+
+        The batch behind :meth:`LazyPortMap.resolve_many`, which has
+        validated ``u`` and ``ports``.
+        """
+        bound = port_map._ports[u]
+        append = out.append
+        for port in ports:
+            endpoint = bound.get(port)
+            append(endpoint if endpoint is not None else self.connect(port_map, u, port))
+
 
 class RandomPortPolicy(PortConnectionPolicy):
     """Connect each newly used port to a uniformly random eligible peer.
@@ -154,7 +224,9 @@ class RandomPortPolicy(PortConnectionPolicy):
     is below ``bound``, the words CPython's ``randrange`` consumes
     (3.10-3.12).  So the mapping and the final RNG state equal those of
     ``randrange`` calls.  After ``_REJECTION_CAP`` rejected picks an
-    explicit scan keeps the worst case linear instead of unbounded.
+    explicit scan keeps the worst case linear instead of unbounded.  The
+    draw loop lives in :meth:`resolve_many`, which runs a whole send
+    batch in one frame; :meth:`connect` is a batch of one.
     """
 
     _REJECTION_CAP = 64
@@ -163,35 +235,56 @@ class RandomPortPolicy(PortConnectionPolicy):
         self.rng = rng
 
     def connect(self, port_map: "LazyPortMap", u: int, port: int) -> Endpoint:
+        out: List[Endpoint] = []
+        self.resolve_many(port_map, u, (port,), out)
+        return out[0]
+
+    def resolve_many(
+        self, port_map: "LazyPortMap", u: int, ports: Sequence[int], out: List[Endpoint]
+    ) -> None:
+        # Hits come from ``u``'s port dict; each fresh port draws its
+        # peer, then the peer's port, and binds the link inline
+        # (``LazyPortMap._bind``).
         n = port_map.n
-        getrandbits = self.rng.getrandbits
-        linked = port_map._peer_to_port[u]
-        if len(linked) >= n - 1:
-            raise PortMapExhausted(f"node {u} is already linked to all peers")
-        k = n.bit_length()
-        for _ in range(self._REJECTION_CAP):
-            v = getrandbits(k)
-            while v >= n:
-                v = getrandbits(k)
-            if v != u and v not in linked:
-                break
-        else:
-            v = self.rng.choice([w for w in range(n) if w != u and w not in linked])
-        bound = port_map._ports[v]
         m = n - 1
-        if len(bound) >= m:
-            raise PortMapExhausted(f"node {v} has no free port")
-        k = m.bit_length()
-        for _ in range(self._REJECTION_CAP):
-            j = getrandbits(k)
-            while j >= m:
-                j = getrandbits(k)
-            if j not in bound:
-                break
-        else:
-            j = self.rng.choice([i for i in range(m) if i not in bound])
-        port_map._bind(u, port, v, j)
-        return (v, j)
+        kn, km = n.bit_length(), m.bit_length()
+        cap = self._REJECTION_CAP
+        rng = self.rng
+        getrandbits = rng.getrandbits
+        all_ports, all_peers = port_map._ports, port_map._peer_to_port
+        mine, linked = all_ports[u], all_peers[u]
+        append = out.append
+        for port in ports:
+            endpoint = mine.get(port)
+            if endpoint is None:
+                if len(linked) >= m:
+                    raise PortMapExhausted(f"node {u} is already linked to all peers")
+                for _ in range(cap):
+                    v = getrandbits(kn)
+                    while v >= n:
+                        v = getrandbits(kn)
+                    if v != u and v not in linked:
+                        break
+                else:
+                    v = rng.choice([w for w in range(n) if w != u and w not in linked])
+                bound = all_ports[v]
+                if len(bound) >= m:
+                    raise PortMapExhausted(f"node {v} has no free port")
+                for _ in range(cap):
+                    j = getrandbits(km)
+                    while j >= m:
+                        j = getrandbits(km)
+                    if j not in bound:
+                        break
+                else:
+                    j = rng.choice([i for i in range(m) if i not in bound])
+                endpoint = (v, j)
+                mine[port] = endpoint
+                bound[j] = (u, port)
+                linked[v] = port
+                all_peers[v][u] = j
+                port_map._links += 1
+            append(endpoint)
 
 
 class SequentialPortPolicy(PortConnectionPolicy):
@@ -284,6 +377,15 @@ class LazyPortMap(PortMap):
         if existing is not None:
             return existing
         return self.policy.connect(self, u, port)
+
+    def resolve_many(self, u: int, ports: Sequence[int], out: List[Endpoint]) -> None:
+        # Validated once for the batch; an out-of-range port fails before
+        # any of the batch resolves, with the error ``check_port`` gives.
+        n = self.n
+        if len(ports) and not (0 <= u < n and 0 <= min(ports) and max(ports) < n - 1):
+            for port in ports:
+                self.check_port(u, port)
+        self.policy.resolve_many(self, u, ports, out)
 
     def force_link(self, u: int, i: int, v: int, j: int) -> None:
         """Bind the link ``(u, i) <-> (v, j)``, validating consistency.

@@ -15,18 +15,22 @@ from typing import Any, Callable, Dict, Optional, Tuple
 __all__ = ["invoke_cell", "run_spec_cell", "scenario_cell", "scenario_summary", "share_cores"]
 
 
+#: Lanes a fast-engine kernel may run at once in this process, set by
+#: :func:`share_cores` in sweep pool workers; ``None`` elsewhere.
+CORE_SHARE: Optional[int] = None
+
+
 def share_cores(width: int) -> None:
     """Pool initializer: this worker runs at most ``width`` lanes at once.
 
     The scheduler passes each worker its share of the cores, so a pool
     of ``w`` workers never runs more lane threads than there are cores
-    (:func:`repro.fastsync.engine.lane_width`).
+    (:func:`repro.fastsync.engine.lane_width` reads it).  Only the share
+    is stored: a worker that runs object-engine cells alone never
+    imports the fast engine or numpy.
     """
-    try:
-        from repro.fastsync import engine
-    except ImportError:  # no numpy, so no fast engine to size
-        return
-    engine.LANE_WIDTH = width
+    global CORE_SHARE
+    CORE_SHARE = width
 
 
 def invoke_cell(

@@ -30,7 +30,7 @@ from repro.common import (
     SurvivorAccounting,
     message_kind,
 )
-from repro.net.ports import LazyPortMap, PortMap, RandomPortPolicy
+from repro.net.ports import LazyPortMap, PortMap, RandomPortPolicy, sample_range
 from repro.sync.algorithm import SyncAlgorithm
 from repro.sync.metrics import SyncMetrics
 from repro.sync.wakeup import simultaneous_wakeup
@@ -42,19 +42,30 @@ class SyncContext:
     """Per-node handle through which an algorithm interacts with the clique.
 
     One context object exists per node for the lifetime of a run; the
-    engine refreshes its round number before each step.
+    engine refreshes its round number before each step.  The node's
+    ``random.Random`` is built from its seed when :attr:`rng` is first
+    read, so nodes that never draw never pay for seeding one.
     """
 
-    __slots__ = ("_net", "node", "my_id", "n", "rng", "round", "wake_round")
+    __slots__ = ("_net", "node", "my_id", "n", "_seed", "_rng", "round", "wake_round")
 
-    def __init__(self, net: "SyncNetwork", node: int, my_id: int, rng: random.Random):
+    def __init__(self, net: "SyncNetwork", node: int, my_id: int, seed: int):
         self._net = net
         self.node = node
         self.my_id = my_id
         self.n = net.n
-        self.rng = rng
+        self._seed = seed
+        self._rng: Optional[random.Random] = None
         self.round = 0
         self.wake_round = 0
+
+    @property
+    def rng(self) -> random.Random:
+        """This node's private random stream."""
+        rng = self._rng
+        if rng is None:
+            rng = self._rng = random.Random(self._seed)
+        return rng
 
     # ------------------------------------------------------------------ #
     # topology
@@ -72,7 +83,7 @@ class SyncContext:
         """``m`` distinct ports sampled uniformly at random (no replacement)."""
         if m > self.port_count:
             raise ValueError(f"cannot sample {m} of {self.port_count} ports")
-        return self.rng.sample(range(self.port_count), m)
+        return sample_range(self.rng, self.port_count, m)
 
     # ------------------------------------------------------------------ #
     # communication
@@ -82,7 +93,7 @@ class SyncContext:
         self._net._send(self.node, (port,), payload)
 
     def send_many(self, ports: Sequence[int], payload: Any) -> None:
-        """Send the same payload over each port in ``ports``."""
+        """Send the same payload over each port in ``ports`` (a list, tuple or range)."""
         self._net._send(self.node, ports, payload)
 
     def broadcast(self, payload: Any) -> None:
@@ -212,8 +223,7 @@ class SyncNetwork:
 
         self.algorithms: List[SyncAlgorithm] = [algorithm_factory() for _ in range(n)]
         self.contexts: List[SyncContext] = [
-            SyncContext(self, u, self.ids[u], random.Random(master.getrandbits(64)))
-            for u in range(n)
+            SyncContext(self, u, self.ids[u], master.getrandbits(64)) for u in range(n)
         ]
         self.decisions: List[Optional[Decision]] = [None] * n
         self.outputs: List[Optional[int]] = [None] * n
@@ -251,44 +261,48 @@ class SyncNetwork:
         """Send one payload from ``u`` over each of ``ports``, in order."""
         if self._halted[u] or self._crashed[u]:
             raise ProtocolError(f"halted/crashed node {u} attempted to send")
+        endpoints: List[Tuple[int, int]] = []
+        try:
+            self.port_map.resolve_many(u, ports, endpoints)
+        finally:
+            # A policy may raise mid-batch: the sends it resolved before
+            # that still go out and count, as callers that catch the
+            # escape read the totals.
+            if endpoints:
+                self._queue_sends(u, ports, endpoints, payload)
+
+    def _queue_sends(
+        self, u: int, ports: Sequence[int], endpoints: List[Tuple[int, int]], payload: Any
+    ) -> None:
+        """Queue the sends ``ports[i] -> endpoints[i]`` for the next round."""
         kind = message_kind(payload)
         round_no = self.round
-        resolve = self.port_map.resolve
-        used = self._used_send_ports[u]
         recorder = self.recorder
         runtime = self.fault_runtime
         inboxes = self._inboxes_next
-        sent = opened = 0
-        try:
-            for port in ports:
-                v, j = resolve(u, port)
-                sent += 1
-                if port not in used:
-                    used.add(port)
-                    opened += 1
-                if recorder is not None:
-                    recorder.on_send(round_no, u, port, v, j, payload)
-                if runtime is None:
-                    inboxes.setdefault(v, []).append((j, payload))
-                    continue
-                runtime.observe_send(round_no, u, kind)
-                for delivered in runtime.delivered_payloads(u, v, kind, payload, round_no):
-                    # Byzantine rewrites (and replayed stale copies) are
-                    # traced separately: on_send above logged what the
-                    # sender handed the network, on_tamper logs what the
-                    # receiver will see.
-                    if (
-                        delivered is not payload
-                        and recorder is not None
-                        and hasattr(recorder, "on_tamper")
-                    ):
-                        recorder.on_tamper(round_no, u, v, payload, delivered)
-                    inboxes.setdefault(v, []).append((j, delivered))
-        finally:
-            # Counted even when a send raises mid-batch, as callers that
-            # catch a policy's escape still read the totals.
-            if sent:
-                self.metrics.record_sends(round_no, kind, sent, opened)
+        used = self._used_send_ports[u]
+        opened = len(used)
+        used.update(ports[: len(endpoints)])
+        self.metrics.record_sends(round_no, kind, len(endpoints), len(used) - opened)
+        for port, (v, j) in zip(ports, endpoints):
+            if recorder is not None:
+                recorder.on_send(round_no, u, port, v, j, payload)
+            if runtime is None:
+                inboxes.setdefault(v, []).append((j, payload))
+                continue
+            runtime.observe_send(round_no, u, kind)
+            for delivered in runtime.delivered_payloads(u, v, kind, payload, round_no):
+                # Byzantine rewrites (and replayed stale copies) are
+                # traced separately: on_send above logged what the
+                # sender handed the network, on_tamper logs what the
+                # receiver will see.
+                if (
+                    delivered is not payload
+                    and recorder is not None
+                    and hasattr(recorder, "on_tamper")
+                ):
+                    recorder.on_tamper(round_no, u, v, payload, delivered)
+                inboxes.setdefault(v, []).append((j, delivered))
 
     def _decide(self, u: int, decision: Decision, output: Optional[int]) -> None:
         previous = self.decisions[u]

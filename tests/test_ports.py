@@ -13,6 +13,7 @@ from repro.net.ports import (
     RandomPortPolicy,
     SequentialPortPolicy,
     random_port_map,
+    sample_range,
 )
 
 
@@ -266,3 +267,117 @@ class TestRandomDrawsMatchRandrange:
         assert inlined.link_count() == reference.link_count()
         assert new_rng.getstate() == ref_rng.getstate()
         assert set(fallbacks) == self.FALLBACKS[n]
+
+
+class _CountingRandom(random.Random):
+    """A ``Random`` that counts ``choice`` calls: the 64-draw cap's fallback."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.choices = 0
+
+    def choice(self, seq):
+        self.choices += 1
+        return super().choice(seq)
+
+
+def _policy(kind: str, rng: random.Random):
+    if kind == "random":
+        return RandomPortPolicy(rng)
+    if kind == "sequential":
+        return SequentialPortPolicy()
+
+    def choose_peer(pm, u, port):
+        while True:
+            v = rng.randrange(pm.n)
+            if v != u and not pm.linked(u, v):
+                return v
+
+    return CallbackPortPolicy(choose_peer)
+
+
+class TestResolveMany:
+    """One ``resolve_many`` per batch equals one ``resolve`` per port."""
+
+    @pytest.mark.parametrize("kind", ["random", "sequential", "callback"])
+    @pytest.mark.parametrize("n", [2, 3, 7, 64, 512, 1000])
+    @given(data=st.data())
+    @settings(max_examples=6, deadline=None)
+    def test_same_endpoints_links_and_rng_state(self, kind, n, data):
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        port = st.integers(0, n - 2)
+        batches = data.draw(
+            st.lists(st.tuples(st.integers(0, n - 1), st.lists(port, max_size=24)),
+                     max_size=10),
+            label="batches",
+        )
+        broadcasters = data.draw(
+            st.lists(st.integers(0, n - 1), min_size=1, max_size=2, unique=True),
+            label="broadcasters",
+        )
+        # The scattered batches once more (all hits now), then whole-node
+        # broadcasts that mix the ports resolved so far with fresh ones.
+        batches += batches + [(u, range(n - 1)) for u in broadcasters]
+        batch_rng, single_rng = _CountingRandom(seed), _CountingRandom(seed)
+        batched = LazyPortMap(n, _policy(kind, batch_rng))
+        single = LazyPortMap(n, _policy(kind, single_rng))
+        for u, ports in batches:
+            out: list = []
+            batched.resolve_many(u, ports, out)
+            assert out == [single.resolve(u, p) for p in ports]
+        assert batched._ports == single._ports
+        assert batched.link_count() == single.link_count()
+        assert batch_rng.getstate() == single_rng.getstate()
+        assert batch_rng.choices == single_rng.choices
+        if kind == "random" and n >= 512:
+            # The broadcasts' last ports ran into the 64-draw cap.
+            assert batch_rng.choices > 0
+
+    def test_bad_port_fails_before_the_batch_resolves(self):
+        pm = random_port_map(8, random.Random(0))
+        with pytest.raises(ValueError, match=r"port 7 out of range \[0, 7\) at node 2"):
+            pm.resolve_many(2, [0, 1, 7, 3], [])
+        assert pm.link_count() == 0
+
+    def test_a_policy_raising_mid_batch_leaves_the_prefix(self):
+        def choose(pm, u, port):
+            if pm.link_count() == 2:
+                raise PortMapExhausted("no third link")
+            return next(v for v in range(pm.n) if v != u and not pm.linked(u, v))
+
+        pm = LazyPortMap(6, CallbackPortPolicy(choose))
+        out: list = []
+        with pytest.raises(PortMapExhausted):
+            pm.resolve_many(0, range(5), out)
+        assert out == [(1, 0), (2, 0)]
+
+
+class TestSampleRange:
+    """``sample_range`` replays ``Random.sample(range(n), k)`` word for word."""
+
+    # Both sides of CPython's pool-or-set switch: at n = 21/22 for k <= 5
+    # and at n = 85/86 for k = 6.
+    NS = [1, 2, 5, 6, 21, 22, 85, 86, 511, 2047, 10**5]
+
+    @pytest.mark.parametrize("n", NS)
+    def test_equals_random_sample(self, n):
+        for seed in range(20):
+            for k in sorted({0, 1, 5, 6, n}):
+                if k > n:
+                    continue
+                ref, new = random.Random(seed), random.Random(seed)
+                assert sample_range(new, n, k) == ref.sample(range(n), k), (seed, k)
+                assert new.getstate() == ref.getstate(), (seed, k)
+
+    @given(st.integers(1, 3000), st.data(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_equals_random_sample_anywhere(self, n, data, seed):
+        k = data.draw(st.integers(0, n), label="k")
+        ref, new = random.Random(seed), random.Random(seed)
+        assert sample_range(new, n, k) == ref.sample(range(n), k)
+        assert new.getstate() == ref.getstate()
+
+    @pytest.mark.parametrize("k", [-1, 6])
+    def test_out_of_range_k_rejected(self, k):
+        with pytest.raises(ValueError, match="Sample larger than population"):
+            sample_range(random.Random(0), 5, k)

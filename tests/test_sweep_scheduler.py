@@ -1,6 +1,10 @@
 """The sharded sweep scheduler: bit-identity, stealing, degradation."""
 
+import os
+import pathlib
 import pickle
+import subprocess
+import sys
 
 import pytest
 
@@ -175,13 +179,83 @@ class TestGracefulDegradation:
         records = sweep(grid, workers=4, executor_factory=lambda w: DyingExecutor())
         assert canon(records) == canon(sweep(grid, workers=1))
 
+    def test_worker_that_dies_mid_sweep_is_survived(self, tmp_path):
+        # A real pool worker exits without a word while holding a cell;
+        # the sweep re-runs what is missing in the parent.
+        grid = [
+            RunSpec(algorithm="improved_tradeoff", n=n, engine="sync", seeds=(0, 1))
+            for n in (16, 32, 48, 64)
+        ]
+        marker = str(tmp_path / "died")
+        cells = [
+            SweepCell(index=i, cost=spec.n, payload=(spec, marker, os.getpid()))
+            for i, spec in enumerate(grid)
+        ]
+        values = run_cells(cells, _dies_once_in_a_worker, workers=2)
+        assert os.path.exists(marker)
+        expected = [record for spec in grid for record in execute_spec(spec)]
+        assert canon([record for records in values for record in records]) == canon(expected)
+
     def test_genuine_cell_exceptions_propagate(self):
         grid = [RunSpec(algorithm="async_tradeoff", n=16, engine="sync")]
         with pytest.raises(ValueError, match="engine"):
             sweep(grid, workers=1)
 
 
+def _dies_once_in_a_worker(payload):
+    """``run_spec_cell``, except that the first pool worker to get here exits."""
+    spec, marker, parent_pid = payload
+    if os.getpid() != parent_pid:
+        try:
+            os.close(os.open(marker, os.O_CREAT | os.O_EXCL))
+        except FileExistsError:
+            pass
+        else:
+            os._exit(3)
+    return run_spec_cell(spec)
+
+
+# Run as a script in a fresh interpreter: the pool imports the cell
+# function from it, and it reports whether numpy got imported into the
+# worker that ran the cell.
+_NUMPY_PROBE = """
+import os, sys
+from repro.sweep import RunSpec, SweepCell, run_cells
+from repro.sweep.worker import run_spec_cell
+
+def probe(spec):
+    run_spec_cell(spec)
+    return ("numpy" in sys.modules, os.getpid()), {}
+
+if __name__ == "__main__":
+    cells = [
+        SweepCell(index=i, cost=1.0, payload=RunSpec(algorithm=name, n=32, engine=engine))
+        for i, (name, engine) in enumerate(
+            [("afek_gafni", "sync"), ("las_vegas", "sync"), ("async_tradeoff", "async")]
+        )
+    ]
+    for loaded, pid in run_cells(cells, probe, workers=2):
+        print(loaded, pid != os.getpid())
+    print("numpy" in sys.modules)
+"""
+
+
 class TestRunCells:
+    def test_object_cells_never_import_numpy_in_the_workers(self, tmp_path):
+        script = tmp_path / "probe.py"
+        script.write_text(_NUMPY_PROBE)
+        env = dict(os.environ)
+        src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, str(script)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        lines = done.stdout.split()
+        # Each cell ran in a pool worker without numpy; nor did the parent load it.
+        assert lines == ["False", "True"] * 3 + ["False"]
+
     def test_values_return_in_index_order_despite_cost_ordering(self):
         cells = [
             SweepCell(index=i, cost=cost, payload=spec)
