@@ -68,9 +68,9 @@ Commands
     The run-ledger CLI: ``history`` lists past monitored sweeps
     (newest last); ``history prune --keep N`` bounds the ledger to its
     newest N entries; ``compare`` diffs two entries — by index,
-    negative index, label, git-SHA or spec-hash prefix — and exits 1
-    when per-algorithm message means regress beyond ``--slack`` or new
-    violation kinds appear.
+    negative index, label, or git-SHA / spec-hash prefix of 4+
+    characters — and exits 1 when per-algorithm message means regress
+    beyond ``--slack`` or new violation kinds appear.
 
 ``top``
     The observability-plane dashboard: run a monitored spec grid with
@@ -1178,6 +1178,11 @@ def cmd_history(args: argparse.Namespace) -> int:
 
     args.ledger = args.ledger or DEFAULT_LEDGER_PATH
     entries = read_ledger(args.ledger)
+    if entries.torn:
+        print(
+            f"warning: skipped {entries.torn} torn line(s) in {args.ledger}",
+            file=sys.stderr,
+        )
     if not entries:
         print(f"ledger {args.ledger} is empty")
         return 0
@@ -1731,8 +1736,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="diff message/round distributions between two ledger entries",
     )
     cmp_p.add_argument(
-        "ref", help="base entry: ledger index (0 oldest, -2 previous) or "
-        "git-SHA/spec-hash prefix",
+        "ref", help="base entry: ledger index (0 oldest, -2 previous), label "
+        "or git-SHA/spec-hash prefix of 4+ characters",
     )
     cmp_p.add_argument(
         "--to", default="-1", metavar="REF",

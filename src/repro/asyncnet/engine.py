@@ -2,12 +2,18 @@
 
 Implementation notes:
 
-* Events live in a binary heap keyed by ``(time, seq)`` where ``seq`` is a
-  global monotonic counter; ties in time are therefore broken by
-  scheduling order, making runs fully deterministic.
+* Pending events are grouped by time: one FIFO bucket per distinct
+  timestamp, under a small heap of those timestamps (a calendar queue,
+  R. Brown, CACM 31(10), 1988).  Under unit delays most events share a
+  time, so the heap holds a few entries while the buckets hold
+  thousands.  Events at equal times run in the order they were
+  scheduled, which makes runs fully deterministic; an event scheduled at
+  the current time joins the bucket being drained and runs after the
+  events already in it.
 * FIFO links: the delivery time of a message on directed link ``u → v``
   is clamped to be no earlier than the previously scheduled delivery on
-  the same link.
+  the same link.  A scheduler with a ``constant_delay`` keeps every link
+  FIFO by construction, so its sends skip the delay call and the clamp.
 * A sleeping node is woken by its first delivery: ``on_wake`` runs first,
   then ``on_message`` for the waking message, at the same timestamp —
   matching Algorithm 2's "if an asleep node receives a message ... then"
@@ -18,6 +24,7 @@ from __future__ import annotations
 
 import heapq
 import random
+import weakref
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -51,7 +58,9 @@ class AsyncContext:
     __slots__ = ("_net", "node", "my_id", "n", "_seed", "_rng", "now", "wake_time")
 
     def __init__(self, net: "AsyncNetwork", node: int, my_id: int, seed: int):
-        self._net = net
+        # A weak back-reference: without the context -> network cycle a
+        # finished network is freed as soon as its last user drops it.
+        self._net = weakref.proxy(net)
         self.node = node
         self.my_id = my_id
         self.n = net.n
@@ -213,8 +222,10 @@ class AsyncNetwork:
         self._awake: List[bool] = [False] * n
         self._halted: List[bool] = [False] * n
         self._crashed: List[bool] = [False] * n
-        self._heap: List[Tuple[float, int, int, int, int, Any]] = []
-        self._seq = 0
+        # Pending (kind, node, port, payload) events, one FIFO bucket per
+        # time, and a heap of the times that have a bucket.
+        self._buckets: Dict[float, List[Tuple[int, int, int, Any]]] = {}
+        self._times: List[float] = []
         # Directed link u -> v, keyed u * n + v: its latest delivery time.
         self._link_last_delivery: Dict[int, float] = {}
         self._dropped = 0
@@ -241,9 +252,20 @@ class AsyncNetwork:
     # ------------------------------------------------------------------ #
     # event plumbing
 
+    def _bucket(self, time: float) -> List[Tuple[int, int, int, Any]]:
+        """The bucket of events at ``time``, opened on first use."""
+        bucket = self._buckets.get(time)
+        if bucket is None:
+            if not time >= self._now:
+                raise ProtocolError(
+                    f"event at time {time!r} is earlier than the current time {self._now!r}"
+                )
+            bucket = self._buckets[time] = []
+            heapq.heappush(self._times, time)
+        return bucket
+
     def _push(self, time: float, kind: int, node: int, port: int, payload: Any) -> None:
-        heapq.heappush(self._heap, (time, self._seq, kind, node, port, payload))
-        self._seq += 1
+        self._bucket(time).append((kind, node, port, payload))
 
     def _send(self, u: int, ports: Sequence[int], payload: Any) -> None:
         """Send one payload from ``u`` over each of ``ports``, in order."""
@@ -261,38 +283,46 @@ class AsyncNetwork:
     def _schedule_sends(
         self, u: int, ports: Sequence[int], endpoints: List[Tuple[int, int]], payload: Any
     ) -> None:
-        """Push a delivery event for each send ``ports[i] -> endpoints[i]``."""
+        """Schedule a delivery event for each send ``ports[i] -> endpoints[i]``."""
         kind = message_kind(payload)
         now = self._now
+        constant = self.scheduler.constant_delay
+        if constant is not None:
+            # Every send of the batch lands at one time; links stay FIFO.
+            if not 0.0 < constant <= 1.0:
+                raise ProtocolError(f"scheduler produced delay {constant!r} outside (0, 1]")
+            deliver_at = now + constant
         delay_of = self.scheduler.delay
         last_delivery = self._link_last_delivery
+        buckets = self._buckets
+        bucket = None
         recorder = self.recorder
         runtime = self.fault_runtime
-        heap, push = self._heap, heapq.heappush
-        seq = self._seq
         base = u * self.n
         sent = 0
         try:
             for port, (v, j) in zip(ports, endpoints):
-                delay = delay_of(u, v, now, payload)
-                if not 0.0 < delay <= 1.0:
-                    raise ProtocolError(f"scheduler produced delay {delay!r} outside (0, 1]")
-                deliver_at = now + delay
-                link = base + v
-                previous = last_delivery.get(link)
-                if previous is not None and deliver_at < previous:
-                    deliver_at = previous  # FIFO: never overtake on the same link
-                last_delivery[link] = deliver_at
+                if constant is None:
+                    delay = delay_of(u, v, now, payload)
+                    if not 0.0 < delay <= 1.0:
+                        raise ProtocolError(f"scheduler produced delay {delay!r} outside (0, 1]")
+                    deliver_at = now + delay
+                    link = base + v
+                    previous = last_delivery.get(link)
+                    if previous is not None and deliver_at < previous:
+                        deliver_at = previous  # FIFO: never overtake on the same link
+                    last_delivery[link] = deliver_at
+                    bucket = buckets.get(deliver_at)
+                if bucket is None:
+                    bucket = self._bucket(deliver_at)
                 sent += 1
                 if recorder is not None:
                     recorder.on_send(now, u, port, v, j, payload)
                 if runtime is None:
-                    push(heap, (deliver_at, seq, _EVENT_DELIVER, v, j, payload))
-                    seq += 1
+                    bucket.append((_EVENT_DELIVER, v, j, payload))
                     continue
                 for when, node in runtime.observe_send(now, u, kind):
-                    push(heap, (when, seq, _EVENT_CRASH, node, -1, None))
-                    seq += 1
+                    self._push(when, _EVENT_CRASH, node, -1, None)
                 for delivered in runtime.delivered_payloads(u, v, kind, payload, now):
                     # Byzantine rewrites (and replayed stale copies) are
                     # traced separately from the honest on_send record.
@@ -302,11 +332,9 @@ class AsyncNetwork:
                         and hasattr(recorder, "on_tamper")
                     ):
                         recorder.on_tamper(now, u, v, payload, delivered)
-                    push(heap, (deliver_at, seq, _EVENT_DELIVER, v, j, delivered))
-                    seq += 1
+                    bucket.append((_EVENT_DELIVER, v, j, delivered))
         finally:
             # Counted even when a send raises mid-batch.
-            self._seq = seq
             if sent:
                 self.metrics.messages_total += sent
                 self.metrics.messages_by_kind[kind] += sent
@@ -373,48 +401,59 @@ class AsyncNetwork:
 
     def run(self) -> AsyncRunResult:
         """Process events until quiescence (empty event queue)."""
-        heap, heappop, metrics = self._heap, heapq.heappop, self.metrics
-        max_events, recorder = self.max_events, self.recorder
+        buckets, times, heappop = self._buckets, self._times, heapq.heappop
+        metrics, max_events, recorder = self.metrics, self.max_events, self.recorder
         halted, crashed, awake = self._halted, self._crashed, self._awake
         contexts, algorithms = self.contexts, self.algorithms
-        while heap:
-            if metrics.events_processed >= max_events:
-                raise SimulationLimitExceeded(
-                    f"no quiescence after {max_events} events (n={self.n})"
-                )
-            time, _seq, kind, node, port, payload = heappop(heap)
-            self._now = time
-            metrics.events_processed += 1
-            if kind == _EVENT_CRASH:
-                # Crashes are adversary actions, not protocol activity:
-                # they do not extend the measured time span by themselves.
-                if self.fault_runtime.approve_crash(node):
-                    self._crash(node)
-                continue
-            if kind == _EVENT_TIMER:
-                if halted[node] or crashed[node]:
-                    continue  # discarded with its owner; no time-span effect
-                metrics.last_event_time = max(metrics.last_event_time, time)
-                metrics.timers_fired += 1
-                ctx = contexts[node]
-                ctx.now = time
-                algorithms[node].on_timer(ctx, payload)
-                continue
-            metrics.last_event_time = max(metrics.last_event_time, time)
-            if kind == _EVENT_WAKE:
-                self._wake(node)
-                continue
-            # delivery
-            if halted[node] or crashed[node]:
-                self._dropped += 1
-                continue
-            if not awake[node]:
-                self._wake(node)
-            ctx = contexts[node]
-            ctx.now = time
-            if recorder is not None:
-                recorder.on_deliver(time, node, port, payload)
-            algorithms[node].on_message(ctx, port, payload)
+        events = metrics.events_processed
+        try:
+            while times:
+                now = heappop(times)
+                self._now = now
+                ran = False  # whether an event other than a crash ran at ``now``
+                # The bucket stays open while it drains: the list iterator
+                # also yields the events appended at ``now`` meanwhile.
+                for kind, node, port, payload in buckets[now]:
+                    if events >= max_events:
+                        raise SimulationLimitExceeded(
+                            f"no quiescence after {max_events} events (n={self.n})"
+                        )
+                    events += 1
+                    if kind == _EVENT_CRASH:
+                        # Crashes are adversary actions, not protocol activity:
+                        # they do not extend the measured time span by themselves.
+                        if self.fault_runtime.approve_crash(node):
+                            self._crash(node)
+                        continue
+                    if kind == _EVENT_TIMER:
+                        if halted[node] or crashed[node]:
+                            continue  # discarded with its owner; no time-span effect
+                        ran = True
+                        metrics.timers_fired += 1
+                        ctx = contexts[node]
+                        ctx.now = now
+                        algorithms[node].on_timer(ctx, payload)
+                        continue
+                    ran = True
+                    if kind == _EVENT_WAKE:
+                        self._wake(node)
+                        continue
+                    # delivery
+                    if halted[node] or crashed[node]:
+                        self._dropped += 1
+                        continue
+                    if not awake[node]:
+                        self._wake(node)
+                    ctx = contexts[node]
+                    ctx.now = now
+                    if recorder is not None:
+                        recorder.on_deliver(now, node, port, payload)
+                    algorithms[node].on_message(ctx, port, payload)
+                del buckets[now]
+                if ran:
+                    metrics.last_event_time = max(metrics.last_event_time, now)
+        finally:
+            metrics.events_processed = events
         return self._result()
 
     def _result(self) -> AsyncRunResult:

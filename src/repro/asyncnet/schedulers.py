@@ -3,7 +3,10 @@
 A scheduler assigns each message a transmission delay in ``(0, 1]`` — one
 *time unit* is, by definition, an upper bound on any transmission time.
 The engine additionally enforces FIFO per directed link by never letting a
-later send on a link overtake an earlier one.
+later send on a link overtake an earlier one.  A scheduler whose delay
+never varies says so in :attr:`DelayScheduler.constant_delay`: its links
+are FIFO by construction, and the engine then times a whole send batch
+with one addition instead of one delay call and clamp per message.
 
 The paper's adversary may pick delays arbitrarily (after seeing the random
 bits, but with an obliviously-chosen port mapping); we therefore provide a
@@ -24,7 +27,7 @@ family of concrete adversaries that benches run side by side:
 from __future__ import annotations
 
 import random
-from typing import Any, Dict, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 __all__ = [
     "DelayScheduler",
@@ -39,12 +42,24 @@ __all__ = [
 class DelayScheduler:
     """Strategy assigning per-message delays in ``(0, 1]``."""
 
+    #: The delay :meth:`delay` returns for every message, or ``None``
+    #: when it varies.  A subclass that overrides :meth:`delay` without
+    #: restating it falls back to ``None``.
+    constant_delay: Optional[float] = None
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        if "delay" in cls.__dict__ and "constant_delay" not in cls.__dict__:
+            cls.constant_delay = None
+
     def delay(self, src: int, dst: int, send_time: float, payload: Any) -> float:
         raise NotImplementedError
 
 
 class UnitDelayScheduler(DelayScheduler):
     """Every message takes exactly one time unit."""
+
+    constant_delay = 1.0
 
     def delay(self, src: int, dst: int, send_time: float, payload: Any) -> float:
         return 1.0
@@ -76,6 +91,10 @@ class RushScheduler(DelayScheduler):
         if not 0.0 < epsilon <= 1.0:
             raise ValueError("need 0 < epsilon <= 1")
         self.epsilon = epsilon
+
+    @property
+    def constant_delay(self) -> float:
+        return self.epsilon
 
     def delay(self, src: int, dst: int, send_time: float, payload: Any) -> float:
         return self.epsilon

@@ -7,6 +7,7 @@ from typing import Any, List, Optional
 
 __all__ = [
     "Decision",
+    "ParsedLines",
     "ProtocolError",
     "SimulationLimitExceeded",
     "SurvivorAccounting",
@@ -67,6 +68,16 @@ class SurvivorAccounting:
     def surviving_leader_id(self) -> Optional[int]:
         survivors = self.surviving_leaders
         return self.ids[survivors[0]] if len(survivors) == 1 else None
+
+
+class ParsedLines(list):
+    """The objects a JSONL reader parsed, in file order.
+
+    ``torn`` counts the lines it skipped because they did not parse: a
+    write cut off mid-line by a crash, or two writers interleaved.
+    """
+
+    torn = 0
 
 
 def message_kind(payload: Any) -> str:

@@ -10,7 +10,8 @@ entry regresses beyond slack — the cross-commit complement of the
 in-process bench-regression gate.
 
 Entries are append-only and self-describing (``schema`` field); readers
-skip lines they cannot parse, so mixed-version ledgers stay usable.
+skip lines they cannot parse, so mixed-version ledgers stay usable, and
+count the torn ones (``read_ledger(path).torn``).
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import fcntl
 import hashlib
 import json
 import os
+import re
 import shutil
 import subprocess
 import tempfile
@@ -26,6 +28,8 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
+
+from repro.common import ParsedLines
 
 __all__ = [
     "LEDGER_SCHEMA",
@@ -42,6 +46,9 @@ __all__ = [
 ]
 
 LEDGER_SCHEMA = "repro.ledger/1"
+
+#: The shortest hash prefix :func:`resolve_ref` accepts (git's own minimum).
+MIN_HASH_PREFIX = 4
 
 #: Where monitored runs land unless told otherwise.
 DEFAULT_LEDGER_PATH = os.path.join(".repro", "ledger.jsonl")
@@ -175,10 +182,13 @@ def append_entry(entry: Dict[str, Any], path: str = DEFAULT_LEDGER_PATH) -> str:
 
 
 def read_ledger(path: str = DEFAULT_LEDGER_PATH) -> List[Dict[str, Any]]:
-    """All parseable entries, oldest first (unknown lines are skipped)."""
+    """All parseable entries, oldest first (unknown lines are skipped).
+
+    The list's ``torn`` attribute counts the lines that did not parse.
+    """
+    entries = ParsedLines()
     if not os.path.exists(path):
-        return []
-    entries = []
+        return entries
     with open(path, encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
@@ -187,6 +197,7 @@ def read_ledger(path: str = DEFAULT_LEDGER_PATH) -> List[Dict[str, Any]]:
             try:
                 entry = json.loads(line)
             except json.JSONDecodeError:
+                entries.torn += 1
                 continue
             if isinstance(entry, dict):
                 entries.append(entry)
@@ -231,17 +242,26 @@ def resolve_ref(entries: Sequence[Dict[str, Any]], ref: str) -> Dict[str, Any]:
     """Resolve a user-facing entry reference.
 
     Accepts a ledger index (``0`` oldest, ``-1`` latest), an exact
-    ``--label``, or a git-SHA / spec-hash prefix (newest match wins).
+    ``--label``, or a git-SHA / spec-hash prefix of at least
+    :data:`MIN_HASH_PREFIX` characters (newest match wins).  An all-digit
+    ref is always an index, so ``7`` never matches a SHA starting with 7.
     """
+    entries = list(entries)
     if not entries:
         raise LookupError("the ledger is empty")
-    try:
-        return list(entries)[int(ref)]
-    except (ValueError, IndexError):
-        pass
-    for entry in reversed(list(entries)):
+    if re.fullmatch(r"-?[0-9]+", ref):
+        index = int(ref)
+        if -len(entries) <= index < len(entries):
+            return entries[index]
+        raise LookupError(
+            f"no ledger entry at index {ref}: the valid range is "
+            f"{-len(entries)}..{len(entries) - 1}"
+        )
+    for entry in reversed(entries):
         if entry.get("label") == ref:
             return entry
+        if len(ref) < MIN_HASH_PREFIX:
+            continue
         for key in ("git_sha", "spec_hash"):
             value = entry.get(key)
             if isinstance(value, str) and value.startswith(ref):

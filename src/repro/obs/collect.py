@@ -48,6 +48,9 @@ class SweepReport:
     hold); ``profile`` aggregates the ``profile.<phase>`` histograms
     into per-kernel call counts and wall totals; ``cell_walls`` and
     ``workers`` carry the machine-dependent timeline the frontends plot.
+    ``torn_lines`` counts the spool lines that did not parse (a worker
+    killed mid-write); like the timeline, it stays out of
+    :meth:`canonical`.
     """
 
     schema: str
@@ -58,6 +61,7 @@ class SweepReport:
     profile: Dict[str, Dict[str, float]]
     cell_walls: Dict[int, float] = field(default_factory=dict)
     workers: List[WorkerTimeline] = field(default_factory=list)
+    torn_lines: int = 0
 
     def canonical(self) -> Dict[str, Any]:
         """The deterministic projection: identical for any worker count.
@@ -91,12 +95,14 @@ class SweepReport:
             "profile": {k: dict(v) for k, v in self.profile.items()},
             "cell_walls": {str(k): v for k, v in sorted(self.cell_walls.items())},
             "workers": [w.as_dict() for w in self.workers],
+            "torn_lines": self.torn_lines,
         }
 
     def summary(self) -> str:
         lines = [
             f"sweep report: {self.cells} cells, {self.records} records, "
             f"{self.messages} messages, {len(self.workers)} worker(s)"
+            + (f", {self.torn_lines} torn line(s) skipped" if self.torn_lines else "")
         ]
         for timeline in self.workers:
             lines.append(
@@ -123,9 +129,8 @@ def collect(spool_dir: str) -> SweepReport:
     re-running cells a dead pool half-finished — keep the first copy
     only and the report stays deterministic.
     """
-    snapshots = sorted(
-        read_spool(spool_dir), key=lambda pair: (pair[1]["cell"], pair[0])
-    )
+    parsed = read_spool(spool_dir)
+    snapshots = sorted(parsed, key=lambda pair: (pair[1]["cell"], pair[0]))
     registry = MetricsRegistry()
     cell_walls: Dict[int, float] = {}
     timelines: Dict[str, WorkerTimeline] = {}
@@ -160,4 +165,5 @@ def collect(spool_dir: str) -> SweepReport:
         profile=dict(sorted(profile.items())),
         cell_walls=cell_walls,
         workers=[timelines[name] for name in sorted(timelines)],
+        torn_lines=parsed.torn,
     )

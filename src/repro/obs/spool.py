@@ -29,6 +29,8 @@ import os
 import time
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.common import ParsedLines
+
 __all__ = [
     "SPOOL_SCHEMA",
     "DEFAULT_OBS_ROOT",
@@ -106,9 +108,10 @@ def read_spool(directory: str) -> List[Tuple[str, Dict[str, Any]]]:
     Workers are the file stems (``worker-<pid>``), read in sorted
     filename order; header lines and unparseable lines are skipped, so a
     half-written spool (sweep still running, worker OOM-killed) still
-    reads cleanly.
+    reads cleanly.  The list's ``torn`` attribute counts the lines that
+    did not parse.
     """
-    out: List[Tuple[str, Dict[str, Any]]] = []
+    out = ParsedLines()
     if not os.path.isdir(directory):
         return out
     for name in sorted(os.listdir(directory)):
@@ -127,6 +130,7 @@ def read_spool(directory: str) -> List[Tuple[str, Dict[str, Any]]]:
             try:
                 payload = json.loads(line)
             except json.JSONDecodeError:
+                out.torn += 1
                 continue
             if isinstance(payload, dict) and "cell" in payload:
                 out.append((worker, payload))

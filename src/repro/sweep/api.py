@@ -451,6 +451,35 @@ def _shard(spec: RunSpec, workers: int) -> List[RunSpec]:
     ]
 
 
+def _resolve_engines(grid: List[RunSpec]) -> None:
+    """Look up each named algorithm of ``grid`` for its resolved engine.
+
+    Runs in the calling process, once per distinct (algorithm, engine,
+    quorum): a name with no class for its engine raises the registry's
+    error here, before any cell is scheduled.  Fast lookups import numpy
+    and :mod:`repro.fastsync`, so fork-started pool workers inherit
+    them; object lookups go through :mod:`repro.core.registry` and load
+    no numpy.
+    """
+    seen = set()
+    for spec in grid:
+        name = spec.algorithm_name
+        if name is None:
+            continue
+        engine = spec.resolved_engine()
+        key = (name, engine, spec.quorum)
+        if key in seen:
+            continue
+        seen.add(key)
+        if engine == "fast":
+            from repro.fastsync import get_fast_algorithm
+
+            get_fast_algorithm(name)
+        else:
+            _object_factory(spec, engine)
+    import repro.analysis.runner  # noqa: F401  (the module of the workers' records)
+
+
 def _cell_cost(spec: RunSpec) -> float:
     """Relative cost estimate for ragged-aware ordering (big-n first)."""
     return float(spec.n) * len(spec.seeds)
@@ -492,6 +521,15 @@ def sweep(
     that executes a cell appends its metric/profile snapshot to that
     directory, and :func:`repro.obs.collect` merges the shards into a
     deterministic :class:`~repro.obs.SweepReport` afterwards.
+
+    Before any cell is scheduled, every distinct (algorithm, resolved
+    engine) of the grid is looked up through the registry in this
+    process.  A name with no class for its engine fails here, before a
+    pool starts.  A grid with fast cells imports numpy and
+    :mod:`repro.fastsync` into this process, so fork-started workers
+    inherit them instead of importing (and compiling) them at their
+    first fast cell.  The cost is numpy's resident memory in the parent,
+    about 11 MB; an object-only grid loads numpy nowhere.
     """
     if isinstance(specs, RunSpec):
         specs = [specs]
@@ -501,6 +539,7 @@ def sweep(
             raise ValueError(
                 f"sweep() takes RunSpec items, got {type(item).__name__}"
             )
+    _resolve_engines(grid)
     cells = []
     for spec in grid:
         for shard in _shard(spec, workers):

@@ -20,6 +20,7 @@ wake-up set, algorithm factory)``.
 from __future__ import annotations
 
 import random
+import weakref
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -50,7 +51,9 @@ class SyncContext:
     __slots__ = ("_net", "node", "my_id", "n", "_seed", "_rng", "round", "wake_round")
 
     def __init__(self, net: "SyncNetwork", node: int, my_id: int, seed: int):
-        self._net = net
+        # A weak back-reference: without the context -> network cycle a
+        # finished network is freed as soon as its last user drops it.
+        self._net = weakref.proxy(net)
         self.node = node
         self.my_id = my_id
         self.n = net.n

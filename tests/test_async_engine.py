@@ -10,6 +10,7 @@ from repro.asyncnet.engine import AsyncNetwork
 from repro.asyncnet.schedulers import (
     PerLinkDelayScheduler,
     RushScheduler,
+    TargetedDelayScheduler,
     UniformDelayScheduler,
     UnitDelayScheduler,
 )
@@ -245,11 +246,61 @@ class TestHaltAndDecisions:
             def on_message(self, ctx, port, payload):
                 ctx.send(port, payload)
 
+        net = AsyncNetwork(2, PingPong, max_events=50)
         with pytest.raises(SimulationLimitExceeded):
-            AsyncNetwork(2, PingPong, max_events=50).run()
+            net.run()
+        # The limit fires at exactly max_events, and the count survives the raise.
+        assert net.metrics.events_processed == 50
+
+    def test_event_before_the_current_time_is_refused(self):
+        class Rewind(AsyncAlgorithm):
+            def on_wake(self, ctx):
+                ctx._net._push(ctx.now - 0.5, 0, 1, -1, None)
+
+            def on_message(self, ctx, port, payload):
+                pass
+
+        with pytest.raises(ProtocolError, match="earlier than the current time 1.0"):
+            AsyncNetwork(2, Rewind, wake_times={0: 1.0}).run()
+
+    def test_event_at_the_current_time_runs_after_the_drained_bucket(self):
+        order = []
+
+        class Late(AsyncAlgorithm):
+            def on_wake(self, ctx):
+                order.append(ctx.node)
+                if ctx.node == 0:
+                    ctx._net._push(ctx.now, 0, 2, -1, None)  # wake node 2 now
+
+            def on_message(self, ctx, port, payload):
+                pass
+
+        AsyncNetwork(3, Late, wake_times={0: 0.5, 1: 0.5}).run()
+        assert order == [0, 1, 2]
 
 
 class TestSchedulers:
+    def test_constant_delay_is_declared_by_the_constant_schedulers_only(self):
+        assert UnitDelayScheduler().constant_delay == 1.0
+        assert RushScheduler(1e-3).constant_delay == 1e-3
+        assert UniformDelayScheduler(random.Random(0)).constant_delay is None
+        assert PerLinkDelayScheduler(random.Random(0)).constant_delay is None
+        assert TargetedDelayScheduler({"x": 0.5}).constant_delay is None
+
+        class Custom(UnitDelayScheduler):
+            def delay(self, src, dst, send_time, payload):
+                return 0.5
+
+        assert Custom().constant_delay is None
+
+    def test_constant_delays_skip_the_fifo_clamp_map(self):
+        unit = AsyncNetwork(4, Burst, scheduler=UnitDelayScheduler())
+        unit.run()
+        assert unit._link_last_delivery == {}
+        targeted = AsyncNetwork(4, Burst, scheduler=TargetedDelayScheduler({}))
+        targeted.run()
+        assert len(targeted._link_last_delivery) == 3
+
     def test_per_link_delays_are_stable(self):
         sched = PerLinkDelayScheduler(random.Random(0))
         d1 = sched.delay(1, 2, 0.0, None)

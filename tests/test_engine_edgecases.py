@@ -261,3 +261,46 @@ class TestWakeSetValidation:
 
         with _pytest.raises(ValueError):
             _AN(4, Quiet, wake_times={9: 0.0})
+
+
+def _freed_by_refcount(make_net):
+    """Run a network, drop it, and report whether refcounting alone freed it."""
+    import gc
+    import weakref
+
+    gc.collect()
+    gc.disable()
+    try:
+        net = make_net()
+        net.run()
+        ref = weakref.ref(net)
+        del net
+        return ref() is None
+    finally:
+        gc.enable()
+
+
+class TestNetworksFreeWithoutTheCycleCollector:
+    """A finished network holds its port map and every node's state; a
+    context -> network cycle would keep it alive until a full collection."""
+
+    def test_sync(self):
+        from repro.core import AfekGafniElection
+
+        assert _freed_by_refcount(lambda: SyncNetwork(32, AfekGafniElection, seed=1))
+
+    def test_async(self):
+        from repro.core import AsyncTradeoffElection
+
+        assert _freed_by_refcount(lambda: AsyncNetwork(32, AsyncTradeoffElection, seed=1))
+
+    @pytest.mark.parametrize("engine", ["sync", "async"])
+    def test_faulted_reelect(self, engine):
+        from repro.analysis import RunSpec
+        from repro.sweep.api import _object_factory
+        from repro.faults import CrashFault, DetectorSpec, FaultPlan
+
+        plan = FaultPlan(crashes=(CrashFault(node=15, at=3),), detector=DetectorSpec(lag=1.0))
+        factory = _object_factory(RunSpec(algorithm="reelect", n=16, engine=engine), engine)
+        cls = SyncNetwork if engine == "sync" else AsyncNetwork
+        assert _freed_by_refcount(lambda: cls(16, factory, seed=2, faults=plan))

@@ -92,6 +92,22 @@ class TestHistory:
         assert "run ledger" in out and "first" in out
         assert "100.0%" in out
 
+    def test_torn_lines_are_counted_on_stderr(self, tmp_path, capsys):
+        ledger = str(tmp_path / "ledger.jsonl")
+        append_entry(make_entry([record("las_vegas")], label="kept"), ledger)
+        with open(ledger, "a") as fh:
+            fh.write('{"label": "cut", "runs"\n')
+        assert main(["history", "--ledger", ledger]) == 0
+        captured = capsys.readouterr()
+        assert "kept" in captured.out and "(1 entries)" in captured.out
+        assert captured.err == f"warning: skipped 1 torn line(s) in {ledger}\n"
+
+    def test_clean_ledger_prints_nothing_on_stderr(self, tmp_path, capsys):
+        ledger = str(tmp_path / "ledger.jsonl")
+        append_entry(make_entry([record("las_vegas")], label="kept"), ledger)
+        assert main(["history", "--ledger", ledger]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_limit_and_json(self, tmp_path, capsys):
         ledger = str(tmp_path / "ledger.jsonl")
         for label in ("alpha", "beta", "gamma"):

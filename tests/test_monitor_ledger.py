@@ -105,9 +105,23 @@ class TestEntries:
             fh.write("not json\n\n[1, 2]\n")
         entries = read_ledger(path)
         assert len(entries) == 1 and entries[0]["label"] == "good"
+        assert entries.torn == 1  # "not json"; the list parses, it is just no entry
+
+    def test_read_counts_a_line_torn_mid_json(self, tmp_path):
+        path = str(tmp_path / "ledger.jsonl")
+        append_entry(entry(label="a"), path)
+        append_entry(entry(label="b"), path)
+        with open(path) as fh:
+            first, second = fh.read().splitlines()
+        with open(path, "w") as fh:
+            fh.write(first[: len(first) // 2] + "\n" + second + "\n")
+        entries = read_ledger(path)
+        assert [e["label"] for e in entries] == ["b"]
+        assert entries.torn == 1
 
     def test_read_missing_ledger(self, tmp_path):
-        assert read_ledger(str(tmp_path / "absent.jsonl")) == []
+        entries = read_ledger(str(tmp_path / "absent.jsonl"))
+        assert entries == [] and entries.torn == 0
 
 
 #: One appender process: ``argv[1]`` is the ledger, ``argv[2]`` its tag.
@@ -186,6 +200,16 @@ class TestResolveRef:
             resolve_ref([entry()], "zzz")
         with pytest.raises(LookupError):
             resolve_ref([entry()], "7")  # index out of range
+
+    def test_digits_are_indices_and_short_prefixes_never_match(self):
+        e = entry(label="x")
+        e["git_sha"] = "7" + "c" * 39
+        with pytest.raises(LookupError, match=r"valid range is -1\.\.0"):
+            resolve_ref([e], "7")
+        with pytest.raises(LookupError, match="7cc"):
+            resolve_ref([e], "7cc")  # under git's 4-character minimum
+        assert resolve_ref([e], "7ccc") is e
+        assert resolve_ref([e], "x") is e  # labels match at any length
 
 
 class TestCompareEntries:

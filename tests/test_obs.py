@@ -58,6 +58,25 @@ class TestSpool:
         )
         snapshots = read_spool(str(spool))
         assert [payload["cell"] for _, payload in snapshots] == [4]
+        assert snapshots.torn == 1
+
+    def test_line_torn_mid_json_is_counted_but_not_canonical(self, tmp_path):
+        spool = str(tmp_path / "obs")
+        for cell in range(3):
+            assert spool_snapshot(spool, cell=cell, wall_s=0.1, metrics={})
+        (shard,) = os.listdir(spool)
+        path = os.path.join(spool, shard)
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+        lines[-1] = lines[-1][: len(lines[-1]) // 2]  # a writer killed mid-line
+        with open(path, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        assert read_spool(spool).torn == 1
+        report = collect(spool)
+        assert report.torn_lines == 1 and report.cells == 2
+        assert report.as_dict()["torn_lines"] == 1
+        assert "1 torn line(s) skipped" in report.summary()
+        assert "torn_lines" not in report.canonical()
 
     def test_write_failures_are_swallowed(self, tmp_path):
         target = tmp_path / "not-a-dir"

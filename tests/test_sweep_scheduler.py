@@ -282,3 +282,90 @@ class TestRunCells:
             cells, run_spec_cell, workers=4, executor_factory=exploding_factory
         )
         assert values[0][0].unique_leader
+
+
+def _run_probe(tmp_path, source):
+    """Run ``source`` as a script in a fresh interpreter; its stdout words."""
+    script = tmp_path / "probe.py"
+    script.write_text(source)
+    env = dict(os.environ)
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env["PROBE_DIR"] = str(tmp_path)
+    done = subprocess.run(
+        [sys.executable, str(script)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.split()
+
+
+# The pool factory sees what the parent holds when the pool is built.
+_FAST_PARENT_PROBE = """
+import sys
+from repro.sweep import RunSpec, sweep
+
+seen = []
+
+def factory(workers):
+    seen.append("repro.fastsync.engine" in sys.modules)
+    raise OSError("no pool here: the cells run inline")
+
+grid = [
+    RunSpec(algorithm="afek_gafni", n=16, engine="sync"),
+    RunSpec(algorithm="afek_gafni", n=64, engine="fast"),
+]
+print("repro.fastsync.engine" in sys.modules)
+sweep(grid, workers=2, executor_factory=factory)
+print(*seen)
+"""
+
+# Every pool worker notes whether numpy is loaded after each cell it runs.
+_OBJECT_SWEEP_PROBE = """
+import os, sys
+from concurrent.futures import ProcessPoolExecutor
+from repro.sweep import RunSpec, sweep
+
+def noted(fn, *args):
+    out = fn(*args)
+    with open(os.path.join(os.environ["PROBE_DIR"], f"worker-{os.getpid()}"), "w") as fh:
+        fh.write(str("numpy" in sys.modules))
+    return out
+
+class Noting(ProcessPoolExecutor):
+    def submit(self, fn, *args, **kwargs):
+        return super().submit(noted, fn, *args, **kwargs)
+
+if __name__ == "__main__":
+    grid = [
+        RunSpec(algorithm="afek_gafni", n=32, engine="sync", seeds=(0, 1)),
+        RunSpec(algorithm="async_tradeoff", n=32, engine="async", seeds=(0, 1)),
+    ]
+    sweep(grid, workers=2, executor_factory=lambda workers: Noting(max_workers=workers))
+    notes = [
+        open(os.path.join(os.environ["PROBE_DIR"], name)).read()
+        for name in os.listdir(os.environ["PROBE_DIR"]) if name.startswith("worker-")
+    ]
+    print(len(notes) > 0, *sorted(set(notes)))
+    print("numpy" in sys.modules)
+"""
+
+
+class TestParentSideResolution:
+    def test_fast_cells_load_the_fast_engine_before_the_pool(self, tmp_path):
+        assert _run_probe(tmp_path, _FAST_PARENT_PROBE) == ["False", "True"]
+
+    def test_unknown_engine_class_fails_before_the_pool(self):
+        def exploding_factory(workers):  # pragma: no cover - must not run
+            raise AssertionError("pool built for an unresolvable grid")
+
+        grid = [
+            RunSpec(algorithm="afek_gafni", n=16, engine="sync"),
+            RunSpec(algorithm="monarchical", n=16, engine="fast"),
+        ]
+        with pytest.raises(KeyError, match="no vectorized port of 'monarchical'"):
+            sweep(grid, workers=2, executor_factory=exploding_factory)
+
+    def test_object_only_sweep_loads_numpy_nowhere(self, tmp_path):
+        # Some worker ran a cell, no worker loaded numpy, nor did the parent.
+        assert _run_probe(tmp_path, _OBJECT_SWEEP_PROBE) == ["True", "False", "False"]
