@@ -171,6 +171,16 @@ def _param(text: str) -> Tuple[str, Any]:
     return key, value
 
 
+def _ledger_label(text: str) -> str:
+    """An argparse type: a ledger label that cannot read as an entry index."""
+    from repro.monitor.ledger import check_label
+
+    try:
+        return check_label(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _at_least(minimum: int):
     """An argparse type: an integer no smaller than ``minimum``."""
 
@@ -1333,7 +1343,11 @@ _FLAGS: Dict[str, Dict[str, Any]] = {
         "default": None, "metavar": "PATH",
         "help": "append the sweep to this run ledger (see 'repro history')",
     },
-    "label": {"default": None, "help": "free-form label for the ledger entry"},
+    "label": {
+        "type": _ledger_label, "default": None,
+        "help": "free-form label for the ledger entry (not all digits: "
+        "those refer to entries by index)",
+    },
     "slack": {
         "type": float, "default": None,
         "help": "override every envelope's slack constant (default: the "

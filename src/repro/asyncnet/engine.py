@@ -6,10 +6,12 @@ Implementation notes:
   timestamp, under a small heap of those timestamps (a calendar queue,
   R. Brown, CACM 31(10), 1988).  Under unit delays most events share a
   time, so the heap holds a few entries while the buckets hold
-  thousands.  Events at equal times run in the order they were
-  scheduled, which makes runs fully deterministic; an event scheduled at
-  the current time joins the bucket being drained and runs after the
-  events already in it.
+  thousands; under random delays most buckets hold one event, and the
+  queue costs somewhat more per event than a ``(time, seq)`` heap
+  (DESIGN.md, "Asynchronous event engine").  Events at equal times run
+  in the order they were scheduled, which makes runs fully
+  deterministic; an event scheduled at the current time joins the
+  bucket being drained and runs after the events already in it.
 * FIFO links: the delivery time of a message on directed link ``u → v``
   is clamped to be no earlier than the previously scheduled delivery on
   the same link.  A scheduler with a ``constant_delay`` keeps every link
@@ -291,11 +293,10 @@ class AsyncNetwork:
             # Every send of the batch lands at one time; links stay FIFO.
             if not 0.0 < constant <= 1.0:
                 raise ProtocolError(f"scheduler produced delay {constant!r} outside (0, 1]")
-            deliver_at = now + constant
+            bucket = self._bucket(now + constant)
         delay_of = self.scheduler.delay
         last_delivery = self._link_last_delivery
-        buckets = self._buckets
-        bucket = None
+        buckets, times = self._buckets, self._times
         recorder = self.recorder
         runtime = self.fault_runtime
         base = u * self.n
@@ -312,9 +313,11 @@ class AsyncNetwork:
                     if previous is not None and deliver_at < previous:
                         deliver_at = previous  # FIFO: never overtake on the same link
                     last_delivery[link] = deliver_at
+                    # Inline _bucket: a positive delay never lands in the past.
                     bucket = buckets.get(deliver_at)
-                if bucket is None:
-                    bucket = self._bucket(deliver_at)
+                    if bucket is None:
+                        bucket = buckets[deliver_at] = []
+                        heapq.heappush(times, deliver_at)
                 sent += 1
                 if recorder is not None:
                     recorder.on_send(now, u, port, v, j, payload)
@@ -450,8 +453,8 @@ class AsyncNetwork:
                         recorder.on_deliver(now, node, port, payload)
                     algorithms[node].on_message(ctx, port, payload)
                 del buckets[now]
-                if ran:
-                    metrics.last_event_time = max(metrics.last_event_time, now)
+                if ran and now > metrics.last_event_time:
+                    metrics.last_event_time = now
         finally:
             metrics.events_processed = events
         return self._result()

@@ -22,6 +22,7 @@ from repro.monitor.conformance import (
     check_record,
     summarize,
 )
+from repro.monitor.ledger import check_label
 from repro.monitor.violations import Violation
 
 __all__ = ["check_record_invariants", "SweepMonitor"]
@@ -97,7 +98,7 @@ class SweepMonitor:
     ) -> None:
         self.slack = slack
         self.ledger = ledger
-        self.label = label
+        self.label = check_label(label)
         self.context = dict(context or {})
         self.violations: List[Violation] = []
         self.conformance: ConformanceSummary = ConformanceSummary()

@@ -36,6 +36,7 @@ __all__ = [
     "DEFAULT_LEDGER_PATH",
     "spec_hash",
     "git_sha",
+    "check_label",
     "make_entry",
     "append_entry",
     "read_ledger",
@@ -49,6 +50,9 @@ LEDGER_SCHEMA = "repro.ledger/1"
 
 #: The shortest hash prefix :func:`resolve_ref` accepts (git's own minimum).
 MIN_HASH_PREFIX = 4
+
+#: Refs :func:`resolve_ref` reads as ledger indices.
+_INDEX_REF = re.compile(r"-?[0-9]+")
 
 #: Where monitored runs land unless told otherwise.
 DEFAULT_LEDGER_PATH = os.path.join(".repro", "ledger.jsonl")
@@ -120,6 +124,20 @@ def _per_algorithm(records: Sequence[Any], attr: str) -> Dict[str, Dict[str, flo
     return {name: _distribution(vals) for name, vals in sorted(buckets.items())}
 
 
+def check_label(label: Optional[str]) -> Optional[str]:
+    """Return ``label``, refusing one that :func:`resolve_ref` would read as an index.
+
+    An all-digit label (``"2024"``, ``"-1"``) could be written but never
+    looked up again, so it raises ``ValueError``.
+    """
+    if label is not None and _INDEX_REF.fullmatch(label):
+        raise ValueError(
+            f"ledger label {label!r} would read as an entry index; "
+            "use a label with a non-digit character"
+        )
+    return label
+
+
 def make_entry(
     records: Sequence[Any],
     *,
@@ -134,7 +152,7 @@ def make_entry(
     entry = {
         "schema": LEDGER_SCHEMA,
         "ts": time.time(),
-        "label": label,
+        "label": check_label(label),
         "git_sha": git_sha(),
         "spec_hash": spec_hash(specs) if specs is not None else None,
         "runs": len(records),
@@ -249,7 +267,7 @@ def resolve_ref(entries: Sequence[Dict[str, Any]], ref: str) -> Dict[str, Any]:
     entries = list(entries)
     if not entries:
         raise LookupError("the ledger is empty")
-    if re.fullmatch(r"-?[0-9]+", ref):
+    if _INDEX_REF.fullmatch(ref):
         index = int(ref)
         if -len(entries) <= index < len(entries):
             return entries[index]

@@ -477,7 +477,6 @@ def _resolve_engines(grid: List[RunSpec]) -> None:
             get_fast_algorithm(name)
         else:
             _object_factory(spec, engine)
-    import repro.analysis.runner  # noqa: F401  (the module of the workers' records)
 
 
 def _cell_cost(spec: RunSpec) -> float:
@@ -528,8 +527,8 @@ def sweep(
     pool starts.  A grid with fast cells imports numpy and
     :mod:`repro.fastsync` into this process, so fork-started workers
     inherit them instead of importing (and compiling) them at their
-    first fast cell.  The cost is numpy's resident memory in the parent,
-    about 11 MB; an object-only grid loads numpy nowhere.
+    first fast cell.  The cost is about 16 MB of resident memory in the
+    parent; an object-only grid loads numpy nowhere.
     """
     if isinstance(specs, RunSpec):
         specs = [specs]

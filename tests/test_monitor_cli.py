@@ -8,6 +8,8 @@ non-zero when message counts regress beyond slack.
 
 import json
 
+import pytest
+
 from repro.__main__ import main
 from repro.monitor import append_entry, make_entry, read_ledger
 from tests.test_monitor_ledger import record
@@ -76,6 +78,14 @@ class TestMonitorCheck:
                    "--ns", "0", "--seeds", "0"])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+
+    def test_all_digit_label_is_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            check(tmp_path, "--label", "2024")
+        assert exc.value.code == 2
+        assert "entry index" in capsys.readouterr().err
+        assert read_ledger(str(tmp_path / "ledger.jsonl")) == []
 
 
 class TestHistory:

@@ -171,9 +171,9 @@ class TestConcurrentPrune:
 
 class TestResolveRef:
     def test_by_index_and_negative_index(self):
-        entries = [entry(label=str(i)) for i in range(3)]
-        assert resolve_ref(entries, "0")["label"] == "0"
-        assert resolve_ref(entries, "-1")["label"] == "2"
+        entries = [entry(label=f"e{i}") for i in range(3)]
+        assert resolve_ref(entries, "0")["label"] == "e0"
+        assert resolve_ref(entries, "-1")["label"] == "e2"
 
     def test_by_hash_prefix_newest_wins(self):
         old = entry(label="old")
@@ -210,6 +210,19 @@ class TestResolveRef:
             resolve_ref([e], "7cc")  # under git's 4-character minimum
         assert resolve_ref([e], "7ccc") is e
         assert resolve_ref([e], "x") is e  # labels match at any length
+
+    @pytest.mark.parametrize("label", ["2024", "0", "-1"])
+    def test_all_digit_labels_are_refused_where_entries_are_written(self, label):
+        # resolve_ref reads such a ref as an index, so the entry could
+        # never be reached by its label.
+        with pytest.raises(ValueError, match="entry index"):
+            entry(label=label)
+        with pytest.raises(ValueError, match="entry index"):
+            SweepMonitor(label=label)
+
+    def test_labels_with_a_non_digit_resolve(self):
+        for label in ("v2024", "2024-10", "+1", "1.5"):
+            assert resolve_ref([entry(label=label)], label)["label"] == label
 
 
 class TestCompareEntries:
