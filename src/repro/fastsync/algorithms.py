@@ -8,13 +8,11 @@ docstrings (:mod:`repro.core.improved_tradeoff`,
 :mod:`repro.core.adversarial_2round`) for the protocol rationale; only
 the vectorization is documented here.
 
-Full-fan-out iterations (``m = n - 1``) are never materialized: when a
-survivor contacts *every* peer the referee outcome is analytic — every
-referee sees the globally maximal competing ID, so the survivor set and
-response count follow in O(S) — and this is what keeps the final
-broadcast rounds O(1) memory at ``n = 10^5``.  The analytic branches are
-exercised by the small-``n`` cross-engine equivalence tests (``n = 2``
-hits them on every iteration).
+Afek–Gafni's last iteration contacts *every* peer (``m = n - 1``) and
+is never sampled: every referee sees the globally maximal competing ID,
+so the survivor set and response count follow in O(S), which keeps it
+O(1) memory at ``n = 10^5``.  Theorem 3.10 meets ``m = n - 1`` only at
+tiny ``n``, where the streamed iteration handles it.
 
 Each port has one fault-free body, :meth:`run`, over the engine's
 lanes: state lives in *global* ``lane * n + node`` index arrays, every
@@ -36,7 +34,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from repro.fastsync.algorithm import VectorAlgorithm
-from repro.fastsync.engine import for_each_lane, lane_width
 from repro.fastsync.faults import delivered_total
 from repro.mathutil import ceil_pow_frac, ceil_sqrt
 
@@ -49,64 +46,32 @@ __all__ = [
     "VectorSmallIdElection",
 ]
 
-#: Edges per scatter chunk: a chunk's repeated ranks (4 MiB of int32)
-#: stay in cache, and each concurrent lane holds one chunk.
-_ROW_CHUNK = 1 << 20
 
-#: Edge budget per concurrent lane of a group: a compete iteration
-#: materializes at most ``lane_width()`` times this many destination
-#: entries at once (~128 MB of int32 each), so a 64-lane n = 10^5 batch
-#: never holds the whole batch's edge matrix.
-_GROUP_EDGES = 32_000_000
+def _referee_best(net, senders: np.ndarray, m: int, init: np.ndarray) -> np.ndarray:
+    """``best[t]``: the highest sender rank among ``t``'s competes, floored at ``init[t]``.
 
-
-def _lane_groups(net, sorted_idx: np.ndarray, m: int):
-    """Yield ``(row_start, row_stop)`` lane-aligned groups of ``sorted_idx``.
-
-    Groups pack consecutive lanes while the group's edge count
-    (``rows * m``) stays under :data:`_GROUP_EDGES` per lane that
-    :func:`~repro.fastsync.engine.for_each_lane` runs at once; a single
-    lane always forms a group even when it exceeds the budget (its
-    scatter passes sub-chunk by rows).
+    Every sender (sorted global indices) competes over its first ``m``
+    ports, streamed (:meth:`FastSyncNetwork.stream_ports`) into a
+    max-scatter on the lane's ``best`` segment: no (senders × m) matrix.
     """
-    starts, stops = net.lane_segments(sorted_idx)
-    batch = net.batch
-    budget = _GROUP_EDGES * lane_width()
-    b0 = 0
-    width = max(m, 1)
-    while b0 < batch:
-        b1 = b0 + 1
-        while b1 < batch and (stops[b1] - starts[b0]) * width <= budget:
-            b1 += 1
-        yield int(starts[b0]), int(stops[b1 - 1])
-        b0 = b1
+    n = net.n
+    sid = net.ids_rank_flat[senders]
+    starts = net.lane_segments(senders)[0]
+    best = init.copy()
 
+    def scatter(b: int, rows, targets: np.ndarray) -> None:
+        ranks = np.repeat(sid[starts[b] :][rows], targets.shape[1])
+        # maximum.at holds the GIL and runs faster on intp indices; the cast does not.
+        np.maximum.at(best[b * n : (b + 1) * n], targets.reshape(-1).astype(np.intp), ranks)
 
-def _scatter_max(net, best: np.ndarray, src: np.ndarray, dst: np.ndarray, sid: np.ndarray) -> None:
-    """``best[t] = max(best[t], sid[r])`` for every target ``t`` of every row ``r``.
-
-    ``src`` holds the rows' sorted global senders.  A lane's targets lie
-    in its own ``best[b*n:(b+1)*n]`` segment, so the lanes scatter
-    concurrently (:func:`~repro.fastsync.engine.for_each_lane`), each in
-    row chunks of at most :data:`_ROW_CHUNK` edges.
-    """
-    m = dst.shape[1]
-    chunk = max(1, _ROW_CHUNK // m)
-    starts, stops = net.lane_segments(src)
-
-    def scatter_lane(b: int) -> None:
-        for start in range(starts[b], stops[b], chunk):
-            stop = min(stops[b], start + chunk)
-            flat = dst[start:stop].reshape(-1)
-            np.maximum.at(best, flat, np.repeat(sid[start:stop], m))
-
-    for_each_lane(scatter_lane, [b for b in range(net.batch) if stops[b] > starts[b]])
+    net.stream_ports(senders, m, scatter)
+    return best
 
 
 def _referee_iteration(
     net, senders: np.ndarray, m: int, init: np.ndarray, compete_kind: str, response_kind: str
 ) -> np.ndarray:
-    """One materialized compete/response iteration (rounds ``2i-1``/``2i``).
+    """One compete/response iteration (rounds ``2i-1``/``2i``).
 
     Every sender (sorted global indices) contacts its first ``m`` ports;
     a referee responds to the highest competing ID that beats its
@@ -116,36 +81,26 @@ def _referee_iteration(
     batches per lane; the referee round's :meth:`tick` happens inside.
 
     ``init`` is the ``(batch * n,)`` referee floor in *rank space*
-    (``net.ids_rank_flat`` values, or ``-1``): max-compete logic runs on
-    int32 ranks — order-isomorphic to the IDs — which halves the
-    scatter/gather traffic of the hot round.
+    (``net.ids_rank_flat`` values, or ``-1``).  Survivors are counted in
+    O(n) with no gather: a referee ``t`` with ``best[t] > init[t]``
+    answered the sender of rank ``best[t]``, and a sender survives iff
+    it is answered ``m`` times.  That is exact because ranks are unique
+    within a lane, no sender targets itself and a sender's ``m`` targets
+    are distinct.
     """
     net.count_messages(net.rows_per_lane(senders) * m, compete_kind)
     net.tick()
-    sid_all = net.ids_rank_flat[senders]
-    best = init.copy()
-    ok = np.empty(len(senders), dtype=bool)
-    # Lanes are independent, so each lane group runs its sample-scatter-
-    # check pipeline end to end and frees its edge matrix before the
-    # next group samples — peak memory is one group, not the whole batch.
-    for gs, ge in _lane_groups(net, senders, m):
-        dst = net.first_ports(senders[gs:ge], m)
-        sid = sid_all[gs:ge]
-        with net.profile("scatter"):
-            _scatter_max(net, best, senders[gs:ge], dst, sid)
-        # Column-0 pruning: only ~rows/m senders win their first
-        # referee, so the full all-columns gather runs on a sliver of
-        # rows.
-        with net.profile("compaction"):
-            group_ok = best[dst[:, 0]] == sid
-            cand = np.nonzero(group_ok)[0]
-            if len(cand) and m > 1:
-                group_ok[cand] = (best[dst[cand]] == sid[cand, None]).all(axis=1)
-            ok[gs:ge] = group_ok
-        del dst
-    responded = (best > init).reshape(net.batch, net.n)
-    net.count_messages(responded.sum(axis=1), response_kind)
-    return senders[ok]
+    best = _referee_best(net, senders, m, init)
+    n = net.n
+    with net.profile("scatter"):  # what the sampler's max-scatter leaves: rank -> row
+        base = np.repeat(np.arange(net.batch) * n, n)  # each node's lane offset
+        row_of = np.empty(net.batch * n, dtype=np.intp)
+        row_of[base[senders] + net.ids_rank_flat[senders]] = np.arange(len(senders))
+        answered = best > init
+        answers = np.bincount(row_of[(base + best)[answered]], minlength=len(senders))
+    net.count_messages(answered.reshape(net.batch, n).sum(axis=1), response_kind)
+    with net.profile("compaction"):
+        return senders[answers == m]
 
 
 def _rank_referee_grants(size: int, flat: np.ndarray, rep: np.ndarray) -> np.ndarray:
@@ -288,40 +243,11 @@ class VectorImprovedTradeoffElection(VectorAlgorithm):
         if net.has_faults:
             self._run_faulted(net)
             return
-        n, ids_flat = net.n, net.ids_flat
-        batch = net.batch
+        n, batch = net.n, net.batch
         survivors = np.arange(batch * n, dtype=np.int64)
         for i in range(1, self.k - 1):
             m = self.referee_count(n, i)
             net.tick()  # round 2i-1: competes (prior tally already applied)
-            if m == 0:  # n == 1: the lone node competes at nobody
-                net.tick()
-                continue
-            if m == n - 1:
-                net.count_messages(net.rows_per_lane(survivors) * m, self.COMPETE)
-                net.tick()
-                # Full fan-out, floor -1: every contacted referee responds.
-                # With >= 2 survivors every node gets a compete (n responses)
-                # and only the max-ID survivor keeps all its referees —
-                # except at n == 2, where each node referees only for the
-                # other, so both survive (the final broadcast disambiguates).
-                starts, stops = net.lane_segments(survivors)
-                responses = np.zeros(batch, dtype=np.int64)
-                keep = []
-                for b in range(batch):
-                    seg = survivors[starts[b] : stops[b]]
-                    if len(seg) == 1:
-                        responses[b] = n - 1
-                        keep.append(seg)
-                    elif len(seg) >= 2:
-                        responses[b] = n
-                        if n > 2:
-                            keep.append(seg[[int(np.argmax(ids_flat[seg]))]])
-                        else:
-                            keep.append(seg)
-                net.count_messages(responses, self.RESPONSE)
-                survivors = np.concatenate(keep) if keep else survivors[:0]
-                continue
             init = np.full(batch * n, -1, dtype=np.int32)
             survivors = _referee_iteration(
                 net, survivors, m, init, self.COMPETE, self.RESPONSE
@@ -465,10 +391,7 @@ class VectorAfekGafniElection(VectorAlgorithm):
         for i in range(1, self.iterations + 1):
             m = self.referee_count(n, i)
             net.tick()  # round 2i-1: competes
-            if m == 0:  # n == 1
-                net.tick()
-                continue
-            if m == n - 1:
+            if m == n - 1:  # at n == 1 too, where m = 0
                 net.count_messages(net.rows_per_lane(candidates) * m, self.COMPETE)
                 net.tick()
                 # Full fan-out with self-comparing referees: the max-ID
@@ -1147,10 +1070,11 @@ class VectorAdversarial2RoundElection(VectorAlgorithm):
         m = min(ceil_sqrt(n), n - 1)
         roots_g = (np.arange(batch, dtype=np.int64)[:, None] * n + roots[None, :]).reshape(-1)
         eligible = np.zeros(batch * n, dtype=bool)
-        for gs, ge in _lane_groups(net, roots_g, m):
-            dst = net.sampled_targets(roots_g[gs:ge], m)
-            eligible[dst.reshape(-1)] = True
-            del dst  # free the group's matrix before the next group samples
+
+        def mark(b: int, rows, targets: np.ndarray) -> None:
+            eligible[b * n : (b + 1) * n][targets] = True
+
+        net.stream_ports(roots_g, m, mark, sampled=True)
         net.count_messages(np.full(batch, len(roots) * m, dtype=np.int64), self.WAKE)
         net.tick()  # round 2: wake-up receivers flip candidacy coins
         coin = net.bernoulli(self.candidate_probability(n))

@@ -100,6 +100,8 @@ run is single-lane.
 
 from __future__ import annotations
 
+import functools
+import math
 import os
 import random
 import time
@@ -374,91 +376,122 @@ def _adjacent_dups(rows: np.ndarray) -> np.ndarray:
     return (rows[:, 1:] == rows[:, :-1]).any(axis=1)
 
 
-def _sample_distinct(
+def _collided_capacity(rows: int, m: int, n: int) -> int:
+    """Rows reserved for first-pass collisions: the birthday-bound mean plus 4 sigma."""
+    p = -math.expm1(float(np.log1p(-np.arange(m) / (n - 1)).sum()))
+    return min(rows, int(rows * p + 4 * math.sqrt(rows * p * (1 - p))) + 1)
+
+
+def _draw_distinct(
     rng: np.random.Generator,
     src_local: np.ndarray,
     m: int,
     n: int,
-    out: np.ndarray,
-    offset: int = 0,
-) -> None:
-    """Write ``m`` distinct uniform peers (≠ self) per row, plus ``offset``, into ``out``.
+    blocks: Callable[[object, np.ndarray], None],
+    redraws: Optional[Callable[[np.ndarray, np.ndarray], None]] = None,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Draw ``m`` distinct uniform peers (≠ self) per row, handing them out as drawn.
 
-    The scale sampler.  A target row is treated as a *set* (every port's
-    referee logic is symmetric over columns), which unlocks two tricks:
-
-    * rows are kept **sorted in place** — duplicate detection costs one
-      copy-free int32 sort per pass;
-    * the self-peer is excluded by remapping draws from ``[0, n-1)``
-      that hit ``src`` onto the reserved value ``n-1`` (exactly uniform
-      over the peers), instead of a branchy shift-add.
-
-    The first pass works on cache-sized blocks of rows: each block is
-    drawn, remapped, sorted and checked for duplicates, then written with
-    the lane ``offset`` straight into the caller's ``out`` (so no second
-    matrix exists).  Only the colliding *positions* are then redrawn: in
-    a sorted row they are the adjacent-equal slots; one copy of each
-    value survives, the rest get fresh uniform draws, and the affected
-    rows re-sort and recheck.  The redraw passes walk the pending rows in
-    fixed chunks, in row-major order, and ``integers`` continues one
-    stream across calls, so the output and the generator's final state
-    are the same as for whole-matrix passes.  By exchangeability of the
-    iid redraws this converges to the uniform distinct-set distribution
-    — same as whole-row rejection, but with redraw volume proportional
-    to the collisions, which is what keeps the mid-range ``m² >> n``
-    iterations cheap (see DESIGN.md "Batched fast engine").  For ``m``
-    above half the peer count the *excluded* set is sampled instead.
+    The scale sampler (DESIGN.md "Batched fast engine").  A row is a
+    *set*, kept sorted in place, so duplicates are adjacent; a draw from
+    ``[0, n-1)`` that hits ``src`` is remapped to ``n-1``.  The first
+    pass draws, remaps and sorts cache-sized blocks of rows and hands
+    each to ``blocks(rows, targets)`` (a slice of rows, their sorted
+    peers with repeats) while it is in cache; only the rows that
+    collided are kept, in one compact buffer.  Redraw passes give each
+    extra copy a fresh draw, handed to ``redraws(rows, targets)`` (one
+    value per row, shape ``(k, 1)``), and re-sort until no row repeats:
+    by exchangeability of the iid redraws, the uniform distinct-set law.
+    A redraw replaces only an extra copy, so the values handed out for
+    a row are exactly its final set.  ``integers`` continues one stream
+    across blocks and chunks, so no block size changes a draw or the
+    generator's final state.  For ``m`` above half the peers the
+    *excluded* set is drawn instead and the final rows go to ``blocks``.
+    Returns ``(rows, sets)``: the first pass's collided rows and their
+    final sorted sets.
     """
     rows = len(src_local)
+    none = (np.empty(0, dtype=np.intp), np.empty((0, m), dtype=np.int32))
     if m == 0 or rows == 0:
-        return
-    src32 = src_local.astype(np.int32)
-    if m == n - 1:
-        full = np.arange(n - 1, dtype=np.int32)[None, :]
-        np.add(full + np.int32(offset), full >= src32[:, None], out=out)
-        return
+        return none
     if m > (n - 1) // 2:
-        # Complement trick: draw the n-1-m excluded peers (cheap), keep
-        # the rest.  nonzero() walks row-major, so the reshape is exact.
+        # Draw the n-1-m excluded peers (none at m = n - 1) and keep the
+        # rest; nonzero() walks row-major, so the reshape is exact.
         excluded = np.empty((rows, (n - 1) - m), dtype=np.int32)
         _sample_distinct(rng, src_local, (n - 1) - m, n, excluded)
-        keep = np.ones((rows, n), dtype=bool)
-        keep[np.arange(rows), src_local] = False
-        keep[np.arange(rows)[:, None], excluded] = False
-        cols = np.nonzero(keep)[1].reshape(rows, m)
-        np.add(cols, offset, out=out, casting="unsafe")
-        return
+        step = max(1, _BLOCK_ELEMS // n)
+        for lo in range(0, rows, step):
+            hi = min(rows, lo + step)
+            keep = np.ones((hi - lo, n), dtype=bool)
+            local = np.arange(hi - lo)
+            keep[local, src_local[lo:hi]] = False
+            keep[local[:, None], excluded[lo:hi]] = False
+            blocks(slice(lo, hi), np.nonzero(keep)[1].reshape(hi - lo, m))
+        return none
+    src32 = src_local.astype(np.int32)
     last = np.int32(n - 1)
-    off = np.int32(offset)
     step = max(1, _BLOCK_ELEMS // m)
-    pending = []
+    which = np.empty(_collided_capacity(rows, m, n), dtype=np.intp)
+    sets = np.empty((len(which), m), dtype=np.int32)
+    count = 0
     for lo in range(0, rows, step):
         hi = min(rows, lo + step)
         draw = rng.integers(0, n - 1, size=(hi - lo, m), dtype=np.int32)
         np.copyto(draw, last, where=draw == src32[lo:hi, None])
         draw.sort(axis=1)
-        pending.append(lo + np.nonzero(_adjacent_dups(draw))[0])
-        np.add(draw, off, out=out[lo:hi])
-    pending = np.concatenate(pending)
+        blocks(slice(lo, hi), draw)
+        dup = np.nonzero(_adjacent_dups(draw))[0]
+        if count + len(dup) > len(which):  # np.resize keeps the filled rows in front
+            grown = max(count + len(dup), 2 * len(which))
+            which, sets = np.resize(which, grown), np.resize(sets, (grown, m))
+        which[count : count + len(dup)] = lo + dup
+        sets[count : count + len(dup)] = draw[dup]
+        count += len(dup)
+    which, sets = which[:count], sets[:count]
+    pending = np.arange(count)
     for _ in range(_RESAMPLE_LIMIT):
         if not len(pending):
-            return
+            return which, sets
+        whole = len(pending) == count  # every collided row is pending: chunks are views
         still = []
         for lo in range(0, len(pending), step):
             idx = pending[lo : lo + step]
-            sub = out[idx]
-            r_idx, c_idx = np.nonzero(sub[:, 1:] == sub[:, :-1])
+            sub = sets[lo : lo + step] if whole else sets[idx]
+            r_idx, c_idx = np.divmod(np.flatnonzero(sub[:, 1:] == sub[:, :-1]), m - 1)
             fresh = rng.integers(0, n - 1, size=len(r_idx), dtype=np.int32)
-            np.copyto(fresh, last, where=fresh == src32[idx[r_idx]])
-            fresh += off
+            redrawn = which[idx[r_idx]]
+            np.copyto(fresh, last, where=fresh == src32[redrawn])
+            if redraws is not None:
+                redraws(redrawn, fresh[:, None])
             sub[r_idx, c_idx + 1] = fresh
-            sub.sort(axis=1)
-            out[idx] = sub
+            # The rows are nearly sorted, where timsort beats quicksort;
+            # an integer sort's output is the same for every kind.
+            sub.sort(axis=1, kind="stable")
+            if not whole:
+                sets[idx] = sub
             still.append(idx[_adjacent_dups(sub)])
         pending = np.concatenate(still)
     raise RuntimeError(  # pragma: no cover - statistically unreachable
         "distinct-target resampling failed to converge"
     )
+
+
+def _sample_distinct(
+    rng: np.random.Generator, src_local: np.ndarray, m: int, n: int, out: np.ndarray,
+    offset: int = 0,
+) -> None:
+    """Write ``m`` distinct uniform peers (≠ self) per row, plus ``offset``, into ``out``.
+
+    The matrix consumer of :func:`_draw_distinct`, for callers that need
+    a row's targets side by side (the rank-grant ports): first-pass
+    blocks go straight into ``out``, then the collided rows' final sets.
+    """
+
+    def write(rows, targets: np.ndarray) -> None:
+        np.add(targets, offset, out=out[rows], casting="unsafe")
+
+    rows, sets = _draw_distinct(rng, src_local, m, n, write)
+    out[rows] = sets + np.int32(offset)
 
 
 class FastSyncNetwork:
@@ -595,7 +628,7 @@ class FastSyncNetwork:
             from repro.fastsync.faults import FastFaultRuntime
 
             self.fault_runtime = FastFaultRuntime(
-                faults, n, [int(i) for i in self.ids], self.lane_seeds[0]
+                faults, n, self.ids.tolist(), self.lane_seeds[0]
             )
 
         # ---- accounting ------------------------------------------------
@@ -784,6 +817,10 @@ class FastSyncNetwork:
         starts, stops = self.lane_segments(src_global)
         return stops - starts
 
+    def _check_ports(self, m: int) -> None:
+        if not 0 <= m <= self.n - 1:
+            raise ValueError(f"need m >= 0 ports, at most {self.n - 1}; got {m}")
+
     def first_ports(self, src_global: np.ndarray, m: int) -> np.ndarray:
         """Global destinations of "send over ports ``0..m-1``", one row per source.
 
@@ -792,10 +829,7 @@ class FastSyncNetwork:
         draws fresh distinct peers, the distribution a random port
         mapping induces on first use.
         """
-        if m < 0:
-            raise ValueError(f"need m >= 0 ports, got {m}")
-        if m > self.n - 1:
-            raise ValueError(f"cannot use {m} of {self.n - 1} ports")
+        self._check_ports(m)
         n = self.n
         with self.profile("sampling"):
             if self._lane_ports is not None:
@@ -809,10 +843,7 @@ class FastSyncNetwork:
 
     def sampled_targets(self, src_global: np.ndarray, m: int) -> np.ndarray:
         """Global destinations of "send over ``m`` sampled ports" (``ctx.sample_ports``)."""
-        if m < 0:
-            raise ValueError(f"need m >= 0 ports, got {m}")
-        if m > self.n - 1:
-            raise ValueError(f"cannot sample {m} of {self.n - 1} ports")
+        self._check_ports(m)
         n = self.n
         with self.profile("sampling"):
             if self._node_streams is not None:
@@ -834,6 +865,51 @@ class FastSyncNetwork:
     # benchmark's tracer.
     first_ports_lanes = first_ports
     sampled_targets_lanes = sampled_targets
+
+    def stream_ports(
+        self,
+        src_global: np.ndarray,
+        m: int,
+        consume: Callable[[int, object, np.ndarray], None],
+        *,
+        sampled: bool = False,
+    ) -> None:
+        """Hand the targets of :meth:`first_ports` (or :meth:`sampled_targets`) to ``consume``.
+
+        ``consume(lane, rows, targets)`` gets lane-local peers for some
+        ``rows`` (a slice or an index array) of the lane's part of the
+        sorted ``src_global``.  A row's peers may come over several calls
+        and with repeats, but their union is its set, so a consumer that
+        needs only the set (a max-scatter, a mark) never needs the
+        (rows × m) matrix: scale mode hands over the sampler's draws as
+        it makes them (:func:`_draw_distinct`), exact mode each lane's
+        rows of the wiring matrix.  Lanes run concurrently
+        (:func:`for_each_lane`), so ``consume`` may touch only its lane's
+        state.
+        """
+        self._check_ports(m)
+        if np.any(src_global[1:] < src_global[:-1]):
+            raise ValueError("streamed sampling needs sorted global rows")
+        n = self.n
+        starts, stops = self.lane_segments(src_global)
+
+        def stream_lane(b: int) -> None:
+            local = src_global[starts[b] : stops[b]] - b * n
+            every = slice(0, len(local))
+            if self._lane_ports is None:
+                sink = functools.partial(consume, b)
+                _draw_distinct(self._lane_rngs[b], local, m, n, sink, sink)
+            elif sampled:
+                cols: List[int] = []
+                for u in local.tolist():
+                    cols += sample_range(self._node_streams[b][u], n - 1, m)
+                cols = np.array(cols, dtype=np.int64).reshape(len(local), m)
+                consume(b, every, self._lane_ports[b][local[:, None], cols])
+            else:
+                consume(b, every, self._lane_ports[b][local, :m])
+
+        with self.profile("sampling"):
+            for_each_lane(stream_lane, [b for b in range(self.batch) if stops[b] > starts[b]])
 
     def bernoulli(self, p: float, lanes: Optional[np.ndarray] = None) -> np.ndarray:
         """One biased coin per node per lane — ``(batch, n)`` bool.
@@ -888,11 +964,9 @@ class FastSyncNetwork:
     def _scale_targets(self, src_global: np.ndarray, m: int) -> np.ndarray:
         """Per-lane distinct sampling through the int32 scale sampler.
 
-        Returns global int32 targets (the constructor guarantees
-        ``batch * n`` fits int32).  ``src_global`` must be sorted, so each
-        lane's rows are one slice; the lanes are sampled concurrently
-        (:func:`for_each_lane`), each from its own generator into its own
-        rows.
+        Returns global int32 targets (``batch * n`` fits int32).
+        ``src_global`` must be sorted, so each lane's rows are one slice,
+        sampled concurrently (:func:`for_each_lane`) from its own stream.
         """
         if np.any(src_global[1:] < src_global[:-1]):
             raise ValueError("scale-mode sampling needs sorted global rows")
@@ -940,7 +1014,7 @@ class FastSyncNetwork:
         results: List[FastRunResult] = []
         # Box the shared IDs once; each lane gets its own shallow copy so
         # mutating one record's ids cannot leak into its siblings.
-        ids_list = [int(i) for i in self.ids]
+        ids_list = self.ids.tolist()
         for b in range(self.batch):
             if self._lane_leaders[b] is None:
                 raise RuntimeError(

@@ -1,9 +1,9 @@
 """Wall-clock phase profiling for the vectorized kernels.
 
 A :class:`PhaseProfiler` accumulates named wall-clock buckets —
-``sampling`` (distinct-target generation), ``scatter`` (referee
-``maximum.at`` reductions), ``compaction`` (survivor pruning), plus
-whatever a caller wraps.  The fast engine and the vectorized ports call
+``sampling`` (distinct-target generation, with the referee
+``maximum.at`` streamed into it), ``scatter`` (referee answer counts),
+``compaction`` (survivor pruning), plus whatever a caller wraps.  The fast engine and the vectorized ports call
 :meth:`FastSyncNetwork.profile` around their kernels; with no profiler
 attached that hook is a shared no-op context, so the disabled path adds
 one cheap call per phase per round (the telemetry-overhead bench guards

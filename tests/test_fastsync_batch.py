@@ -31,7 +31,7 @@ from repro.fastsync import (  # noqa: E402
     VectorSmallIdElection,
 )
 
-from repro.fastsync import algorithms, engine  # noqa: E402
+from repro.fastsync import engine  # noqa: E402
 from repro.sweep import (  # noqa: E402
     RunSpec,
     canonical_record,
@@ -301,26 +301,24 @@ def _fields(lanes):
 class TestLaneThreads:
     """Lanes sampled and scattered on threads give the one-thread bits."""
 
-    def _lanes(self, monkeypatch, width, group_edges, n, seeds, mode, name):
+    def _lanes(self, monkeypatch, width, n, seeds, mode, name):
         monkeypatch.setattr(engine, "LANE_WIDTH", width)
-        monkeypatch.setattr(algorithms, "_GROUP_EDGES", group_edges)
         return FastSyncNetwork(n, seeds=seeds, mode=mode).run(MAKERS[name]())
 
     @pytest.mark.parametrize("name", sorted(MAKERS))
     def test_scale_results_do_not_depend_on_lane_width(self, monkeypatch, name):
         seeds = list(range(3, 3 + 4 + sorted(MAKERS).index(name) % 5))  # 4-8 lanes
-        want = self._lanes(monkeypatch, 1, 32_000_000, 4096, seeds, "scale", name)
-        # A small edge budget splits the lanes into several groups.
-        for width, group_edges in ((2, 32_000_000), (3, 32_000_000), (2, 100_000), (3, 1)):
-            got = self._lanes(monkeypatch, width, group_edges, 4096, seeds, "scale", name)
-            assert _fields(got) == _fields(want), (width, group_edges)
+        want = self._lanes(monkeypatch, 1, 4096, seeds, "scale", name)
+        for width in (2, 3):
+            got = self._lanes(monkeypatch, width, 4096, seeds, "scale", name)
+            assert _fields(got) == _fields(want), width
 
     @pytest.mark.parametrize("name", sorted(MAKERS))
     def test_exact_results_do_not_depend_on_lane_width(self, monkeypatch, name):
-        want = self._lanes(monkeypatch, 1, 32_000_000, 64, [0, 1, 2, 3, 4], "exact", name)
-        for width, group_edges in ((2, 32_000_000), (3, 100)):
-            got = self._lanes(monkeypatch, width, group_edges, 64, [0, 1, 2, 3, 4], "exact", name)
-            assert _fields(got) == _fields(want), (width, group_edges)
+        want = self._lanes(monkeypatch, 1, 64, [0, 1, 2, 3, 4], "exact", name)
+        for width in (2, 3):
+            got = self._lanes(monkeypatch, width, 64, [0, 1, 2, 3, 4], "exact", name)
+            assert _fields(got) == _fields(want), width
 
     def test_no_thread_outlives_a_run_so_pools_fork_cleanly(self, monkeypatch):
         # Python 3.12 warns (an error under pytest.ini) when a process
@@ -351,22 +349,44 @@ class TestLaneThreads:
         assert widths == [max(1, len(os.sched_getaffinity(0)) // 2)] * 2
 
 
-class TestLaneGroupMemory:
-    def test_iteration_peak_is_one_group_matrix(self, monkeypatch):
-        # improved_tradeoff ell=3 has one materialized iteration; with
-        # one lane per group, its three groups must not overlap.
-        n, m = 40_000, 200
-        monkeypatch.setattr(engine, "LANE_WIDTH", 1)
-        monkeypatch.setattr(algorithms, "_GROUP_EDGES", n * m)
-        net = FastSyncNetwork(n, seeds=[0, 1, 2], mode="scale")
-        matrix = n * m * 4  # one lane's int32 edge matrix, 30.5 MiB
-        # Slack: the run's per-node arrays (~3 MiB here), one scatter
-        # chunk (4 MiB) and one sampler block (~2 MiB with its masks).
-        slack = 10 * 2**20
-        tracemalloc.start()
-        try:
-            net.run(VectorImprovedTradeoffElection(ell=3))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= matrix + slack, (peak - matrix) / 2**20
+def _iteration_peak(monkeypatch, n, seeds):
+    """Traced peak of an ell=3 improved_tradeoff run, one lane at a time."""
+    monkeypatch.setattr(engine, "LANE_WIDTH", 1)
+    net = FastSyncNetwork(n, seeds=seeds, mode="scale")
+    tracemalloc.start()
+    try:
+        net.run(VectorImprovedTradeoffElection(ell=3))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+#: Peak memory beside the sampler's collided rows: the run's per-node
+#: arrays, one sampler block with its masks, one redraw chunk and one
+#: scatter block's repeated ranks.
+_SLACK = 8 * 2**20
+
+
+class TestNoEdgeMatrix:
+    """A compete iteration never holds a (rows x m) edge matrix."""
+
+    def _bound(self, n):
+        # improved_tradeoff ell=3 has one streamed iteration, m = ceil(sqrt(n)).
+        m = VectorImprovedTradeoffElection(ell=3).referee_count(n, 1)
+        collided = engine._collided_capacity(n, m, n) * m * 4  # ~40% of rows here
+        matrix = n * m * 4  # one lane's int32 edge matrix
+        assert collided + _SLACK < 0.7 * matrix
+        return collided + _SLACK
+
+    def test_iteration_peak_is_the_collided_rows(self, monkeypatch):
+        # Three lanes one after another: each lane's buffer is gone before
+        # the next lane samples.
+        n = 40_000
+        peak = _iteration_peak(monkeypatch, n, [0, 1, 2])
+        assert peak <= self._bound(n), peak / 2**20
+
+    @pytest.mark.slow
+    def test_one_lane_at_the_benchmark_scale(self, monkeypatch):
+        n = 100_000
+        peak = _iteration_peak(monkeypatch, n, [0])
+        assert peak <= self._bound(n), peak / 2**20

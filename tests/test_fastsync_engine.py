@@ -1,10 +1,12 @@
 """The vectorized engine: modes, determinism, primitives, guard rails."""
 
 import importlib
+import math
 import random
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 np = pytest.importorskip("numpy")
 
@@ -18,8 +20,10 @@ from repro.fastsync import (  # noqa: E402
     VectorSmallIdElection,
     get_fast_algorithm,
 )
-from repro.fastsync import engine  # noqa: E402
+from repro.fastsync import algorithms, engine  # noqa: E402
 from repro.fastsync.engine import _random_port_matrix, _sample_distinct  # noqa: E402
+
+from tests.helpers import make_ids  # noqa: E402
 
 
 def _argsort_reference(keys):
@@ -267,6 +271,97 @@ class TestBlockedSampler:
             _sample_distinct(rng, src, m, n, out, 5 * n)
             np.testing.assert_array_equal(out, want + 5 * n)
             assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def _matrix_referee(dst, sid, init):
+    """The referee answers from a whole edge matrix: max-scatter, then every column."""
+    best = init.copy()
+    np.maximum.at(best, dst.reshape(-1), np.repeat(sid, dst.shape[1]))
+    return best, (best[dst] == sid[:, None]).all(axis=1)
+
+
+#: Referee-iteration shapes: how (n, m) relate, and the port mode.
+_REGIMES = {
+    "sparse": "scale",  # m^2 << n: few collisions
+    "dense": "scale",  # m^2 >> n: several redraw passes
+    "complement": "scale",  # m > (n-1)/2: the excluded set is drawn
+    "full": "scale",  # m = n-1
+    "wiring": "exact",  # slices of the wiring matrix
+}
+
+
+def _regime_shape(data, regime):
+    if regime == "sparse":
+        n = data.draw(st.integers(400, 3000), label="n")
+        return n, data.draw(st.integers(1, math.isqrt(n) // 4), label="m")
+    if regime == "dense":
+        n = data.draw(st.integers(40, 1500), label="n")
+        return n, data.draw(st.integers(2 * math.isqrt(n), (n - 1) // 2), label="m")
+    if regime == "complement":
+        n = data.draw(st.integers(4, 600), label="n")
+        return n, data.draw(st.integers((n - 1) // 2 + 1, n - 2), label="m")
+    n = data.draw(st.integers(2, 300), label="n")
+    if regime == "full":
+        return n, n - 1
+    return n, data.draw(st.integers(1, n - 1), label="m")
+
+
+class TestStreamedIteration:
+    """The streamed referee iteration against the whole-matrix reference."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_streamed_iteration_matches_the_matrix_reference(self, data):
+        regime = data.draw(st.sampled_from(sorted(_REGIMES)), label="regime")
+        mode = _REGIMES[regime]
+        n, m = _regime_shape(data, regime)
+        seeds = data.draw(st.lists(st.integers(0, 2**16), min_size=1, max_size=3), label="seeds")
+        ids = make_ids(n, seed=data.draw(st.integers(0, 7), label="id_seed"))
+        lanes = len(seeds)
+        senders = np.flatnonzero(
+            np.random.default_rng(data.draw(st.integers(0, 99), label="pick")).random(lanes * n)
+            < data.draw(st.sampled_from([0.2, 1.0]), label="share")
+        )
+        block = data.draw(st.sampled_from([1, 7, 256, 1 << 18]), label="block")
+        tiny_reserve = data.draw(st.booleans(), label="tiny_reserve")
+
+        def net():
+            return FastSyncNetwork(n, ids=ids, seeds=seeds, mode=mode)
+
+        ref = net()
+        sid = ref.ids_rank_flat[senders]
+        init = np.full(lanes * n, -1, dtype=np.int32)
+        if data.draw(st.booleans(), label="self_floor"):  # Afek-Gafni referees
+            init[senders] = sid
+        if mode == "exact":
+            dst = ref.first_ports(senders, m)
+        else:
+            starts, stops = ref.lane_segments(senders)
+            dst = np.concatenate([
+                b * n + _whole_matrix_sampler(ref._lane_rngs[b], senders[s:e] - b * n, m, n)
+                for b, (s, e) in enumerate(zip(starts, stops))
+            ]).reshape(len(senders), m)
+        want_best, ok = _matrix_referee(dst, sid, init)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(engine, "_BLOCK_ELEMS", block)
+            if tiny_reserve:  # the compact buffer must grow
+                patch.setattr(engine, "_collided_capacity", lambda rows, m, n: 1)
+            streamed = net()
+            best = algorithms._referee_best(streamed, senders, m, init)
+            counted = net()
+            survivors = algorithms._referee_iteration(
+                counted, senders, m, init, "compete", "response"
+            )
+        np.testing.assert_array_equal(best, want_best)
+        np.testing.assert_array_equal(survivors, senders[ok])
+        if mode == "scale":
+            for got in (streamed, counted):
+                assert [g.bit_generator.state for g in got._lane_rngs] == [
+                    g.bit_generator.state for g in ref._lane_rngs
+                ]
+        responses = (want_best > init).reshape(lanes, n).sum(axis=1)
+        assert counted._kind_lanes.get("response", np.zeros(lanes)).tolist() == responses.tolist()
 
 
 def _eager_streams(seed, n):
