@@ -83,8 +83,9 @@ class UniqueLeaderMonitor(InvariantMonitor):
 
     ``concurrent_leaders`` after the run equals the engine's
     ``len(result.surviving_leaders)`` accounting whenever the event
-    stream is complete — the scenario layer routes its split-brain
-    metric through this monitor so the two can never disagree.
+    stream is complete.  The scenario layer's split-brain metric is that
+    engine count; ``tests/test_scenario_monitor_routing.py`` replays
+    every scenario act through this monitor as the cross-check.
     """
 
     name = "unique_leader_per_epoch"

@@ -39,6 +39,15 @@ Execution contract
   join/recovery additionally forces a re-election (the coordination-
   service flavor); under the default ``"leader_loss"`` only lost
   leadership does.
+* **One act path.**  Every act is one ``run(spec, keep_result=True)``
+  call (the re-election wrapper on sync/async, the bare inner election
+  on fast), and its outcome is read off the raw engine result the same
+  way on every engine; only the per-node output vector is read per
+  engine.  ``concurrent_leaders`` is ``len(result.surviving_leaders)``,
+  the leaders alive at act end (> 1 is a split brain); the
+  ``unique_leader_per_epoch`` monitor replaying an act's events counts
+  the same, which the tests cross-check.  An act that hits an engine
+  limit is *stalled*: no result, one epoch minted, no belief updated.
 
 Everything is deterministic per ``(scenario, n, engine, seed)``: act
 seeds are derived from the run seed and the act index, and all engine
@@ -51,6 +60,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.analysis.runner import RunRecord
+from repro.common import SimulationLimitExceeded
 from repro.faults.plan import DetectorSpec, FaultPlan, PartitionMask
 from repro.scenarios.events import (
     LAST_CRASHED,
@@ -172,6 +183,7 @@ class ScenarioRunner:
         if len(ids) != n or len(set(ids)) != n:
             raise ValueError(f"need {n} distinct initial IDs")
         self._initial_ids = list(ids)
+        self._check_timeline()
         # Resolve ``inner`` now, so a bad name fails here rather than in
         # the first act (``KeyError``: unknown or no vectorized port;
         # ``ValueError``: wrong engine for the re-election wrapper).
@@ -182,6 +194,30 @@ class ScenarioRunner:
         else:
             self._reelect = self._reelect_factory()
             self._reelect()
+
+    def _check_timeline(self) -> None:
+        """Reject partitions of unknown nodes and joins that reuse an ID.
+
+        Walks the events in fire order with the run's own allocation (a
+        join appends the next index and takes its pinned ID or the
+        largest ID + 1), so a malformed timeline fails here, not mid-run.
+        """
+        size = self.n
+        taken = set(self._initial_ids)
+        for ev in self.scenario.sorted_events():
+            if isinstance(ev, JoinEvent):
+                node_id = max(taken) + 1 if ev.node_id is None else ev.node_id
+                if node_id in taken:
+                    raise ValueError(f"join at t={ev.at:g}: node ID {node_id} already in use")
+                taken.add(node_id)
+                size += 1
+            elif isinstance(ev, PartitionEvent):
+                for u in (u for comp in ev.components for u in comp):
+                    if not 0 <= u < size:
+                        raise ValueError(
+                            f"partition at t={ev.start:g}: component member {u} "
+                            f"does not exist (the clique has {size} nodes then)"
+                        )
 
     # ------------------------------------------------------------------ #
     # state helpers
@@ -261,76 +297,30 @@ class ScenarioRunner:
     def _act_seed(self, index: Any) -> int:
         return random.Random(f"scenario:{self.scenario.name}:{self.seed}:{index}").getrandbits(32)
 
-    def _fast_trial(
-        self,
-        m: int,
-        member_ids: Sequence[int],
-        act_seed: int,
-        plan: Optional[FaultPlan] = None,
+    def _trial(
+        self, m: int, member_ids: Sequence[int], act_seed: int, plan: FaultPlan
     ):
-        """One fast-engine election act, as a one-seed :class:`RunSpec` run.
+        """One election act as a one-seed :class:`RunSpec` run.
 
-        Every fast-engine run the scenario makes, acts and baseline,
-        goes through here and nowhere else; nothing overrides it.
-        ``plan`` carries the act-local :class:`FaultPlan` (partitions,
-        link rules, kill policies, tampering) into the engine's
-        vectorized fault runtime; fault-free acts pass ``None``.
+        Every engine run the scenario makes, acts and baseline, goes
+        through here, and the record keeps its raw engine result in
+        ``extra["result"]``.  The object engines run the re-election
+        wrapper under ``plan`` with every node awake; the fast engine
+        runs the bare inner election under :meth:`_act_plan_for_fast`.
         """
         from repro.sweep.api import run
         from repro.sweep.spec import RunSpec
 
-        return run(
-            RunSpec(
-                algorithm=self.inner,
-                n=m,
-                engine="fast",
-                seeds=(act_seed,),
-                ids=tuple(member_ids),
-                faults=plan,
-                quorum=self.quorum,
+        if self.engine == "fast":
+            fields: Dict[str, Any] = dict(
+                algorithm=self.inner, faults=self._act_plan_for_fast(plan), quorum=self.quorum
             )
-        )
-
-    def _object_trial(
-        self,
-        m: int,
-        member_ids: Sequence[int],
-        act_seed: int,
-        plan: FaultPlan,
-        monitor: Optional[Any] = None,
-    ):
-        """One sync/async re-election act under ``plan``, all nodes awake.
-
-        ``monitor`` is an extra live recorder for this act, composed
-        with the runner's own ``recorder``.
-        """
-        from repro.sweep.api import run
-        from repro.sweep.spec import RunSpec
-        from repro.trace.events import CompositeRecorder
-
-        recorder = self.recorder
-        if monitor is not None:
-            recorder = monitor if recorder is None else CompositeRecorder(
-                monitor, recorder
-            )
-        wake: Dict[str, Any] = {}
+        else:
+            fields = dict(algorithm=self._reelect, faults=plan)
         if self.engine == "async":
-            wake = dict(
-                wake_times={u: 0.0 for u in range(m)}, max_events=self.max_events
-            )
-        return run(
-            RunSpec(
-                algorithm=self._reelect,
-                n=m,
-                engine=self.engine,
-                seeds=(act_seed,),
-                ids=tuple(member_ids),
-                faults=plan,
-                **wake,
-            ),
-            recorder=recorder,
-            keep_result=True,
-        )
+            fields.update(wake_times={u: 0.0 for u in range(m)}, max_events=self.max_events)
+        spec = RunSpec(n=m, engine=self.engine, seeds=(act_seed,), ids=tuple(member_ids), **fields)
+        return run(spec, recorder=self.recorder, keep_result=True)
 
     @staticmethod
     def _act_plan_for_fast(plan: FaultPlan) -> Optional[FaultPlan]:
@@ -354,26 +344,20 @@ class ScenarioRunner:
         from repro.core.registry import get_algorithm
 
         if self.engine == "sync":
-            timing = dict(
-                commit_rounds=self.commit_rounds,
-                restart_rounds=self.restart_rounds,
-            )
+            timing = dict(commit_rounds=self.commit_rounds, restart_rounds=self.restart_rounds)
         else:
             timing = dict(
-                commit_delay=self.commit_delay,
-                poll_interval=self.poll_interval,
+                commit_delay=self.commit_delay, poll_interval=self.poll_interval,
                 restart_delay=self.restart_delay,
             )
         name = "quorum_reelect" if self.quorum else "reelect"
-        return get_algorithm(name).make(
-            engine=self.engine, inner=self.inner, **timing
-        )
+        return get_algorithm(name).make(engine=self.engine, inner=self.inner, **timing)
 
     @staticmethod
     def _sanitize_record(record) -> None:
         """Make ``record.extra`` JSON-safe (exports ride through it)."""
         record.extra.pop("result", None)
-        record.extra.pop("outputs", None)
+        record.extra.pop("failover", None)
         fm = record.extra.pop("fault_metrics", None)
         if fm is not None:
             record.extra["fault_summary"] = {
@@ -454,6 +438,20 @@ class ScenarioRunner:
             )
         return out
 
+    def _outputs(self, result: Any, surviving: Optional[int]) -> List[Optional[int]]:
+        """The leader each act member believes in (``None``: no belief)."""
+        m = len(result.ids)
+        if self.engine == "fast":
+            # The faulted folds report every node's output; a fault-free
+            # fold elects one leader that everyone follows.
+            return list(result.outputs) if result.outputs is not None else [surviving] * m
+        return [
+            result.outputs[u]
+            if result.decisions[u] is not None and result.outputs[u] is not None
+            else (result.ids[u] if u in result.leaders else None)
+            for u in range(m)
+        ]
+
     def _run_act(
         self,
         trigger: str,
@@ -461,7 +459,6 @@ class ScenarioRunner:
         t_start: float,
         members: List[NodeState],
         *,
-        masks: Tuple[PartitionMask, ...] = (),
         policies: Tuple = (),
         slanders: Tuple = (),
     ) -> EpochRecord:
@@ -472,175 +469,90 @@ class ScenarioRunner:
         act_seed = self._act_seed(act_index)
         plan = FaultPlan(
             links=self.scenario.link_faults,
-            partitions=masks,
+            partitions=self._active_masks(members),
             policies=tuple(policies),
             detector=self._detector,
             adversary=self._act_adversary(members, slanders),
         )
-
-        if self.engine == "fast":
-            act_plan = self._act_plan_for_fast(plan)
-            record = self._fast_trial(m, member_ids, act_seed, plan=act_plan)
-            duration = float(record.extra["rounds_executed"])
-            crashed_nodes = list(record.extra.get("crashed", []))
-            leader_nodes = record.extra.pop("leader_nodes", [])
-            fm = record.extra.get("fault_metrics")
-            if act_plan is None:
-                leader_ids = [record.elected_id] if record.elected_id is not None else []
-                surviving = record.elected_id
-                outputs = [surviving] * m
-                concurrent = 1 if surviving is not None else 0
-            else:
-                leader_ids = list(record.extra.pop("leader_ids", []))
-                surviving = record.extra.get("surviving_leader_id")
-                vec = record.extra.get("outputs")
-                outputs = list(vec) if vec is not None else [surviving] * m
-                # Leaders still alive at act end (the fast engine has no
-                # per-event stream for the unique-leader monitor replay).
-                concurrent = sum(
-                    1 for u in leader_nodes if u not in crashed_nodes
-                )
-            detection_latencies: List[float] = []
-            in_act_crashes = len(crashed_nodes)
-            dropped = fm.dropped_messages if fm else 0
-            duplicated = fm.duplicated_messages if fm else 0
-            blocked = fm.partition_blocked if fm else 0
-            tampered = fm.tampered_messages if fm else 0
-            aborted = sum(1 for u in crashed_nodes if u not in leader_nodes)
-            epochs_minted = max(1, len(leader_ids) + aborted)
-            reelection_time = None
-        else:
-            from repro.analysis.runner import RunRecord
-            from repro.common import SimulationLimitExceeded
-            from repro.monitor import MonitorSuite, UniqueLeaderMonitor
-
-            self._annotate(
-                act=act_index, trigger=trigger, epoch=self.epoch_counter + 1
+        self._annotate(act=act_index, trigger=trigger, epoch=self.epoch_counter + 1)
+        try:
+            record = self._trial(m, member_ids, act_seed, plan)
+        except SimulationLimitExceeded as exc:
+            # A node wedged without ever learning a leader (the plain
+            # wrapper under slander is the canonical case: the victim
+            # is excluded from every coord broadcast).  The act is kept
+            # as stalled, with no result: it mints one epoch, nobody's
+            # belief is updated, and agreement stays broken.
+            self._note(f"{trigger} act at t={t_event:g} stalled: {exc}")
+            record = RunRecord(
+                n=m, seed=act_seed, messages=0, time=0.0,
+                unique_leader=False, elected_id=None, leaders=0,
+                decided=0, awake=m, params={},
+                extra={"rounds_executed": 0.0, "stalled": True},
             )
-            # Leaders simultaneously alive when the act ended: > 1 means
-            # the act really split the brain (per-component leaders).
-            # The unique_leader_per_epoch monitor watches the act live,
-            # so the scenario metric and the monitor verdict are one
-            # computation and can never disagree.
-            unique_monitor = UniqueLeaderMonitor()
-            suite = MonitorSuite(
-                monitors=[unique_monitor], n=m, ids=list(member_ids)
-            )
-            try:
-                record = self._object_trial(
-                    m, member_ids, act_seed, plan, suite
-                )
-            except SimulationLimitExceeded as exc:
-                # A node wedged without ever learning a leader (the plain
-                # wrapper under slander is the canonical case: the victim
-                # is excluded from every coord broadcast).  Record the act
-                # as stalled — nobody's belief is updated, agreement is
-                # broken — instead of aborting the whole scenario.
-                self._note(f"{trigger} act at t={t_event:g} stalled: {exc}")
-                record = RunRecord(
-                    n=m, seed=act_seed, messages=0, time=0.0,
-                    unique_leader=False, elected_id=None, leaders=0,
-                    decided=0, awake=m, params={},
-                    extra={"rounds_executed": 0.0, "stalled": True},
-                )
-                self.epoch_counter += 1
-                epoch = EpochRecord(
-                    epoch=self.epoch_counter,
-                    trigger=trigger,
-                    t_event=t_event,
-                    t_start=t_start,
-                    duration=0.0,
-                    t_end=t_start,
-                    members=[st.index for st in members],
-                    member_ids=member_ids,
-                    leader_ids=[],
-                    surviving_leader_id=None,
-                    messages=0,
-                    record=record,
-                    epochs_minted=1,
-                    reelection_time=None,
-                    detection_latencies=[],
-                    concurrent_leaders=0,
-                )
-                self.epochs.append(epoch)
-                self.act_floor = t_start
-                self._mark(t_start)
-                return epoch
-            result = record.extra["result"]
-            if self.engine == "sync":
-                duration = float(record.extra["rounds_executed"])
-            else:
-                duration = float(record.time)
+        result = record.extra.get("result")
+        failover = record.extra.get("failover", {})
+        self._sanitize_record(record)
+
+        # The act outcome, read off the raw engine result on every engine
+        # (a stalled act has none: it committed nothing and minted one epoch).
+        leader_ids: List[int] = []
+        crashed: List[int] = []
+        surviving, fm, concurrent, epochs_minted = None, None, 0, 1
+        if result is not None:
             leader_ids = list(result.leader_ids)
             surviving = result.surviving_leader_id
-            outputs = [
-                result.outputs[u]
-                if result.decisions[u] is not None and result.outputs[u] is not None
-                else (result.ids[u] if u in result.leaders else None)
-                for u in range(m)
-            ]
+            crashed = list(result.crashed)
             fm = result.fault_metrics
-            failover = record.extra.pop("failover")
-            detection_latencies = list(failover["detection_latencies"])
-            in_act_crashes = len(result.crashed)
-            dropped = fm.dropped_messages if fm else 0
-            duplicated = fm.duplicated_messages if fm else 0
-            blocked = fm.partition_blocked if fm else 0
-            tampered = fm.tampered_messages if fm else 0
-            suite.finish(result)
-            concurrent = unique_monitor.concurrent_leaders
+            # Leaders alive at act end: > 1 means the act really split
+            # the brain (one leader per component under a partition).
+            concurrent = len(result.surviving_leaders)
             # Every committed leader is an epoch, and so is every
             # frontrunner a kill policy aborted before its commit.
-            aborted = sum(1 for u in result.crashed if u not in result.leaders)
+            aborted = sum(1 for u in crashed if u not in result.leaders)
             epochs_minted = max(1, len(leader_ids) + aborted)
-            reelection_time = failover["reelection_time"]
-        self._sanitize_record(record)
+        # Rounds on the synchronous engines, time units on the async one.
+        duration = float(record.extra.get("rounds_executed", record.time))
+        t_end = t_start + duration
 
         # Persist the outcome: every participant moves to the new epoch
         # and adopts the leader its own engine run committed to (per
         # component under a partition mask).
         first_epoch = self.epoch_counter + 1
         self.epoch_counter += epochs_minted
-        for local, st in enumerate(members):
-            crashed_in_act = local in record.extra.get("crashed", [])
-            if crashed_in_act:
-                st.up = False
-                st.crashed_times.append(t_start + duration)
-                self.counts["crashes"] += 1
-                continue
-            st.epoch = self.epoch_counter
-            belief = outputs[local] if local < len(outputs) else None
-            if belief is not None:
-                st.leader = belief
-            elif self.quorum:
-                # Under quorum gating a None output is an abstention —
-                # the node is leaderless, it did not silently adopt the
-                # (unreachable) majority leader.
-                st.leader = None
-            else:
-                st.leader = surviving
-        t_end = t_start + duration
+        if result is not None:
+            outputs = self._outputs(result, surviving)
+            down = set(crashed)
+            for local, st in enumerate(members):
+                if local in down:
+                    st.up = False
+                    st.crashed_times.append(t_end)
+                    self.counts["crashes"] += 1
+                    continue
+                st.epoch = self.epoch_counter
+                belief = outputs[local]
+                if belief is not None:
+                    st.leader = belief
+                elif self.quorum:
+                    # Under quorum gating a None output is an abstention —
+                    # the node is leaderless, it did not silently adopt the
+                    # (unreachable) majority leader.
+                    st.leader = None
+                else:
+                    st.leader = surviving
         epoch = EpochRecord(
-            epoch=first_epoch,
-            trigger=trigger,
-            t_event=t_event,
-            t_start=t_start,
-            duration=duration,
-            t_end=t_end,
-            members=[st.index for st in members],
-            member_ids=member_ids,
-            leader_ids=leader_ids,
-            surviving_leader_id=surviving,
-            messages=record.messages,
-            record=record,
-            epochs_minted=epochs_minted,
-            reelection_time=reelection_time,
-            detection_latencies=detection_latencies,
-            in_act_crashes=in_act_crashes,
-            dropped_messages=dropped,
-            duplicated_messages=duplicated,
-            partition_blocked=blocked,
-            tampered_messages=tampered,
+            epoch=first_epoch, trigger=trigger, t_event=t_event, t_start=t_start,
+            duration=duration, t_end=t_end,
+            members=[st.index for st in members], member_ids=member_ids,
+            leader_ids=leader_ids, surviving_leader_id=surviving,
+            messages=record.messages, record=record, epochs_minted=epochs_minted,
+            reelection_time=failover.get("reelection_time"),
+            detection_latencies=list(failover.get("detection_latencies", [])),
+            in_act_crashes=len(crashed),
+            dropped_messages=fm.dropped_messages if fm else 0,
+            duplicated_messages=fm.duplicated_messages if fm else 0,
+            partition_blocked=fm.partition_blocked if fm else 0,
+            tampered_messages=fm.tampered_messages if fm else 0,
             concurrent_leaders=concurrent,
         )
         self.epochs.append(epoch)
@@ -694,14 +606,13 @@ class ScenarioRunner:
         )
         if not needs_election:
             return
-        group = self._group_of(st) if self._partition is not None else self._up_states()
+        group = self._group_of(st)
         if not group:
             self._note(f"crash({st.index}): empty survivor group, no election")
             return
         trigger = "failover" if was_leader else "membership"
         t_start = max(ev.at + self.lag, self.act_floor)
-        masks = self._active_masks(group)
-        self._run_act(trigger, ev.at, t_start, group, masks=masks)
+        self._run_act(trigger, ev.at, t_start, group)
 
     def _on_recover(self, ev: RecoverEvent) -> None:
         st = self._resolve_recover_target(ev.node)
@@ -721,9 +632,7 @@ class ScenarioRunner:
         stale_epoch = st.epoch
         group = self._group_of(st)
         peers = [m for m in group if m.index != st.index]
-        leaders = sorted(
-            {m.leader for m in peers if m.leader is not None}
-        )
+        leaders = sorted({m.leader for m in peers if m.leader is not None})
         st.leader = leaders[0] if len(leaders) == 1 else None
         st.epoch = max(m.epoch for m in group) if peers else st.epoch
         self._note(
@@ -733,16 +642,12 @@ class ScenarioRunner:
         self._mark(ev.at)
         if self.scenario.membership_policy == "membership_change":
             t_start = max(ev.at, self.act_floor)
-            self._run_act("membership", ev.at, t_start, group,
-                          masks=self._active_masks(group))
+            self._run_act("membership", ev.at, t_start, group)
 
     def _on_join(self, ev: JoinEvent) -> None:
         node_id = ev.node_id
-        taken = {st.node_id for st in self.states}
-        if node_id is None:
-            node_id = max(taken) + 1
-        elif node_id in taken:
-            raise ValueError(f"join at t={ev.at}: node ID {node_id} already in use")
+        if node_id is None:  # IDs were checked at construction
+            node_id = max(self._state_by_id) + 1
         st = NodeState(index=len(self.states), node_id=node_id)
         leaders = self._believed_leaders()
         st.leader = leaders[0] if len(leaders) == 1 else None
@@ -753,9 +658,7 @@ class ScenarioRunner:
         self._mark(ev.at)
         if self.scenario.membership_policy == "membership_change":
             t_start = max(ev.at, self.act_floor)
-            group = self._up_states() if self._partition is None else self._group_of(st)
-            self._run_act("membership", ev.at, t_start, group,
-                          masks=self._active_masks(group))
+            self._run_act("membership", ev.at, t_start, self._group_of(st))
 
     def _active_masks(self, members: List[NodeState]) -> Tuple[PartitionMask, ...]:
         """The act-local partition mask, if a partition is active."""
@@ -778,31 +681,20 @@ class ScenarioRunner:
         if self._partition is not None:
             self._note(f"partition at t={ev.start} skipped: one is already active")
             return
-        for comp in ev.components:
-            for u in comp:
-                if not 0 <= u < len(self.states):
-                    raise ValueError(f"partition component member {u} does not exist")
         self._partition = ev
         self._mark(ev.start)  # the split itself breaks agreement
-        members = self._up_states()
         t_start = max(ev.start, self.act_floor)
-        self._run_act(
-            "partition", ev.start, t_start, members, masks=self._active_masks(members)
-        )
+        self._run_act("partition", ev.start, t_start, self._up_states())
 
     def _on_heal(self, at: float) -> None:
         self._partition = None
         self._mark(at)
-        members = self._up_states()
         t_start = max(at + self.lag, self.act_floor)
-        self._run_act("heal", at, t_start, members)
+        self._run_act("heal", at, t_start, self._up_states())
 
     def _on_elect(self, ev: ElectEvent) -> None:
-        members = self._up_states()
         t_start = max(ev.at, self.act_floor)
-        self._run_act(
-            "elect", ev.at, t_start, members, masks=self._active_masks(members)
-        )
+        self._run_act("elect", ev.at, t_start, self._up_states())
 
     def _on_slander(self, ev: SlanderEvent) -> None:
         """Byzantine rumor: run a re-election act under a slander window.
@@ -840,7 +732,7 @@ class ScenarioRunner:
             self._note(f"slander({victim.index}) skipped: self-slander")
             return
         self._mark(ev.at)  # the rumor breaks agreement until re-election
-        group = self._group_of(accuser) if self._partition is not None else self._up_states()
+        group = self._group_of(accuser)
         if victim.index not in [st.index for st in group]:
             self._note("slander skipped: victim unreachable from accuser")
             return
@@ -849,10 +741,7 @@ class ScenarioRunner:
             end=ev.duration,
         )
         t_start = max(ev.at + self.lag, self.act_floor)
-        self._run_act(
-            "slander", ev.at, t_start, group,
-            masks=self._active_masks(group), slanders=(window,),
-        )
+        self._run_act("slander", ev.at, t_start, group, slanders=(window,))
 
     # ------------------------------------------------------------------ #
     # main loop
@@ -885,58 +774,38 @@ class ScenarioRunner:
             if isinstance(ev, PartitionEvent):
                 agenda.append((ev.end, 0, i, "heal", ev))
         agenda.sort(key=lambda item: (item[0], item[1], item[2]))
+        handlers = {
+            CrashEvent: self._on_crash, RecoverEvent: self._on_recover,
+            JoinEvent: self._on_join, PartitionEvent: self._on_partition,
+            ElectEvent: self._on_elect, SlanderEvent: self._on_slander,
+        }
         for _at, _prio, _seq, kind, ev in agenda:
-            if kind == "heal":
-                if self._partition is ev:
-                    self._on_heal(ev.end)
-                continue
-            if isinstance(ev, CrashEvent):
-                self._on_crash(ev)
-            elif isinstance(ev, RecoverEvent):
-                self._on_recover(ev)
-            elif isinstance(ev, JoinEvent):
-                self._on_join(ev)
-            elif isinstance(ev, PartitionEvent):
-                self._on_partition(ev)
-            elif isinstance(ev, ElectEvent):
-                self._on_elect(ev)
-            elif isinstance(ev, SlanderEvent):
-                self._on_slander(ev)
+            if kind == "event":
+                handlers[type(ev)](ev)
+            elif self._partition is ev:
+                self._on_heal(ev.end)
 
         baseline = self._run_baseline()
         leaders = self._believed_leaders()
         final_leader = leaders[0] if len(leaders) == 1 else None
         metrics = compute_metrics(
-            self.epochs,
-            self._timeline,
-            baseline,
-            self.counts,
-            final_leader_id=final_leader,
-            final_agreed=self._is_agreed(),
+            self.epochs, self._timeline, baseline, self.counts,
+            final_leader_id=final_leader, final_agreed=self._is_agreed(),
         )
         return ScenarioResult(
-            scenario=self.scenario,
-            engine=self.engine,
-            n_initial=self.n,
-            seed=self.seed,
-            epochs=self.epochs,
-            states=self.states,
-            baseline=baseline,
-            metrics=metrics,
-            notes=self.notes,
+            scenario=self.scenario, engine=self.engine, n_initial=self.n,
+            seed=self.seed, epochs=self.epochs, states=self.states,
+            baseline=baseline, metrics=metrics, notes=self.notes,
         )
 
     def _run_baseline(self):
         """The fault-free single election the overhead ratios divide by."""
-        seed = self._act_seed("baseline")
-        if self.engine == "fast":
-            record = self._fast_trial(self.n, self._initial_ids, seed)
-        else:
-            plan = FaultPlan(detector=self._detector)
-            self._annotate(act=None, epoch=None, trigger="baseline")
-            record = self._object_trial(self.n, self._initial_ids, seed, plan)
-            record.extra.pop("failover")
-            self._annotate(trigger=None)
+        self._annotate(act=None, epoch=None, trigger="baseline")
+        record = self._trial(
+            self.n, self._initial_ids, self._act_seed("baseline"),
+            FaultPlan(detector=self._detector),
+        )
+        self._annotate(trigger=None)
         self._sanitize_record(record)
         return record
 

@@ -112,7 +112,7 @@ def _fast_record(
 ) -> "RunRecord":
     from repro.analysis.runner import RunRecord
 
-    record = RunRecord(
+    return RunRecord(
         n=n,
         seed=seed,
         messages=result.messages,
@@ -123,24 +123,16 @@ def _fast_record(
         decided=result.decided_count,
         awake=result.awake_count,
         params=dict(params or {}),
-        extra={
-            "rounds_executed": result.rounds_executed,
-            "engine": "fast",
-            "mode": result.mode,
-            "wall_time_s": result.wall_time_s,
-        },
+        extra=_fault_extra(
+            result,
+            {
+                "rounds_executed": result.rounds_executed,
+                "engine": "fast",
+                "mode": result.mode,
+                "wall_time_s": result.wall_time_s,
+            },
+        ),
     )
-    if result.crashed or result.fault_metrics is not None:
-        record.extra["crashed"] = list(result.crashed)
-        record.extra["unique_surviving_leader"] = result.unique_surviving_leader
-        record.extra["surviving_leader_id"] = result.surviving_leader_id
-        record.extra["fault_metrics"] = result.fault_metrics
-        record.extra["leader_nodes"] = list(result.leaders)
-        record.extra["leader_ids"] = list(result.leader_ids)
-    if result.outputs is not None:
-        record.extra["outputs"] = list(result.outputs)
-    record.extra["metrics"] = run_metrics(result).as_dict()
-    return record
 
 
 def _measure_failover(result: Any, events: List[Any]) -> Dict[str, Any]:

@@ -149,3 +149,19 @@ def assert_twin_run(spec):
                 obj.fault_metrics, name
             ), f"fault_metrics.{name} diverged"
     return fast, obj
+
+
+def stable_scenario_report(result) -> dict:
+    """``scenario_report(result)`` without the run-to-run volatile extras.
+
+    Fast records carry ``wall_time_s``, so an unstripped fast report is
+    never byte-stable across reruns.
+    """
+    from repro.scenarios import scenario_report
+    from repro.sweep.spec import VOLATILE_EXTRA_KEYS
+
+    report = scenario_report(result)
+    for record in report["records"]:
+        for key in VOLATILE_EXTRA_KEYS:
+            record["extra"].pop(key, None)
+    return report

@@ -166,3 +166,35 @@ class TestUsageErrors:
         lines = proc.stderr.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
         assert message in lines[0]
+
+
+class TestMalformedTimelines:
+    """Timelines naming impossible nodes fail at construction, not mid-run."""
+
+    TIMELINES = {
+        "partition-unknown-member": (
+            {"type": "partition", "start": 2, "end": 10, "components": [[0, 1], [2, 99]]},
+            "component member 99 does not exist",
+        ),
+        # The first join takes ID 10 (n=9), so the pinned 10 clashes.
+        "join-reused-id": (
+            {"type": "join", "at": 3, "node_id": 10},
+            "node ID 10 already in use",
+        ),
+    }
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("case", sorted(TIMELINES))
+    def test_one_error_line_and_exit_2(self, case, command, tmp_path):
+        event, message = self.TIMELINES[case]
+        path = tmp_path / "timeline.json"
+        path.write_text(json.dumps(
+            {"name": case, "events": [{"type": "join", "at": 2}, event]}
+        ))
+        sizes = ["--n", "9"] if command == "run" else ["--ns", "9", "--seeds", "0"]
+        proc = run_cli("scenarios", command, str(path), *sizes)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+        assert message in lines[0]

@@ -208,6 +208,22 @@ class TestRunnerSemantics:
         with pytest.raises(ValueError, match="already in use"):
             run_scenario(sc, 6, engine="sync", seed=1)
 
+    def test_malformed_timelines_rejected_at_construction(self):
+        # IDs and indexes are allocated in fire order, as run() does: the
+        # first join takes ID 7 (n=6), the second reuses it.
+        clash = Scenario(name="clash", events=(join(30.0, node_id=7), join(20.0)))
+        with pytest.raises(ValueError, match="node ID 7 already in use"):
+            ScenarioRunner(clash, 6)
+        ghost = Scenario(name="ghost", events=(partition(((0, 1, 2), (3, 6)), 20.0, 80.0),))
+        with pytest.raises(ValueError, match="component member 6 does not exist"):
+            ScenarioRunner(ghost, 6)
+        # Node 6 exists by the time the split fires once it has joined.
+        joined = Scenario(
+            name="joined", events=(join(10.0), partition(((0, 1, 2), (3, 6)), 20.0, 80.0))
+        )
+        res = ScenarioRunner(joined, 6, seed=1).run()
+        assert [e.trigger for e in res.epochs] == ["initial", "partition", "heal"]
+
     def test_back_to_back_partitions_both_execute(self):
         # A window starting exactly at the previous window's end must
         # run: heals process before same-timestamp events (half-open
