@@ -515,14 +515,22 @@ def _faulted_spec(
     engine: str, n: int, algorithm: str, params: Dict[str, Any], plan, seeds,
     roots=None, trace: Optional[str] = None,
 ) -> RunSpec:
-    """Faulted CLI runs; async runs wake every node unless ``roots``."""
+    """Faulted CLI runs; async runs wake every node unless ``roots``.
+
+    A plan the spec refuses (duplicates for an exactly-once async
+    election) is a :class:`UsageError`.
+    """
     if roots is None and engine == "async":
         roots = range(n)
-    return RunSpec(
-        algorithm=algorithm, n=n, engine=engine, seeds=tuple(seeds), params=params,
-        faults=plan, max_events=20_000_000 if engine == "async" else None,
-        trace=trace, **_wake_fields(engine, roots),
-    )
+    try:
+        return RunSpec(
+            algorithm=algorithm, n=n, engine=engine, seeds=tuple(seeds),
+            params=params, faults=plan,
+            max_events=20_000_000 if engine == "async" else None,
+            trace=trace, **_wake_fields(engine, roots),
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def cmd_faults(args: argparse.Namespace) -> int:

@@ -1,8 +1,9 @@
-"""Common value types shared by the synchronous and asynchronous engines."""
+"""Common value types and helpers shared by the engines."""
 
 from __future__ import annotations
 
 import enum
+import gc
 from typing import Any, List, Optional
 
 __all__ = [
@@ -12,6 +13,7 @@ __all__ = [
     "SimulationLimitExceeded",
     "SurvivorAccounting",
     "message_kind",
+    "paused_gc",
 ]
 
 
@@ -92,3 +94,25 @@ def message_kind(payload: Any) -> str:
     if isinstance(payload, str):
         return payload
     return type(payload).__name__
+
+
+class paused_gc:
+    """Disable the cyclic garbage collector for a ``with`` block.
+
+    An engine run allocates many long-lived container objects (port
+    maps, inboxes, message tuples) and frees them by reference counting,
+    so the collector's generation sweeps only re-traverse live state.
+    The previous state comes back on exit, exceptions included: a caller
+    that had the collector off keeps it off.  A class rather than a
+    generator-based context manager: it is entered once per seed.
+    """
+
+    __slots__ = ("_was_enabled",)
+
+    def __enter__(self) -> None:
+        self._was_enabled = gc.isenabled()
+        gc.disable()
+
+    def __exit__(self, *exc_info: Any) -> None:
+        if self._was_enabled:
+            gc.enable()

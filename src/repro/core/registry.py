@@ -12,7 +12,7 @@ algorithm name to the class each object engine runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, Optional, Tuple
 
 from repro.core.adversarial_2round import AdversarialTwoRoundElection
 from repro.core.afek_gafni import AfekGafniElection
@@ -29,7 +29,7 @@ from repro.adversary.quorum import (
 from repro.faults.monarchical import AsyncMonarchicalElection, MonarchicalElection
 from repro.faults.reelect import AsyncReElectionElection, ReElectionElection
 
-__all__ = ["AlgorithmSpec", "ALGORITHMS", "get_algorithm"]
+__all__ = ["AlgorithmSpec", "ALGORITHMS", "get_algorithm", "refuse_duplicates"]
 
 
 @dataclass(frozen=True)
@@ -46,6 +46,10 @@ class AlgorithmSpec:
     time_formula: str
     #: The asynchronous twin of a sync entry (fault-layer wrappers only).
     async_factory: Optional[Callable[..., Any]] = None
+    #: The asynchronous class assumes exactly-once delivery: a duplicated
+    #: message breaks its request/reply bookkeeping (see
+    #: :func:`refuse_duplicates`).
+    exactly_once: bool = False
 
     @property
     def engines(self) -> Tuple[str, ...]:
@@ -193,6 +197,7 @@ ALGORITHMS: Dict[str, AlgorithmSpec] = {
             paper_ref="Algorithm 2 / Theorem 5.1",
             messages_formula="O(n^(1 + 1/k)) whp",
             time_formula="k + 8 whp",
+            exactly_once=True,
         ),
         AlgorithmSpec(
             name="async_afek_gafni",
@@ -203,6 +208,7 @@ ALGORITHMS: Dict[str, AlgorithmSpec] = {
             paper_ref="Section 5.4 / Theorem 5.14",
             messages_formula="O(n log n)",
             time_formula="O(log n)",
+            exactly_once=True,
         ),
         AlgorithmSpec(
             name="monarchical",
@@ -248,3 +254,28 @@ def get_algorithm(name: str) -> AlgorithmSpec:
     except KeyError:
         known = ", ".join(sorted(ALGORITHMS))
         raise KeyError(f"unknown algorithm {name!r}; known: {known}") from None
+
+
+def refuse_duplicates(name: str, params: Dict[str, Any], links: Iterable[Any]) -> None:
+    """Refuse an async run of ``name`` whose ``links`` duplicate messages.
+
+    Raises ``ValueError`` when a link rule has ``duplicate_prob > 0``
+    and the election that receives the messages is an ``exactly_once``
+    entry: ``name`` itself, or a wrapper's inner election (``inner=``
+    in ``params``, else the async class's ``DEFAULT_INNER``).  Sync and
+    fast runs take duplicates; so does an inner given as a factory.
+    """
+    if not any(rule.duplicate_prob > 0 for rule in links):
+        return
+    spec = ALGORITHMS.get(name)
+    if spec is None:
+        return  # the run's own lookup reports the unknown name
+    receiver = params.get("inner", getattr(spec.async_factory, "DEFAULT_INNER", name))
+    receiver_spec = ALGORITHMS.get(receiver) if isinstance(receiver, str) else None
+    if receiver_spec is None or not receiver_spec.exactly_once:
+        return
+    who = name if receiver == name else f"{name}'s inner election {receiver}"
+    raise ValueError(
+        f"{who} assumes exactly-once delivery on the async engine, but the "
+        "fault plan duplicates messages (duplicate_prob > 0)"
+    )

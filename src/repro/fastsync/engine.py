@@ -64,6 +64,20 @@ Two port-model modes
     executor calls it before every object-engine spec, so no matrix
     outlives the fast cells into the object cells that follow them.
 
+    Across processes, :func:`shared_wirings` scopes a temporary
+    directory for a given set of ``(n, seed)`` keys (a pooled
+    ``sweep()`` enters it with the keys two or more of its cells need).
+    Inside it, a cache miss on a shared key memory-maps
+    ``{n}-{seed}.npy`` from the directory when a valid file is there
+    (shape ``(n, n-1)``, the stored dtype) and otherwise builds the
+    matrix and publishes it, atomically, for the other processes; any
+    other key builds privately and writes nothing.  Only fork-started
+    workers inherit the directory; under spawn or forkserver each
+    worker builds privately.  The node seeds are always drawn
+    in-process (about 0.2 ms per wiring).  A miss on a shared key after
+    :func:`release_wirings` therefore reloads the published file rather
+    than rebuilding.
+
 ``mode="scale"``
     No materialized port map.  "Send over ports ``0..m-1``" and "send
     over ``m`` sampled ports" both become "send to ``m`` distinct
@@ -100,14 +114,16 @@ run is single-lane.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import os
 import random
+import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -137,6 +153,13 @@ _PORT_CHUNK_ELEMS = 1 << 19
 #: pool worker's core share, then to every core this process may use
 #: (:func:`lane_width`).
 LANE_WIDTH: Optional[int] = None
+
+
+def port_mode(n: int, mode: str, exact_limit: int = DEFAULT_EXACT_LIMIT) -> str:
+    """The port model ``mode`` resolves to at ``n`` (``"auto"`` by size)."""
+    if mode == "auto":
+        return "exact" if n <= exact_limit else "scale"
+    return mode
 
 
 class ArrayPortMap(PortMap):
@@ -273,6 +296,64 @@ _WIRINGS: Dict[Tuple[int, int], Tuple[Tuple[int, ...], np.ndarray]] = {}
 _WIRING_SLOTS = 2
 
 
+#: ``(n, seed) -> path`` of each wiring :func:`shared_wirings` shares;
+#: empty outside one.
+_SHARED_WIRINGS: Dict[Tuple[int, int], str] = {}
+
+
+@contextlib.contextmanager
+def shared_wirings(keys: Iterable[Tuple[int, int]]) -> Iterator[None]:
+    """Share the port matrices of ``keys`` through a temporary directory.
+
+    Inside the block, a wiring cache miss on one of ``keys`` first loads
+    ``{n}-{seed}.npy`` from the directory (memory-mapped, read-only) and
+    only builds the matrix when no valid file is there; a build is then
+    published for the other processes.  Other keys build as outside the
+    block and write nothing.  The paths travel as a module global, so
+    only processes forked inside the block (a fork-started sweep pool)
+    share them; spawn or forkserver workers build privately.  On exit
+    the previous paths are restored and the directory removed.
+    """
+    global _SHARED_WIRINGS
+    previous = _SHARED_WIRINGS
+    with tempfile.TemporaryDirectory(prefix="repro-wirings-") as directory:
+        _SHARED_WIRINGS = {
+            (n, seed): os.path.join(directory, f"{n}-{seed}.npy") for n, seed in keys
+        }
+        try:
+            yield
+        finally:
+            _SHARED_WIRINGS = previous
+
+
+def _load_ports(path: str, n: int) -> Optional[np.ndarray]:
+    """The published matrix at ``path``, or ``None`` if absent or malformed."""
+    try:
+        ports = np.load(path, mmap_mode="r")
+    except (OSError, ValueError):
+        return None  # missing, truncated, or not an .npy file
+    if ports.shape != (n, max(0, n - 1)) or ports.dtype != np.min_scalar_type(n - 1):
+        return None
+    return np.asarray(ports)  # a plain read-only view of the mapping
+
+
+def _publish_ports(path: str, ports: np.ndarray) -> None:
+    """Write ``ports`` to ``path`` atomically; sharing is only an optimisation.
+
+    Readers only ever see a complete file: it is written under a
+    temporary name and renamed into place.  Any ``OSError`` (a full
+    disk, a removed directory) leaves this process with its private
+    copy; a partial temporary file goes when the directory does.
+    """
+    try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
+        with os.fdopen(fd, "wb") as out:
+            np.save(out, ports)
+        os.replace(tmp, path)
+    except OSError:
+        pass
+
+
 def _wiring(n: int, seed: int) -> Tuple[Tuple[int, ...], np.ndarray]:
     """The exact wiring of ``(n, seed)``: per-node seeds and port matrix.
 
@@ -290,8 +371,13 @@ def _wiring(n: int, seed: int) -> Tuple[Tuple[int, ...], np.ndarray]:
             del _WIRINGS[next(iter(_WIRINGS))]
         master = random.Random(seed)
         node_seeds = tuple(master.getrandbits(64) for _ in range(n))
-        ports = _random_port_matrix(np.random.default_rng(np.random.PCG64(seed)), n)
-        ports.flags.writeable = False
+        path = _SHARED_WIRINGS.get(key)
+        ports = None if path is None else _load_ports(path, n)
+        if ports is None:
+            ports = _random_port_matrix(np.random.default_rng(np.random.PCG64(seed)), n)
+            ports.flags.writeable = False
+            if path is not None:
+                _publish_ports(path, ports)
         wiring = (node_seeds, ports)
     _WIRINGS[key] = wiring
     return wiring
@@ -526,7 +612,7 @@ class FastSyncNetwork:
             raise ValueError(f"mode must be auto|exact|scale, got {mode!r}")
         self.n = n
         self.seed = seed
-        self.mode = ("exact" if n <= exact_limit else "scale") if mode == "auto" else mode
+        self.mode = port_mode(n, mode, exact_limit)
 
         # ---- batch-axis resolution -------------------------------------
         # A single run is a batch of one lane; run() then returns the

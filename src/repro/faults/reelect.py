@@ -88,6 +88,7 @@ clears of their own timing state.
 from __future__ import annotations
 
 import math
+import weakref
 from typing import Any, Callable, Dict, List, Optional, Union
 
 from repro.asyncnet.algorithm import AsyncAlgorithm
@@ -167,7 +168,10 @@ class _SubClique:
     wake_time = 0.0
 
     def __init__(self, owner: "_ReElectionCore", ctx, live_ports: List[int]):
-        self._owner = owner
+        # Weak, like the engines' context back-references: the owner
+        # holds this proxy, so a strong link would make a cycle that
+        # only the cyclic collector frees.
+        self._owner = weakref.proxy(owner)
         self._ctx = ctx
         self._v2r = live_ports
         self.n = len(live_ports) + 1
@@ -233,7 +237,8 @@ class _ReElectionCore:
     """The engine-neutral re-election state machine (module docstring).
 
     A driver supplies ``ENGINE`` (which registry class an inner name
-    resolves to) and four engine-specific pieces:
+    resolves to), ``DEFAULT_INNER`` (the inner election it runs when
+    none is named) and four engine-specific pieces:
 
     * ``_clock(ctx)`` — the time the detector is read at;
     * ``_adopt(ctx, leader_id)`` — how a tentative leader starts its
@@ -414,10 +419,11 @@ class ReElectionElection(_ReElectionCore, SyncAlgorithm):
     """
 
     ENGINE = "sync"
+    DEFAULT_INNER = "afek_gafni"
 
     def __init__(
         self,
-        inner: Union[str, Callable[[], Any]] = "afek_gafni",
+        inner: Union[str, Callable[[], Any]] = DEFAULT_INNER,
         commit_rounds: int = 4,
         restart_rounds: Optional[int] = None,
         inner_params: Optional[Dict[str, Any]] = None,
@@ -543,10 +549,11 @@ class AsyncReElectionElection(_ReElectionCore, AsyncAlgorithm):
     POLL = "reelect-poll"
     COMMIT = "reelect-commit"
     RESTART = "reelect-restart"
+    DEFAULT_INNER = "async_tradeoff"
 
     def __init__(
         self,
-        inner: Union[str, Callable[[], Any]] = "async_tradeoff",
+        inner: Union[str, Callable[[], Any]] = DEFAULT_INNER,
         commit_delay: float = 4.0,
         poll_interval: float = 0.5,
         restart_delay: Optional[float] = None,

@@ -176,6 +176,8 @@ class ScenarioRunner:
         self.restart_rounds = restart_rounds
         self.restart_delay = restart_delay
         self.quorum = quorum
+        # The re-election wrapper every object-engine act runs.
+        self._wrapper = "quorum_reelect" if quorum else "reelect"
         self.max_events = max_events
         self.recorder = recorder
         if ids is None:
@@ -194,6 +196,10 @@ class ScenarioRunner:
         else:
             self._reelect = self._reelect_factory()
             self._reelect()
+        if engine == "async":
+            from repro.core.registry import refuse_duplicates
+
+            refuse_duplicates(self._wrapper, {"inner": inner}, scenario.link_faults)
 
     def _check_timeline(self) -> None:
         """Reject partitions of unknown nodes and joins that reuse an ID.
@@ -350,8 +356,7 @@ class ScenarioRunner:
                 commit_delay=self.commit_delay, poll_interval=self.poll_interval,
                 restart_delay=self.restart_delay,
             )
-        name = "quorum_reelect" if self.quorum else "reelect"
-        return get_algorithm(name).make(engine=self.engine, inner=self.inner, **timing)
+        return get_algorithm(self._wrapper).make(engine=self.engine, inner=self.inner, **timing)
 
     @staticmethod
     def _sanitize_record(record) -> None:

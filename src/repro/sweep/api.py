@@ -12,11 +12,13 @@ bit-identical to any worker count).
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import math
 import sys
-from typing import Any, Callable, Dict, Iterable, List, Optional, Union
+from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple, Union
 
+from repro.common import paused_gc
 from repro.sweep.scheduler import SweepCell, run_cells
 from repro.sweep.spec import RunSpec
 from repro.telemetry.metrics import run_metrics
@@ -39,14 +41,8 @@ def _object_factory(spec: RunSpec, engine: str) -> Callable[[], Any]:
         )
     from repro.core.registry import get_algorithm
 
-    if spec.quorum and algorithm != "quorum_reelect":
-        # Quorum-safe wrapping: the named algorithm becomes the inner
-        # election of the quorum_reelect wrapper; params configure the
-        # wrapper (e.g. threshold=).
-        return get_algorithm("quorum_reelect").make(
-            engine=engine, inner=algorithm, **spec.params
-        )
-    return get_algorithm(algorithm).make(engine=engine, **spec.params)
+    name, params = spec.object_election()
+    return get_algorithm(name).make(engine=engine, **params)
 
 
 def _fault_extra(result: Any, extra: Dict[str, Any]) -> Dict[str, Any]:
@@ -210,54 +206,55 @@ def _execute_object(
     records = []
     try:
         for seed in spec.seeds:
-            failover = None
-            seed_recorder = trial_recorder
-            if faults is not None:
-                # Faulted runs measure their failover off the sends and
-                # decides, next to whatever sink the caller attached.
-                from repro.trace.events import CompositeRecorder, MemoryRecorder
+            with paused_gc():
+                failover = None
+                seed_recorder = trial_recorder
+                if faults is not None:
+                    # Faulted runs measure their failover off the sends and
+                    # decides, next to whatever sink the caller attached.
+                    from repro.trace.events import CompositeRecorder, MemoryRecorder
 
-                failover = MemoryRecorder(kinds=("send", "decide"))
-                seed_recorder = failover
-                if trial_recorder is not None:
-                    seed_recorder = CompositeRecorder(failover, trial_recorder)
-            if engine == "sync":
-                net = SyncNetwork(
-                    spec.n,
-                    factory,
-                    ids=spec.ids,
-                    seed=seed,
-                    awake=spec.awake,
-                    max_rounds=spec.max_rounds,
-                    faults=faults,
-                    recorder=seed_recorder,
-                )
-                result = net.run()
-                record = _sync_record(spec.n, seed, result, spec.params)
-            else:
-                net = AsyncNetwork(
-                    spec.n,
-                    factory,
-                    ids=spec.ids,
-                    seed=seed,
-                    scheduler=scheduler,
-                    wake_times=spec.wake_times,
-                    max_events=spec.max_events,
-                    faults=faults,
-                    recorder=seed_recorder,
-                )
-                result = net.run()
-                record = _async_record(spec.n, seed, result, spec.params)
-            if failover is not None:
-                measured = _measure_failover(result, failover.events)
-                record.extra["failover"] = measured
-                if measured["reelection_time"] is not None:
-                    record.extra["metrics"]["gauges"]["failover_latency"] = (
-                        measured["reelection_time"]
+                    failover = MemoryRecorder(kinds=("send", "decide"))
+                    seed_recorder = failover
+                    if trial_recorder is not None:
+                        seed_recorder = CompositeRecorder(failover, trial_recorder)
+                if engine == "sync":
+                    net = SyncNetwork(
+                        spec.n,
+                        factory,
+                        ids=spec.ids,
+                        seed=seed,
+                        awake=spec.awake,
+                        max_rounds=spec.max_rounds,
+                        faults=faults,
+                        recorder=seed_recorder,
                     )
-            if keep_result:
-                record.extra["result"] = result
-            records.append(record)
+                    result = net.run()
+                    record = _sync_record(spec.n, seed, result, spec.params)
+                else:
+                    net = AsyncNetwork(
+                        spec.n,
+                        factory,
+                        ids=spec.ids,
+                        seed=seed,
+                        scheduler=scheduler,
+                        wake_times=spec.wake_times,
+                        max_events=spec.max_events,
+                        faults=faults,
+                        recorder=seed_recorder,
+                    )
+                    result = net.run()
+                    record = _async_record(spec.n, seed, result, spec.params)
+                if failover is not None:
+                    measured = _measure_failover(result, failover.events)
+                    record.extra["failover"] = measured
+                    if measured["reelection_time"] is not None:
+                        record.extra["metrics"]["gauges"]["failover_latency"] = (
+                            measured["reelection_time"]
+                        )
+                if keep_result:
+                    record.extra["result"] = result
+                records.append(record)
     finally:
         if jsonl is not None:
             jsonl.close()
@@ -300,32 +297,33 @@ def _execute_fast(
     seeds = list(spec.seeds)
     records: List[RunRecord] = []
     for start in range(0, len(seeds), size):
-        chunk = seeds[start : start + size]
-        profiler = _fast_profiler(spec)
-        # Unnamed, so each network (and its lane buffers) is freed
-        # before the next chunk builds its own.
-        results = FastSyncNetwork(
-            spec.n,
-            ids=spec.ids,
-            seeds=chunk,
-            mode=spec.mode,
-            max_rounds=spec.max_rounds,
-            roots=spec.roots,
-            faults=faults,
-            quorum=spec.quorum,
-            telemetry=fast_trace,
-            profiler=profiler,
-        ).run(_fast_algorithm(spec.algorithm, spec.params))
-        for seed, result in zip(chunk, results):
-            record = _fast_record(spec.n, seed, result, spec.params)
-            if batched:
-                record.extra["batch"] = len(chunk)
-            if profiler is not None:
-                # One execution, one timer set: lanes share it.
-                record.extra["profile"] = profiler.as_dict()
-            if keep_result:
-                record.extra["result"] = result
-            records.append(record)
+        with paused_gc():
+            chunk = seeds[start : start + size]
+            profiler = _fast_profiler(spec)
+            # Unnamed, so each network (and its lane buffers) is freed
+            # before the next chunk builds its own.
+            results = FastSyncNetwork(
+                spec.n,
+                ids=spec.ids,
+                seeds=chunk,
+                mode=spec.mode,
+                max_rounds=spec.max_rounds,
+                roots=spec.roots,
+                faults=faults,
+                quorum=spec.quorum,
+                telemetry=fast_trace,
+                profiler=profiler,
+            ).run(_fast_algorithm(spec.algorithm, spec.params))
+            for seed, result in zip(chunk, results):
+                record = _fast_record(spec.n, seed, result, spec.params)
+                if batched:
+                    record.extra["batch"] = len(chunk)
+                if profiler is not None:
+                    # One execution, one timer set: lanes share it.
+                    record.extra["profile"] = profiler.as_dict()
+                if keep_result:
+                    record.extra["result"] = result
+                records.append(record)
     if spec.trace is not None and telemetry is None:
         from repro.telemetry import JsonlRecorder, RunContext
 
@@ -367,6 +365,13 @@ def execute_spec(
     stashing) are deliberately *not* spec fields: they carry live
     objects, and specs must stay picklable.  Cells carrying them run in
     the parent process.
+
+    Each seed's work (each lane chunk's on the fast engine) runs with
+    the cyclic garbage collector paused (:func:`repro.common.paused_gc`):
+    building the network, ``run()`` and assembling the record.  A run
+    frees its state by reference counting, so the collector's sweeps
+    would only re-traverse live port maps and messages.  Pausing per
+    seed bounds any cyclic garbage left pending to one run.
     """
     engine = spec.resolved_engine()
     if engine == "fast":
@@ -471,6 +476,27 @@ def _resolve_engines(grid: List[RunSpec]) -> None:
             _object_factory(spec, engine)
 
 
+def _shared_wiring_keys(cells: List[SweepCell]) -> Set[Tuple[int, int]]:
+    """The exact-mode ``(n, seed)`` port matrices two or more cells need.
+
+    Only these are worth publishing to the other pool workers: a key
+    one cell needs is built once whoever runs that cell.
+    """
+    seen: Set[Tuple[int, int]] = set()
+    shared: Set[Tuple[int, int]] = set()
+    for cell in cells:
+        spec = cell.payload
+        if spec.resolved_engine() != "fast":
+            continue
+        from repro.fastsync.engine import port_mode
+
+        if port_mode(spec.n, spec.mode) != "exact":
+            continue
+        for key in {(spec.n, seed) for seed in spec.seeds}:
+            (shared if key in seen else seen).add(key)
+    return shared
+
+
 def _cell_cost(spec: RunSpec) -> float:
     """Relative cost estimate for ragged-aware ordering (big-n first)."""
     return float(spec.n) * len(spec.seeds)
@@ -521,6 +547,17 @@ def sweep(
     inherit them instead of importing (and compiling) them at their
     first fast cell.  The cost is about 16 MB of resident memory in the
     parent; an object-only grid loads numpy nowhere.
+
+    A pooled sweep (``workers > 1``) in which two or more exact-mode
+    fast cells need the same ``(n, seed)`` port matrix (the Table 1
+    shape: several algorithms over one seed block) runs inside
+    :func:`repro.fastsync.engine.shared_wirings` for those keys: the
+    first process to need such a matrix builds and publishes it to a
+    temporary directory, and the others memory-map it instead of
+    building their own.  Fork-started workers inherit the directory;
+    under spawn or forkserver each worker builds privately.  The
+    directory is removed before ``sweep()`` returns; a grid without a
+    repeated key creates none and writes nothing.
     """
     if isinstance(specs, RunSpec):
         specs = [specs]
@@ -541,15 +578,22 @@ def sweep(
             )
     from repro.sweep.worker import run_spec_cell
 
-    per_cell = run_cells(
-        cells,
-        run_spec_cell,
-        workers=workers,
-        registry=registry,
-        executor_factory=executor_factory,
-        progress=progress,
-        spool_dir=spool_dir,
-    )
+    wirings = contextlib.nullcontext()
+    shared = _shared_wiring_keys(cells) if workers > 1 else set()
+    if shared:
+        from repro.fastsync.engine import shared_wirings
+
+        wirings = shared_wirings(shared)
+    with wirings:
+        per_cell = run_cells(
+            cells,
+            run_spec_cell,
+            workers=workers,
+            registry=registry,
+            executor_factory=executor_factory,
+            progress=progress,
+            spool_dir=spool_dir,
+        )
     records = [record for cell_records in per_cell for record in cell_records]
     if monitor is not None:
         monitor.observe_sweep(grid, records)

@@ -53,9 +53,12 @@ class RunSpec:
     that many lanes.  ``faults``/``adversary``/``quorum`` configure the
     fault layer of every engine — a crash schedule is
     ``faults=FaultPlan(crashes=...)``, and faulted fast specs run one
-    lane per seed; ``roots`` is the fast engine's adversarial wake-up
-    schedule; ``trace`` records the (single-seed) run to a JSONL path
-    and ``profile`` attaches kernel phase timers (fast engine).
+    lane per seed.  An async spec whose plan duplicates messages for an
+    election that assumes exactly-once delivery fails at construction
+    (:func:`repro.core.registry.refuse_duplicates`).  ``roots`` is the
+    fast engine's adversarial wake-up schedule; ``trace`` records the
+    (single-seed) run to a JSONL path and ``profile`` attaches kernel
+    phase timers (fast engine).
     """
 
     algorithm: Any
@@ -112,6 +115,10 @@ class RunSpec:
                     "RunSpec.faults must be a repro.faults.FaultPlan, "
                     f"got {type(self.faults).__name__}"
                 )
+            from repro.core.registry import ALGORITHMS, refuse_duplicates
+
+            if self.algorithm_name in ALGORITHMS and self.resolved_engine() == "async":
+                refuse_duplicates(*self.object_election(), self.faults.links)
         if self.adversary is not None:
             from repro.adversary.plan import AdversaryPlan
 
@@ -142,6 +149,18 @@ class RunSpec:
     def algorithm_name(self) -> Optional[str]:
         """The registry name, or ``None`` for factory-valued specs."""
         return self.algorithm if isinstance(self.algorithm, str) else None
+
+    def object_election(self) -> Tuple[str, Dict[str, Any]]:
+        """The registry name and params an object engine runs (named specs).
+
+        A quorum spec of any other election runs ``quorum_reelect``
+        with the named election as ``inner``; ``params`` configure the
+        wrapper (e.g. ``threshold=``), so they cannot name ``inner``.
+        """
+        name = self.algorithm
+        if self.quorum and name != "quorum_reelect":
+            return "quorum_reelect", dict(inner=name, **self.params)
+        return name, self.params
 
     def resolved_engine(self) -> str:
         """Resolve ``engine="auto"`` deterministically.

@@ -91,6 +91,32 @@ class TestRuns:
         assert proc.stderr == "error: afek_gafni runs on the sync engine, not async\n"
 
     @pytest.mark.parametrize(
+        "argv,who",
+        [
+            (("async_tradeoff", "--n", "16", "--duplicate", "0.3"), "async_tradeoff"),
+            (("async_afek_gafni", "--n", "16", "--duplicate", "0.3"), "async_afek_gafni"),
+            (("reelect", "--n", "16", "--engine", "async", "--duplicate", "0.05",
+              "--seeds", "1"), "reelect's inner election async_tradeoff"),
+        ],
+        ids=["async_tradeoff", "async_afek_gafni", "async-reelect"],
+    )
+    def test_async_duplicates_for_exactly_once_elections_are_refused(self, argv, who):
+        proc = run_cli("faults", *argv)
+        assert proc.returncode == 2
+        assert proc.stderr == (
+            f"error: {who} assumes exactly-once delivery on the async engine, "
+            "but the fault plan duplicates messages (duplicate_prob > 0)\n"
+        )
+
+    def test_duplicates_stay_allowed_where_delivery_may_repeat(self, capsys):
+        # The sync wrapper and the detector-driven async monarchical
+        # take duplicated messages.
+        assert main(["faults", "reelect", "--n", "16", "--duplicate", "0.3",
+                     "--seeds", "0"]) == 0
+        assert main(["faults", "monarchical", "--n", "16", "--engine", "async",
+                     "--duplicate", "0.3", "--seeds", "0"]) == 0
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ("faults", "reelect", "--engine", "async", "--n", "8", "--seeds", "0",

@@ -2,8 +2,11 @@
 
 import importlib
 import math
+import os
 import random
+import shutil
 import sys
+import tempfile
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -521,6 +524,81 @@ class TestWiringCache:
         assert engine._WIRINGS
         execute_spec(RunSpec(algorithm="las_vegas", n=16, engine="sync", seeds=(0,)))
         assert not engine._WIRINGS
+
+
+class TestSharedWirings:
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """The ``n`` of every port-matrix build, from an empty cache."""
+        calls = []
+        build = engine._random_port_matrix
+
+        def counted(rng, n):
+            calls.append(n)
+            return build(rng, n)
+
+        monkeypatch.setattr(engine, "_random_port_matrix", counted)
+        engine.release_wirings()
+        yield calls
+        engine.release_wirings()
+
+    def test_a_published_matrix_is_loaded_not_rebuilt(self, builds):
+        with engine.shared_wirings([(48, 5)]):
+            directory = os.path.dirname(engine._SHARED_WIRINGS[(48, 5)])
+            node_seeds, ports = engine._wiring(48, 5)
+            assert os.listdir(directory) == ["48-5.npy"]
+            engine.release_wirings()
+            loaded_seeds, loaded = engine._wiring(48, 5)
+        assert builds == [48]
+        assert loaded_seeds == node_seeds
+        assert loaded.dtype == ports.dtype and np.array_equal(loaded, ports)
+        assert not loaded.flags.writeable
+        assert engine._SHARED_WIRINGS == {}
+        assert not os.path.exists(directory)
+
+    def test_only_the_shared_keys_are_published(self, builds):
+        with engine.shared_wirings([(48, 5)]):
+            directory = os.path.dirname(engine._SHARED_WIRINGS[(48, 5)])
+            _, ports = engine._wiring(48, 6)
+            assert os.listdir(directory) == []
+            engine.release_wirings()
+            _, again = engine._wiring(48, 6)
+        assert builds == [48, 48]
+        assert np.array_equal(again, ports)
+
+    @pytest.mark.parametrize("damage", ["truncated", "wrong_dtype"])
+    def test_a_damaged_file_is_rebuilt_to_the_same_matrix(self, builds, damage):
+        with engine.shared_wirings([(48, 5)]):
+            path = engine._SHARED_WIRINGS[(48, 5)]
+            _, ports = engine._wiring(48, 5)
+            engine.release_wirings()
+            if damage == "truncated":
+                with open(path, "rb") as fh:
+                    data = fh.read()
+                with open(path, "wb") as fh:
+                    fh.write(data[: len(data) // 2])
+            else:
+                np.save(path, ports.astype(np.int64))
+            _, rebuilt = engine._wiring(48, 5)
+            assert rebuilt.dtype == ports.dtype and np.array_equal(rebuilt, ports)
+            # The rebuild republished a valid file.
+            engine.release_wirings()
+            engine._wiring(48, 5)
+        assert builds == [48, 48]
+
+    def test_a_vanished_directory_just_builds(self, builds):
+        with engine.shared_wirings([(48, 5)]):
+            shutil.rmtree(os.path.dirname(engine._SHARED_WIRINGS[(48, 5)]))
+            _, ports = engine._wiring(48, 5)
+            engine.release_wirings()
+            _, again = engine._wiring(48, 5)
+        assert builds == [48, 48]
+        assert np.array_equal(again, ports)
+
+    def test_without_a_directory_nothing_is_published(self, builds, tmp_path, monkeypatch):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        engine._wiring(48, 5)
+        assert engine._SHARED_WIRINGS == {} and not os.listdir(tmp_path)
 
 
 class TestExecution:

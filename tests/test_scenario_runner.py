@@ -161,6 +161,20 @@ class TestFastEngineSubset:
 
 
 class TestRunnerSemantics:
+    def test_async_duplicating_links_need_a_duplicate_safe_inner(self):
+        from repro.faults import LinkFaults
+
+        sc = Scenario(name="echo", link_faults=(LinkFaults(duplicate_prob=0.05),))
+        for quorum in (False, True):
+            wrapper = "quorum_reelect" if quorum else "reelect"
+            with pytest.raises(
+                ValueError, match=f"^{wrapper}'s inner election async_tradeoff"
+            ):
+                ScenarioRunner(sc, 8, engine="async", quorum=quorum)
+        # The sync and fast engines deliver duplicates to any election.
+        for engine in ("sync", "fast"):
+            ScenarioRunner(sc, 8, engine=engine)
+
     def test_non_leader_crash_needs_no_election_under_leader_loss(self):
         sc = Scenario(name="quiet", events=(crash(0, 20.0),))
         res = run_scenario(sc, 8, engine="sync", seed=1)

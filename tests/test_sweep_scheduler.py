@@ -179,6 +179,77 @@ class TestGracefulDegradation:
         records = sweep(grid, workers=4, executor_factory=lambda w: DyingExecutor())
         assert canon(records) == canon(sweep(grid, workers=1))
 
+    def test_broken_pools_leave_no_wiring_directory(self, tmp_path, monkeypatch):
+        import tempfile
+
+        from concurrent.futures.process import BrokenProcessPool
+
+        from repro.fastsync import engine
+
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        # A second algorithm over the n=512 seeds: keys two cells need.
+        grid = mixed_grid() + [
+            RunSpec(algorithm="las_vegas", n=512, engine="fast", seeds=(0, 1, 2, 3))
+        ]
+        seen = []
+
+        class DyingExecutor:
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                from concurrent.futures import Future
+
+                future = Future()
+                future.set_exception(BrokenProcessPool("worker died"))
+                return future
+
+        def dying(workers):
+            seen.append(dict(engine._SHARED_WIRINGS))
+            return DyingExecutor()
+
+        def unconstructible(workers):
+            seen.append(dict(engine._SHARED_WIRINGS))
+            raise OSError("no processes for you")
+
+        for factory in (dying, unconstructible):
+            sweep(grid, workers=4, executor_factory=factory)
+            assert engine._SHARED_WIRINGS == {}
+            assert os.listdir(tmp_path) == []
+        # Both sweeps shared exactly the n=512 keys, each in a directory
+        # of its own under the temporary root.
+        assert [sorted(paths) for paths in seen] == [[(512, s) for s in range(4)]] * 2
+        directories = {os.path.dirname(p) for paths in seen for p in paths.values()}
+        assert len(directories) == 2
+        assert all(os.path.dirname(d) == str(tmp_path) for d in directories)
+
+    def test_a_grid_without_repeated_keys_publishes_nothing(self, tmp_path, monkeypatch):
+        import tempfile
+
+        from repro.fastsync import engine
+
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        published = []
+        monkeypatch.setattr(engine, "_publish_ports", lambda path, ports: published.append(path))
+        made = []
+
+        def unconstructible(workers):
+            made.append(os.listdir(tmp_path))
+            raise OSError("no processes for you")
+
+        # One many-seed exact spec: every shard needs its own seeds.
+        grid = RunSpec(
+            algorithm="improved_tradeoff", n=64, engine="fast", mode="exact",
+            seeds=range(12), params={"ell": 3},
+        )
+        records = sweep(grid, workers=4, executor_factory=unconstructible)
+        assert len(records) == 12
+        assert made == [[]] and published == [] and os.listdir(tmp_path) == []
+        assert engine._SHARED_WIRINGS == {}
+
     def test_worker_that_dies_mid_sweep_is_survived(self, tmp_path):
         # A real pool worker exits without a word while holding a cell;
         # the sweep re-runs what is missing in the parent.
@@ -349,6 +420,34 @@ if __name__ == "__main__":
     print(len(notes) > 0, *sorted(set(notes)))
     print("numpy" in sys.modules)
 """
+
+
+# A pooled exact-mode grid in a fresh interpreter (nothing cached when
+# the pool forks) against the inline sweep; the temporary root must be
+# empty afterwards.
+_SHARED_WIRINGS_PROBE = """
+import os, tempfile
+from repro.analysis import RunSpec, canonical_record, sweep
+
+if __name__ == "__main__":
+    tempfile.tempdir = os.environ["PROBE_DIR"]
+    grid = [
+        RunSpec(algorithm=name, n=n, engine="fast", mode="exact", seeds=(0, 1),
+                params=params)
+        for n in (64, 128)
+        for name, params in (("improved_tradeoff", {"ell": 3}), ("las_vegas", {}),
+                             ("small_id", {"d": 4}))
+    ]
+    pooled = [canonical_record(r) for r in sweep(grid, workers=2)]
+    left = [name for name in os.listdir(os.environ["PROBE_DIR"]) if name != "probe.py"]
+    inline = [canonical_record(r) for r in sweep(grid, workers=1)]
+    print(len(pooled), pooled == inline, left == [])
+"""
+
+
+class TestSharedWirings:
+    def test_pooled_exact_grid_matches_inline_and_cleans_up(self, tmp_path):
+        assert _run_probe(tmp_path, _SHARED_WIRINGS_PROBE) == ["12", "True", "True"]
 
 
 class TestParentSideResolution:

@@ -8,7 +8,7 @@ import pytest
 from repro.adversary import AdversaryPlan, TamperRule
 from repro.analysis import RunSpec, canonical_record, run, sweep
 from repro.core import ImprovedTradeoffElection
-from repro.faults import CrashFault, DetectorSpec, FaultPlan
+from repro.faults import CrashFault, DetectorSpec, FaultPlan, LinkFaults
 
 
 class TestValidation:
@@ -49,6 +49,54 @@ class TestValidation:
                 faults=FaultPlan(adversary=adversary),
                 adversary=adversary,
             )
+
+    @pytest.mark.parametrize(
+        "kwargs,who",
+        [
+            (dict(algorithm="async_tradeoff"), "async_tradeoff"),
+            (dict(algorithm="async_afek_gafni", engine="async"), "async_afek_gafni"),
+            (dict(algorithm="reelect", engine="async"),
+             "reelect's inner election async_tradeoff"),
+            (dict(algorithm="reelect", engine="async",
+                  params={"inner": "async_afek_gafni"}),
+             "reelect's inner election async_afek_gafni"),
+            (dict(algorithm="async_tradeoff", quorum=True),
+             "quorum_reelect's inner election async_tradeoff"),
+        ],
+        ids=["direct-auto", "direct", "wrapper-default", "wrapper-named", "quorum"],
+    )
+    def test_async_duplicates_need_a_duplicate_safe_election(self, kwargs, who):
+        plan = FaultPlan(links=(LinkFaults(drop_prob=0.1), LinkFaults(duplicate_prob=0.2)))
+        with pytest.raises(ValueError, match=f"^{who} assumes exactly-once"):
+            RunSpec(n=16, faults=plan, **kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(algorithm="reelect", engine="sync"),
+            dict(algorithm="improved_tradeoff", engine="fast"),
+            dict(algorithm="monarchical", engine="async"),
+            dict(algorithm="reelect", engine="async",
+                 params={"inner": lambda: None}),
+        ],
+        ids=["sync-wrapper", "fast", "async-monarchical", "async-factory-inner"],
+    )
+    def test_duplicates_stay_allowed_elsewhere(self, kwargs):
+        plan = FaultPlan(links=(LinkFaults(duplicate_prob=0.2),))
+        RunSpec(n=16, faults=plan, **kwargs)
+        # Drops alone never trip the check.
+        RunSpec(algorithm="async_tradeoff", n=16,
+                faults=FaultPlan(links=(LinkFaults(drop_prob=0.2),)))
+
+    def test_object_election_wraps_quorum_specs(self):
+        plain = RunSpec(algorithm="afek_gafni", n=8, params={"x": 1})
+        assert plain.object_election() == ("afek_gafni", {"x": 1})
+        wrapped = RunSpec(algorithm="afek_gafni", n=8, quorum=True, params={"threshold": 5})
+        assert wrapped.object_election() == (
+            "quorum_reelect", {"inner": "afek_gafni", "threshold": 5}
+        )
+        itself = RunSpec(algorithm="quorum_reelect", n=8, quorum=True)
+        assert itself.object_election() == ("quorum_reelect", {})
 
     def test_trace_wants_exactly_one_seed(self):
         with pytest.raises(ValueError, match="exactly one seed"):
