@@ -180,16 +180,22 @@ def _first_max_pick(dst, val, floor):
     Returns positions into ``dst``/``val``, sorted by receiver — which
     is exactly the object engine's response send order (referees step in
     node order, one response each).
+
+    O(E) apart from the final pick: a ``np.maximum.at`` max per receiver
+    (started at the floor, which every kept value exceeds) marks the
+    copies at their receiver's maximum, and ``np.unique(...,
+    return_index=True)`` returns the first occurrence of each receiver
+    among them, in receiver order.
     """
-    keep = val > floor[dst]
-    idx = np.nonzero(keep)[0]
+    idx = np.flatnonzero(val > floor[dst])
     if idx.size == 0:
         return idx
-    order = np.lexsort((idx, -val[idx], dst[idx]))
-    sd = dst[idx[order]]
-    first = np.ones(order.size, dtype=bool)
-    first[1:] = sd[1:] != sd[:-1]
-    return idx[order[first]]
+    d, v = dst[idx], val[idx]
+    best = floor.copy()
+    np.maximum.at(best, d, v)
+    top = np.flatnonzero(v == best[d])
+    _, first = np.unique(d[top], return_index=True)
+    return idx[top[first]]
 
 
 def _rank_grants_per_copy(dst, val, size):

@@ -336,43 +336,51 @@ class FastFaultRuntime:
         edges are decided in array form.  The remaining *variable-draw*
         edges run :meth:`FaultRuntime.link_copies` in a loop over the
         pre-drawn doubles, skipping the one double each one-draw edge
-        between them owns; doubles left over go back to the stream.
+        between them owns; doubles left over go back to the stream.  A
+        batch with no variable-draw edge takes the next ``k`` doubles as
+        one slice, one per edge in send order.
         """
         if self._stream is None:
             self._stream = MersenneStream(self.inner.rng)
         k = rule_of.size
         once = self._draws_once[rule_of]
+        if once.all():
+            u = self._stream.peek(k)
+            self._stream.skip(k)
+            return self._one_draw_copies(u, rule_of)
         var_edges = np.flatnonzero(~once).tolist()
         buf = self._stream.peek(k + len(var_edges))
         copies = np.ones(k, dtype=np.int64)
         draws = np.ones(k, dtype=np.int64)
-        if var_edges:
-            vals = buf.tolist()
-            cursor = 0
+        vals = buf.tolist()
+        cursor = 0
 
-            def draw() -> float:
-                nonlocal cursor
-                cursor += 1
-                return vals[cursor - 1]
+        def draw() -> float:
+            nonlocal cursor
+            cursor += 1
+            return vals[cursor - 1]
 
-            prev = -1
-            link_copies = self.inner.link_copies
-            for j in var_edges:
-                cursor += j - prev - 1
-                start = cursor
-                copies[j] = link_copies(int(rule_of[j]), draw)
-                draws[j] = cursor - start
-                prev = j
+        prev = -1
+        link_copies = self.inner.link_copies
+        for j in var_edges:
+            cursor += j - prev - 1
+            start = cursor
+            copies[j] = link_copies(int(rule_of[j]), draw)
+            draws[j] = cursor - start
+            prev = j
         u = buf[(np.cumsum(draws) - draws)[once]]
         self._stream.skip(int(draws.sum()))
-        rules = rule_of[once]
+        copies[once] = self._one_draw_copies(u, rule_of[once])
+        return copies
+
+    def _one_draw_copies(self, u: np.ndarray, rules: np.ndarray) -> np.ndarray:
+        """Copies per one-draw edge from its double ``u``, counted in metrics."""
         dropped = u < self._drop_prob[rules]
         duplicated = ~dropped & (u < self._duplicate_prob[rules])
-        copies[once] = np.where(dropped, 0, np.where(duplicated, 2, 1))
         metrics = self.inner.metrics
         metrics.dropped_messages += int(dropped.sum())
         metrics.duplicated_messages += int(duplicated.sum())
-        return copies
+        return np.where(dropped, 0, np.where(duplicated, 2, 1))
 
     # ------------------------------------------------------------------ #
     # delivery

@@ -260,29 +260,22 @@ class ScenarioRunner:
 
     def _believed_leaders(self) -> Tuple[int, ...]:
         """Distinct believed-leader IDs whose nodes are actually up."""
-        leaders = set()
-        for st in self._up_states():
-            if st.leader is None:
-                continue
-            owner = self._id_to_state(st.leader)
-            if owner is not None and owner.up:
-                leaders.add(st.leader)
-        return tuple(sorted(leaders))
+        beliefs = {st.leader for st in self.states if st.up}
+        beliefs.discard(None)
+        return tuple(sorted(b for b in beliefs if self._owner_up(b)))
 
     def _is_agreed(self) -> bool:
         """Exactly one up leader, followed by every up node, no split."""
         if self._partition is not None:
             return False
-        up = self._up_states()
-        if not up:
-            return False
-        beliefs = {st.leader for st in up}
+        beliefs = {st.leader for st in self.states if st.up}
         if len(beliefs) != 1:
             return False
-        leader = next(iter(beliefs))
-        if leader is None:
-            return False
-        owner = self._id_to_state(leader)
+        (leader,) = beliefs
+        return leader is not None and self._owner_up(leader)
+
+    def _owner_up(self, node_id: int) -> bool:
+        owner = self._id_to_state(node_id)
         return owner is not None and owner.up
 
     def _mark(self, t: float) -> None:

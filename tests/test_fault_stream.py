@@ -132,3 +132,39 @@ def test_batch_decisions_match_the_object_runtime_edge_by_edge(name):
         for kind, pairs in want.items():
             assert list(zip(got[kind].src.tolist(), got[kind].dst.tolist())) == pairs
     assert fast.metrics == obj.metrics
+
+
+def test_a_one_draw_batch_moves_the_stream_by_exactly_its_edges():
+    # Rule 0 spends one double per compete; rule 1 (drop and duplicate)
+    # spends one or two per win.  A batch claimed by rule 0 alone takes
+    # its doubles as one slice, so the stream must sit exactly k doubles
+    # on, and a following variable-draw batch must still replay the
+    # object runtime edge by edge.
+    plan = FaultPlan(
+        links=(
+            LinkFaults(duplicate_prob=0.3, kinds=("compete",)),
+            LinkFaults(drop_prob=0.4, duplicate_prob=0.5, kinds=("win",)),
+        )
+    )
+    n, seed = 9, 4
+    fast = FastFaultRuntime(plan, n, range(1, n + 1), seed)
+    obj = FaultRuntime(plan, n, list(range(1, n + 1)), seed)
+    src = np.repeat(np.arange(n), n - 1)
+    dst = (src + np.tile(np.arange(1, n), n)) % n
+    k = src.size
+
+    fast.deliver(1, "compete", src, dst)
+    replay = random.Random(f"faults:{seed}")
+    for _ in range(k):
+        replay.random()
+    assert fast._stream.peek(1).tolist() == [replay.random()]
+    for u, v in zip(src.tolist(), dst.tolist()):
+        obj.deliveries(u, v, "compete", 1)
+
+    got = fast.deliver(2, "win", src, dst)
+    want = []
+    for u, v in zip(src.tolist(), dst.tolist()):
+        want.extend([(u, v)] * obj.deliveries(u, v, "win", 2))
+    assert list(zip(got["win"].src.tolist(), got["win"].dst.tolist())) == want
+    assert fast.metrics == obj.metrics
+    assert fast.metrics.dropped_messages and fast.metrics.duplicated_messages

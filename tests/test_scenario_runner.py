@@ -8,6 +8,7 @@ intervals) rather than raw counters, so they hold on any engine.
 import pytest
 
 from repro.scenarios import (
+    NodeState,
     Scenario,
     ScenarioRunner,
     crash,
@@ -308,3 +309,63 @@ class TestRunnerSemantics:
     def test_bad_lag_rejected_at_construction(self, lag):
         with pytest.raises(ValueError, match="detector lag must be >= 0"):
             ScenarioRunner(get_scenario("election_storm", 8), 8, lag=lag)
+
+
+class TestLeaderTallies:
+    """``_believed_leaders`` and ``_is_agreed`` on hand-built node states.
+
+    A belief counts only while its owner is up, whatever the believer;
+    agreement needs every up node on one live leader and no partition.
+    """
+
+    @staticmethod
+    def runner(spec, partition_on=False):
+        """A sync runner over states ``spec``: one ``(up, leader)`` per node."""
+        r = ScenarioRunner(get_scenario("election_storm", 8), 8, engine="sync")
+        r.states = [
+            NodeState(index=i, node_id=10 * (i + 1), up=up, leader=leader)
+            for i, (up, leader) in enumerate(spec)
+        ]
+        r._state_by_id = {st.node_id: st for st in r.states}
+        r._partition = partition(((0, 1), (2, 3)), 1.0, 2.0) if partition_on else None
+        return r
+
+    def test_all_up_nodes_follow_one_live_leader(self):
+        r = self.runner([(True, 30), (True, 30), (True, 30), (False, None)])
+        assert r._believed_leaders() == (30,)
+        assert r._is_agreed()
+
+    def test_a_down_believer_does_not_count(self):
+        # Node 3 is down but believes in the up node 10; the up nodes all
+        # follow 20, so only 20 is believed and the clique agrees.
+        r = self.runner([(True, 20), (True, 20), (True, 20), (False, 10)])
+        assert r._believed_leaders() == (20,)
+        assert r._is_agreed()
+
+    def test_a_crashed_leader_is_no_leader(self):
+        r = self.runner([(True, 40), (True, 40), (True, 40), (False, 40)])
+        assert r._believed_leaders() == ()
+        assert not r._is_agreed()
+
+    def test_none_beliefs(self):
+        r = self.runner([(True, None), (True, None), (False, None)])
+        assert r._believed_leaders() == ()
+        assert not r._is_agreed()
+        r = self.runner([(True, None), (True, 10), (True, 10)])
+        assert r._believed_leaders() == (10,)
+        assert not r._is_agreed()
+
+    def test_two_live_leaders_come_back_sorted(self):
+        r = self.runner([(True, 40), (True, 10), (True, 40), (True, 10), (True, 99)])
+        assert r._believed_leaders() == (10, 40)
+        assert not r._is_agreed()
+
+    def test_no_up_node_agrees_on_nothing(self):
+        r = self.runner([(False, 10), (False, 10)])
+        assert r._believed_leaders() == ()
+        assert not r._is_agreed()
+
+    def test_a_partition_is_never_agreed(self):
+        r = self.runner([(True, 10)] * 4, partition_on=True)
+        assert r._believed_leaders() == (10,)
+        assert not r._is_agreed()
