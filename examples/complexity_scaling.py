@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
-"""How each algorithm's message bill scales — fitted exponents, plotted.
+"""How each algorithm's message bill scales — fitted exponents.
 
 Sweeps the clique size for four algorithms spanning the paper's spectrum
-and renders a log-log scatter of messages vs n in the terminal, next to
-the fitted power laws:
+and prints a table of mean messages per n, next to the fitted power
+laws:
 
 * Theorem 3.10 at ℓ=3  → ~n^1.5   (fast and expensive)
 * Theorem 3.10 at ℓ=9  → ~n^1.2
@@ -15,7 +15,7 @@ Run:  python examples/complexity_scaling.py
 
 import random
 
-from repro.analysis import RunSpec, fit_power_law, scatter, sweep
+from repro.analysis import RunSpec, Table, fit_power_law, sweep
 from repro.ids import assign_random, tradeoff_universe
 
 NS = [128, 256, 512, 1024, 2048, 4096]
@@ -56,11 +56,14 @@ def main() -> None:
         series[name] = points
         fits[name] = fit_power_law([p[0] for p in points], [p[1] for p in points])
 
-    print(scatter(series, title="messages vs n (log-log)", width=60, height=16))
+    table = Table(["n", *series], title="mean messages vs n")
+    for i, n in enumerate(NS):
+        table.add_row(n, *(points[i][1] for points in series.values()))
+    print(table.render())
     print("\nfitted power laws:")
     for name, fit in fits.items():
         print(f"  {name:<18} {fit}")
-    print("\nReading: four separated curves — the paper's hierarchy")
+    print("\nReading: four separated columns — the paper's hierarchy")
     print("n^1.5 > n^1.2 > n > sqrt(n)·polylog.  (At laptop sizes the two")
     print("randomized fits sit below their asymptotic slopes: Las Vegas")
     print("mixes its Theta(n) announcement with a sqrt(n)·polylog compete")

@@ -13,8 +13,8 @@ The package provides:
   proofs: communication graphs, the component-capacity adversary, the
   single-send transformation, bound formulas for every Table 1 row, and
   the §4.2 wake-up falsification experiment;
-* :mod:`repro.analysis` — experiment runner, power-law fitting, paper
-  style tables and validation helpers;
+* :mod:`repro.analysis` — experiment runner, power-law fitting and paper
+  style tables;
 * :mod:`repro.faults` — crash-fault injection, failure-detector oracles,
   partition masks, and fault-tolerant (monarchical / epoch re-election)
   algorithms for failover scenarios on both engines;

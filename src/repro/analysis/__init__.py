@@ -1,4 +1,4 @@
-"""Experiment harness: runners, power-law fitting, tables, validation.
+"""Experiment harness: runners, power-law fitting, tables.
 
 This package turns raw simulator runs into the paper-shaped artifacts the
 benchmarks print: message-complexity exponents fitted over sweeps of
@@ -7,17 +7,11 @@ paper-bound columns next to measured columns.
 """
 
 from repro.analysis.fit import PowerLawFit, fit_power_law, fit_polylog
-from repro.analysis.plot import bar_chart, scatter
 from repro.analysis.runner import RunRecord
 from repro.analysis.stats import Summary, success_rate, summarize
 from repro.sweep.api import execute_spec, run, sweep
 from repro.sweep.spec import RunSpec, canonical_record
 from repro.analysis.tables import Table, format_quantity
-from repro.analysis.validate import (
-    agreement_ok,
-    assert_unique_leader,
-    election_valid,
-)
 
 __all__ = [
     "PowerLawFit",
@@ -34,9 +28,4 @@ __all__ = [
     "success_rate",
     "Table",
     "format_quantity",
-    "bar_chart",
-    "scatter",
-    "assert_unique_leader",
-    "election_valid",
-    "agreement_ok",
 ]

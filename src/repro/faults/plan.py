@@ -275,16 +275,8 @@ class FaultPlan:
                 )
 
     @property
-    def has_link_faults(self) -> bool:
-        return bool(self.links)
-
-    @property
     def has_partitions(self) -> bool:
         return bool(self.partitions)
-
-    @property
-    def has_adversary(self) -> bool:
-        return self.adversary is not None
 
     @property
     def slanders(self) -> Tuple:

@@ -108,14 +108,8 @@ class FaultRuntime:
     # ------------------------------------------------------------------ #
     # ground truth queries
 
-    def is_crashed(self, u: int) -> bool:
-        return u in self.crashed_at
-
     def alive_count(self) -> int:
         return self.n - len(self.crashed_at)
-
-    def crashed_ids(self) -> frozenset:
-        return frozenset(self.ids[u] for u in self.crashed_at)
 
     # ------------------------------------------------------------------ #
     # crash scheduling

@@ -20,6 +20,13 @@ exercised and checked:
 * :mod:`repro.lowerbound.wakeup_experiment` — the Section 4.2 experiment:
   two-round wake-up protocols with parametric fan-outs, demonstrating the
   Ω(n^(3/2)) barrier of Theorem 4.2 empirically.
+* :mod:`repro.lowerbound.flood_experiment` — the Theorem 3.8 round floor
+  traced empirically: a budget-saturating flood against the capacity
+  adversary, one point per per-node budget ``f``.
+* :mod:`repro.lowerbound.covertree` — the cover trees of Lemmas 5.4–5.8,
+  rebuilt from a recorded asynchronous execution (depth, branching).
+* :mod:`repro.lowerbound.terminating` — Definitions 3.4/3.5 by exhaustive
+  search: does an ID set form terminating components in isolation?
 """
 
 from repro.lowerbound.commgraph import CommGraph, CommGraphRecorder

@@ -122,10 +122,6 @@ class GrowthTrace:
             previous = current
         return factors
 
-    def max_growth_factor(self) -> float:
-        factors = self.growth_factors()
-        return max(factors) if factors else 1.0
-
     def rounds_to_majority(self) -> Optional[int]:
         """First round with a component spanning a majority of the clique.
 

@@ -20,6 +20,7 @@ Four layers, composable:
 from repro.monitor.violations import Violation, trace_slice
 from repro.monitor.invariants import (
     AgreementMonitor,
+    CongestMonitor,
     InvariantMonitor,
     MONITOR_NAMES,
     MonitorSuite,
@@ -67,6 +68,7 @@ __all__ = [
     "ValidityMonitor",
     "QuorumOneLeaderMonitor",
     "TerminationMonitor",
+    "CongestMonitor",
     "default_monitors",
     "MONITOR_NAMES",
     # conformance

@@ -28,6 +28,9 @@ this repo is supposed to satisfy:
 ``termination_bound``
     Every awake, uncrashed node decides, and (optionally) all activity
     stays below an explicit round/time bound.
+``congest`` (opt-in, not in :func:`default_monitors`)
+    Every sent payload fits in ``O(log n)`` bits — the paper's §2 claim
+    that its algorithms keep their complexities under CONGEST.
 
 Violations are collected, never raised — see
 :class:`~repro.monitor.Violation`.
@@ -35,11 +38,12 @@ Violations are collected, never raised — see
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from typing import Any, Dict, List, Optional, Sequence, Set
 
 from repro.trace.events import EventRecorder, TraceEvent
-from repro.common import Decision
+from repro.common import Decision, message_kind
 from repro.monitor.violations import Violation, trace_slice
 
 __all__ = [
@@ -49,6 +53,9 @@ __all__ = [
     "ValidityMonitor",
     "QuorumOneLeaderMonitor",
     "TerminationMonitor",
+    "CongestMonitor",
+    "payload_bits",
+    "congest_budget",
     "MonitorSuite",
     "default_monitors",
     "MONITOR_NAMES",
@@ -309,7 +316,91 @@ class TerminationMonitor(InvariantMonitor):
             )
 
 
-#: Names of every shipped invariant, in attachment order.
+#: Bits for a payload's kind tag: each algorithm uses O(1) kinds, and
+#: 8 bits covers every kind in this package.
+KIND_BITS = 8
+
+
+def payload_bits(payload: Any) -> int:
+    """Estimated wire size of one message payload, in bits.
+
+    Payloads are tuples ``(kind, field, ...)`` of ints (IDs, ranks,
+    levels) and bools (see :func:`repro.common.message_kind`).  Raises
+    ``TypeError`` for a field of any other type.
+    """
+    if payload is None or isinstance(payload, bool):
+        return 1
+    if isinstance(payload, int):
+        return max(1, payload.bit_length())
+    if isinstance(payload, str):
+        return KIND_BITS
+    if isinstance(payload, tuple):
+        return sum(payload_bits(field) for field in payload)
+    raise TypeError(f"cannot size payload field of type {type(payload).__name__}")
+
+
+def congest_budget(n: int) -> float:
+    """The per-message CONGEST budget: ``8·log2(n)`` bits plus a tag.
+
+    The factor 8 absorbs the constant number of O(log n)-bit fields per
+    message (ranks live in ``[n^4]`` — four words — plus an ID).
+    """
+    return 8 * math.log2(max(n, 2)) + KIND_BITS
+
+
+class CongestMonitor(InvariantMonitor):
+    """Every sent payload fits in :func:`congest_budget` bits (§2).
+
+    Opt-in: sizing every payload is per-message work the default set
+    does not pay, and flattened sweep records carry no payloads.  The
+    budget uses the suite's ``n``.  One violation is reported per
+    message kind that overflows or cannot be sized.  ``messages`` counts
+    every send; ``total_bits`` and ``max_bits`` cover the sized ones.
+    """
+
+    name = "congest"
+
+    def __init__(self) -> None:
+        self.messages = 0
+        self.total_bits = 0
+        self.max_bits = 0
+        self._flagged: Set[str] = set()
+
+    def bind(self, suite: "MonitorSuite") -> None:
+        if suite.n is None:
+            raise ValueError("CongestMonitor needs a suite with n or ids")
+        super().bind(suite)
+        self.budget = congest_budget(suite.n)
+
+    def observe(self, event: TraceEvent) -> None:
+        if event.kind != "send":
+            return
+        self.messages += 1
+        payload = event.detail[3]
+        try:
+            bits = payload_bits(payload)
+        except TypeError as exc:
+            self._flag(payload, f"payload {payload!r} cannot be sized: {exc}", event)
+            return
+        self.total_bits += bits
+        self.max_bits = max(self.max_bits, bits)
+        if bits > self.budget:
+            self._flag(
+                payload,
+                f"payload {payload!r} needs {bits} bits > CONGEST budget "
+                f"{self.budget:.0f} bits for n={self.suite.n}",
+                event,
+            )
+
+    def _flag(self, payload: Any, message: str, event: TraceEvent) -> None:
+        kind = message_kind(payload)
+        if kind not in self._flagged:
+            self._flagged.add(kind)
+            self._report(message, when=event.when, node=event.node)
+
+
+#: Names of the default invariants (``default_monitors(quorum=True)``),
+#: in attachment order; the opt-in ``congest`` audit is not among them.
 MONITOR_NAMES = (
     "unique_leader_per_epoch",
     "agreement",

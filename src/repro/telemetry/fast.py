@@ -87,11 +87,6 @@ class FastTelemetry:
             for r, kinds in sorted(self._sends.get(lane, {}).items())
         }
 
-    def sends_by_round_kind(self, lane: int = 0) -> Dict[int, Dict[str, int]]:
-        return {
-            r: dict(kinds) for r, kinds in sorted(self._sends.get(lane, {}).items())
-        }
-
     def messages_by_kind(self, lane: int = 0) -> Dict[str, int]:
         totals: Dict[str, int] = {}
         for kinds in self._sends.get(lane, {}).values():

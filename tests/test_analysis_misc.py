@@ -1,4 +1,4 @@
-"""Stats, tables, runner and validation helpers (repro.analysis)."""
+"""Stats, tables and runner helpers (repro.analysis)."""
 
 import random
 
@@ -8,16 +8,12 @@ from repro.analysis import (
     RunRecord,
     RunSpec,
     Table,
-    agreement_ok,
-    assert_unique_leader,
-    election_valid,
     format_quantity,
     run,
     success_rate,
     summarize,
     sweep,
 )
-from repro.core import ImprovedTradeoffElection
 
 
 class TestSummarize:
@@ -159,35 +155,3 @@ class TestRunner:
             )
         ]
         assert records[0].time < 0.01
-
-
-class TestValidation:
-    def test_election_valid_on_real_run(self):
-        from repro.sync import SyncNetwork
-
-        result = SyncNetwork(32, lambda: ImprovedTradeoffElection(ell=3), seed=0).run()
-        assert election_valid(result)
-        assert_unique_leader(result)
-        assert agreement_ok(result)
-
-    def test_assert_unique_leader_raises(self):
-        class Fake:
-            leaders = []
-            leader_ids = []
-            decided_count = 0
-            n = 4
-
-        with pytest.raises(AssertionError):
-            assert_unique_leader(Fake())
-
-    def test_agreement_fails_on_bad_output(self):
-        from repro.common import Decision
-
-        class Fake:
-            leaders = [0]
-            unique_leader = True
-            elected_id = 10
-            decisions = [Decision.LEADER, Decision.NON_LEADER]
-            outputs = [10, 99]
-
-        assert not agreement_ok(Fake())

@@ -17,7 +17,7 @@ EXAMPLES = sorted((ROOT / "examples").glob("*.py"))
 
 
 def test_the_globs_find_the_modules():
-    assert len(BENCHES) >= 25
+    assert len(BENCHES) >= 24
     assert len(EXAMPLES) >= 9
 
 

@@ -1,23 +1,30 @@
-"""CONGEST bit accounting (repro.congest)."""
+"""The CONGEST audit (repro.monitor.CongestMonitor).
+
+§2: "our algorithms have their claimed complexities also under the
+CONGEST model" — every message must fit in O(log n) bits.  The monitor
+sizes each sent payload and reports a Violation, never raises.
+"""
 
 import pytest
 
-from repro.congest import (
-    CongestAuditor,
-    CongestViolation,
-    assert_congest,
-    congest_budget,
-    payload_bits,
-)
-from repro.core import (
-    AsyncAfekGafniElection,
-    AsyncTradeoffElection,
-    ImprovedTradeoffElection,
-    Kutten16Election,
-    LasVegasElection,
-)
-from repro.asyncnet.engine import AsyncNetwork
-from repro.sync.engine import SyncNetwork
+from repro.analysis import RunSpec, run
+from repro.monitor import CongestMonitor, MonitorSuite
+from repro.monitor.invariants import congest_budget, payload_bits
+from repro.trace import TraceEvent
+
+
+def send(payload, when=1.0, node=0):
+    return TraceEvent("send", when, node, (0, 1, 0, payload))
+
+
+HUGE = 2 ** (64 * 20)  # 1280 bits, far over the budget at n=1024
+
+
+def audit(payloads, n=1024):
+    monitor = CongestMonitor()
+    suite = MonitorSuite(monitors=[monitor], n=n)
+    suite.replay([send(p) for p in payloads]).finish()
+    return monitor, suite
 
 
 class TestPayloadBits:
@@ -44,54 +51,75 @@ class TestPayloadBits:
     def test_budget_scales_with_log_n(self):
         assert congest_budget(2**20) > congest_budget(2**10)
 
-    def test_assert_congest(self):
-        assert_congest(("compete", 100), 1024)
-        with pytest.raises(CongestViolation):
-            assert_congest(("huge", 2 ** (64 * 20)), 1024, factor=1.0)
+
+class TestCongestMonitor:
+    def test_fitting_payloads_are_tallied(self):
+        monitor, suite = audit([("compete", 100), ("win",), None])
+        assert suite.ok
+        assert monitor.messages == 3
+        assert monitor.total_bits == (8 + 7) + 8 + 1
+        assert monitor.max_bits == 15
+
+    def test_oversized_payload_is_a_violation(self):
+        monitor, suite = audit([("huge", HUGE)])
+        [violation] = suite.violations
+        assert violation.monitor == "congest"
+        assert "CONGEST budget" in violation.message
+        assert violation.node == 0 and violation.when == 1.0
+
+    def test_unsizable_field_is_a_violation(self):
+        monitor, suite = audit([("x", [1, 2]), ("compete", 3)])
+        [violation] = suite.violations
+        assert "cannot be sized" in violation.message
+        assert monitor.messages == 2
+        assert monitor.total_bits == 8 + 2  # only the sized send
+
+    def test_one_violation_per_kind(self):
+        _, suite = audit([("a", HUGE), ("a", HUGE), ("b", HUGE)])
+        assert len(suite.violations) == 2
+
+    def test_other_events_are_ignored(self):
+        monitor = CongestMonitor()
+        suite = MonitorSuite(monitors=[monitor], n=8)
+        suite.replay([TraceEvent("wake", 0.0, 0, ())])
+        assert monitor.messages == 0
+
+    def test_needs_n(self):
+        with pytest.raises(ValueError, match="needs a suite with n"):
+            MonitorSuite(monitors=[CongestMonitor()])
+
+    def test_not_a_default_monitor(self):
+        assert "congest" not in {m.name for m in MonitorSuite(n=4).monitors}
 
 
 class TestAlgorithmsAreCongest:
-    """§2: 'our algorithms have their claimed complexities also under the
-    CONGEST model' — every message must fit in O(log n) bits."""
+    """Every paper algorithm at n=128: zero violations, every send sized."""
 
     @pytest.mark.parametrize(
-        "factory",
+        "algorithm,engine,params",
         [
-            lambda: ImprovedTradeoffElection(ell=5),
-            lambda: Kutten16Election(),
-            lambda: LasVegasElection(),
+            ("improved_tradeoff", "sync", {}),
+            ("afek_gafni", "sync", {}),
+            ("small_id", "sync", {"d": 4}),
+            ("las_vegas", "sync", {}),
+            ("kutten16", "sync", {}),
+            ("adversarial_2round", "sync", {}),
+            ("async_tradeoff", "async", {}),
+            ("async_afek_gafni", "async", {}),
         ],
-        ids=["improved", "kutten16", "las_vegas"],
     )
-    def test_sync_algorithms(self, factory):
+    def test_every_message_fits(self, algorithm, engine, params):
         n = 128
-        auditor = CongestAuditor(n)
-        result = SyncNetwork(n, factory, seed=1, recorder=auditor).run()
-        assert auditor.messages == result.messages
-        assert 0 < auditor.max_bits <= congest_budget(n)
-
-    @pytest.mark.parametrize(
-        "factory,simultaneous",
-        [
-            (lambda: AsyncTradeoffElection(k=2), False),
-            (AsyncAfekGafniElection, True),
-        ],
-        ids=["async_tradeoff", "async_ag"],
-    )
-    def test_async_algorithms(self, factory, simultaneous):
-        n = 128
-        auditor = CongestAuditor(n)
-        wake_times = {u: 0.0 for u in range(n)} if simultaneous else None
-        result = AsyncNetwork(
-            n, factory, seed=1, recorder=auditor, wake_times=wake_times
-        ).run()
-        assert auditor.messages == result.messages
-        assert auditor.max_bits <= congest_budget(n)
-
-    def test_total_bits_accumulate(self):
-        n = 64
-        auditor = CongestAuditor(n)
-        SyncNetwork(
-            n, lambda: ImprovedTradeoffElection(ell=3), seed=0, recorder=auditor
-        ).run()
-        assert auditor.total_bits >= auditor.messages  # >= 1 bit each
+        monitor = CongestMonitor()
+        suite = MonitorSuite(monitors=[monitor], n=n)
+        record = run(
+            RunSpec(
+                algorithm=algorithm, n=n, engine=engine, seeds=(1,), params=params
+            ),
+            recorder=suite,
+        )
+        suite.finish()
+        assert suite.violations == []
+        assert monitor.messages == record.messages > 0
+        assert 0 < monitor.max_bits <= congest_budget(n)
+        assert monitor.total_bits >= monitor.messages

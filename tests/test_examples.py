@@ -73,7 +73,7 @@ class TestExamples:
 
     @pytest.mark.slow
     def test_complexity_scaling_runs(self):
-        # full size but fast enough (~1 min); asserts the plot renders.
+        # full size but fast enough (~1 min); asserts the table and fits print.
         out = run_example("complexity_scaling.py", timeout=400)
         assert "fitted power laws" in out
         assert "monte carlo [16]" in out
