@@ -10,7 +10,7 @@ import pytest
 from repro.analysis import RunSpec, run
 from repro.monitor import CongestMonitor, MonitorSuite
 from repro.monitor.invariants import congest_budget, payload_bits
-from repro.trace import TraceEvent
+from repro.trace import CompositeRecorder, MemoryRecorder, TraceEvent
 
 
 def send(payload, when=1.0, node=0):
@@ -50,6 +50,16 @@ class TestPayloadBits:
 
     def test_budget_scales_with_log_n(self):
         assert congest_budget(2**20) > congest_budget(2**10)
+
+    @pytest.mark.parametrize(
+        "n,budget", [(1, 16), (2, 16), (16, 40), (128, 64), (1024, 88)]
+    )
+    def test_budget_is_eight_words_plus_a_tag(self, n, budget):
+        assert congest_budget(n) == budget
+
+    def test_zero_and_kind_tag_widths(self):
+        assert payload_bits(0) == 1
+        assert payload_bits(("a",)) == payload_bits(("a_much_longer_kind",)) == 8
 
 
 class TestCongestMonitor:
@@ -91,6 +101,25 @@ class TestCongestMonitor:
     def test_not_a_default_monitor(self):
         assert "congest" not in {m.name for m in MonitorSuite(n=4).monitors}
 
+    def test_budget_boundary(self):
+        # n=16: budget 8*4 + 8 = 40 bits; a tag plus a 32-bit field fits.
+        _, suite = audit([("k", 2**32 - 1)], n=16)
+        assert suite.ok
+        _, suite = audit([("k", 2**32)], n=16)
+        assert "41 bits > CONGEST budget 40 bits for n=16" in suite.violations[0].message
+
+    def test_budget_follows_inferred_n(self):
+        monitor = CongestMonitor()
+        MonitorSuite(monitors=[monitor], ids=list(range(1, 1025)))
+        assert monitor.budget == congest_budget(1024)
+
+    def test_tallying_continues_after_a_violation(self):
+        monitor, suite = audit([("huge", HUGE), ("compete", 3)])
+        assert len(suite.violations) == 1
+        assert monitor.messages == 2
+        assert monitor.total_bits == payload_bits(("huge", HUGE)) + 8 + 2
+        assert monitor.max_bits == payload_bits(("huge", HUGE))
+
 
 class TestAlgorithmsAreCongest:
     """Every paper algorithm at n=128: zero violations, every send sized."""
@@ -123,3 +152,34 @@ class TestAlgorithmsAreCongest:
         assert monitor.messages == record.messages > 0
         assert 0 < monitor.max_bits <= congest_budget(n)
         assert monitor.total_bits >= monitor.messages
+
+    def test_total_bits_match_the_recorded_sends(self):
+        n = 32
+        memory = MemoryRecorder()
+        monitor = CongestMonitor()
+        suite = MonitorSuite(monitors=[monitor], n=n)
+        run(
+            RunSpec(algorithm="improved_tradeoff", n=n, engine="sync", seeds=(2,)),
+            recorder=CompositeRecorder(memory, suite),
+        )
+        sends = [e.detail[3] for e in memory.events if e.kind == "send"]
+        assert monitor.messages == len(sends) > 0
+        assert monitor.total_bits == sum(payload_bits(p) for p in sends)
+        assert monitor.max_bits == max(payload_bits(p) for p in sends)
+
+    def test_replay_matches_live_attachment(self):
+        n = 32
+        memory = MemoryRecorder()
+        live = CongestMonitor()
+        suite = MonitorSuite(monitors=[live], n=n)
+        run(
+            RunSpec(algorithm="async_tradeoff", n=n, engine="async", seeds=(2,)),
+            recorder=CompositeRecorder(memory, suite),
+        )
+        replayed = CongestMonitor()
+        MonitorSuite(monitors=[replayed], n=n).replay(memory.events).finish()
+        assert (replayed.messages, replayed.total_bits, replayed.max_bits) == (
+            live.messages,
+            live.total_bits,
+            live.max_bits,
+        )

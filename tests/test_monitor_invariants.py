@@ -10,6 +10,7 @@ violations.
 
 import pytest
 
+from repro.analysis import RunSpec, run
 from repro.common import Decision
 from repro.core import get_algorithm
 from repro.monitor import (
@@ -201,13 +202,111 @@ class TestBrokenToys:
 
 
 class TestHealthyRuns:
-    @pytest.mark.parametrize("name", ["improved_tradeoff", "las_vegas"])
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "improved_tradeoff",
+            "las_vegas",
+            "afek_gafni",
+            "small_id",
+            "kutten16",
+            "adversarial_2round",
+            "monarchical",
+        ],
+    )
     def test_paper_algorithm_is_clean(self, name):
         spec = get_algorithm(name)
-        result, suite = run_with_suite(spec.make(), n=16, seed=3)
+        params = {"d": 4} if name == "small_id" else {}
+        result, suite = run_with_suite(spec.make(**params), n=16, seed=3)
         assert result.unique_leader
         assert suite.ok
         assert suite.violations == []
+
+    @pytest.mark.parametrize("name", ["async_tradeoff", "async_afek_gafni"])
+    def test_async_algorithm_is_clean(self, name):
+        suite = MonitorSuite(n=16)
+        record = run(
+            RunSpec(algorithm=name, n=16, engine="async", seeds=(3,)), recorder=suite
+        )
+        suite.finish()
+        assert record.unique_leader
+        assert suite.violations == []
+        assert suite.monitor("termination_bound").decided == set(range(16))
+
+
+def wake(node, when=0.0):
+    return TraceEvent("wake", when, node, ())
+
+
+def decide(node, decision, output, when=1.0):
+    return TraceEvent("decide", when, node, (decision, output))
+
+
+def replayed(events, n=4):
+    suite = MonitorSuite(n=n)
+    suite.replay(events).finish()
+    return suite
+
+
+class TestElectionValidityFromStream:
+    """Election validity (Section 2) judged from a recorded event stream:
+    one leader, every awake node decided, explicit outputs agree."""
+
+    def test_valid_explicit_election(self):
+        events = [wake(u) for u in range(4)] + [decide(2, Decision.LEADER, 3)] + [
+            decide(u, Decision.NON_LEADER, 3) for u in (0, 1, 3)
+        ]
+        assert replayed(events).violations == []
+
+    def test_two_leaders_invalid(self):
+        events = [wake(u) for u in range(4)] + [
+            decide(0, Decision.LEADER, 1),
+            decide(1, Decision.LEADER, 2),
+        ]
+        assert "unique_leader_per_epoch" in fired(replayed(events))
+
+    def test_undecided_awake_node_invalid(self):
+        events = [wake(u) for u in range(4)] + [decide(0, Decision.LEADER, 1)] + [
+            decide(u, Decision.NON_LEADER, 1) for u in (1, 2)
+        ]
+        suite = replayed(events)
+        [violation] = suite.violations
+        assert violation.monitor == "termination_bound"
+        assert "1 awake node(s) never decided (e.g. node 3)" in violation.message
+
+    def test_sleeping_and_crashed_nodes_need_not_decide(self):
+        events = [wake(u) for u in range(3)] + [
+            TraceEvent("crash", 0.5, 2, ()),
+            decide(0, Decision.LEADER, 1),
+            decide(1, Decision.NON_LEADER, 1),
+        ]
+        assert replayed(events).violations == []
+
+    def test_disagreeing_output_invalid(self):
+        events = [wake(u) for u in range(4)] + [
+            decide(0, Decision.LEADER, 1),
+            decide(1, Decision.NON_LEADER, 1),
+            decide(2, Decision.NON_LEADER, 4),
+            decide(3, Decision.NON_LEADER, 1),
+        ]
+        suite = replayed(events)
+        assert fired(suite) == {"agreement"}
+        assert "ids [1, 4]" in suite.violations[0].message
+
+    def test_crashed_node_output_no_longer_disagrees(self):
+        events = [wake(u) for u in range(3)] + [
+            decide(2, Decision.NON_LEADER, 3),
+            TraceEvent("crash", 1.5, 2, ()),
+            decide(0, Decision.LEADER, 1, when=2.0),
+            decide(1, Decision.NON_LEADER, 1, when=2.0),
+        ]
+        assert replayed(events, n=3).violations == []
+
+    def test_implicit_outputs_are_not_compared(self):
+        events = [wake(u) for u in range(3)] + [decide(0, Decision.LEADER, None)] + [
+            decide(u, Decision.NON_LEADER, None) for u in (1, 2)
+        ]
+        assert replayed(events, n=3).violations == []
 
 
 class TestReplayEquivalence:

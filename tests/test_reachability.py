@@ -73,19 +73,23 @@ class ImportGraph:
         for module, name, _ in self.imports(path):
             self.reach(module, name)
 
+    def mark_parents(self, module: str) -> None:
+        """Reach ``module``'s packages: they run, their imports don't count."""
+        parts = module.split(".")
+        for i in range(1, len(parts) + 1):
+            prefix = ".".join(parts[:i])
+            if prefix in self.modules:
+                self.reached.add(prefix)
+
     def expand(self, module: str) -> None:
-        """Reach ``module`` and every import it makes."""
-        self.reached.add(module)
+        """Reach ``module``, its parent packages and every import it makes."""
+        self.mark_parents(module)
         if module not in self._expanded:
             self._expanded.add(module)
             self.follow(self.modules[module])
 
     def reach(self, module: str, name: Optional[str] = None) -> None:
-        parts = module.split(".")
-        for i in range(1, len(parts) + 1):
-            prefix = ".".join(parts[:i])
-            if prefix in self.modules:
-                self.reached.add(prefix)  # parent packages run, their imports don't count
+        self.mark_parents(module)
         if module not in self.modules:
             return  # stdlib / third party
         if not self.is_package(module):
@@ -175,3 +179,73 @@ class TestWalkerSelfCheck:
         flagged = unreached_modules(tmp_path / "src", (), [app])
         assert flagged == {"pkg.testonly"}
         assert unreached_modules(tmp_path / "src", (), [app, test_file]) == set()
+
+    @staticmethod
+    def package(tmp_path, files):
+        src = tmp_path / "src"
+        for name, text in files.items():
+            path = src / name
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text)
+        return src
+
+    def test_package_init_alone_reaches_no_submodule(self, tmp_path):
+        src = self.package(
+            tmp_path,
+            {"pkg/__init__.py": "from pkg.a import f\n", "pkg/a.py": "def f(): pass\n"},
+        )
+        (tmp_path / "app.py").write_text("import pkg\n")
+        assert unreached_modules(src, (), [tmp_path / "app.py"]) == {"pkg.a"}
+
+    def test_aliased_reexport_resolves_to_its_source(self, tmp_path):
+        src = self.package(
+            tmp_path,
+            {
+                "pkg/__init__.py": "from pkg.a import f as g\nfrom pkg.b import h\n",
+                "pkg/a.py": "def f(): pass\n",
+                "pkg/b.py": "def h(): pass\n",
+            },
+        )
+        (tmp_path / "app.py").write_text("from pkg import g\n")
+        assert unreached_modules(src, (), [tmp_path / "app.py"]) == {"pkg.b"}
+
+    def test_dotted_import_reaches_module_and_parents(self, tmp_path):
+        src = self.package(
+            tmp_path,
+            {
+                "pkg/__init__.py": "",
+                "pkg/sub/__init__.py": "",
+                "pkg/sub/mod.py": "",
+                "pkg/other.py": "",
+            },
+        )
+        (tmp_path / "app.py").write_text("import pkg.sub.mod\n")
+        assert unreached_modules(src, (), [tmp_path / "app.py"]) == {"pkg.other"}
+
+    def test_from_package_import_submodule(self, tmp_path):
+        src = self.package(
+            tmp_path,
+            {"pkg/__init__.py": "", "pkg/a.py": "", "pkg/b.py": ""},
+        )
+        (tmp_path / "app.py").write_text("from pkg import a\n")
+        assert unreached_modules(src, (), [tmp_path / "app.py"]) == {"pkg.b"}
+
+    def test_import_cycles_terminate(self, tmp_path):
+        src = self.package(
+            tmp_path,
+            {
+                "pkg/__init__.py": "",
+                "pkg/a.py": "from pkg.b import g\ndef f(): pass\n",
+                "pkg/b.py": "from pkg.a import f\ndef g(): pass\n",
+            },
+        )
+        assert unreached_modules(src, ("pkg.a",), []) == set()
+
+    def test_relative_import_is_not_followed(self, tmp_path):
+        # The tree imports absolutely; a relative import reaches nothing,
+        # so its target is flagged rather than silently passed.
+        src = self.package(
+            tmp_path,
+            {"pkg/__init__.py": "", "pkg/a.py": "from .b import g\n", "pkg/b.py": ""},
+        )
+        assert unreached_modules(src, ("pkg.a",), []) == {"pkg.b"}
