@@ -30,21 +30,48 @@ Quickstart::
     result = net.run()
     assert result.unique_leader
     print(result.elected_id, result.messages, result.last_send_round)
+
+This package and every subpackage re-export their public names lazily
+(PEP 562): importing a package binds nothing, and a name's first lookup
+imports the module that defines it, so ``import repro`` loads no engine
+and no numpy.
 """
 
-from repro.common import Decision, ProtocolError, SimulationLimitExceeded
-from repro.core import (
-    AdversarialTwoRoundElection,
-    AfekGafniElection,
-    AsyncAfekGafniElection,
-    AsyncTradeoffElection,
-    ImprovedTradeoffElection,
-    Kutten16Election,
-    LasVegasElection,
-    SmallIdElection,
-)
-from repro.asyncnet import AsyncNetwork
-from repro.sync import SyncNetwork
+from repro._exports import lazy_exports
+
+
+def _common():
+    from repro.common import Decision, ProtocolError, SimulationLimitExceeded  # noqa: F401
+
+    return locals()
+
+
+def _core():
+    from repro.core import (  # noqa: F401
+        AdversarialTwoRoundElection,
+        AfekGafniElection,
+        AsyncAfekGafniElection,
+        AsyncTradeoffElection,
+        ImprovedTradeoffElection,
+        Kutten16Election,
+        LasVegasElection,
+        SmallIdElection,
+    )
+
+    return locals()
+
+
+def _asyncnet():
+    from repro.asyncnet import AsyncNetwork  # noqa: F401
+
+    return locals()
+
+
+def _sync():
+    from repro.sync import SyncNetwork  # noqa: F401
+
+    return locals()
+
 
 __version__ = "1.0.0"
 
@@ -64,3 +91,5 @@ __all__ = [
     "AsyncAfekGafniElection",
     "__version__",
 ]
+
+__getattr__ = lazy_exports(globals(), _common, _core, _asyncnet, _sync)

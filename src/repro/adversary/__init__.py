@@ -26,20 +26,37 @@ Everything remains deterministic per ``(seed, FaultPlan)``; see
 ``DESIGN.md`` ("Adversary subsystem") and ``docs/MODEL.md``.
 """
 
-from repro.adversary.plan import (
-    TAMPER_MODES,
-    AdversaryPlan,
-    SlanderWindow,
-    TamperRule,
-)
-from repro.adversary.quorum import (
-    QACK,
-    AsyncQuorumReElectionElection,
-    QuorumPolicy,
-    QuorumReElectionElection,
-    VoteLedger,
-)
-from repro.adversary.runtime import AdversaryRuntime, payload_kinds
+from repro._exports import lazy_exports
+
+
+def _plan():
+    from repro.adversary.plan import (  # noqa: F401
+        TAMPER_MODES,
+        AdversaryPlan,
+        SlanderWindow,
+        TamperRule,
+    )
+
+    return locals()
+
+
+def _quorum():
+    from repro.adversary.quorum import (  # noqa: F401
+        QACK,
+        AsyncQuorumReElectionElection,
+        QuorumPolicy,
+        QuorumReElectionElection,
+        VoteLedger,
+    )
+
+    return locals()
+
+
+def _runtime():
+    from repro.adversary.runtime import AdversaryRuntime, payload_kinds  # noqa: F401
+
+    return locals()
+
 
 __all__ = [
     "TAMPER_MODES",
@@ -54,3 +71,5 @@ __all__ = [
     "QuorumReElectionElection",
     "AsyncQuorumReElectionElection",
 ]
+
+__getattr__ = lazy_exports(globals(), _plan, _quorum, _runtime)

@@ -12,17 +12,39 @@ strategies so benches can exercise unit-delay (lock-step-like), random,
 rushing and per-link-heterogeneous adversaries.
 """
 
-from repro.asyncnet.algorithm import AsyncAlgorithm
-from repro.asyncnet.engine import AsyncContext, AsyncNetwork, AsyncRunResult
-from repro.asyncnet.metrics import AsyncMetrics
-from repro.asyncnet.schedulers import (
-    DelayScheduler,
-    PerLinkDelayScheduler,
-    RushScheduler,
-    TargetedDelayScheduler,
-    UniformDelayScheduler,
-    UnitDelayScheduler,
-)
+from repro._exports import lazy_exports
+
+
+def _algorithm():
+    from repro.asyncnet.algorithm import AsyncAlgorithm  # noqa: F401
+
+    return locals()
+
+
+def _engine():
+    from repro.asyncnet.engine import AsyncContext, AsyncNetwork, AsyncRunResult  # noqa: F401
+
+    return locals()
+
+
+def _metrics():
+    from repro.asyncnet.metrics import AsyncMetrics  # noqa: F401
+
+    return locals()
+
+
+def _schedulers():
+    from repro.asyncnet.schedulers import (  # noqa: F401
+        DelayScheduler,
+        PerLinkDelayScheduler,
+        RushScheduler,
+        TargetedDelayScheduler,
+        UniformDelayScheduler,
+        UnitDelayScheduler,
+    )
+
+    return locals()
+
 
 __all__ = [
     "AsyncAlgorithm",
@@ -37,3 +59,5 @@ __all__ = [
     "PerLinkDelayScheduler",
     "TargetedDelayScheduler",
 ]
+
+__getattr__ = lazy_exports(globals(), _algorithm, _engine, _metrics, _schedulers)

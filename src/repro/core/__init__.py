@@ -22,15 +22,62 @@ Asynchronous (run under :class:`repro.asyncnet.AsyncNetwork`):
   asynchronous translation of Afek–Gafni under simultaneous wake-up.
 """
 
-from repro.core.improved_tradeoff import ImprovedTradeoffElection
-from repro.core.afek_gafni import AfekGafniElection
-from repro.core.small_id import SmallIdElection
-from repro.core.kutten16 import Kutten16Election
-from repro.core.las_vegas import LasVegasElection
-from repro.core.adversarial_2round import AdversarialTwoRoundElection
-from repro.core.async_tradeoff import AsyncTradeoffElection
-from repro.core.async_afek_gafni import AsyncAfekGafniElection
-from repro.core.registry import ALGORITHMS, AlgorithmSpec, get_algorithm
+from repro._exports import lazy_exports
+
+
+def _improved_tradeoff():
+    from repro.core.improved_tradeoff import ImprovedTradeoffElection  # noqa: F401
+
+    return locals()
+
+
+def _afek_gafni():
+    from repro.core.afek_gafni import AfekGafniElection  # noqa: F401
+
+    return locals()
+
+
+def _small_id():
+    from repro.core.small_id import SmallIdElection  # noqa: F401
+
+    return locals()
+
+
+def _kutten16():
+    from repro.core.kutten16 import Kutten16Election  # noqa: F401
+
+    return locals()
+
+
+def _las_vegas():
+    from repro.core.las_vegas import LasVegasElection  # noqa: F401
+
+    return locals()
+
+
+def _adversarial_2round():
+    from repro.core.adversarial_2round import AdversarialTwoRoundElection  # noqa: F401
+
+    return locals()
+
+
+def _async_tradeoff():
+    from repro.core.async_tradeoff import AsyncTradeoffElection  # noqa: F401
+
+    return locals()
+
+
+def _async_afek_gafni():
+    from repro.core.async_afek_gafni import AsyncAfekGafniElection  # noqa: F401
+
+    return locals()
+
+
+def _registry():
+    from repro.core.registry import ALGORITHMS, AlgorithmSpec, get_algorithm  # noqa: F401
+
+    return locals()
+
 
 __all__ = [
     "ImprovedTradeoffElection",
@@ -45,3 +92,16 @@ __all__ = [
     "AlgorithmSpec",
     "get_algorithm",
 ]
+
+__getattr__ = lazy_exports(
+    globals(),
+    _improved_tradeoff,
+    _afek_gafni,
+    _small_id,
+    _kutten16,
+    _las_vegas,
+    _adversarial_2round,
+    _async_tradeoff,
+    _async_afek_gafni,
+    _registry,
+)

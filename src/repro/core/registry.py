@@ -7,6 +7,11 @@ code can refuse meaningless combinations early.  The fault-layer
 entries (``monarchical``, ``reelect``, ``quorum_reelect``) also carry
 their asynchronous twin: this module is the one place that maps an
 algorithm name to the class each object engine runs.
+
+The registry's classes are imported on first use: each entry names its
+class through a small loader function, so looking up
+``improved_tradeoff`` imports that algorithm alone, not the fault and
+adversary layers.
 """
 
 from __future__ import annotations
@@ -14,22 +19,44 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, Optional, Tuple
 
-from repro.core.adversarial_2round import AdversarialTwoRoundElection
-from repro.core.afek_gafni import AfekGafniElection
-from repro.core.async_afek_gafni import AsyncAfekGafniElection
-from repro.core.async_tradeoff import AsyncTradeoffElection
-from repro.core.improved_tradeoff import ImprovedTradeoffElection
-from repro.core.kutten16 import Kutten16Election
-from repro.core.las_vegas import LasVegasElection
-from repro.core.small_id import SmallIdElection
-from repro.adversary.quorum import (
-    AsyncQuorumReElectionElection,
-    QuorumReElectionElection,
-)
-from repro.faults.monarchical import AsyncMonarchicalElection, MonarchicalElection
-from repro.faults.reelect import AsyncReElectionElection, ReElectionElection
-
 __all__ = ["AlgorithmSpec", "ALGORITHMS", "get_algorithm", "refuse_duplicates"]
+
+
+class _Lazy:
+    """A class given as the function that imports and returns it."""
+
+    __slots__ = ("load",)
+
+    def __init__(self, load: Callable[[], Any]) -> None:
+        self.load = load
+
+
+class _ClassField:
+    """An :class:`AlgorithmSpec` class field that resolves a :class:`_Lazy`.
+
+    The field takes a class or a ``_Lazy``; the first read of a
+    ``_Lazy`` runs its import and keeps the class.  Without a default,
+    the dataclass sees a required field.
+    """
+
+    def __init__(self, *default: Any) -> None:
+        self.default = default
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
+
+    def __get__(self, spec: Optional["AlgorithmSpec"], owner: Optional[type] = None) -> Any:
+        if spec is None:  # the dataclass machinery asks for the default
+            if not self.default:
+                raise AttributeError(self.name)
+            return self.default[0]
+        value = spec.__dict__[self.name]
+        if isinstance(value, _Lazy):
+            value = spec.__dict__[self.name] = value.load()
+        return value
+
+    def __set__(self, spec: "AlgorithmSpec", value: Any) -> None:
+        spec.__dict__[self.name] = value
 
 
 @dataclass(frozen=True)
@@ -37,7 +64,7 @@ class AlgorithmSpec:
     """Metadata for one algorithm of the paper."""
 
     name: str
-    factory: Callable[..., Any]
+    factory: Callable[..., Any] = _ClassField()
     engine: str  # "sync" | "async"
     deterministic: bool
     wakeup: Tuple[str, ...]  # supported regimes: "simultaneous", "adversarial"
@@ -45,7 +72,7 @@ class AlgorithmSpec:
     messages_formula: str
     time_formula: str
     #: The asynchronous twin of a sync entry (fault-layer wrappers only).
-    async_factory: Optional[Callable[..., Any]] = None
+    async_factory: Optional[Callable[..., Any]] = _ClassField(None)
     #: The asynchronous class assumes exactly-once delivery: a duplicated
     #: message breaks its request/reply bookkeeping (see
     #: :func:`refuse_duplicates`).
@@ -125,12 +152,110 @@ class AlgorithmSpec:
         return lambda: factory(**params)
 
 
+@_Lazy
+def _improved_tradeoff():
+    from repro.core.improved_tradeoff import ImprovedTradeoffElection
+
+    return ImprovedTradeoffElection
+
+
+@_Lazy
+def _afek_gafni():
+    from repro.core.afek_gafni import AfekGafniElection
+
+    return AfekGafniElection
+
+
+@_Lazy
+def _small_id():
+    from repro.core.small_id import SmallIdElection
+
+    return SmallIdElection
+
+
+@_Lazy
+def _kutten16():
+    from repro.core.kutten16 import Kutten16Election
+
+    return Kutten16Election
+
+
+@_Lazy
+def _las_vegas():
+    from repro.core.las_vegas import LasVegasElection
+
+    return LasVegasElection
+
+
+@_Lazy
+def _adversarial_2round():
+    from repro.core.adversarial_2round import AdversarialTwoRoundElection
+
+    return AdversarialTwoRoundElection
+
+
+@_Lazy
+def _async_tradeoff():
+    from repro.core.async_tradeoff import AsyncTradeoffElection
+
+    return AsyncTradeoffElection
+
+
+@_Lazy
+def _async_afek_gafni():
+    from repro.core.async_afek_gafni import AsyncAfekGafniElection
+
+    return AsyncAfekGafniElection
+
+
+@_Lazy
+def _monarchical():
+    from repro.faults.monarchical import MonarchicalElection
+
+    return MonarchicalElection
+
+
+@_Lazy
+def _async_monarchical():
+    from repro.faults.monarchical import AsyncMonarchicalElection
+
+    return AsyncMonarchicalElection
+
+
+@_Lazy
+def _reelect():
+    from repro.faults.reelect import ReElectionElection
+
+    return ReElectionElection
+
+
+@_Lazy
+def _async_reelect():
+    from repro.faults.reelect import AsyncReElectionElection
+
+    return AsyncReElectionElection
+
+
+@_Lazy
+def _quorum_reelect():
+    from repro.adversary.quorum import QuorumReElectionElection
+
+    return QuorumReElectionElection
+
+
+@_Lazy
+def _async_quorum_reelect():
+    from repro.adversary.quorum import AsyncQuorumReElectionElection
+
+    return AsyncQuorumReElectionElection
+
+
 ALGORITHMS: Dict[str, AlgorithmSpec] = {
     spec.name: spec
     for spec in [
         AlgorithmSpec(
             name="improved_tradeoff",
-            factory=ImprovedTradeoffElection,
+            factory=_improved_tradeoff,
             engine="sync",
             deterministic=True,
             wakeup=("simultaneous",),
@@ -140,7 +265,7 @@ ALGORITHMS: Dict[str, AlgorithmSpec] = {
         ),
         AlgorithmSpec(
             name="afek_gafni",
-            factory=AfekGafniElection,
+            factory=_afek_gafni,
             engine="sync",
             deterministic=True,
             wakeup=("simultaneous", "adversarial"),
@@ -150,7 +275,7 @@ ALGORITHMS: Dict[str, AlgorithmSpec] = {
         ),
         AlgorithmSpec(
             name="small_id",
-            factory=SmallIdElection,
+            factory=_small_id,
             engine="sync",
             deterministic=True,
             wakeup=("simultaneous",),
@@ -160,7 +285,7 @@ ALGORITHMS: Dict[str, AlgorithmSpec] = {
         ),
         AlgorithmSpec(
             name="kutten16",
-            factory=Kutten16Election,
+            factory=_kutten16,
             engine="sync",
             deterministic=False,
             wakeup=("simultaneous",),
@@ -170,7 +295,7 @@ ALGORITHMS: Dict[str, AlgorithmSpec] = {
         ),
         AlgorithmSpec(
             name="las_vegas",
-            factory=LasVegasElection,
+            factory=_las_vegas,
             engine="sync",
             deterministic=False,
             wakeup=("simultaneous",),
@@ -180,7 +305,7 @@ ALGORITHMS: Dict[str, AlgorithmSpec] = {
         ),
         AlgorithmSpec(
             name="adversarial_2round",
-            factory=AdversarialTwoRoundElection,
+            factory=_adversarial_2round,
             engine="sync",
             deterministic=False,
             wakeup=("adversarial",),
@@ -190,7 +315,7 @@ ALGORITHMS: Dict[str, AlgorithmSpec] = {
         ),
         AlgorithmSpec(
             name="async_tradeoff",
-            factory=AsyncTradeoffElection,
+            factory=_async_tradeoff,
             engine="async",
             deterministic=False,
             wakeup=("adversarial", "simultaneous"),
@@ -201,7 +326,7 @@ ALGORITHMS: Dict[str, AlgorithmSpec] = {
         ),
         AlgorithmSpec(
             name="async_afek_gafni",
-            factory=AsyncAfekGafniElection,
+            factory=_async_afek_gafni,
             engine="async",
             deterministic=True,
             wakeup=("simultaneous",),
@@ -212,8 +337,8 @@ ALGORITHMS: Dict[str, AlgorithmSpec] = {
         ),
         AlgorithmSpec(
             name="monarchical",
-            factory=MonarchicalElection,
-            async_factory=AsyncMonarchicalElection,
+            factory=_monarchical,
+            async_factory=_async_monarchical,
             engine="sync",
             deterministic=True,
             wakeup=("simultaneous",),
@@ -223,8 +348,8 @@ ALGORITHMS: Dict[str, AlgorithmSpec] = {
         ),
         AlgorithmSpec(
             name="reelect",
-            factory=ReElectionElection,
-            async_factory=AsyncReElectionElection,
+            factory=_reelect,
+            async_factory=_async_reelect,
             engine="sync",
             deterministic=False,  # depends on the wrapped inner algorithm
             wakeup=("simultaneous", "adversarial"),
@@ -234,8 +359,8 @@ ALGORITHMS: Dict[str, AlgorithmSpec] = {
         ),
         AlgorithmSpec(
             name="quorum_reelect",
-            factory=QuorumReElectionElection,
-            async_factory=AsyncQuorumReElectionElection,
+            factory=_quorum_reelect,
+            async_factory=_async_quorum_reelect,
             engine="sync",
             deterministic=False,  # depends on the wrapped inner algorithm
             wakeup=("simultaneous", "adversarial"),

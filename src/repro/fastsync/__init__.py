@@ -37,18 +37,45 @@ except ImportError as exc:  # pragma: no cover - exercised via sys.modules stub
         "instead."
     ) from exc
 
-from repro.fastsync.algorithm import VectorAlgorithm
-from repro.fastsync.algorithms import (
-    VectorAdversarial2RoundElection,
-    VectorAfekGafniElection,
-    VectorImprovedTradeoffElection,
-    VectorKutten16Election,
-    VectorLasVegasElection,
-    VectorSmallIdElection,
-)
-from repro.fastsync.engine import ArrayPortMap, FastRunResult, FastSyncNetwork
-from repro.fastsync.faults import Delivered, FastFaultRuntime, delivered_total
-from repro.fastsync.registry import FAST_ALGORITHMS, get_fast_algorithm
+from repro._exports import lazy_exports
+
+
+def _algorithm():
+    from repro.fastsync.algorithm import VectorAlgorithm  # noqa: F401
+
+    return locals()
+
+
+def _algorithms():
+    from repro.fastsync.algorithms import (  # noqa: F401
+        VectorAdversarial2RoundElection,
+        VectorAfekGafniElection,
+        VectorImprovedTradeoffElection,
+        VectorKutten16Election,
+        VectorLasVegasElection,
+        VectorSmallIdElection,
+    )
+
+    return locals()
+
+
+def _engine():
+    from repro.fastsync.engine import ArrayPortMap, FastRunResult, FastSyncNetwork  # noqa: F401
+
+    return locals()
+
+
+def _faults():
+    from repro.fastsync.faults import Delivered, FastFaultRuntime, delivered_total  # noqa: F401
+
+    return locals()
+
+
+def _registry():
+    from repro.fastsync.registry import FAST_ALGORITHMS, get_fast_algorithm  # noqa: F401
+
+    return locals()
+
 
 __all__ = [
     "ArrayPortMap",
@@ -67,3 +94,12 @@ __all__ = [
     "FAST_ALGORITHMS",
     "get_fast_algorithm",
 ]
+
+__getattr__ = lazy_exports(
+    globals(),
+    _algorithm,
+    _algorithms,
+    _engine,
+    _faults,
+    _registry,
+)

@@ -50,14 +50,15 @@ Two port-model modes
     ``n = 2048``: 8.4 MB rather than 33.5 MB).  ``first_ports`` and
     ``sampled_targets`` still return ``int64`` global indices.
 
-    The per-node seeds are drawn up front, but a node's ``Random`` is
-    built only when ``bernoulli``, ``rank_draws`` or ``sampled_targets``
-    first draws for it, so deterministic ports (``first_ports`` only)
-    never build one.
+    A lane draws its per-node seeds when a primitive first needs a node
+    stream, all ``n`` at once, and builds a node's ``Random`` only when
+    ``bernoulli``, ``rank_draws`` or ``sampled_targets`` first draws for
+    it, so deterministic ports (``first_ports`` only) never pay for
+    either.
 
-    A lane's wiring — its per-node seeds and its port matrix — depends
-    on ``(n, seed)`` alone, so every algorithm run on the same instance
-    (a Table 1 grid runs six) shares one build.  A per-process cache
+    A lane's wiring — its port matrix — depends on ``(n, seed)`` alone,
+    so every algorithm run on the same instance (a Table 1 grid runs
+    six) shares one build.  A per-process cache
     keyed by ``(n, seed)`` keeps the two most recently used wirings, all
     of one ``n`` (a lookup at another ``n`` empties it first), and hands
     them out read-only.  :func:`release_wirings` empties it; the sweep
@@ -73,8 +74,7 @@ Two port-model modes
     matrix and publishes it, atomically, for the other processes; any
     other key builds privately and writes nothing.  Only fork-started
     workers inherit the directory; under spawn or forkserver each
-    worker builds privately.  The node seeds are always drawn
-    in-process (about 0.2 ms per wiring).  A miss on a shared key after
+    worker builds privately.  A miss on a shared key after
     :func:`release_wirings` therefore reloads the published file rather
     than rebuilding.
 
@@ -119,6 +119,7 @@ import functools
 import math
 import os
 import random
+import struct
 import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -235,23 +236,25 @@ class FastRunResult(SurvivorAccounting):
         return self.leader_ids[0] if self.unique_leader else None
 
 
-def _random_port_matrix(rng: np.random.Generator, n: int) -> np.ndarray:
+def _random_port_matrix(bit_generator: np.random.PCG64, n: int) -> np.ndarray:
     """An ``(n, n-1)`` matrix whose rows are random orderings of peers.
 
-    Row ``u`` is the stable argsort of ``rng.random((n, n))[u]`` with self
-    sorting last, computed as packed in-place ``uint64`` sorts of row
-    chunks and stored as ``np.min_scalar_type(n - 1)`` (see the module
-    docstring); ``rng`` must be PCG64-backed.
+    Row ``u`` is the stable argsort of ``Generator(bit_generator).random((n,
+    n))[u]`` with self sorting last, computed as packed in-place
+    ``uint64`` sorts of row chunks of raw draws and stored as
+    ``np.min_scalar_type(n - 1)`` (see the module docstring).
     """
     bits = (n - 1).bit_length()
     drop = max(0, 53 + bits - 64)  # key bits that do not fit beside the column
-    start = rng.bit_generator.state
+    # The tie repair regenerates rows from the starting state; only
+    # truncated keys (n > 2048) can tie.
+    start = bit_generator.state if drop else None
     out = np.empty((n, max(0, n - 1)), dtype=np.min_scalar_type(n - 1))
     columns = np.arange(n, dtype=np.uint64)
     step = max(1, _PORT_CHUNK_ELEMS // n)
     for lo in range(0, n, step):
         rows = min(step, n - lo)
-        buf = rng.bit_generator.random_raw((rows, n))
+        buf = bit_generator.random_raw((rows, n))
         buf >>= np.uint64(11 + drop)  # random() keeps the top 53 bits
         buf <<= np.uint64(bits)
         buf |= columns
@@ -288,8 +291,8 @@ def _repair_truncated_ties(buf: np.ndarray, start: dict, bits: int, lo: int) -> 
         buf[i] = np.argsort(keys, kind="stable").astype(np.uint64)
 
 
-#: ``(n, seed) -> (node_seeds, ports)``, least recently used first.
-_WIRINGS: Dict[Tuple[int, int], Tuple[Tuple[int, ...], np.ndarray]] = {}
+#: ``(n, seed) -> ports``, least recently used first.
+_WIRINGS: Dict[Tuple[int, int], np.ndarray] = {}
 
 #: How many wirings :data:`_WIRINGS` keeps: enough for a two-seed block
 #: of one ``n``, the shape of the Table 1 grids.
@@ -354,33 +357,28 @@ def _publish_ports(path: str, ports: np.ndarray) -> None:
         pass
 
 
-def _wiring(n: int, seed: int) -> Tuple[Tuple[int, ...], np.ndarray]:
-    """The exact wiring of ``(n, seed)``: per-node seeds and port matrix.
+def _wiring(n: int, seed: int) -> np.ndarray:
+    """The exact wiring of ``(n, seed)``: its port matrix.
 
-    The seeds follow ``SyncNetwork``'s schedule (one master stream, one
-    64-bit draw per node, in node order); the port matrix comes from a
-    PCG64 stream of the same seed.  Both are cached (see the module
-    docstring) and the matrix is read-only.
+    The matrix comes from a PCG64 stream of the seed; it is cached (see
+    the module docstring) and read-only.
     """
     key = (n, seed)
-    wiring = _WIRINGS.pop(key, None)
-    if wiring is None:
+    ports = _WIRINGS.pop(key, None)
+    if ports is None:
         if any(cached_n != n for cached_n, _ in _WIRINGS):
             _WIRINGS.clear()
         while len(_WIRINGS) >= _WIRING_SLOTS:
             del _WIRINGS[next(iter(_WIRINGS))]
-        master = random.Random(seed)
-        node_seeds = tuple(master.getrandbits(64) for _ in range(n))
         path = _SHARED_WIRINGS.get(key)
         ports = None if path is None else _load_ports(path, n)
         if ports is None:
-            ports = _random_port_matrix(np.random.default_rng(np.random.PCG64(seed)), n)
+            ports = _random_port_matrix(np.random.PCG64(seed), n)
             ports.flags.writeable = False
             if path is not None:
                 _publish_ports(path, ports)
-        wiring = (node_seeds, ports)
-    _WIRINGS[key] = wiring
-    return wiring
+    _WIRINGS[key] = ports
+    return ports
 
 
 def release_wirings() -> None:
@@ -388,29 +386,50 @@ def release_wirings() -> None:
     _WIRINGS.clear()
 
 
+def _node_seeds(n: int, seed: int) -> Tuple[int, ...]:
+    """``SyncNetwork``'s per-node seeds: ``n`` ``getrandbits(64)`` draws of ``Random(seed)``.
+
+    One ``getrandbits(64 * n)`` call, split into 64-bit little-endian
+    words, gives the same values: CPython fills a wide draw with the
+    32-bit words the successive 64-bit draws would take, least
+    significant first.
+    """
+    words = random.Random(seed).getrandbits(64 * n).to_bytes(8 * n, "little")
+    return struct.unpack(f"<{n}Q", words)
+
+
 class _NodeStreams:
     """One lane's per-node ``random.Random`` streams, each built on first use.
 
-    The seeds are drawn up front (the ``SyncNetwork`` schedule); a
-    ``Random`` is only constructed when a primitive first draws from that
-    node, so deterministic ports never pay for ``n`` of them.
+    The lane's seeds (the ``SyncNetwork`` schedule) are drawn on the
+    first use of any stream; a ``Random`` is only constructed when a
+    primitive first draws from that node, so deterministic ports never
+    pay for the seeds or for ``n`` streams.
     """
 
-    __slots__ = ("_seeds", "_streams")
+    __slots__ = ("_n", "_seed", "_seeds", "_streams")
 
-    def __init__(self, seeds: Sequence[int]) -> None:
-        self._seeds = seeds
-        self._streams: List[Optional[random.Random]] = [None] * len(seeds)
+    def __init__(self, n: int, seed: int) -> None:
+        self._n = n
+        self._seed = seed
+        self._seeds: Optional[Tuple[int, ...]] = None
+        self._streams: Optional[List[Optional[random.Random]]] = None
+
+    def _start(self) -> List[Optional[random.Random]]:
+        self._seeds = _node_seeds(self._n, self._seed)
+        self._streams = [None] * self._n
+        return self._streams
 
     def __getitem__(self, u: int) -> random.Random:
-        rng = self._streams[u]
+        streams = self._streams or self._start()
+        rng = streams[u]
         if rng is None:
-            rng = self._streams[u] = random.Random(self._seeds[u])
+            rng = streams[u] = random.Random(self._seeds[u])
         return rng
 
     def all(self) -> List[random.Random]:
         """Every node's stream, in node order."""
-        streams = self._streams
+        streams = self._streams or self._start()
         if None in streams:
             streams[:] = [
                 random.Random(s) if rng is None else rng
@@ -421,7 +440,7 @@ class _NodeStreams:
     @property
     def built(self) -> int:
         """How many of the lane's streams exist so far."""
-        return sum(rng is not None for rng in self._streams)
+        return sum(rng is not None for rng in self._streams or ())
 
 
 def lane_width() -> int:
@@ -669,9 +688,9 @@ class FastSyncNetwork:
         # Each lane is seeded by its own seed alone.  Exact mode mirrors
         # SyncNetwork's seeding schedule per lane (SyncNetwork only skips
         # its port-policy draw when a port map is supplied — which is
-        # exactly how the twin run is constructed): the lane's wiring
-        # (_wiring) holds the per-node seeds, and the per-node streams
-        # are built from them on first use.
+        # exactly how the twin run is constructed): the lane's per-node
+        # seeds and streams come on first use (_NodeStreams), and its
+        # port matrix from the wiring cache (_wiring).
         if self.mode == "exact":
             self._node_streams: Optional[List[_NodeStreams]] = []
             self._lane_ports: Optional[np.ndarray] = None
@@ -680,8 +699,8 @@ class FastSyncNetwork:
                     (self.batch, n, max(0, n - 1)), dtype=np.min_scalar_type(n - 1)
                 )
             for b, s in enumerate(self.lane_seeds):
-                node_seeds, ports = _wiring(n, s)
-                self._node_streams.append(_NodeStreams(node_seeds))
+                ports = _wiring(n, s)
+                self._node_streams.append(_NodeStreams(n, s))
                 if self.batch == 1:
                     # Share the cached (read-only) matrix: a lane buffer
                     # would hold a second (n, n-1) array.

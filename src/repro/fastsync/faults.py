@@ -46,13 +46,13 @@ as the per-node handlers do.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from repro.faults.plan import FaultPlan, LinkFaults, PartitionMask
-from repro.faults.runtime import FaultRuntime
+if TYPE_CHECKING:  # a fault-free run imports no fault layer
+    from repro.faults.plan import FaultPlan, LinkFaults, PartitionMask
 
 __all__ = ["Delivered", "FastFaultRuntime", "MersenneStream", "delivered_total"]
 
@@ -162,6 +162,8 @@ class FastFaultRuntime:
         ids: Sequence[int],
         seed: int,
     ) -> None:
+        from repro.faults.runtime import FaultRuntime
+
         self.plan = plan
         self.n = n
         self.inner = FaultRuntime(plan, n, [int(i) for i in ids], seed)

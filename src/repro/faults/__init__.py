@@ -10,27 +10,54 @@ turn fault schedules into survivable failovers.  Everything is
 deterministic per ``(seed, FaultPlan)``.
 """
 
-from repro.faults.detectors import (
-    EventuallyPerfectDetector,
-    FailureDetector,
-    PerfectDetector,
-    make_detector,
-)
-from repro.faults.monarchical import (
-    AsyncMonarchicalElection,
-    MonarchicalElection,
-    safe_stable_rounds,
-)
-from repro.faults.plan import (
-    CrashFault,
-    DetectorSpec,
-    FaultPlan,
-    LeaderKillPolicy,
-    LinkFaults,
-    PartitionMask,
-)
-from repro.faults.reelect import AsyncReElectionElection, ReElectionElection
-from repro.faults.runtime import FaultMetrics, FaultRuntime
+from repro._exports import lazy_exports
+
+
+def _detectors():
+    from repro.faults.detectors import (  # noqa: F401
+        EventuallyPerfectDetector,
+        FailureDetector,
+        PerfectDetector,
+        make_detector,
+    )
+
+    return locals()
+
+
+def _monarchical():
+    from repro.faults.monarchical import (  # noqa: F401
+        AsyncMonarchicalElection,
+        MonarchicalElection,
+        safe_stable_rounds,
+    )
+
+    return locals()
+
+
+def _plan():
+    from repro.faults.plan import (  # noqa: F401
+        CrashFault,
+        DetectorSpec,
+        FaultPlan,
+        LeaderKillPolicy,
+        LinkFaults,
+        PartitionMask,
+    )
+
+    return locals()
+
+
+def _reelect():
+    from repro.faults.reelect import AsyncReElectionElection, ReElectionElection  # noqa: F401
+
+    return locals()
+
+
+def _runtime():
+    from repro.faults.runtime import FaultMetrics, FaultRuntime  # noqa: F401
+
+    return locals()
+
 
 __all__ = [
     "CrashFault",
@@ -51,3 +78,12 @@ __all__ = [
     "ReElectionElection",
     "AsyncReElectionElection",
 ]
+
+__getattr__ = lazy_exports(
+    globals(),
+    _detectors,
+    _monarchical,
+    _plan,
+    _reelect,
+    _runtime,
+)

@@ -29,21 +29,53 @@ exercised and checked:
   search: does an ID set form terminating components in isolation?
 """
 
-from repro.lowerbound.commgraph import CommGraph, CommGraphRecorder
-from repro.lowerbound.adversary import (
-    ComponentCapacityAdversary,
-    GrowthTrace,
-    run_under_capacity_adversary,
-)
-from repro.lowerbound.covertree import CoverTree, build_cover_tree
-from repro.lowerbound.singlesend import SingleSendAdapter, single_send_factory
-from repro.lowerbound import bounds
-from repro.lowerbound.wakeup_experiment import (
-    TwoRoundWakeupSpray,
-    WakeupOutcome,
-    run_wakeup_trial,
-    wakeup_success_rate,
-)
+from repro._exports import lazy_exports
+
+
+def _commgraph():
+    from repro.lowerbound.commgraph import CommGraph, CommGraphRecorder  # noqa: F401
+
+    return locals()
+
+
+def _adversary():
+    from repro.lowerbound.adversary import (  # noqa: F401
+        ComponentCapacityAdversary,
+        GrowthTrace,
+        run_under_capacity_adversary,
+    )
+
+    return locals()
+
+
+def _covertree():
+    from repro.lowerbound.covertree import CoverTree, build_cover_tree  # noqa: F401
+
+    return locals()
+
+
+def _singlesend():
+    from repro.lowerbound.singlesend import SingleSendAdapter, single_send_factory  # noqa: F401
+
+    return locals()
+
+
+def _bounds():
+    import repro.lowerbound.bounds as bounds  # noqa: F401
+
+    return locals()
+
+
+def _wakeup_experiment():
+    from repro.lowerbound.wakeup_experiment import (  # noqa: F401
+        TwoRoundWakeupSpray,
+        WakeupOutcome,
+        run_wakeup_trial,
+        wakeup_success_rate,
+    )
+
+    return locals()
+
 
 __all__ = [
     "CommGraph",
@@ -61,3 +93,13 @@ __all__ = [
     "run_wakeup_trial",
     "wakeup_success_rate",
 ]
+
+__getattr__ = lazy_exports(
+    globals(),
+    _commgraph,
+    _adversary,
+    _covertree,
+    _singlesend,
+    _bounds,
+    _wakeup_experiment,
+)

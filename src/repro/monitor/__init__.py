@@ -17,44 +17,81 @@ Four layers, composable:
   (:mod:`repro.monitor.ledger`).
 """
 
-from repro.monitor.violations import Violation, trace_slice
-from repro.monitor.invariants import (
-    AgreementMonitor,
-    CongestMonitor,
-    InvariantMonitor,
-    MONITOR_NAMES,
-    MonitorSuite,
-    QuorumOneLeaderMonitor,
-    TerminationMonitor,
-    UniqueLeaderMonitor,
-    ValidityMonitor,
-    default_monitors,
-)
-from repro.monitor.conformance import (
-    ConformanceResult,
-    ConformanceSummary,
-    ENVELOPES,
-    Envelope,
-    check_record,
-    get_envelope,
-    summarize,
-)
-from repro.monitor.fast import check_fast_telemetry, monitor_fast_lane
-from repro.monitor.api import SweepMonitor, check_record_invariants
-from repro.monitor.progress import ProgressEvent, ProgressListener, SweepProgress
-from repro.monitor.ledger import (
-    DEFAULT_LEDGER_PATH,
-    LEDGER_SCHEMA,
-    LedgerDiff,
-    append_entry,
-    compare_entries,
-    git_sha,
-    make_entry,
-    prune_ledger,
-    read_ledger,
-    resolve_ref,
-    spec_hash,
-)
+from repro._exports import lazy_exports
+
+
+def _violations():
+    from repro.monitor.violations import Violation, trace_slice  # noqa: F401
+
+    return locals()
+
+
+def _invariants():
+    from repro.monitor.invariants import (  # noqa: F401
+        AgreementMonitor,
+        CongestMonitor,
+        InvariantMonitor,
+        MONITOR_NAMES,
+        MonitorSuite,
+        QuorumOneLeaderMonitor,
+        TerminationMonitor,
+        UniqueLeaderMonitor,
+        ValidityMonitor,
+        default_monitors,
+    )
+
+    return locals()
+
+
+def _conformance():
+    from repro.monitor.conformance import (  # noqa: F401
+        ConformanceResult,
+        ConformanceSummary,
+        ENVELOPES,
+        Envelope,
+        check_record,
+        get_envelope,
+        summarize,
+    )
+
+    return locals()
+
+
+def _fast():
+    from repro.monitor.fast import check_fast_telemetry, monitor_fast_lane  # noqa: F401
+
+    return locals()
+
+
+def _api():
+    from repro.monitor.api import SweepMonitor, check_record_invariants  # noqa: F401
+
+    return locals()
+
+
+def _progress():
+    from repro.monitor.progress import ProgressEvent, ProgressListener, SweepProgress  # noqa: F401
+
+    return locals()
+
+
+def _ledger():
+    from repro.monitor.ledger import (  # noqa: F401
+        DEFAULT_LEDGER_PATH,
+        LEDGER_SCHEMA,
+        LedgerDiff,
+        append_entry,
+        compare_entries,
+        git_sha,
+        make_entry,
+        prune_ledger,
+        read_ledger,
+        resolve_ref,
+        spec_hash,
+    )
+
+    return locals()
+
 
 __all__ = [
     # violations
@@ -102,3 +139,14 @@ __all__ = [
     "compare_entries",
     "LedgerDiff",
 ]
+
+__getattr__ = lazy_exports(
+    globals(),
+    _violations,
+    _invariants,
+    _conformance,
+    _fast,
+    _api,
+    _progress,
+    _ledger,
+)

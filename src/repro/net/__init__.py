@@ -8,16 +8,23 @@ model, including the partially-defined ("lazy") mappings used by the
 paper's lower-bound arguments.
 """
 
-from repro.net.ports import (
-    CanonicalPortMap,
-    LazyPortMap,
-    PortMap,
-    PortMapExhausted,
-    PortConnectionPolicy,
-    RandomPortPolicy,
-    SequentialPortPolicy,
-    CallbackPortPolicy,
-)
+from repro._exports import lazy_exports
+
+
+def _ports():
+    from repro.net.ports import (  # noqa: F401
+        CanonicalPortMap,
+        LazyPortMap,
+        PortMap,
+        PortMapExhausted,
+        PortConnectionPolicy,
+        RandomPortPolicy,
+        SequentialPortPolicy,
+        CallbackPortPolicy,
+    )
+
+    return locals()
+
 
 __all__ = [
     "CanonicalPortMap",
@@ -29,3 +36,5 @@ __all__ = [
     "SequentialPortPolicy",
     "CallbackPortPolicy",
 ]
+
+__getattr__ = lazy_exports(globals(), _ports)

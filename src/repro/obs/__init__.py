@@ -19,16 +19,38 @@ Everything imports without numpy; the HTML builder touches the monitor
 and causal layers lazily.
 """
 
-from repro.obs.collect import SweepReport, WorkerTimeline, collect
-from repro.obs.html import build_campaign_report, write_campaign_report
-from repro.obs.spool import (
-    DEFAULT_OBS_ROOT,
-    SPOOL_SCHEMA,
-    new_spool_dir,
-    read_spool,
-    spool_snapshot,
-)
-from repro.obs.top import SweepTop
+from repro._exports import lazy_exports
+
+
+def _collect():
+    from repro.obs.collect import SweepReport, WorkerTimeline, collect  # noqa: F401
+
+    return locals()
+
+
+def _html():
+    from repro.obs.html import build_campaign_report, write_campaign_report  # noqa: F401
+
+    return locals()
+
+
+def _spool():
+    from repro.obs.spool import (  # noqa: F401
+        DEFAULT_OBS_ROOT,
+        SPOOL_SCHEMA,
+        new_spool_dir,
+        read_spool,
+        spool_snapshot,
+    )
+
+    return locals()
+
+
+def _top():
+    from repro.obs.top import SweepTop  # noqa: F401
+
+    return locals()
+
 
 __all__ = [
     "DEFAULT_OBS_ROOT",
@@ -43,3 +65,5 @@ __all__ = [
     "spool_snapshot",
     "write_campaign_report",
 ]
+
+__getattr__ = lazy_exports(globals(), _collect, _html, _spool, _top)

@@ -18,41 +18,68 @@ against a fault-free baseline.  A library of named scenarios
 scenarios`` CLI and ``benchmarks/bench_scenario_churn.py``.
 """
 
-from repro.scenarios.events import (
-    LAST_CRASHED,
-    LEADER,
-    CrashEvent,
-    ElectEvent,
-    JoinEvent,
-    PartitionEvent,
-    RecoverEvent,
-    Scenario,
-    SlanderEvent,
-    crash,
-    elect,
-    join,
-    partition,
-    recover,
-    slander,
-)
-from repro.scenarios.dsl import (
-    ScenarioSchemaError,
-    scenario_from_json,
-    scenario_to_json,
-)
-from repro.scenarios.library import NAMED_SCENARIOS, get_scenario
-from repro.scenarios.metrics import (
-    AgreementInterval,
-    EpochRecord,
-    ScenarioMetrics,
-    scenario_report,
-)
-from repro.scenarios.runner import (
-    NodeState,
-    ScenarioResult,
-    ScenarioRunner,
-    run_scenario,
-)
+from repro._exports import lazy_exports
+
+
+def _events():
+    from repro.scenarios.events import (  # noqa: F401
+        LAST_CRASHED,
+        LEADER,
+        CrashEvent,
+        ElectEvent,
+        JoinEvent,
+        PartitionEvent,
+        RecoverEvent,
+        Scenario,
+        SlanderEvent,
+        crash,
+        elect,
+        join,
+        partition,
+        recover,
+        slander,
+    )
+
+    return locals()
+
+
+def _dsl():
+    from repro.scenarios.dsl import (  # noqa: F401
+        ScenarioSchemaError,
+        scenario_from_json,
+        scenario_to_json,
+    )
+
+    return locals()
+
+
+def _library():
+    from repro.scenarios.library import NAMED_SCENARIOS, get_scenario  # noqa: F401
+
+    return locals()
+
+
+def _metrics():
+    from repro.scenarios.metrics import (  # noqa: F401
+        AgreementInterval,
+        EpochRecord,
+        ScenarioMetrics,
+        scenario_report,
+    )
+
+    return locals()
+
+
+def _runner():
+    from repro.scenarios.runner import (  # noqa: F401
+        NodeState,
+        ScenarioResult,
+        ScenarioRunner,
+        run_scenario,
+    )
+
+    return locals()
+
 
 __all__ = [
     "LEADER",
@@ -84,3 +111,5 @@ __all__ = [
     "ScenarioRunner",
     "run_scenario",
 ]
+
+__getattr__ = lazy_exports(globals(), _events, _dsl, _library, _metrics, _runner)

@@ -7,9 +7,26 @@ count.  See DESIGN.md ("Sweep scheduler") for the scheduling model and
 the equivalence contract.
 """
 
-from repro.sweep.api import execute_spec, run, sweep
-from repro.sweep.scheduler import SweepCell, run_cells
-from repro.sweep.spec import RunSpec, canonical_record
+from repro._exports import lazy_exports
+
+
+def _api():
+    from repro.sweep.api import execute_spec, run, sweep  # noqa: F401
+
+    return locals()
+
+
+def _scheduler():
+    from repro.sweep.scheduler import SweepCell, run_cells  # noqa: F401
+
+    return locals()
+
+
+def _spec():
+    from repro.sweep.spec import RunSpec, canonical_record  # noqa: F401
+
+    return locals()
+
 
 __all__ = [
     "RunSpec",
@@ -20,3 +37,5 @@ __all__ = [
     "SweepCell",
     "run_cells",
 ]
+
+__getattr__ = lazy_exports(globals(), _api, _scheduler, _spec)

@@ -18,13 +18,11 @@ import math
 import sys
 from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple, Union
 
+from repro.analysis.runner import RunRecord
 from repro.common import paused_gc
 from repro.sweep.scheduler import SweepCell, run_cells
 from repro.sweep.spec import RunSpec
 from repro.telemetry.metrics import run_metrics
-
-if False:  # import cycle guard: repro.analysis re-exports this module
-    from repro.analysis.runner import RunRecord  # noqa: F401
 
 __all__ = ["run", "sweep", "execute_spec"]
 
@@ -56,9 +54,7 @@ def _fault_extra(result: Any, extra: Dict[str, Any]) -> Dict[str, Any]:
     return extra
 
 
-def _sync_record(n: int, seed: int, result: Any, params: Dict[str, Any]) -> "RunRecord":
-    from repro.analysis.runner import RunRecord
-
+def _sync_record(n: int, seed: int, result: Any, params: Dict[str, Any]) -> RunRecord:
     return RunRecord(
         n=n,
         seed=seed,
@@ -74,9 +70,7 @@ def _sync_record(n: int, seed: int, result: Any, params: Dict[str, Any]) -> "Run
     )
 
 
-def _async_record(n: int, seed: int, result: Any, params: Dict[str, Any]) -> "RunRecord":
-    from repro.analysis.runner import RunRecord
-
+def _async_record(n: int, seed: int, result: Any, params: Dict[str, Any]) -> RunRecord:
     return RunRecord(
         n=n,
         seed=seed,
@@ -105,9 +99,7 @@ def _fast_algorithm(algorithm: Any, params: Optional[Dict[str, Any]]) -> Any:
 
 def _fast_record(
     n: int, seed: int, result: Any, params: Optional[Dict[str, Any]]
-) -> "RunRecord":
-    from repro.analysis.runner import RunRecord
-
+) -> RunRecord:
     return RunRecord(
         n=n,
         seed=seed,
@@ -196,7 +188,7 @@ def _execute_object(
     recorder: Optional[Any],
     scheduler: Optional[Any],
     keep_result: bool,
-) -> List["RunRecord"]:
+) -> List[RunRecord]:
     from repro.asyncnet.engine import AsyncNetwork
     from repro.sync.engine import SyncNetwork
 
@@ -276,7 +268,7 @@ def _fast_profiler(spec: RunSpec) -> Optional[Any]:
 
 def _execute_fast(
     spec: RunSpec, *, telemetry: Optional[Any], keep_result: bool
-) -> List["RunRecord"]:
+) -> List[RunRecord]:
     from repro.fastsync import FastSyncNetwork
 
     faults = spec.effective_faults()
@@ -451,29 +443,42 @@ def _shard(spec: RunSpec, workers: int) -> List[RunSpec]:
 def _resolve_engines(grid: List[RunSpec]) -> None:
     """Look up each named algorithm of ``grid`` for its resolved engine.
 
-    Runs in the calling process, once per distinct (algorithm, engine,
-    quorum): a name with no class for its engine raises the registry's
-    error here, before any cell is scheduled.  Fast lookups import numpy
-    and :mod:`repro.fastsync`, so fork-started pool workers inherit
-    them; object lookups go through :mod:`repro.core.registry` and load
-    no numpy.
+    Runs in the calling process, once per distinct (engine, election,
+    parameters): a name with no class for its engine, or parameters its
+    class rejects, raise here, before any cell is scheduled.  It also
+    imports what the cells will run — the engines, each object
+    election (built once, so a wrapper imports its inner election) and,
+    for a faulted grid, the fault layer — so fork-started pool workers
+    inherit them and import nothing during a cell.  Fast lookups import
+    numpy and :mod:`repro.fastsync`; object lookups go through
+    :mod:`repro.core.registry` and load no numpy.
     """
+    if any(spec.resolved_engine() != "fast" for spec in grid):
+        # What _execute_object imports.
+        from repro.asyncnet.engine import AsyncNetwork  # noqa: F401
+        from repro.sync.engine import SyncNetwork  # noqa: F401
+    if any(spec.effective_faults() is not None for spec in grid):
+        # What a faulted run imports on first use: the fault and
+        # adversary runtimes, the detectors and the failover recorder.
+        from repro.adversary.runtime import AdversaryRuntime  # noqa: F401
+        from repro.faults.detectors import engine_detector  # noqa: F401
+        from repro.faults.runtime import FaultRuntime  # noqa: F401
+        from repro.trace.events import MemoryRecorder  # noqa: F401
     seen = set()
     for spec in grid:
-        name = spec.algorithm_name
-        if name is None:
+        if spec.algorithm_name is None:
             continue
         engine = spec.resolved_engine()
-        key = (name, engine, spec.quorum)
+        key = (engine, repr(spec.object_election()))
         if key in seen:
             continue
         seen.add(key)
         if engine == "fast":
             from repro.fastsync import get_fast_algorithm
 
-            get_fast_algorithm(name)
+            get_fast_algorithm(spec.algorithm_name)
         else:
-            _object_factory(spec, engine)
+            _object_factory(spec, engine)()
 
 
 def _shared_wiring_keys(cells: List[SweepCell]) -> Set[Tuple[int, int]]:
@@ -542,11 +547,16 @@ def sweep(
     Before any cell is scheduled, every distinct (algorithm, resolved
     engine) of the grid is looked up through the registry in this
     process.  A name with no class for its engine fails here, before a
-    pool starts.  A grid with fast cells imports numpy and
-    :mod:`repro.fastsync` into this process, so fork-started workers
-    inherit them instead of importing (and compiling) them at their
-    first fast cell.  The cost is about 16 MB of resident memory in the
-    parent; an object-only grid loads numpy nowhere.
+    pool starts, as does an object election that rejects its
+    parameters (each is built once here).  The lookup also imports what
+    the cells run — the engines, the elections (a wrapper's inner one
+    included) and, for a faulted grid, the fault layer; this module
+    imports the record module, :mod:`repro.analysis.runner` — so
+    fork-started workers inherit them and import nothing during any
+    cell.  A grid with fast cells
+    imports numpy and :mod:`repro.fastsync` into this process, about
+    16 MB of resident memory in the parent; an object-only grid loads
+    numpy nowhere.
 
     A pooled sweep (``workers > 1``) in which two or more exact-mode
     fast cells need the same ``(n, seed)`` port matrix (the Table 1

@@ -131,6 +131,9 @@ def run_cells(
                 pool_cells.append(cell)
 
     if pool_cells:
+        if spool_dir is not None:
+            # invoke_cell's spool writer: fork-started workers inherit it.
+            from repro.obs.spool import spool_snapshot  # noqa: F401
         pid_slots: Dict[int, int] = {}
         try:
             executor = (executor_factory or _default_executor_factory)(workers)

@@ -15,15 +15,37 @@ Complexity accounting follows the paper:
   final sends are free, exactly as in the paper's round counts.
 """
 
-from repro.sync.algorithm import SyncAlgorithm
-from repro.sync.engine import SyncContext, SyncNetwork, SyncRunResult
-from repro.sync.metrics import SyncMetrics
-from repro.sync.wakeup import (
-    adversarial_wakeup,
-    random_wakeup,
-    simultaneous_wakeup,
-    single_wakeup,
-)
+from repro._exports import lazy_exports
+
+
+def _algorithm():
+    from repro.sync.algorithm import SyncAlgorithm  # noqa: F401
+
+    return locals()
+
+
+def _engine():
+    from repro.sync.engine import SyncContext, SyncNetwork, SyncRunResult  # noqa: F401
+
+    return locals()
+
+
+def _metrics():
+    from repro.sync.metrics import SyncMetrics  # noqa: F401
+
+    return locals()
+
+
+def _wakeup():
+    from repro.sync.wakeup import (  # noqa: F401
+        adversarial_wakeup,
+        random_wakeup,
+        simultaneous_wakeup,
+        single_wakeup,
+    )
+
+    return locals()
+
 
 __all__ = [
     "SyncAlgorithm",
@@ -36,3 +58,5 @@ __all__ = [
     "single_wakeup",
     "random_wakeup",
 ]
+
+__getattr__ = lazy_exports(globals(), _algorithm, _engine, _metrics, _wakeup)

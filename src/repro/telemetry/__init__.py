@@ -24,36 +24,84 @@ Everything here imports without numpy; only :func:`trace_fast_lane`
 needs the fast engine, and it imports it lazily.
 """
 
-from repro.telemetry.causal import (
-    CausalGraph,
-    CriticalPath,
-    build_graph,
-    critical_path,
-    explain,
-    lamport_clocks,
-)
-from repro.telemetry.context import RunContext
-from repro.telemetry.fast import AGGREGATE_NODE, FastTelemetry, LaneTrace, trace_fast_lane
-from repro.telemetry.jsonl import (
-    SCHEMA,
-    SCHEMA_VERSION,
-    JsonlRecorder,
-    Trace,
-    TraceSchemaError,
-    dump_events,
-    load_trace,
-)
-from repro.telemetry.metrics import Counter, Gauge, Histogram, MetricsRegistry, run_metrics
-from repro.telemetry.profile import NULL_PROFILE, PhaseProfiler
-from repro.telemetry.stats import (
-    TraceDiff,
-    TraceStats,
-    diff_traces,
-    filter_lane,
-    render_timeline,
-    trace_lanes,
-    trace_stats,
-)
+from repro._exports import lazy_exports
+
+
+def _causal():
+    from repro.telemetry.causal import (  # noqa: F401
+        CausalGraph,
+        CriticalPath,
+        build_graph,
+        critical_path,
+        explain,
+        lamport_clocks,
+    )
+
+    return locals()
+
+
+def _context():
+    from repro.telemetry.context import RunContext  # noqa: F401
+
+    return locals()
+
+
+def _fast():
+    from repro.telemetry.fast import (  # noqa: F401
+        AGGREGATE_NODE,
+        FastTelemetry,
+        LaneTrace,
+        trace_fast_lane,
+    )
+
+    return locals()
+
+
+def _jsonl():
+    from repro.telemetry.jsonl import (  # noqa: F401
+        SCHEMA,
+        SCHEMA_VERSION,
+        JsonlRecorder,
+        Trace,
+        TraceSchemaError,
+        dump_events,
+        load_trace,
+    )
+
+    return locals()
+
+
+def _metrics():
+    from repro.telemetry.metrics import (  # noqa: F401
+        Counter,
+        Gauge,
+        Histogram,
+        MetricsRegistry,
+        run_metrics,
+    )
+
+    return locals()
+
+
+def _profile():
+    from repro.telemetry.profile import NULL_PROFILE, PhaseProfiler  # noqa: F401
+
+    return locals()
+
+
+def _stats():
+    from repro.telemetry.stats import (  # noqa: F401
+        TraceDiff,
+        TraceStats,
+        diff_traces,
+        filter_lane,
+        render_timeline,
+        trace_lanes,
+        trace_stats,
+    )
+
+    return locals()
+
 
 __all__ = [
     "AGGREGATE_NODE",
@@ -89,3 +137,14 @@ __all__ = [
     "trace_lanes",
     "trace_stats",
 ]
+
+__getattr__ = lazy_exports(
+    globals(),
+    _causal,
+    _context,
+    _fast,
+    _jsonl,
+    _metrics,
+    _profile,
+    _stats,
+)

@@ -13,14 +13,21 @@ composite that fans hooks out to several recorders (e.g. a communication
 graph plus an event log).
 """
 
-from repro.trace.events import (
-    EVENT_KINDS,
-    CompositeRecorder,
-    EventRecorder,
-    MemoryRecorder,
-    PrintRecorder,
-    TraceEvent,
-)
+from repro._exports import lazy_exports
+
+
+def _events():
+    from repro.trace.events import (  # noqa: F401
+        EVENT_KINDS,
+        CompositeRecorder,
+        EventRecorder,
+        MemoryRecorder,
+        PrintRecorder,
+        TraceEvent,
+    )
+
+    return locals()
+
 
 __all__ = [
     "TraceEvent",
@@ -30,3 +37,5 @@ __all__ = [
     "PrintRecorder",
     "CompositeRecorder",
 ]
+
+__getattr__ = lazy_exports(globals(), _events)

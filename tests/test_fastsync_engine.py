@@ -1,5 +1,6 @@
 """The vectorized engine: modes, determinism, primitives, guard rails."""
 
+import hashlib
 import importlib
 import math
 import os
@@ -38,7 +39,7 @@ def _argsort_reference(keys):
 
 
 class _PlantedTie:
-    """A PCG64 generator whose raw draws carry a planted tie in row ``row``.
+    """A PCG64 bit generator whose raw draws carry a planted tie in row ``row``.
 
     The port-matrix build draws ``(rows, n)`` row chunks; in the chunk
     that holds absolute row ``row``, ``raw[row, col]`` is overwritten
@@ -48,7 +49,6 @@ class _PlantedTie:
     """
 
     def __init__(self, seed, row, col, like, flip):
-        self.bit_generator = self
         self._real = np.random.PCG64(seed)
         self._plant = (row, col, like, np.uint64(flip))
         self._rows_drawn = 0
@@ -121,7 +121,7 @@ class TestPortModel:
     @pytest.mark.parametrize("n", [1, 2, 3, 17, 128, 1024, 2048, 2049])
     @pytest.mark.parametrize("seed", [0, 1, 7])
     def test_packed_sort_matches_stable_float_argsort(self, n, seed):
-        got = _random_port_matrix(np.random.default_rng(np.random.PCG64(seed)), n)
+        got = _random_port_matrix(np.random.PCG64(seed), n)
         keys = np.random.default_rng(np.random.PCG64(seed)).random((n, n))
         np.testing.assert_array_equal(got, _argsort_reference(keys))
 
@@ -131,13 +131,13 @@ class TestPortModel:
         # Chunks of one row, of a few rows and of rows plus a remainder
         # continue one stream: the matrix is the whole-block argsort.
         monkeypatch.setattr(engine, "_PORT_CHUNK_ELEMS", chunk * n)
-        got = _random_port_matrix(np.random.default_rng(np.random.PCG64(4)), n)
+        got = _random_port_matrix(np.random.PCG64(4), n)
         keys = np.random.default_rng(np.random.PCG64(4)).random((n, n))
         np.testing.assert_array_equal(got, _argsort_reference(keys))
 
     @pytest.mark.parametrize("n", [2, 256, 257, 2048])
     def test_matrix_is_stored_narrow(self, n):
-        got = _random_port_matrix(np.random.default_rng(np.random.PCG64(0)), n)
+        got = _random_port_matrix(np.random.PCG64(0), n)
         assert got.dtype == np.min_scalar_type(n - 1)
         assert got.dtype.itemsize == (1 if n <= 256 else 2)
 
@@ -166,6 +166,29 @@ class TestPortModel:
         got = _random_port_matrix(planted, n)
         keys = np.random.default_rng(np.random.PCG64(5)).random((n, n))
         np.testing.assert_array_equal(got, _argsort_reference(keys))
+
+    @pytest.mark.parametrize(
+        "n,digest",
+        [
+            (2, "47dc540c94ceb704a23875c11273e16bb0b8a87aed84de911f2133568115f254"),
+            (8, "cf8ad87999b0744071498b2b8add77157e83cf50725ee63eb5aadb0343b563ba"),
+            (128, "b48541cc0ca541ee8cf5767a5d4d18c3168422cf8d5fe61d5cd4d64fecf9e882"),
+            (2048, "f8823c02d7fe44b4291feb24f3943416953850c19a70375c852479dd9c516a5d"),
+        ],
+    )
+    def test_wiring_matrix_is_pinned(self, n, digest):
+        engine.release_wirings()
+        ports = engine._wiring(n, 11)
+        engine.release_wirings()
+        assert ports.dtype == np.min_scalar_type(n - 1) and ports.shape == (n, n - 1)
+        assert hashlib.sha256(ports.tobytes()).hexdigest() == digest
+
+    def test_tie_repaired_matrix_is_pinned(self):
+        planted = _PlantedTie(seed=5, row=1000, col=900, like=3, flip=1 << 11)
+        got = _random_port_matrix(planted, 2049)
+        assert hashlib.sha256(got.tobytes()).hexdigest() == (
+            "405a9ad1368899646a78b4b68411f1a414b83dbd23dc0bf6daeb033996b54cdc"
+        )
 
 
 class TestSamplingPrimitives:
@@ -387,6 +410,13 @@ class TestLazyNodeStreams:
         net = FastSyncNetwork(64, mode="exact", seeds=[3, 4])
         net.run(algorithm)
         assert [lane.built for lane in net._node_streams] == [0, 0]
+        assert [lane._seeds for lane in net._node_streams] == [None, None]
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**40 + 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 128, 2048])
+    def test_seeds_follow_the_sequential_schedule(self, n, seed):
+        master = random.Random(seed)
+        assert engine._node_seeds(n, seed) == tuple(master.getrandbits(64) for _ in range(n))
 
     @pytest.mark.parametrize("seeds", [[11], [11, 12, 40]])
     def test_draws_match_eager_streams(self, seeds):
@@ -428,7 +458,7 @@ def _wiring_snapshot(n, seed):
     """One exact network's whole port map and a Las Vegas run on it.
 
     Las Vegas draws from the per-node streams, so the run also checks
-    the cached node seeds.
+    the lane's node seeds.
     """
     pm = FastSyncNetwork(n, mode="exact", seed=seed).port_map()
     ports = [[pm.resolve(u, i) for i in range(n - 1)] for u in range(n)]
@@ -474,8 +504,7 @@ class TestWiringCache:
     def test_cached_arrays_are_read_only(self):
         engine.release_wirings()
         net = FastSyncNetwork(16, mode="exact", seed=3)
-        node_seeds, ports = engine._wiring(16, 3)
-        assert isinstance(node_seeds, tuple)
+        ports = engine._wiring(16, 3)
         for matrix in (ports, net._lane_ports):
             assert not matrix.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
@@ -533,9 +562,9 @@ class TestSharedWirings:
         calls = []
         build = engine._random_port_matrix
 
-        def counted(rng, n):
+        def counted(bit_generator, n):
             calls.append(n)
-            return build(rng, n)
+            return build(bit_generator, n)
 
         monkeypatch.setattr(engine, "_random_port_matrix", counted)
         engine.release_wirings()
@@ -545,12 +574,11 @@ class TestSharedWirings:
     def test_a_published_matrix_is_loaded_not_rebuilt(self, builds):
         with engine.shared_wirings([(48, 5)]):
             directory = os.path.dirname(engine._SHARED_WIRINGS[(48, 5)])
-            node_seeds, ports = engine._wiring(48, 5)
+            ports = engine._wiring(48, 5)
             assert os.listdir(directory) == ["48-5.npy"]
             engine.release_wirings()
-            loaded_seeds, loaded = engine._wiring(48, 5)
+            loaded = engine._wiring(48, 5)
         assert builds == [48]
-        assert loaded_seeds == node_seeds
         assert loaded.dtype == ports.dtype and np.array_equal(loaded, ports)
         assert not loaded.flags.writeable
         assert engine._SHARED_WIRINGS == {}
@@ -559,10 +587,10 @@ class TestSharedWirings:
     def test_only_the_shared_keys_are_published(self, builds):
         with engine.shared_wirings([(48, 5)]):
             directory = os.path.dirname(engine._SHARED_WIRINGS[(48, 5)])
-            _, ports = engine._wiring(48, 6)
+            ports = engine._wiring(48, 6)
             assert os.listdir(directory) == []
             engine.release_wirings()
-            _, again = engine._wiring(48, 6)
+            again = engine._wiring(48, 6)
         assert builds == [48, 48]
         assert np.array_equal(again, ports)
 
@@ -570,7 +598,7 @@ class TestSharedWirings:
     def test_a_damaged_file_is_rebuilt_to_the_same_matrix(self, builds, damage):
         with engine.shared_wirings([(48, 5)]):
             path = engine._SHARED_WIRINGS[(48, 5)]
-            _, ports = engine._wiring(48, 5)
+            ports = engine._wiring(48, 5)
             engine.release_wirings()
             if damage == "truncated":
                 with open(path, "rb") as fh:
@@ -579,7 +607,7 @@ class TestSharedWirings:
                     fh.write(data[: len(data) // 2])
             else:
                 np.save(path, ports.astype(np.int64))
-            _, rebuilt = engine._wiring(48, 5)
+            rebuilt = engine._wiring(48, 5)
             assert rebuilt.dtype == ports.dtype and np.array_equal(rebuilt, ports)
             # The rebuild republished a valid file.
             engine.release_wirings()
@@ -589,9 +617,9 @@ class TestSharedWirings:
     def test_a_vanished_directory_just_builds(self, builds):
         with engine.shared_wirings([(48, 5)]):
             shutil.rmtree(os.path.dirname(engine._SHARED_WIRINGS[(48, 5)]))
-            _, ports = engine._wiring(48, 5)
+            ports = engine._wiring(48, 5)
             engine.release_wirings()
-            _, again = engine._wiring(48, 5)
+            again = engine._wiring(48, 5)
         assert builds == [48, 48]
         assert np.array_equal(again, ports)
 

@@ -422,6 +422,50 @@ if __name__ == "__main__":
 """
 
 
+# Every pool worker notes the repro modules it imported while running
+# each cell of a fresh interpreter's first sweep (one file per cell).
+_WORKER_IMPORT_PROBE = """
+import os, sys
+from concurrent.futures import ProcessPoolExecutor
+from repro.adversary import AdversaryPlan, SlanderWindow
+from repro.faults import CrashFault, DetectorSpec, FaultPlan
+from repro.sweep import RunSpec, sweep
+
+def noted(fn, *args):
+    before = set(sys.modules)
+    out = fn(*args)
+    new = [m for m in set(sys.modules) - before if m.split(".")[0] == "repro"]
+    with open(os.path.join(os.environ["PROBE_DIR"], f"cell-{args[-1]}"), "w") as fh:
+        fh.write(" ".join(sorted(new)) or "-")
+    return out
+
+class Noting(ProcessPoolExecutor):
+    def submit(self, fn, *args, **kwargs):
+        return super().submit(noted, fn, *args, **kwargs)
+
+if __name__ == "__main__":
+    plan = FaultPlan(crashes=(CrashFault(node=3, at=2),), detector=DetectorSpec())
+    slander = AdversaryPlan(slanders=(SlanderWindow(accuser=2, victims=(5,), start=1, end=4),))
+    grid = [
+        RunSpec(algorithm="afek_gafni", n=16, engine="sync", seeds=(0, 1)),
+        RunSpec(algorithm="async_tradeoff", n=16, engine="async", seeds=(0, 1)),
+        RunSpec(algorithm="las_vegas", n=32, engine="fast", mode="exact", seeds=(0, 1)),
+        RunSpec(algorithm="kutten16", n=4096, engine="fast", mode="scale", seeds=(0, 1)),
+        RunSpec(algorithm="reelect", n=16, engine="sync", seeds=(0, 1), faults=plan,
+                params={"inner": "kutten16"}),
+        RunSpec(algorithm="improved_tradeoff", n=32, engine="fast", seeds=(0, 1), faults=plan),
+        RunSpec(algorithm="quorum_reelect", n=16, engine="async", seeds=(0, 1), adversary=slander),
+    ]
+    spool = os.path.join(os.environ["PROBE_DIR"], "spool")
+    sweep(grid, workers=2, spool_dir=spool,
+          executor_factory=lambda workers: Noting(max_workers=workers))
+    notes = sorted(n for n in os.listdir(os.environ["PROBE_DIR"]) if n.startswith("cell-"))
+    print(len(notes))
+    for name in notes:
+        print(open(os.path.join(os.environ["PROBE_DIR"], name)).read())
+"""
+
+
 # A pooled exact-mode grid in a fresh interpreter (nothing cached when
 # the pool forks) against the inline sweep; the temporary root must be
 # empty afterwards.
@@ -464,6 +508,12 @@ class TestParentSideResolution:
         ]
         with pytest.raises(KeyError, match="no vectorized port of 'monarchical'"):
             sweep(grid, workers=2, executor_factory=exploding_factory)
+
+    def test_workers_import_nothing_during_the_first_sweep(self, tmp_path):
+        # The parent imported each cell's engine, election, fault layer,
+        # record and spool modules before the pool forked: 14 cells, no
+        # new module in any of them.
+        assert _run_probe(tmp_path, _WORKER_IMPORT_PROBE) == ["14"] + ["-"] * 14
 
     def test_object_only_sweep_loads_numpy_nowhere(self, tmp_path):
         # Some worker ran a cell, no worker loaded numpy, nor did the parent.
