@@ -1,7 +1,7 @@
 """Benchmark-regression gate for CI.
 
 Compares freshly produced ``BENCH_*.json`` artifacts (written by the
-smoke benches via ``_harness.emit_json``) against the checked-in
+smoke benches via ``run.py --json``) against the checked-in
 baselines in ``benchmarks/baselines/`` and fails when any metric is
 worse than the baseline by more than ``--threshold`` (relative, default
 25%).
@@ -16,9 +16,9 @@ are reported, as a nudge to refresh the baseline.
 
 Usage (what the CI ``bench-regression`` job runs)::
 
-    python benchmarks/bench_fastsync_scale.py --smoke \
+    python benchmarks/run.py fastsync_scale --smoke \
         --json bench-artifacts/BENCH_fastsync_scale.json
-    python benchmarks/bench_failover_churn.py --smoke \
+    python benchmarks/run.py failover_churn --smoke \
         --json bench-artifacts/BENCH_failover_churn.json
     python benchmarks/check_regression.py --artifact-dir bench-artifacts
 """

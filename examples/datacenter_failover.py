@@ -142,7 +142,7 @@ def main() -> None:
     print("messages); k=6 cuts the load by an order of magnitude for a few")
     print("extra time units — the tradeoff of Theorem 5.1.  Under churn,")
     print("the re-election wrapper pays one extra election per crash, after")
-    print("one detection lag — see benchmarks/bench_failover_churn.py.")
+    print("one detection lag — see benchmarks/run.py failover_churn.")
 
 
 if __name__ == "__main__":

@@ -23,6 +23,6 @@ setup(
     python_requires=">=3.10",
     extras_require={
         "fast": ["numpy>=1.22"],
-        "dev": ["pytest", "pytest-benchmark", "hypothesis", "numpy>=1.22", "ruff"],
+        "dev": ["pytest", "hypothesis", "numpy>=1.22", "ruff"],
     },
 )

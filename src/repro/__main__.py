@@ -733,7 +733,7 @@ def cmd_scenarios_sweep(args: argparse.Namespace) -> int:
         for n in args.ns:
             scenario = _load_scenario(args.name, n)
             # Construction validates n, engine, inner and lag up front.
-            ScenarioRunner(
+            runner = ScenarioRunner(
                 scenario, n, engine=args.engine, inner=args.inner,
                 lag=args.lag, quorum=args.quorum,
             )
@@ -747,6 +747,9 @@ def cmd_scenarios_sweep(args: argparse.Namespace) -> int:
                 keys.append((n, seed))
     except (ScenarioSchemaError, KeyError, ValueError) as exc:
         raise UsageError(str(exc)) from None
+    if args.workers > 1:
+        # Every n runs the same engine, election and fault layer.
+        runner.preload()
     values = run_cells(cells, scenario_cell, workers=args.workers, progress=progress)
     for (n, seed), m in zip(keys, values):
         failures += not m["final_agreed"]

@@ -5,7 +5,7 @@ object, one context and one inbox list per node, which tops out around
 ``n ≈ 10^3`` before sweeps take minutes.  This package re-implements the
 synchronous clique as flat numpy arrays — ids, candidate flags and
 per-round message batches — so the paper's tradeoff frontiers can be
-measured at ``n ≥ 10^5`` (see ``benchmarks/bench_fastsync_scale.py``).
+measured at ``n ≥ 10^5`` (see ``benchmarks/run.py fastsync_scale``).
 
 Every synchronous registry algorithm has a vectorized port (the Theorem
 3.10 tradeoff family, the Afek–Gafni baseline, the Theorem 3.16 Las

@@ -15,7 +15,7 @@ leadership-agreement intervals, epoch churn, and message/round overhead
 against a fault-free baseline.  A library of named scenarios
 (``partition_heal``, ``rolling_restart``, ``flapping_leader``,
 ``staggered_joins``, ``election_storm``) backs the ``python -m repro
-scenarios`` CLI and ``benchmarks/bench_scenario_churn.py``.
+scenarios`` CLI and ``benchmarks/run.py scenario_churn``.
 """
 
 from repro._exports import lazy_exports

@@ -11,7 +11,7 @@ below leave generous slack) and returns an immutable
 
 Run them via ``python -m repro scenarios run NAME`` or
 :func:`repro.scenarios.run_scenario`; sweep them in
-``benchmarks/bench_scenario_churn.py``.
+``benchmarks/run.py scenario_churn``.
 """
 
 from __future__ import annotations

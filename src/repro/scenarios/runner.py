@@ -321,6 +321,23 @@ class ScenarioRunner:
         spec = RunSpec(n=m, engine=self.engine, seeds=(act_seed,), ids=tuple(member_ids), **fields)
         return run(spec, recorder=self.recorder, keep_result=True)
 
+    def preload(self) -> None:
+        """Import what :meth:`run` executes: the engine, the election and
+        the fault layer.
+
+        A pooled ``repro scenarios sweep`` calls it in the parent before
+        the pool starts, so fork-started workers inherit the modules and
+        import nothing during a cell (``sweep()`` does the same for
+        ``RunSpec`` grids).
+        """
+        from repro.adversary.plan import AdversaryPlan  # noqa: F401  (act plans)
+        from repro.sweep.api import resolve_engines
+        from repro.sweep.spec import RunSpec
+
+        algorithm = self.inner if self.engine == "fast" else self._reelect
+        plan = FaultPlan(detector=self._detector)
+        resolve_engines([RunSpec(algorithm=algorithm, n=self.n, engine=self.engine, faults=plan)])
+
     @staticmethod
     def _act_plan_for_fast(plan: FaultPlan) -> Optional[FaultPlan]:
         """The act plan the fast engine receives: ``None`` when inert.

@@ -440,7 +440,7 @@ def _shard(spec: RunSpec, workers: int) -> List[RunSpec]:
     ]
 
 
-def _resolve_engines(grid: List[RunSpec]) -> None:
+def resolve_engines(grid: List[RunSpec]) -> None:
     """Look up each named algorithm of ``grid`` for its resolved engine.
 
     Runs in the calling process, once per distinct (engine, election,
@@ -453,10 +453,14 @@ def _resolve_engines(grid: List[RunSpec]) -> None:
     numpy and :mod:`repro.fastsync`; object lookups go through
     :mod:`repro.core.registry` and load no numpy.
     """
-    if any(spec.resolved_engine() != "fast" for spec in grid):
+    engines = {spec.resolved_engine() for spec in grid}
+    if engines - {"fast"}:
         # What _execute_object imports.
         from repro.asyncnet.engine import AsyncNetwork  # noqa: F401
         from repro.sync.engine import SyncNetwork  # noqa: F401
+    if "fast" in engines:
+        # What _execute_fast imports.
+        from repro.fastsync import FastSyncNetwork  # noqa: F401
     if any(spec.effective_faults() is not None for spec in grid):
         # What a faulted run imports on first use: the fault and
         # adversary runtimes, the detectors and the failover recorder.
@@ -577,7 +581,7 @@ def sweep(
             raise ValueError(
                 f"sweep() takes RunSpec items, got {type(item).__name__}"
             )
-    _resolve_engines(grid)
+    resolve_engines(grid)
     cells = []
     for spec in grid:
         for shard in _shard(spec, workers):

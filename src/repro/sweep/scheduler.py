@@ -31,7 +31,6 @@ from __future__ import annotations
 import os
 import pickle
 import time
-from concurrent.futures import as_completed
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
@@ -131,6 +130,8 @@ def run_cells(
                 pool_cells.append(cell)
 
     if pool_cells:
+        from concurrent.futures import as_completed
+
         if spool_dir is not None:
             # invoke_cell's spool writer: fork-started workers inherit it.
             from repro.obs.spool import spool_snapshot  # noqa: F401

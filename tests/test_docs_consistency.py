@@ -1,5 +1,6 @@
 """Documentation consistency: the docs must reference real artifacts."""
 
+import ast
 import os
 import pathlib
 import re
@@ -17,19 +18,28 @@ def read(name: str) -> str:
     return (ROOT / name).read_text()
 
 
+def bench_names():
+    """The benches ``benchmarks/benches.py`` declares in ``BENCHES``."""
+    for node in ast.parse(read("benchmarks/benches.py")).body:
+        if isinstance(node, ast.AnnAssign) and node.target.id == "BENCHES":
+            return {key.value for key in node.value.keys}
+    raise AssertionError("benchmarks/benches.py declares no BENCHES")
+
+
+def driver_targets(text: str):
+    """The bench names a doc runs through the driver (``run.py name``)."""
+    return set(re.findall(r"run\.py ([a-z0-9_]+)", text)) - {"all"}
+
+
 class TestDesignDoc:
     def test_every_bench_target_exists(self):
-        text = read("DESIGN.md")
-        targets = set(re.findall(r"`benchmarks/(bench_\w+\.py)`", text))
+        targets = driver_targets(read("DESIGN.md"))
         assert targets, "DESIGN.md should reference bench targets"
-        for target in targets:
-            assert (ROOT / "benchmarks" / target).exists(), target
+        assert targets <= bench_names(), targets - bench_names()
 
     def test_every_bench_file_is_indexed(self):
-        text = read("DESIGN.md")
-        on_disk = {p.name for p in (ROOT / "benchmarks").glob("bench_*.py")}
-        indexed = set(re.findall(r"`benchmarks/(bench_\w+\.py)`", text))
-        assert on_disk <= indexed, f"unindexed benches: {on_disk - indexed}"
+        indexed = driver_targets(read("DESIGN.md"))
+        assert bench_names() <= indexed, f"unindexed benches: {bench_names() - indexed}"
 
     def test_mentions_all_algorithms(self):
         text = read("DESIGN.md")
@@ -81,8 +91,13 @@ class TestReadme:
 class TestExperimentsDoc:
     def test_references_only_real_benches(self):
         text = read("EXPERIMENTS.md")
-        for target in set(re.findall(r"`(bench_\w+\.py)`", text)):
-            assert (ROOT / "benchmarks" / target).exists(), target
+        # The experiment index's last column names each row's benches.
+        rows = re.findall(r"^\| (?:T1\.\d+|F\d|CH1|S\d+b?) \|.*\|(.*)\|$", text, re.MULTILINE)
+        indexed = {name for column in rows for name in re.findall(r"`(\w+)`", column)}
+        assert len(rows) >= 24 and indexed
+        assert indexed | driver_targets(text) <= bench_names(), (
+            (indexed | driver_targets(text)) - bench_names()
+        )
 
     def test_covers_every_table1_experiment_id(self):
         text = read("EXPERIMENTS.md")
@@ -99,17 +114,19 @@ class TestCIConsistency:
 
     def test_ci_smoke_benches_exist_and_are_documented(self):
         text = self.workflow()
-        smoke = set(re.findall(r"benchmarks/(bench_\w+\.py) --smoke", text))
+        smoke = set(re.findall(r"benchmarks/run\.py (\w+) --smoke", text))
         assert smoke, "CI should run smoke benchmarks"
         experiments = read("EXPERIMENTS.md")
         for bench in smoke:
-            assert (ROOT / "benchmarks" / bench).exists(), bench
-            assert bench in experiments, f"{bench} smoke run not in EXPERIMENTS.md"
+            assert bench in bench_names(), bench
+            assert f"run.py {bench} --smoke" in experiments, (
+                f"{bench} smoke run not in EXPERIMENTS.md"
+            )
 
     def test_ci_runs_the_scale_and_churn_smokes(self):
         text = self.workflow()
-        assert "bench_fastsync_scale.py --smoke" in text
-        assert "bench_failover_churn.py --smoke" in text
+        assert "run.py fastsync_scale --smoke" in text
+        assert "run.py failover_churn --smoke" in text
 
     def test_ci_gates_bench_regressions(self):
         text = self.workflow()
@@ -119,7 +136,14 @@ class TestCIConsistency:
 
     def test_every_json_emitting_smoke_has_a_baseline(self):
         text = self.workflow()
-        for name in re.findall(r"--json bench-artifacts/(BENCH_\w+\.json)", text):
+        emits = re.findall(
+            r"run\.py (\w+) --smoke(?:\s+--workers \d+)?"
+            r"\s+--json bench-artifacts/(BENCH_\w+\.json)",
+            text,
+        )
+        assert len(emits) == len(re.findall(r"--json bench-artifacts/", text))
+        for bench, name in emits:
+            assert name == f"BENCH_{bench}.json", (bench, name)
             assert (ROOT / "benchmarks" / "baselines" / name).exists(), (
                 f"CI emits {name} but benchmarks/baselines/ has no baseline for it"
             )
@@ -263,8 +287,8 @@ class TestTutorialDoc:
             assert scenario.events
 
     def test_referenced_bench_files_exist(self):
-        for target in set(re.findall(r"(bench_\w+\.py)", self.doc())):
-            assert (ROOT / "benchmarks" / target).exists(), target
+        targets = driver_targets(self.doc())
+        assert targets and targets <= bench_names(), targets - bench_names()
         assert "check_regression.py" in self.doc()
 
     def test_mentions_the_speedup_contract(self):

@@ -93,6 +93,53 @@ def test_registry_lookup_imports_that_algorithm_alone():
     ) == []
 
 
+def test_an_inline_run_cells_loads_no_pool_machinery():
+    modules = loaded_by(
+        "from repro.sweep import RunSpec\n"
+        "from repro.sweep.scheduler import SweepCell, run_cells\n"
+        "from repro.sweep.worker import run_spec_cell\n"
+        "spec = RunSpec(algorithm='afek_gafni', n=8, engine='sync', seeds=(0, 1))\n"
+        "run_cells([SweepCell(index=0, cost=8.0, payload=spec)], run_spec_cell)"
+    )
+    assert "repro.sync.engine" in modules  # the cell ran
+    assert under(modules, "concurrent.futures") == []
+
+
+# Each pooled ``repro scenarios sweep`` cell notes the modules it imported.
+_SCENARIO_CELLS = """
+import json, os, shutil, sys, tempfile
+import repro.sweep.worker as worker
+
+original = worker.scenario_cell
+notes = tempfile.mkdtemp()
+
+def noted_cell(payload):
+    before = set(sys.modules)
+    value = original(payload)
+    with open(os.path.join(notes, f"{os.getpid()}-{payload[2]}"), "w") as out:
+        json.dump(sorted(set(sys.modules) - before), out)
+    return value
+
+# The CLI reads the cell function off the module; fork-started workers inherit it.
+worker.scenario_cell = noted_cell
+from repro.__main__ import main
+
+code = main(["scenarios", "sweep", "election_storm", "--ns", "16", "--seeds", "0", "1", "2", "3",
+             "--engine", "fast", "--workers", "2"])
+cells = {name: json.load(open(os.path.join(notes, name))) for name in os.listdir(notes)}
+shutil.rmtree(notes)
+print(json.dumps({"code": code, "parent": os.getpid(), "cells": cells}))
+"""
+
+
+def test_pooled_scenario_sweep_cells_import_no_repro_module():
+    got = fresh(_SCENARIO_CELLS)
+    assert got["code"] == 0 and len(got["cells"]) == 4
+    for name, new in got["cells"].items():
+        assert not name.startswith(f"{got['parent']}-"), "the cell ran in the parent"
+        assert under(new, "repro") == [], name
+
+
 @pytest.mark.parametrize("package", PACKAGES)
 def test_every_public_name_resolves(package):
     got = fresh(
