@@ -25,7 +25,7 @@ import os
 import random
 import tempfile
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, Optional
 
 from repro.adversary import AdversaryPlan, SlanderWindow, TamperRule
@@ -1336,6 +1336,7 @@ def telemetry_overhead(points=((100_000, 3, 64),), reps=3):
     rows = []
     for n, ell, batch in points:
         spec = _batch_spec(n, ell, list(range(batch)), batch)
+        execute_spec(spec)  # warmup: allocator and import costs land outside timing
         # Interleave the arms so drift in machine load hits all three.
         times = {"ref": [], "off": [], "on": []}
         telemetries = []
@@ -1500,6 +1501,11 @@ def sweep_parallel(workers=4, smoke=False):
             RunSpec(algorithm="async_tradeoff", n=256, engine="async", seeds=tuple(range(4)),
                     params={"k": 2}),
         ]
+    # Warmup on one small seed per spec, through both arms: the engine
+    # imports and the first pool start land outside timing.
+    warm = [replace(spec, n=min(spec.n, 64), seeds=spec.seeds[:1]) for spec in grid]
+    for w in (1, workers):
+        sweep(warm, workers=w)
     arms = {}
     for w in (1, workers):
         registry = MetricsRegistry()

@@ -47,24 +47,61 @@ __all__ = [
 ]
 
 
+#: Expected above-cut competes per referee in :func:`_referee_best`: a
+#: lane scatters only its ``ceil(c * n / m)`` best senders, and a
+#: referee none of them reaches (probability about ``e^-c`` each, so
+#: ``n * e^-c`` per lane) sends the lane through an uncut replay.
+_CUT_HITS = 40
+
+
 def _referee_best(net, senders: np.ndarray, m: int, init: np.ndarray) -> np.ndarray:
     """``best[t]``: the highest sender rank among ``t``'s competes, floored at ``init[t]``.
 
     Every sender (sorted global indices) competes over its first ``m``
     ports, streamed (:meth:`FastSyncNetwork.stream_ports`) into a
     max-scatter on the lane's ``best`` segment: no (senders × m) matrix.
+
+    The rank cut: a lane with more than ``top = ceil(c * n / m)``
+    senders (``c = _CUT_HITS``, so ``|S| * m > c * n``) scatters only
+    the rows whose rank reaches its cut ``tau``, the rank of its
+    ``top``-th best sender (``np.partition``); the sampler still makes
+    every draw.  If every referee of the lane ends at ``best >= tau``
+    (``init`` included), each omitted sender ranks below the referee's
+    max and ``best`` equals the uncut max; otherwise the lane's
+    ``check`` drops its cut and :meth:`FastSyncNetwork.stream_ports`
+    replays the lane from the same draws, scattering every row over the
+    partial max (a max-scatter is idempotent).
     """
     n = net.n
     sid = net.ids_rank_flat[senders]
-    starts = net.lane_segments(senders)[0]
+    starts, stops = net.lane_segments(senders)
     best = init.copy()
+    top = -(-_CUT_HITS * n // max(m, 1))  # ceil(c * n / m) senders make the cut
+    cut = np.full(net.batch, -1, dtype=np.int64)  # -1: every row scatters
+    for b in np.nonzero(stops - starts > top)[0]:
+        lane = sid[starts[b] : stops[b]]
+        cut[b] = np.partition(lane, len(lane) - top)[len(lane) - top]
 
     def scatter(b: int, rows, targets: np.ndarray) -> None:
-        ranks = np.repeat(sid[starts[b] :][rows], targets.shape[1])
-        # maximum.at holds the GIL and runs faster on intp indices; the cast does not.
-        np.maximum.at(best[b * n : (b + 1) * n], targets.reshape(-1).astype(np.intp), ranks)
+        ranks = sid[starts[b] :][rows]
+        if cut[b] >= 0:
+            keep = ranks >= cut[b]
+            if not keep.all():
+                ranks, targets = ranks[keep], targets[keep]
+        # maximum.at runs faster on intp indices.  Dropping the kept
+        # rows' copy before the ranks repeat keeps a block's peak at the
+        # uncut one's.
+        cells, width = targets.reshape(-1).astype(np.intp), targets.shape[1]
+        del targets
+        np.maximum.at(best[b * n : (b + 1) * n], cells, np.repeat(ranks, width))
 
-    net.stream_ports(senders, m, scatter)
+    def check(b: int) -> bool:
+        if cut[b] < 0 or best[b * n : (b + 1) * n].min() >= cut[b]:
+            return True
+        cut[b] = -1  # the replay scatters every row over the partial max
+        return False
+
+    net.stream_ports(senders, m, scatter, check=check)
     return best
 
 
@@ -86,7 +123,9 @@ def _referee_iteration(
     answered the sender of rank ``best[t]``, and a sender survives iff
     it is answered ``m`` times.  That is exact because ranks are unique
     within a lane, no sender targets itself and a sender's ``m`` targets
-    are distinct.
+    are distinct.  ``best`` comes from :func:`_referee_best`, whose rank
+    cut scatters only the senders that can win and whose checked replay
+    keeps it equal to the max over every compete.
     """
     net.count_messages(net.rows_per_lane(senders) * m, compete_kind)
     net.tick()

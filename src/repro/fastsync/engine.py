@@ -978,6 +978,7 @@ class FastSyncNetwork:
         consume: Callable[[int, object, np.ndarray], None],
         *,
         sampled: bool = False,
+        check: Optional[Callable[[int], bool]] = None,
     ) -> None:
         """Hand the targets of :meth:`first_ports` (or :meth:`sampled_targets`) to ``consume``.
 
@@ -989,8 +990,18 @@ class FastSyncNetwork:
         (rows × m) matrix: scale mode hands over the sampler's draws as
         it makes them (:func:`_draw_distinct`), exact mode each lane's
         rows of the wiring matrix.  Lanes run concurrently
-        (:func:`for_each_lane`), so ``consume`` may touch only its lane's
-        state.
+        (:func:`for_each_lane`), so ``consume`` and ``check`` may touch
+        only their lane's state.
+
+        ``check(lane)`` runs after the lane has streamed; ``False``
+        streams the lane once more, with the same targets: scale mode
+        restores the lane generator's state from before the first pass
+        (so its final state is that of one pass), exact mode re-reads
+        the wiring rows (exact ``sampled=True`` draws node streams,
+        which a replay would advance again, so it takes no ``check``).
+        A consumer that skips rows uses it to replay without skipping:
+        before returning ``False`` it must stop skipping, and its lane
+        state must accept the same targets twice (a max-scatter does).
         """
         self._check_ports(m)
         if np.any(src_global[1:] < src_global[:-1]):
@@ -998,8 +1009,7 @@ class FastSyncNetwork:
         n = self.n
         starts, stops = self.lane_segments(src_global)
 
-        def stream_lane(b: int) -> None:
-            local = src_global[starts[b] : stops[b]] - b * n
+        def send(b: int, local: np.ndarray) -> None:
             every = slice(0, len(local))
             if self._lane_ports is None:
                 sink = functools.partial(consume, b)
@@ -1012,6 +1022,15 @@ class FastSyncNetwork:
                 consume(b, every, self._lane_ports[b][local[:, None], cols])
             else:
                 consume(b, every, self._lane_ports[b][local, :m])
+
+        def stream_lane(b: int) -> None:
+            local = src_global[starts[b] : stops[b]] - b * n
+            saved = None if self._lane_rngs is None else self._lane_rngs[b].bit_generator.state
+            send(b, local)
+            if check is not None and not check(b):
+                if saved is not None:
+                    self._lane_rngs[b].bit_generator.state = saved
+                send(b, local)
 
         with self.profile("sampling"):
             for_each_lane(stream_lane, [b for b in range(self.batch) if stops[b] > starts[b]])

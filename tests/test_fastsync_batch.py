@@ -19,7 +19,7 @@ import warnings
 import pytest
 from hypothesis import given, settings, strategies as st
 
-pytest.importorskip("numpy")
+np = pytest.importorskip("numpy")
 
 from repro.fastsync import (  # noqa: E402
     FastSyncNetwork,
@@ -31,7 +31,7 @@ from repro.fastsync import (  # noqa: E402
     VectorSmallIdElection,
 )
 
-from repro.fastsync import engine  # noqa: E402
+from repro.fastsync import algorithms, engine  # noqa: E402
 from repro.sweep import (  # noqa: E402
     RunSpec,
     canonical_record,
@@ -390,3 +390,106 @@ class TestNoEdgeMatrix:
         n = 100_000
         peak = _iteration_peak(monkeypatch, n, [0])
         assert peak <= self._bound(n), peak / 2**20
+
+
+CUT_MAKERS = {
+    "improved_tradeoff-3": lambda: VectorImprovedTradeoffElection(ell=3),
+    "improved_tradeoff-5": lambda: VectorImprovedTradeoffElection(ell=5),
+    "afek_gafni": lambda: VectorAfekGafniElection(),
+}
+
+#: ``_CUT_HITS`` values: the shipped one, one no lane qualifies for,
+#: and one whose cut is so high that referees go unreached and the
+#: check fails.
+CUT_HITS = algorithms._CUT_HITS
+NO_CUT = 10**9
+FORCED_REPLAY = 1
+
+_STREAM_PORTS = FastSyncNetwork.stream_ports
+
+
+def _spy_checks(monkeypatch):
+    """Record the verdict of every lane check ``stream_ports`` runs."""
+    verdicts = []
+
+    def spy(self, src, m, consume, *, sampled=False, check=None):
+        def counted(b):
+            ok = check(b)
+            verdicts.append(ok)
+            return ok
+
+        return _STREAM_PORTS(
+            self, src, m, consume, sampled=sampled,
+            check=None if check is None else counted,
+        )
+
+    monkeypatch.setattr(FastSyncNetwork, "stream_ports", spy)
+    return verdicts
+
+
+def _cut_run(monkeypatch, hits, n, mode, seeds, maker):
+    """Records, final lane generator states and every lane check's verdict."""
+    monkeypatch.setattr(algorithms, "_CUT_HITS", hits)
+    verdicts = _spy_checks(monkeypatch)
+    net = FastSyncNetwork(n, seeds=seeds, mode=mode)
+    lanes = net.run(maker())
+    states = [g.bit_generator.state for g in net._lane_rngs or ()]
+    return [[getattr(r, f) for f in LANE_FIELDS] for r in lanes], states, verdicts
+
+
+class TestRankCut:
+    """The referee rank cut and its replay leave every output bit-identical."""
+
+    @pytest.mark.parametrize("seeds", [[5], [0, 1, 2]], ids=["1lane", "3lanes"])
+    @pytest.mark.parametrize("mode", ["scale", "exact"])
+    @pytest.mark.parametrize("n", [512, 4096])
+    @pytest.mark.parametrize("name", sorted(CUT_MAKERS))
+    def test_cut_and_replay_change_nothing(self, monkeypatch, name, n, mode, seeds):
+        maker = CUT_MAKERS[name]
+        cut = _cut_run(monkeypatch, CUT_HITS, n, mode, seeds, maker)
+        uncut = _cut_run(monkeypatch, NO_CUT, n, mode, seeds, maker)
+        replayed = _cut_run(monkeypatch, FORCED_REPLAY, n, mode, seeds, maker)
+        # Records and final lane generator states: a replayed scale lane
+        # ends where one uncut pass ends, not two.
+        assert cut[:2] == uncut[:2]
+        assert replayed[:2] == uncut[:2]
+        assert False in replayed[2]  # some lane failed its check and streamed again
+        assert all(uncut[2])
+        if n == 4096 and name != "improved_tradeoff-5":
+            # The first iteration's m = 64 puts every lane under the cut,
+            # and no referee escapes it.
+            assert all(cut[2]) and len(cut[2]) == len(seeds)
+
+    def test_a_referee_below_the_cut_forces_the_replay(self, monkeypatch):
+        # n = 6, ranks = node indices, every node competes over 3 ports
+        # with an Afek-Gafni self floor.  _CUT_HITS = 1 keeps the top
+        # ceil(6 / 3) = 2 senders, so the cut is rank 4.  Senders 4 and 5
+        # reach referees 0, 1, 3 and 5, and referee 2 is reached only by
+        # 0, 1 and 3: the cut leaves it at its floor 2 where the uncut
+        # max is 3, so the lane must fail its check and replay.
+        monkeypatch.setattr(algorithms, "_CUT_HITS", 1)
+        first = [[1, 2, 3], [0, 2, 3], [0, 1, 3], [2, 0, 1], [0, 1, 5], [0, 1, 3]]
+        wiring = np.array(
+            [row + [v for v in range(6) if v != u and v not in row] for u, row in enumerate(first)],
+            dtype=np.uint8,
+        )
+        net = FastSyncNetwork(6, mode="exact")
+        net._lane_ports = wiring[None]
+        verdicts = _spy_checks(monkeypatch)
+        best = algorithms._referee_best(net, np.arange(6), 3, net.ids_rank_flat.copy())
+        assert verdicts == [False]
+        assert best.tolist() == [5, 5, 3, 5, 4, 5]  # 4 is nobody's target: its floor
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("name", ["improved_tradeoff-3", "afek_gafni"])
+    def test_no_replay_on_the_benchmark_blocks(self, monkeypatch, name):
+        # perfbench's scale_lanes inputs: 16 blocks of 4 seeds at n = 10^5.
+        # Every lane passes its check; the blocks CI pins (0 and 7) are
+        # also compared with uncut runs.
+        maker = CUT_MAKERS[name]
+        for seed in range(64):
+            cut = _cut_run(monkeypatch, CUT_HITS, 100_000, "scale", [seed], maker)
+            assert cut[2] == [True], seed
+            if seed // 4 in (0, 7):
+                uncut = _cut_run(monkeypatch, NO_CUT, 100_000, "scale", [seed], maker)
+                assert cut[:2] == uncut[:2], seed

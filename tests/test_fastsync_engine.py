@@ -350,6 +350,9 @@ class TestStreamedIteration:
         )
         block = data.draw(st.sampled_from([1, 7, 256, 1 << 18]), label="block")
         tiny_reserve = data.draw(st.booleans(), label="tiny_reserve")
+        # The rank cut's hits per referee: low ones leave referees under
+        # the cut, so lanes fail their check and replay.
+        hits = data.draw(st.sampled_from([1, 2, 4, algorithms._CUT_HITS]), label="cut_hits")
 
         def net():
             return FastSyncNetwork(n, ids=ids, seeds=seeds, mode=mode)
@@ -371,6 +374,7 @@ class TestStreamedIteration:
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(engine, "_BLOCK_ELEMS", block)
+            patch.setattr(algorithms, "_CUT_HITS", hits)
             if tiny_reserve:  # the compact buffer must grow
                 patch.setattr(engine, "_collided_capacity", lambda rows, m, n: 1)
             streamed = net()
